@@ -12,7 +12,9 @@ __version__ = "0.1.0"
 from .charpoly import (
     CoeffVector,
     char_coeffs,
+    char_coeffs_batch,
     char_coeffs_oracle,
+    coeff_jacobian,
     coeffs_to_monic,
     monic_to_coeffs,
     spectrum,

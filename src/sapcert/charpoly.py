@@ -14,6 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations
+from typing import Optional
 
 import numpy as np
 
@@ -51,23 +52,84 @@ def _square(A) -> np.ndarray:
     return M
 
 
+def _square_stack(A) -> np.ndarray:
+    M = np.asarray(A, dtype=float)
+    if M.ndim != 3 or M.shape[1] != M.shape[2]:
+        raise InvalidInput(
+            f"expected an (m, n, n) stack of square matrices, got shape {M.shape}"
+        )
+    if not np.all(np.isfinite(M)):
+        raise InvalidInput("matrix entries must be finite")
+    return M
+
+
+def _faddeev_leverrier(M: np.ndarray, positions=()) -> tuple[np.ndarray, Optional[np.ndarray]]:
+    """The Faddeev-LeVerrier recursion on an (n, n) matrix or an (m, n, n) stack.
+
+    Returns the coefficients, shape (..., n), and, when ``positions`` are
+    given, their exact partial derivatives with respect to the entries at
+    those positions, shape (..., n, len(positions)).  The N_k of the
+    recursion are the coefficients of adj(xI - M), so Jacobi's formula
+    gives dv_k/dM_ij = (-1)^(k+1) (N_{k-1})_ji at no extra matrix product.
+    Every matrix of a stack goes through the same floating-point
+    operations as it would alone, so each row equals the single-matrix
+    result bit for bit.
+    """
+    n = M.shape[-1]
+    eye = np.eye(n)
+    # a single matrix keeps a scalar c_k, so it costs what the unbatched loop
+    # did; a stack needs one c_k per matrix
+    per_matrix = (Ellipsis, None, None) if M.ndim == 3 else ()
+    rows = [i for i, _ in positions]
+    cols = [j for _, j in positions]
+    vals, jac = [], []
+    N = eye
+    for k in range(1, n + 1):
+        if positions:
+            jac.append((-1.0) ** (k + 1) * np.broadcast_to(N, M.shape)[..., cols, rows])
+        AN = M @ N
+        ck = -np.trace(AN, 0, -2, -1) / k
+        vals.append((-1.0) ** k * ck)
+        N = AN + ck[per_matrix] * eye
+    jac = np.moveaxis(np.array(jac), 0, -2) if positions else None
+    return np.array(vals).T, jac
+
+
 def char_coeffs(A) -> CoeffVector:
     """Alternating-form coefficients via the Faddeev-LeVerrier recursion.
 
     O(n^4) and free of pivot-order nondeterminism, which keeps repeated
     runs byte-identical.
     """
+    vals, _ = _faddeev_leverrier(_square(A))
+    return CoeffVector(tuple(vals.tolist()))
+
+
+def char_coeffs_batch(A) -> np.ndarray:
+    """Coefficients of every matrix of an (m, n, n) stack, as an (m, n) array.
+
+    Row k equals ``char_coeffs(A[k]).values`` bit for bit.
+    """
+    vals, _ = _faddeev_leverrier(_square_stack(A))
+    return vals
+
+
+def coeff_jacobian(A, positions) -> tuple[CoeffVector, np.ndarray]:
+    """Coefficients of ``A`` and their exact Jacobian with respect to some entries.
+
+    ``positions`` are 0-based (i, j) pairs; column k of the returned
+    n-by-len(positions) matrix holds the derivatives of (v_1..v_n) with
+    respect to the entry at ``positions[k]``.  The coefficients are those
+    of :func:`char_coeffs`, bit for bit.
+    """
     M = _square(A)
     n = M.shape[0]
-    eye = np.eye(n)
-    N = eye
-    vals = []
-    for k in range(1, n + 1):
-        AN = M @ N
-        ck = -np.trace(AN) / k
-        vals.append((-1.0) ** k * ck)
-        N = AN + ck * eye
-    return CoeffVector(tuple(float(v) for v in vals))
+    positions = [tuple(pos) for pos in positions]
+    for i, j in positions:
+        if not (0 <= i < n and 0 <= j < n):
+            raise InvalidInput(f"position {(i, j)} out of range")
+    vals, jac = _faddeev_leverrier(M, positions)
+    return CoeffVector(tuple(vals.tolist())), jac
 
 
 def _principal_minor(sub: np.ndarray) -> float:

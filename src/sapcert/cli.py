@@ -153,8 +153,7 @@ def cmd_jacobian(args) -> int:
             f"  positive   = {report.positive}",
         ],
     )
-    agree = abs(report.det_lu - report.det_blocks) <= 1e-8 * max(1.0, abs(report.det_lu))
-    return EXIT_OK if (report.positive and agree) else EXIT_CERTIFICATION
+    return EXIT_OK if report.positive else EXIT_CERTIFICATION
 
 
 def _target_from_args(args) -> CoeffVector:

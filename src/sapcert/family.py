@@ -110,18 +110,23 @@ def coeff_map(x: FamilyRealization) -> CoeffVector:
     return CoeffVector(tuple(coeff_values(n, r, x.a, x.b)))
 
 
-def coeff_values_batch(n: int, r: int, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+def coeff_values_batch(
+    n: int, r: int, a: np.ndarray, b: np.ndarray, corner: float = -1.0
+) -> np.ndarray:
     """Vectorized :func:`coeff_values` over rows of ``a`` and entries of ``b``.
 
     Accepts r = n (empty middle band); used by sampling-based checks.
+    ``corner`` is the (n, n) entry: -1 in the normalized family, 0 when
+    that entry is deleted.  In general
+    v_j = a_j + corner a_{j-1} (+ b a_{j-r} for j >= r) for j < n and
+    v_n = b a_{n-r} + corner a_{n-1}.
     """
     m = a.shape[0]
     full = np.concatenate([np.ones((m, 1)), a], axis=1)  # a_0..a_{n-1}
     out = np.empty((m, n))
-    out[:, 0] = full[:, 1] - 1.0
-    for j in range(2, r):
-        out[:, j - 1] = full[:, j] - full[:, j - 1]
+    for j in range(1, r):
+        out[:, j - 1] = full[:, j] + corner * full[:, j - 1]
     for j in range(r, n):
-        out[:, j - 1] = full[:, j] - full[:, j - 1] + b * full[:, j - r]
-    out[:, n - 1] = b * full[:, n - r] - full[:, n - 1]
+        out[:, j - 1] = full[:, j] + corner * full[:, j - 1] + b * full[:, j - r]
+    out[:, n - 1] = b * full[:, n - r] + corner * full[:, n - 1]
     return out

@@ -8,9 +8,10 @@ agreement is the core cross-check of the whole artifact, so both values
 are always recorded.
 
 A generic verifier is also provided: given any sign pattern, a nilpotent
-member of its class, and n chosen entry positions, it differentiates the
-characteristic coefficients numerically and reports whether the Jacobian
-determinant certifies every superpattern as spectrally arbitrary.
+member of its class, and n chosen entry positions, it takes the exact
+derivatives of the characteristic coefficients from the same
+Faddeev-LeVerrier pass that computes them, and reports whether the
+Jacobian determinant certifies every superpattern as spectrally arbitrary.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .charpoly import char_coeffs
+from .charpoly import coeff_jacobian
 from .errors import (
     CertificationFailed,
     InvalidInput,
@@ -222,9 +223,10 @@ def nj_verify(S: SignPattern, M, positions) -> NJCertificate:
 
     ``positions`` are n distinct 0-based (i, j) pairs naming nonzero
     entries of the pattern.  The Jacobian of the characteristic
-    coefficients with respect to those entries is formed by central
-    finite differences with a relative step; since each coefficient is a
-    polynomial in the entries, truncation error is O(step^2).
+    coefficients with respect to those entries comes from one
+    Faddeev-LeVerrier pass: dv_k/dM_ij = (-1)^(k+1) (N_{k-1})_ji, where the
+    N_k are the adjugate coefficients the recursion forms anyway.  It is
+    exact up to the rounding of that pass; there is no step size.
     """
     M = np.array(M, dtype=float)
     if not S.is_square:
@@ -242,24 +244,12 @@ def nj_verify(S: SignPattern, M, positions) -> NJCertificate:
             raise InvalidInput(f"position {(i, j)} is a zero entry of the pattern")
     if not member_of_class(M, S):
         raise PreconditionViolated("matrix is not a member of the pattern class")
-    base = char_coeffs(M)
+    base, J = coeff_jacobian(M, positions)
     nilp_residual = max(abs(v) for v in base)
     if nilp_residual > NJ_NILPOTENCY_TOL_PER_N * n:
         raise PreconditionViolated(
             f"matrix is not nilpotent to tolerance: residual {nilp_residual:.3e}"
         )
-
-    J = np.zeros((n, n))
-    for k, (i, j) in enumerate(positions):
-        step = 1e-6 * max(1.0, abs(M[i, j]))
-        up = M.copy()
-        up[i, j] += step
-        down = M.copy()
-        down[i, j] -= step
-        diff = (
-            np.array(char_coeffs(up).values) - np.array(char_coeffs(down).values)
-        ) / (2.0 * step)
-        J[:, k] = diff
     det = lu_det(J)
     conclusion = SAP_CERTIFIED if abs(det) > NJ_DET_THRESHOLD else INCONCLUSIVE
     return NJCertificate(

@@ -8,8 +8,11 @@ every subpattern at once.
 
 For the family the fixed signs are read off the closed-form coefficient
 map, where they are sums of strictly positive terms; a seeded sampling
-confirmation is run on top.  For arbitrary user patterns only the sampling
-detector is available and its verdicts are evidence, never proofs.
+confirmation is run on top.  All family confirmations, the deletion of the
+(n, n) corner included, evaluate that closed form on the whole sample at
+once; no matrix is formed.  For arbitrary user patterns only the sampling
+detector is available: it runs one stacked Faddeev-LeVerrier pass over all
+samples, and its verdicts are evidence, never proofs.
 """
 
 from __future__ import annotations
@@ -19,7 +22,7 @@ from typing import Optional
 
 import numpy as np
 
-from .charpoly import char_coeffs
+from .charpoly import char_coeffs_batch
 from .errors import InvalidInput
 from .family import FamilyParams, build_pattern, coeff_values_batch
 from .patterns import (
@@ -204,8 +207,9 @@ def confirm_fixed_sign(
     """Sampling confirmation of a family fixed-sign claim.
 
     Draws random positive parameters for the structured form, zeroes the
-    deleted parameter, and checks that coefficient ``index`` keeps the
-    claimed strict sign in every sample.
+    deleted entry, and checks that coefficient ``index`` keeps the
+    claimed strict sign in every sample.  Every deletion, the (n, n)
+    corner included, is evaluated through the closed-form coefficient map.
     """
     n, r = p.n, p.r
     roles = _family_positions(p)
@@ -219,29 +223,11 @@ def confirm_fixed_sign(
         a[:, deleted[0]] = 0.0
     elif role == "feedback":
         b[:] = 0.0
-    else:  # corner deletion changes the structure, not a parameter
-        pass
-    if role == "corner":
-        vals = np.empty((samples, n))
-        for k in range(samples):
-            M = _family_matrix_no_corner(p, a[k], b[k])
-            vals[k] = char_coeffs(M).values
-    else:
-        vals = coeff_values_batch(n, r, a, b)
-    col = vals[:, index - 1]
+    corner = 0.0 if role == "corner" else -1.0
+    col = coeff_values_batch(n, r, a, b, corner)[:, index - 1]
     if sign == "+":
         return bool(np.all(col > 0.0))
     return bool(np.all(col < 0.0))
-
-
-def _family_matrix_no_corner(p: FamilyParams, a: np.ndarray, b: float) -> np.ndarray:
-    n, r = p.n, p.r
-    M = np.zeros((n, n))
-    for i in range(n - 1):
-        M[i, 0] = a[i]
-        M[i, i + 1] = -1.0
-    M[n - 1, n - r] = b
-    return M
 
 
 def verify_msap(
@@ -321,14 +307,14 @@ def _sampled_fixed_sign(
 ) -> Optional[Obstruction]:
     n = S.n_rows
     positions = list(S.nonzero_positions())
-    mags = _sample_parameters(rng, samples, len(positions))
-    vals = np.empty((samples, n))
-    for k in range(samples):
-        M = np.zeros((n, n))
-        for (idx, (i, j)) in enumerate(positions):
-            v = mags[k, idx]
-            M[i, j] = v if S.entries[i][j] is Sign.PLUS else -v
-        vals[k] = char_coeffs(M).values
+    rows = [i for i, _ in positions]
+    cols = [j for _, j in positions]
+    signs = np.array(
+        [1.0 if S.entries[i][j] is Sign.PLUS else -1.0 for i, j in positions]
+    )
+    stack = np.zeros((samples, n, n))
+    stack[:, rows, cols] = _sample_parameters(rng, samples, len(positions)) * signs
+    vals = char_coeffs_batch(stack)
     for col in range(n):
         column = vals[:, col]
         if np.all(column > 0.0):

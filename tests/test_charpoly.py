@@ -6,12 +6,14 @@ import pytest
 from sapcert.charpoly import (
     CoeffVector,
     char_coeffs,
+    char_coeffs_batch,
     char_coeffs_oracle,
+    coeff_jacobian,
     coeffs_to_monic,
     monic_to_coeffs,
     spectrum,
 )
-from sapcert.errors import SizeLimitExceeded
+from sapcert.errors import InvalidInput, SizeLimitExceeded
 
 
 def test_char_coeffs_nilpotent_2x2():
@@ -125,3 +127,47 @@ def test_spectrum_matches_known_roots():
     C = np.array([[0.0, 0.0, 6.0], [1.0, 0.0, -11.0], [0.0, 1.0, 6.0]])
     assert spectrum(C) == pytest.approx((1.0, 2.0, 3.0), abs=1e-9)
     assert math.isclose(char_coeffs(C).values[2], 6.0, abs_tol=1e-12)
+
+
+@pytest.mark.parametrize("n", [1, 2, 5, 12, 40])
+def test_char_coeffs_batch_rows_equal_single_matrix_bitwise(n):
+    rng = np.random.default_rng(n)
+    stack = rng.uniform(-2, 2, (7, n, n)) * (rng.random((7, n, n)) < 0.7)
+    batch = char_coeffs_batch(stack)
+    assert batch.shape == (7, n)
+    for k in range(7):
+        single = np.array(char_coeffs(stack[k]).values)
+        assert np.array_equal(batch[k].view(np.int64), single.view(np.int64))
+
+
+def test_char_coeffs_batch_rejects_bad_stacks():
+    for bad in (np.zeros((3, 2, 3)), np.zeros((2, 2)), np.zeros((2, 2, 2, 2))):
+        with pytest.raises(InvalidInput):
+            char_coeffs_batch(bad)
+    with pytest.raises(InvalidInput):
+        char_coeffs_batch(np.full((2, 3, 3), np.nan))
+
+
+def test_coeff_jacobian_matches_central_differences():
+    # a random 6x6 pattern, unrelated to the family
+    rng = np.random.default_rng(12)
+    mask = rng.random((6, 6)) < 0.6
+    A = rng.uniform(0.5, 2.0, (6, 6)) * rng.choice([-1.0, 1.0], (6, 6)) * mask
+    nonzero = [tuple(int(v) for v in ij) for ij in np.argwhere(mask)]
+    positions = [nonzero[k] for k in rng.choice(len(nonzero), 6, replace=False)]
+    base, J = coeff_jacobian(A, positions)
+    assert base.values == char_coeffs(A).values
+    assert J.shape == (6, 6)
+    for k, (i, j) in enumerate(positions):
+        h = 1e-6 * max(1.0, abs(A[i, j]))
+        up, down = A.copy(), A.copy()
+        up[i, j] += h
+        down[i, j] -= h
+        fd = (np.array(char_coeffs(up).values) - np.array(char_coeffs(down).values)) / (2 * h)
+        scale = max(1.0, float(np.max(np.abs(fd))))
+        assert np.max(np.abs(J[:, k] - fd)) <= 1e-6 * scale
+
+
+def test_coeff_jacobian_rejects_positions_out_of_range():
+    with pytest.raises(InvalidInput):
+        coeff_jacobian(np.eye(3), [(0, 0), (3, 1)])

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from sapcert.charpoly import char_coeffs
+from sapcert.charpoly import char_coeffs, char_coeffs_oracle
 from sapcert.errors import InvalidInput, UnsupportedParams
 from sapcert.family import (
     FamilyParams,
@@ -162,3 +162,19 @@ def test_coeff_values_batch_matches_scalar():
         batch = coeff_values_batch(n, r, a, b)
         for k in range(40):
             assert np.allclose(batch[k], coeff_values(n, r, tuple(a[k]), float(b[k])))
+
+
+def test_coeff_values_batch_deleted_corner_matches_oracle():
+    # corner 0: v_j = a_j (+ b a_{j-r} for j >= r), v_n = b a_{n-r}
+    rng = np.random.default_rng(16)
+    for n in range(2, 13):
+        for r in range(2, n + 1):
+            a = 10.0 ** rng.uniform(-2.0, 1.0, (2, n - 1))
+            b = 10.0 ** rng.uniform(-2.0, 1.0, 2)
+            got = coeff_values_batch(n, r, a, b, corner=0.0)
+            for k in range(2):
+                x = FamilyRealization(FamilyParams(n, r), tuple(a[k]), float(b[k]))
+                M = build_matrix(x)
+                M[n - 1, n - 1] = 0.0
+                want = char_coeffs_oracle(M).values
+                np.testing.assert_allclose(got[k], want, rtol=1e-12, err_msg=f"n={n} r={r}")

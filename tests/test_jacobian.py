@@ -204,6 +204,17 @@ def test_nj_verify_matches_family_jacobian():
             assert nj.conclusion == SAP_CERTIFIED
 
 
+@pytest.mark.parametrize("n", [10, 20, 30, 40])
+def test_nj_verify_exact_jacobian_matches_block_route(n):
+    for r in range(2, n):
+        cert = nilpotent_realization(FamilyParams(n, r))
+        M = build_matrix(cert.realization())
+        positions = [(i, 0) for i in range(n - 1)] + [(n - 1, n - r)]
+        nj = nj_verify(build_pattern(cert.params), M, positions)
+        blocks = jacobian_det(cert.realization()).det_blocks
+        assert abs(nj.jacobian_det - blocks) <= 1e-12 * abs(blocks), (n, r)
+
+
 def test_nj_verify_preconditions():
     with pytest.raises(PreconditionViolated):
         nj_verify(S22, [[1.0, -1.0], [1.0, -2.0]], [(0, 0), (1, 1)])  # not nilpotent

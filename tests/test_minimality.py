@@ -1,6 +1,9 @@
+import sys
+
 import numpy as np
 import pytest
 
+from sapcert import charpoly
 from sapcert.charpoly import char_coeffs
 from sapcert.errors import InvalidInput
 from sapcert.family import FamilyParams, build_pattern
@@ -221,3 +224,34 @@ def test_msap_report_json_layout():
     assert len(payload["deletions"]) == 6
     for row in payload["deletions"]:
         assert set(row) == {"position", "obstruction", "detail"}
+
+
+def test_confirm_fixed_sign_corner_rejects_the_opposite_claim():
+    # the corner confirmation evaluates real samples, so it cannot pass vacuously
+    for (n, r) in [(4, 2), (6, 6), (12, 5)]:
+        p = FamilyParams(n, r)
+        assert confirm_fixed_sign(p, (n - 1, n - 1), 1, "+")
+        assert not confirm_fixed_sign(p, (n - 1, n - 1), 1, "-")
+
+
+def test_sampling_paths_run_no_per_matrix_char_coeffs(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("single-matrix char_coeffs called on a sampling path")
+
+    for name, mod in list(sys.modules.items()):
+        if name.split(".")[0] == "sapcert" and hasattr(mod, "char_coeffs"):
+            monkeypatch.setattr(mod, "char_coeffs", refuse)
+    recursion = charpoly._faddeev_leverrier
+    stacks = []
+
+    def stacked_only(M, positions=()):
+        stacks.append(M.ndim)
+        return recursion(M, positions)
+
+    monkeypatch.setattr(charpoly, "_faddeev_leverrier", stacked_only)
+    for r in range(2, 9):
+        assert verify_msap(FamilyParams(8, r)).verdict
+    assert not stacks  # every family confirmation is closed form
+    for r in range(2, 6):
+        assert obstruction_scan(build_pattern(FamilyParams(5, r))).verdict
+    assert stacks and set(stacks) == {3}
