@@ -24,7 +24,9 @@ from .polyroots import (
     IntPolynomial,
     RootBracket,
     count_roots,
+    halve,
     min_positive_root,
+    sign_variations,
     sturm_chain,
 )
 
@@ -33,7 +35,8 @@ RESIDUAL_TOL_PER_N = 1e-10
 # extra-tight default so the exported double is correctly rounded and the
 # float residual is rounding-limited, not bracket-limited
 _CERT_WIDTH = Fraction(1, 2**70)
-_CHAIN_WIDTH = Fraction(1, 10**14)
+# bisection steps allowed to separate two consecutive smallest roots
+_SEPARATION_STEPS = 200
 
 
 @dataclass(frozen=True)
@@ -99,70 +102,83 @@ def _recurrence_cached(n: int, r: int):
     return tuple(a), h
 
 
-# the a_j(t) depend on (j, r) only, so isolated roots are shared across n
-@functools.lru_cache(maxsize=None)
-def _a_poly(j: int, r: int) -> IntPolynomial:
-    one = IntPolynomial((1,))
-    if j < r:
-        return one
-    a = [one] * r
-    for k in range(r, j + 1):
-        a.append(a[k - 1].subtract(a[k - r].shift_up()))
-    return a[j]
-
-
-@functools.lru_cache(maxsize=None)
-def _a_min_root(j: int, r: int) -> tuple[float, RootBracket]:
-    return min_positive_root(_a_poly(j, r), width=_CHAIN_WIDTH)
-
-
 @functools.lru_cache(maxsize=None)
 def _h_min_root(n: int, r: int) -> tuple[float, RootBracket]:
     _, h = recurrence_polys(FamilyParams(n, r))
     return min_positive_root(h, width=_CERT_WIDTH)
 
 
-def _certified_less(first: RootBracket, second: RootBracket) -> bool:
-    """True iff the enclosed roots satisfy first < second, provably."""
-    upper = first.exact if first.exact is not None else first.hi
-    lower = second.exact if second.exact is not None else second.lo
-    if first.exact is not None and second.exact is not None:
-        return first.exact < second.exact
-    return upper <= lower
+# one (n, r) at a time: the chains are shared by the positivity
+# certificates and the root-order check of the same certificate
+@functools.lru_cache(maxsize=1)
+def _a_chains(n: int, r: int) -> tuple[tuple[tuple[int, ...], ...], ...]:
+    """Sturm chains of a_0 .. a_{n-1}; a constant a_j = 1 is its own chain."""
+    a, _ = recurrence_polys(FamilyParams(n, r))
+    return tuple(sturm_chain(q) if q.degree >= 1 else (q.coeffs,) for q in a)
+
+
+def _root_below(prev_chain, q_chain) -> bool:
+    """Prove that q's smallest positive root lies below prev's, both in (0, 1].
+
+    Bisects prev's chain on (0, 1], always keeping prev's smallest root
+    in (lo, hi], until the dyadic lo has count(prev, (0, lo]) = 0 and
+    count(q, (0, lo]) >= 1: then t_q <= lo < t_prev.  False when prev has
+    no root in (0, 1] or the guard runs out first (equal or reversed
+    roots never separate).
+    """
+    lo, hi = Fraction(0), Fraction(1)
+    v_lo, v_hi = sign_variations(prev_chain, lo), sign_variations(prev_chain, hi)
+    if v_lo == v_hi:
+        return False
+    q_zero = sign_variations(q_chain, lo)
+    for _ in range(_SEPARATION_STEPS):
+        new_lo, hi, v_lo, v_hi, _ = halve(prev_chain, lo, hi, v_lo, v_hi)
+        if new_lo != lo:
+            lo = new_lo
+            if q_zero - sign_variations(q_chain, lo) >= 1:
+                return True
+    return False
 
 
 def verify_min_chain(p: FamilyParams) -> bool:
-    """Check the strict ordering of smallest positive roots.
+    """Certify the strict order of the smallest positive roots.
 
-    min(h) < min(a_{n-1}) < ... < min(a_{r+1}) < min(a_r) = 1, every
-    comparison made on certified brackets so no floating-point tie can
-    slip through.
+    t_h < t_{n-1} < ... < t_{r+1} < t_r = 1, where t_q is the smallest
+    positive root of q.  Each link (prev, q) is a separation certificate:
+    a dyadic s with count(prev, (0, s]) = 0 and count(q, (0, s]) >= 1 by
+    Sturm count, so t_q <= s < t_prev; the roots themselves are never
+    refined.  Read through the Intermediate Value Theorem: every a_j
+    starts at a_j(0) = 1 and has no root in (0, t_h], so it is positive
+    on [0, t_h], which is what the nilpotent point needs.  The verdict is
+    memoized per (n, r).
     """
     n, r = p.n, p.r
     if r >= n:
         raise UnsupportedParams("chain is defined for r < n")
-    _, h_bracket = _h_min_root(n, r)
-    brackets = [h_bracket]
-    for j in range(n - 1, r - 1, -1):
-        brackets.append(_a_min_root(j, r)[1])
-    for left, right in zip(brackets, brackets[1:]):
-        if not _certified_less(left, right):
-            return False
-    last = brackets[-1]  # a_r(t) = 1 - t, root exactly 1
-    return last.exact == 1
+    return _min_chain_verdict(n, r)
 
 
-def _certify_positive_on_bracket(q: IntPolynomial, bracket: RootBracket) -> float:
+@functools.lru_cache(maxsize=None)
+def _min_chain_verdict(n: int, r: int) -> bool:
+    a, _ = recurrence_polys(FamilyParams(n, r))
+    if a[r].coeffs != (1, -1):  # a_r(t) = 1 - t, root exactly 1
+        return False
+    chains = _a_chains(n, r)[r:] + (_h_min_root(n, r)[1].sturm(),)
+    return all(_root_below(prev, q) for prev, q in zip(chains, chains[1:]))
+
+
+def _certify_positive_on_bracket(q: IntPolynomial, chain, bracket: RootBracket) -> float:
     """Certified lower bound of ``q`` over the bracket, or raise.
 
-    Positive at both endpoints and root-free inside implies positive
-    throughout; the smaller endpoint value is a valid margin.
+    Positive at both endpoints and root-free inside (by the Sturm count
+    of ``chain``, the chain of ``q``) implies positive throughout; the
+    smaller endpoint value is a valid margin.
     """
     lo_val = q(bracket.lo)
     hi_val = q(bracket.hi)
     if lo_val <= 0 or hi_val <= 0:
         raise CertificationFailed("first-column value not positive at bracket endpoint")
-    if count_roots(sturm_chain(q), bracket.lo, bracket.hi) != 0:
+    if count_roots(chain, bracket.lo, bracket.hi) != 0:
         raise CertificationFailed("first-column value changes sign inside bracket")
     return float(min(lo_val, hi_val))
 
@@ -214,13 +230,14 @@ def nilpotent_realization(
         )
     else:
         a_polys, _h = recurrence_polys(p)
+        chains = _a_chains(n, r)
         t_float, bracket = _h_min_root(n, r)
         t_mid = bracket.midpoint
         a0 = []
         margins = []
         for j in range(1, n):
             qj = a_polys[j]
-            margins.append(_certify_positive_on_bracket(qj, bracket))
+            margins.append(_certify_positive_on_bracket(qj, chains[j], bracket))
             a0.append(float(qj(t_mid)))
         reali = FamilyRealization(params=p, a=tuple(a0), b=t_float)
         if precision == "extended":

@@ -1,17 +1,24 @@
-"""Exact integer polynomials and certified smallest-positive-root isolation.
+"""Exact integer polynomials and certified positive-root brackets.
 
-Roots are located by Sturm-sequence counting over exact rationals and
-refined by bisection, so every returned bracket comes with a proof that it
-contains exactly one root and that no smaller positive root exists.  Grid
-scanning can miss close root pairs; counting cannot.
+Roots are located by Sturm-sequence counting, so every bracket comes with
+a proof that it contains exactly one root, and brackets from
+:func:`min_positive_root` with a proof that no smaller positive root
+exists.  Grid scanning can miss close root pairs; counting cannot.
 
-Sign evaluation clears denominators and runs in pure integer arithmetic,
-which keeps deep bisection cheap.
+The Sturm chain is a fraction-free remainder sequence: each
+pseudo-remainder is scaled by a positive factor, which keeps its signs,
+and divided by its content.  Isolation stops at the width the caller asks
+for and a bracket is narrowed only on demand (:func:`refine`), one
+certified bisection step (:func:`halve`) at a time, with the chain built
+once and carried by the bracket.
+
+Signs and values at rational points are evaluated homogeneously in
+integer arithmetic, which keeps deep bisection cheap.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from math import gcd, isqrt
 
@@ -53,7 +60,13 @@ class IntPolynomial:
         return not self.coeffs
 
     def __call__(self, x):
-        """Horner evaluation; exact for int/Fraction arguments."""
+        """Exact value at an int or Fraction argument; Horner otherwise.
+
+        At x = p/q the numerator sum c_i p^i q^(d-i) is accumulated in
+        integers, as :func:`_sign_at` does, and divided by q^d once.
+        """
+        if isinstance(x, Fraction) and self.coeffs:
+            return Fraction(_homogeneous(self.coeffs, x), x.denominator**self.degree)
         acc = 0 * x
         for c in reversed(self.coeffs):
             acc = acc * x + c
@@ -85,13 +98,24 @@ class RootBracket:
     ``poly`` changes sign across (lo, hi), the Sturm count on (lo, hi] is
     one, and the count on (0, lo] is zero when produced by
     :func:`min_positive_root`.  ``exact`` is set when the root is a known
-    rational, in which case it lies strictly inside (lo, hi).
+    rational: a root found by deflation lies strictly inside (lo, hi), a
+    bisection midpoint that hit the root is ``hi``.  ``chain`` is the Sturm
+    chain of ``poly``, built at most once (:meth:`sturm`) and passed on to
+    refined brackets.
     """
 
     lo: Fraction
     hi: Fraction
     poly: IntPolynomial
     exact: Fraction | None = None
+    chain: tuple[tuple[int, ...], ...] | None = field(
+        default=None, repr=False, compare=False
+    )
+
+    def sturm(self) -> tuple[tuple[int, ...], ...]:
+        if self.chain is None:
+            object.__setattr__(self, "chain", sturm_chain(self.poly))
+        return self.chain
 
     @property
     def midpoint(self) -> Fraction:
@@ -105,17 +129,19 @@ class RootBracket:
         return float(self.midpoint)
 
 
-def _sign_at(ints: tuple[int, ...], x: Fraction) -> int:
-    # homogeneous evaluation: sign of sum c_i p^i q^(d-i) for x = p/q, q > 0
-    if not ints:
-        return 0
+def _homogeneous(ints, x: Fraction) -> int:
+    # sum c_i p^i q^(d-i) for x = p/q, q > 0: q^d f(x), in integers
     p, q = x.numerator, x.denominator
-    d = len(ints) - 1
     acc = 0
     qpow = 1
-    for i in range(d, -1, -1):
-        acc = acc * p + ints[i] * qpow
+    for c in reversed(ints):
+        acc = acc * p + c * qpow
         qpow *= q
+    return acc
+
+
+def _sign_at(ints: tuple[int, ...], x: Fraction) -> int:
+    acc = _homogeneous(ints, x)
     return (acc > 0) - (acc < 0)
 
 
@@ -123,19 +149,49 @@ def _primitive(fracs: list[Fraction]) -> tuple[int, ...]:
     den = 1
     for c in fracs:
         den = den * c.denominator // gcd(den, c.denominator)
-    ints = [int(c * den) for c in fracs]
+    return _content_free([int(c * den) for c in fracs])
+
+
+def _content_free(ints: list[int]) -> tuple[int, ...]:
+    # divide by the (positive) gcd of the coefficients; signs are kept
     g = 0
     for c in ints:
-        g = gcd(g, abs(c))
+        g = gcd(g, c)
     g = g or 1
     return tuple(c // g for c in ints)
 
 
-def sturm_chain(p: IntPolynomial) -> tuple[tuple[int, ...], ...]:
-    """Sturm sequence of ``p``, each member scaled to a primitive integer poly.
+def _positive_remainder(num: list[int], den: tuple[int, ...]) -> list[int]:
+    """A positive multiple of the remainder of ``num`` by ``den``.
 
-    The chain runs down to gcd(p, p'), so root counts are of distinct
-    roots and remain valid for non-square-free input.
+    Each elimination step scales the running remainder by a positive
+    integer before subtracting, so signs are those of the exact remainder.
+    """
+    rem = list(num)
+    lead = den[-1]
+    lead_abs, lead_sign = abs(lead), (lead > 0) - (lead < 0)
+    while len(rem) >= len(den):
+        g = gcd(lead_abs, rem[-1])
+        scale, k = lead_abs // g, lead_sign * (rem[-1] // g)
+        off = len(rem) - len(den)
+        if scale != 1:
+            rem = [c * scale for c in rem]
+        for i, c in enumerate(den):
+            rem[i + off] -= k * c
+        rem.pop()
+        while rem and rem[-1] == 0:
+            rem.pop()
+    return rem
+
+
+def sturm_chain(p: IntPolynomial) -> tuple[tuple[int, ...], ...]:
+    """Sturm sequence of ``p``: p, p', then the negated remainders, each primitive.
+
+    The remainders come from integer pseudo-division (no Fraction
+    arithmetic) and are equal, member by member, to the primitive parts
+    of the classical rational remainder sequence.  The chain runs down to
+    gcd(p, p'), so root counts are of distinct roots and remain valid for
+    non-square-free input.
     """
     if p.is_zero:
         raise InvalidInput("Sturm chain of the zero polynomial")
@@ -143,23 +199,11 @@ def sturm_chain(p: IntPolynomial) -> tuple[tuple[int, ...], ...]:
     d = p.derivative()
     if not d.is_zero:
         chain.append(tuple(d.coeffs))
-        prev = [Fraction(c) for c in p.coeffs]
-        curr = [Fraction(c) for c in d.coeffs]
         while True:
-            rem = list(prev)
-            while len(rem) >= len(curr):
-                k = rem[-1] / curr[-1]
-                off = len(rem) - len(curr)
-                for i in range(len(curr)):
-                    rem[i + off] -= k * curr[i]
-                rem.pop()
-                while rem and rem[-1] == 0:
-                    rem.pop()
+            rem = _positive_remainder(chain[-2], chain[-1])
             if not rem:
                 break
-            neg = [-c for c in rem]
-            chain.append(_primitive(neg))
-            prev, curr = curr, neg
+            chain.append(_content_free([-c for c in rem]))
     return tuple(chain)
 
 
@@ -177,6 +221,40 @@ def sign_variations(chain, x: Fraction) -> int:
 def count_roots(chain, a: Fraction, b: Fraction) -> int:
     """Distinct roots in (a, b] for a < b; ``a`` must not be a root."""
     return sign_variations(chain, a) - sign_variations(chain, b)
+
+
+def halve(chain, lo: Fraction, hi: Fraction, v_lo: int, v_hi: int):
+    """One certified bisection step on (lo, hi].
+
+    ``v_lo`` and ``v_hi`` are the sign variations of ``chain`` at the
+    ends, so a step evaluates the chain at the midpoint only.  Keeps the
+    left half when its Sturm count is at least one, else the right half,
+    and returns the kept (lo, hi, v_lo, v_hi) with the midpoint when it is
+    a root of ``chain[0]`` (it is then the kept ``hi``), else None.
+    """
+    mid = (lo + hi) / 2
+    v_mid = sign_variations(chain, mid)
+    if v_lo - v_mid >= 1:
+        hit = mid if _sign_at(chain[0], mid) == 0 else None
+        return lo, mid, v_lo, v_mid, hit
+    return mid, hi, v_mid, v_hi, None
+
+
+def refine(bracket: RootBracket, width: Fraction) -> RootBracket:
+    """The bracket narrowed by bisection to ``width`` at most.
+
+    Stops early when a midpoint is the root, which is then reported as
+    ``exact``; brackets that are exact or narrow enough come back as is.
+    """
+    if bracket.exact is not None or bracket.width <= width:
+        return bracket
+    chain = bracket.sturm()
+    lo, hi = bracket.lo, bracket.hi
+    v_lo, v_hi = sign_variations(chain, lo), sign_variations(chain, hi)
+    hit = None
+    while hi - lo > width and hit is None:
+        lo, hi, v_lo, v_hi, hit = halve(chain, lo, hi, v_lo, v_hi)
+    return RootBracket(lo=lo, hi=hi, poly=bracket.poly, exact=hit, chain=chain)
 
 
 def cauchy_bound(p: IntPolynomial) -> Fraction:
@@ -250,26 +328,23 @@ def min_positive_root(
         raise PreconditionViolated("min_positive_root requires p(0) > 0")
     chain = sturm_chain(p)
     bound = cauchy_bound(p)
-    total = count_roots(chain, Fraction(0), bound)
-    if total == 0:
+    lo, hi = Fraction(0), bound
+    v_lo, v_hi = sign_variations(chain, lo), sign_variations(chain, hi)
+    if v_lo == v_hi:
         raise NoPositiveRoot("no root on the positive half-axis")
 
     rational = positive_rational_roots(p)
 
-    lo, hi = Fraction(0), bound
+    # the count on (0, lo] stays zero: a midpoint root is kept as ``hi``
     for _ in range(_MAX_BISECTIONS):
-        if hi - lo <= width and count_roots(chain, lo, hi) == 1:
+        if hi - lo <= width and v_lo - v_hi == 1:
             break
-        mid = (lo + hi) / 2
-        if count_roots(chain, lo, mid) >= 1:
-            hi = mid
-        else:
-            lo = mid
+        lo, hi, v_lo, v_hi, _ = halve(chain, lo, hi, v_lo, v_hi)
     else:
         raise PreconditionViolated("root isolation did not converge")
 
     exact = next((q for q in rational if lo < q <= hi), None)
-    if exact is None and _sign_at(tuple(p.coeffs), hi) == 0:
+    if exact is None and _sign_at(p.coeffs, hi) == 0:
         exact = hi  # bisection midpoint landed on the root
     if exact is not None:
         # re-center a sign-change bracket around the exact root
@@ -277,15 +352,15 @@ def min_positive_root(
         blo, bhi = exact - delta, exact + delta
         while (
             count_roots(chain, blo, bhi) != 1
-            or _sign_at(tuple(p.coeffs), blo) == 0
-            or _sign_at(tuple(p.coeffs), bhi) == 0
+            or _sign_at(p.coeffs, blo) == 0
+            or _sign_at(p.coeffs, bhi) == 0
         ):
             delta /= 2
             blo, bhi = exact - delta, exact + delta
         lo, hi = blo, bhi
 
-    s_lo = _sign_at(tuple(p.coeffs), lo)
-    s_hi = _sign_at(tuple(p.coeffs), hi)
+    s_lo = _sign_at(p.coeffs, lo)
+    s_hi = _sign_at(p.coeffs, hi)
     if s_lo == 0 or s_hi == 0 or s_lo == s_hi:
         raise PreconditionViolated(
             "smallest positive root admits no sign-change bracket "
@@ -293,7 +368,7 @@ def min_positive_root(
         )
     if count_roots(chain, Fraction(0), lo) != 0:
         raise PreconditionViolated("a smaller positive root slipped below the bracket")
-    bracket = RootBracket(lo=lo, hi=hi, poly=p, exact=exact)
+    bracket = RootBracket(lo=lo, hi=hi, poly=p, exact=exact, chain=chain)
     return bracket.as_float(), bracket
 
 
@@ -304,7 +379,8 @@ def isolate_positive_roots(
 
     Exact rational roots are deflated first so that bisection endpoints
     can never collide with a root; each irrational root gets a certified
-    one-root bracket refined to ``width``.
+    one-root bracket of width at most ``width``.  Isolate coarsely and
+    :func:`refine` only the brackets that are used.
     """
     if p.is_zero:
         raise InvalidInput("cannot isolate roots of the zero polynomial")
@@ -331,26 +407,30 @@ def isolate_positive_roots(
     if deflated.degree >= 1:
         chain = sturm_chain(deflated)
         bound = cauchy_bound(deflated)
-        pending = [(Fraction(0), bound, count_roots(chain, Fraction(0), bound))]
+        zero = Fraction(0)
+        pending = [(zero, bound, sign_variations(chain, zero), sign_variations(chain, bound))]
         guard = 0
         while pending:
             guard += 1
             if guard > _MAX_BISECTIONS * (p.degree + 1):
                 raise PreconditionViolated("root isolation did not converge")
-            lo, hi, cnt = pending.pop()
+            lo, hi, v_lo, v_hi = pending.pop()
+            cnt = v_lo - v_hi
             if cnt == 0:
                 continue
             if cnt == 1 and hi - lo <= width:
                 # right endpoint may be an exact (dyadic) hit from subdivision;
                 # the deflated polynomial certifies the root, so store it:
                 # the original may have deflated rational roots nearby
-                hit = hi if _sign_at(tuple(deflated.coeffs), hi) == 0 else None
-                brackets.append(RootBracket(lo=lo, hi=hi, poly=deflated, exact=hit))
+                hit = hi if _sign_at(deflated.coeffs, hi) == 0 else None
+                brackets.append(
+                    RootBracket(lo=lo, hi=hi, poly=deflated, exact=hit, chain=chain)
+                )
                 continue
             mid = (lo + hi) / 2
-            left = count_roots(chain, lo, mid)
-            pending.append((lo, mid, left))
-            pending.append((mid, hi, cnt - left))
+            v_mid = sign_variations(chain, mid)
+            pending.append((lo, mid, v_lo, v_mid))
+            pending.append((mid, hi, v_mid, v_hi))
     return sorted(brackets, key=lambda b: b.midpoint)
 
 
@@ -358,30 +438,29 @@ def sign_at_root(q: IntPolynomial, bracket: RootBracket, max_refine: int = 200) 
     """Certified sign of ``q`` at the root enclosed by ``bracket``.
 
     Returns +1/-1 when provable, 0 when the sign could not be separated
-    from zero within ``max_refine`` refinements of the bracket (including
-    the case that the root of the bracket polynomial is also a root of
-    ``q``).
+    from zero within ``max_refine`` bisection steps of the bracket
+    (including the case that the root of the bracket polynomial is also a
+    root of ``q``).  The bracket's own chain drives the bisection.
     """
     if bracket.exact is not None:
         v = q(bracket.exact)
         return (v > 0) - (v < 0)
     lo, hi = bracket.lo, bracket.hi
     q_chain = None
-    p_chain = None
+    v_lo = v_hi = None
     for _ in range(max_refine):
-        s_lo = _sign_at(tuple(q.coeffs), lo)
-        s_hi = _sign_at(tuple(q.coeffs), hi)
+        s_lo = _sign_at(q.coeffs, lo)
+        s_hi = _sign_at(q.coeffs, hi)
         if s_lo == s_hi and s_lo != 0:
             if q_chain is None:
                 q_chain = sturm_chain(q)
             if count_roots(q_chain, lo, hi) == 0:
                 return s_lo
         # count-based refinement works for any root multiplicity
-        if p_chain is None:
-            p_chain = sturm_chain(bracket.poly)
-        mid = (lo + hi) / 2
-        if count_roots(p_chain, lo, mid) >= 1:
-            hi = mid
-        else:
-            lo = mid
+        chain = bracket.sturm()
+        if v_lo is None:
+            v_lo, v_hi = sign_variations(chain, lo), sign_variations(chain, hi)
+        lo, hi, v_lo, v_hi, hit = halve(chain, lo, hi, v_lo, v_hi)
+        if hit is not None:
+            return _sign_at(q.coeffs, hit)
     return 0

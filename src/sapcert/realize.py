@@ -37,16 +37,19 @@ from .polyroots import (
     IntPolynomial,
     RootBracket,
     _primitive,
-    count_roots,
     isolate_positive_roots,
+    refine,
     sign_at_root,
-    sturm_chain,
 )
 
 RESIDUAL_RTOL = 1e-8
 _LADDER_MAX_HALVINGS = 40
 _LADDER_REFINE_STEPS = 14
 _ROOT_WIDTH = Fraction(1, 2**60)
+# candidates are isolated this coarsely; only the accepted one is refined
+# to _ROOT_WIDTH, which continues the same bisection tree and so ends in
+# the bracket that isolating at _ROOT_WIDTH would give
+_ISOLATE_WIDTH = Fraction(1, 2**8)
 
 
 @dataclass(frozen=True)
@@ -112,41 +115,44 @@ def _as_int_poly(p: list[Fraction]) -> IntPolynomial:
     return IntPolynomial.from_coeffs(_primitive([Fraction(c) for c in p]))
 
 
-def _refine(bracket: RootBracket, width: Fraction) -> RootBracket:
-    if bracket.exact is not None or bracket.width <= width:
-        return bracket
-    chain = sturm_chain(bracket.poly)
-    lo, hi = bracket.lo, bracket.hi
-    while hi - lo > width:
-        mid = (lo + hi) / 2
-        if count_roots(chain, lo, mid) >= 1:
-            hi = mid
+def _eliminate(
+    n: int, r: int, alpha: Sequence[Fraction]
+) -> tuple[list[list[Fraction]], list[Fraction] | None]:
+    """Column values a_0, a_1, ... as polynomials in b, and the closing g(b).
+
+    a_1..a_{r-1} are constants; when one of them is not positive the
+    elimination stops there and g is None.
+    """
+    a_polys: list[list[Fraction]] = [[Fraction(1)]]
+    for j in range(1, n):
+        if j <= r - 1:
+            const = alpha[j - 1] + a_polys[j - 1][0]
+            a_polys.append([const])
+            if const <= 0:
+                return a_polys, None
         else:
-            lo = mid
-    return RootBracket(lo=lo, hi=hi, poly=bracket.poly, exact=None)
+            a_polys.append(
+                _poly_add_const(
+                    _poly_sub(a_polys[j - 1], _poly_shift(a_polys[j - r])), alpha[j - 1]
+                )
+            )
+    g = _poly_add_const(
+        _poly_sub(_poly_shift(a_polys[n - r]), a_polys[n - 1]), -alpha[n - 1]
+    )
+    return a_polys, g
 
 
 def _solve_scaled(n: int, r: int, alpha: Sequence[Fraction]) -> _ScaledSolution | None:
     """Admissible solution of the coefficient equations, or None.
 
     Eliminates a_1..a_{n-1} as polynomials in b, isolates every positive
-    root of the closing polynomial, and accepts the smallest root at
-    which all first-column values are certifiably positive.
+    root of the closing polynomial coarsely, and accepts the smallest root
+    at which all first-column values are certifiably positive; only that
+    root's bracket is refined.
     """
-    a_polys: list[list[Fraction]] = [[Fraction(1)]]
-    for j in range(1, n):
-        if j <= r - 1:
-            const = alpha[j - 1] + a_polys[j - 1][0]
-            if const <= 0:
-                return None
-            a_polys.append([const])
-        else:
-            aj = _poly_add_const(
-                _poly_sub(a_polys[j - 1], _poly_shift(a_polys[j - r])), alpha[j - 1]
-            )
-            a_polys.append(aj)
-    g = _poly_sub(_poly_shift(a_polys[n - r]), a_polys[n - 1])
-    g = _poly_add_const(g, -alpha[n - 1])
+    a_polys, g = _eliminate(n, r, alpha)
+    if g is None:
+        return None
     g_int = _as_int_poly(g)
 
     candidates: list[RootBracket] = []
@@ -156,19 +162,13 @@ def _solve_scaled(n: int, r: int, alpha: Sequence[Fraction]) -> _ScaledSolution 
             RootBracket(lo=Fraction(1, 2), hi=Fraction(2), poly=g_int, exact=Fraction(1))
         ]
     elif g_int.degree >= 1:
-        candidates = isolate_positive_roots(g_int)
+        candidates = isolate_positive_roots(g_int, width=_ISOLATE_WIDTH)
 
-    varying = [(j, _as_int_poly(a_polys[j])) for j in range(r, n)]
+    varying = [_as_int_poly(a_polys[j]) for j in range(r, n)]
     for bracket in candidates:
-        ok = True
-        for _, q in varying:
-            if sign_at_root(q, bracket) != 1:
-                ok = False
-                break
-        if not ok:
+        if not all(sign_at_root(q, bracket) == 1 for q in varying):
             continue
-        refined = _refine(bracket, _ROOT_WIDTH)
-        b = refined.midpoint
+        b = refine(bracket, _ROOT_WIDTH).midpoint
         values = tuple(_poly_eval(a_polys[j], b) for j in range(1, n))
         if all(v > 0 for v in values):
             return _ScaledSolution(b=b, a_values=values)
@@ -225,22 +225,10 @@ def _scaled_target(alpha: list[Fraction], c: Fraction) -> list[Fraction]:
 
 def _diagnose_scaled(n: int, r: int, alpha: Sequence[Fraction]) -> str:
     """Failure diagnostics for one scale: closing-poly signs, root verdicts."""
-    a_polys: list[list[Fraction]] = [[Fraction(1)]]
-    for j in range(1, n):
-        if j <= r - 1:
-            const = alpha[j - 1] + a_polys[j - 1][0]
-            if const <= 0:
-                return f"column value {j} is {float(const):.3e} <= 0 before any root"
-            a_polys.append([const])
-        else:
-            a_polys.append(
-                _poly_add_const(
-                    _poly_sub(a_polys[j - 1], _poly_shift(a_polys[j - r])), alpha[j - 1]
-                )
-            )
-    g = _poly_add_const(
-        _poly_sub(_poly_shift(a_polys[n - r]), a_polys[n - 1]), -alpha[n - 1]
-    )
+    a_polys, g = _eliminate(n, r, alpha)
+    if g is None:
+        j = len(a_polys) - 1
+        return f"column value {j} is {float(a_polys[j][0]):.3e} <= 0 before any root"
     g_signs = "".join("+" if v > 0 else "-" if v < 0 else "0" for v in g)
     g_int = _as_int_poly(g)
     if g_int.is_zero or g_int.degree < 1:

@@ -6,13 +6,15 @@ import pytest
 from sapcert.charpoly import char_coeffs, spectrum
 from sapcert.errors import UnsupportedParams
 from sapcert.family import FamilyParams, build_matrix, build_pattern, coeff_map
+import sapcert.nilpotent as nilpotent
 from sapcert.nilpotent import (
+    _root_below,
     nilpotent_realization,
     recurrence_polys,
     verify_min_chain,
 )
 from sapcert.patterns import member_of_class
-from sapcert.polyroots import min_positive_root
+from sapcert.polyroots import IntPolynomial, min_positive_root, sturm_chain
 
 
 def test_recurrence_3_2():
@@ -65,6 +67,43 @@ def test_verify_min_chain_anchors():
 def test_verify_min_chain_sweep(n):
     for r in range(2, n):
         assert verify_min_chain(FamilyParams(n, r))
+
+
+def _chain(*ascending):
+    return sturm_chain(IntPolynomial.from_coeffs(ascending))
+
+
+def test_separation_accepts_order_and_rejects_reversed_or_equal_roots():
+    assert _root_below(_chain(1, -1), _chain(1, -2))  # 1/2 < 1
+    assert _root_below(_chain(1, -3, 1), _chain(1, -4, 3))  # 1/3 < (3 - sqrt 5)/2
+    assert _root_below(_chain(1, -4, 3), _chain(1, -3, 1)) is False  # reversed
+    assert _root_below(_chain(1, -2), _chain(1, -1)) is False  # out of order
+    assert _root_below(_chain(1, -2), _chain(1, -2)) is False  # equal minimal roots
+    assert _root_below(_chain(1, 0, 1), _chain(1, -2)) is False  # prev has no root
+
+
+def test_verify_min_chain_every_r_at_n_80():
+    for r in range(2, 80):
+        assert verify_min_chain(FamilyParams(80, r))
+
+
+def test_nilpotent_realization_isolates_no_root_but_h(monkeypatch):
+    # the root order is proved by separation: no a_j root is ever bisected
+    for fn in (nilpotent._h_min_root, nilpotent._min_chain_verdict, nilpotent._a_chains):
+        fn.cache_clear()
+    n = 40
+    closing = {recurrence_polys(FamilyParams(n, r))[1] for r in range(2, n)}
+    real = nilpotent.min_positive_root
+
+    def only_h(p, *args, **kwargs):
+        if p not in closing:
+            raise AssertionError(f"min_positive_root called on {p.coeffs[:4]}...")
+        return real(p, *args, **kwargs)
+
+    monkeypatch.setattr(nilpotent, "min_positive_root", only_h)
+    for r in range(2, n):
+        cert = nilpotent_realization(FamilyParams(n, r))
+        assert cert.chain_verified
 
 
 def test_cert_2_2_is_the_basic_nilpotent_example():

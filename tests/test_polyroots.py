@@ -1,4 +1,5 @@
 import math
+import random
 from fractions import Fraction
 
 import numpy as np
@@ -7,11 +8,14 @@ import pytest
 from sapcert.errors import InvalidInput, NoPositiveRoot, PreconditionViolated
 from sapcert.polyroots import (
     IntPolynomial,
+    RootBracket,
     cauchy_bound,
     count_roots,
+    halve,
     isolate_positive_roots,
     min_positive_root,
     positive_rational_roots,
+    refine,
     sign_at_root,
     sign_variations,
     sturm_chain,
@@ -231,3 +235,142 @@ def test_family_recurrence_polys_have_certifiable_roots():
     value, bracket = min_positive_root(P(1, -4, 3))
     assert bracket.exact == Fraction(1, 3)
     assert value == 1 / 3
+
+
+def _mul(a, b):
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] += x * y
+    return out
+
+
+def _fraction_sturm_reference(p):
+    # p, p', then each negated Fraction remainder scaled to a primitive
+    # integer polynomial (positive denominator lcm, positive content)
+    chain = [tuple(p.coeffs)]
+    d = [i * c for i, c in enumerate(p.coeffs)][1:]
+    if not any(d):
+        return tuple(chain)
+    chain.append(tuple(d))
+    prev = [Fraction(c) for c in p.coeffs]
+    curr = [Fraction(c) for c in d]
+    while True:
+        rem = list(prev)
+        while len(rem) >= len(curr):
+            k = rem[-1] / curr[-1]
+            off = len(rem) - len(curr)
+            for i in range(len(curr)):
+                rem[i + off] -= k * curr[i]
+            rem.pop()
+            while rem and rem[-1] == 0:
+                rem.pop()
+        if not rem:
+            return tuple(chain)
+        neg = [-c for c in rem]
+        den = math.lcm(*(c.denominator for c in neg))
+        ints = [int(c * den) for c in neg]
+        g = math.gcd(*ints)
+        chain.append(tuple(c // g for c in ints))
+        prev, curr = curr, neg
+
+
+def _chain_test_polys():
+    rng = np.random.default_rng(404)
+    polys = []
+    for _ in range(60):
+        deg = int(rng.integers(1, 10))
+        coeffs = [int(c) for c in rng.integers(-30, 31, deg + 1)]
+        coeffs[-1] = coeffs[-1] or 7
+        polys.append(coeffs)
+    for _ in range(20):  # repeated roots
+        p = [int(rng.integers(1, 5))]
+        for _ in range(int(rng.integers(1, 4))):
+            factor = [int(rng.integers(-6, 7)), int(rng.integers(1, 6))]
+            for _ in range(int(rng.integers(1, 4))):
+                p = _mul(p, factor)
+        polys.append(p)
+    rnd = random.Random(404)
+    for _ in range(15):  # 200-bit coefficients
+        deg = rnd.randint(1, 7)
+        polys.append([rnd.getrandbits(200) - 2**199 for _ in range(deg)] + [rnd.getrandbits(200) | 1])
+    return polys
+
+
+def test_sturm_chain_bitwise_equal_to_fraction_reference():
+    for coeffs in _chain_test_polys():
+        p = IntPolynomial.from_coeffs(coeffs)
+        chain = sturm_chain(p)
+        assert chain == _fraction_sturm_reference(p)
+        assert all(type(c) is int for member in chain for c in member)
+
+
+def test_int_polynomial_call_is_exact_at_fractions():
+    rng = np.random.default_rng(7)
+    for _ in range(50):
+        coeffs = [int(c) for c in rng.integers(-10**6, 10**6, int(rng.integers(1, 9)))]
+        p = IntPolynomial.from_coeffs(coeffs)
+        x = Fraction(int(rng.integers(-999, 1000)), int(rng.integers(1, 1000)))
+        horner = Fraction(0)
+        for c in reversed(p.coeffs):
+            horner = horner * x + c
+        got = p(x)
+        assert type(got) is Fraction and got == horner
+    assert P()(Fraction(1, 3)) == 0
+    assert P(5)(Fraction(1, 3)) == 5
+
+
+def test_halve_keeps_the_left_root_and_reports_a_midpoint_hit():
+    p = IntPolynomial.from_coeffs(_mul([-1, 4], [-2, 0, 1]))  # roots 1/4, +-sqrt 2
+    chain = sturm_chain(p)
+    one, zero = Fraction(1), Fraction(0)
+    lo, hi, v_lo, v_hi, hit = halve(
+        chain, zero, Fraction(2), sign_variations(chain, zero), sign_variations(chain, Fraction(2))
+    )
+    assert (lo, hi, hit) == (zero, one, None)  # 1/4 on the left wins over sqrt 2
+    lo, hi, v_lo, v_hi, hit = halve(chain, lo, hi, v_lo, v_hi)
+    lo, hi, v_lo, v_hi, hit = halve(chain, lo, hi, v_lo, v_hi)
+    assert (lo, hi, hit) == (zero, Fraction(1, 4), Fraction(1, 4))
+    assert v_lo - v_hi == 1
+
+
+def test_refine_stops_at_an_exact_dyadic_hit():
+    p = IntPolynomial.from_coeffs(_mul([-1, 4], [-2, 0, 1]))
+    br = refine(RootBracket(lo=Fraction(0), hi=Fraction(1), poly=p), Fraction(1, 2**60))
+    assert br.exact == Fraction(1, 4) and br.hi == br.exact
+    assert br.midpoint == Fraction(1, 4)
+    assert sign_at_root(P(-1, 2), RootBracket(lo=Fraction(0), hi=Fraction(1), poly=p)) == -1
+
+
+def test_coarse_isolation_then_refinement_equals_fine_isolation():
+    rng = np.random.default_rng(11)
+    fine_w, coarse_w = Fraction(1, 2**60), Fraction(1, 2**8)
+    checked = 0
+    for _ in range(40):
+        coeffs = [int(c) for c in rng.integers(-20, 21, int(rng.integers(2, 9)))]
+        coeffs[-1] = coeffs[-1] or 3
+        p = IntPolynomial.from_coeffs(coeffs)
+        fine = isolate_positive_roots(p, width=fine_w)
+        coarse = isolate_positive_roots(p, width=coarse_w)
+        refined = [refine(b, fine_w) for b in coarse]
+        # deflated rational roots keep exact; every other bracket is the same
+        assert [b.exact or (b.lo, b.hi) for b in refined] == [
+            b.exact or (b.lo, b.hi) for b in fine
+        ]
+        for b in coarse:
+            if b.exact is None:
+                assert b.width <= coarse_w
+                assert count_roots(b.sturm(), b.lo, b.hi) == 1
+                assert b.poly(b.lo) * b.poly(b.hi) < 0
+        checked += len(coarse)
+    assert checked >= 20
+
+
+def test_brackets_carry_their_chain():
+    p = P(2, -4, -1, 2)
+    brs = isolate_positive_roots(p, width=Fraction(1, 4))
+    irrational = [b for b in brs if b.exact is None]
+    assert irrational and irrational[0].chain == sturm_chain(irrational[0].poly)
+    assert refine(irrational[0], Fraction(1, 2**40)).chain is irrational[0].chain
+    _, bracket = min_positive_root(P(1, -3, 1))
+    assert bracket.chain == sturm_chain(P(1, -3, 1))

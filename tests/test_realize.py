@@ -211,3 +211,19 @@ def test_superpattern_rejects_nonzero_extra_position():
         realize_superpattern(p, [(2, 2, Sign.MINUS)], CoeffVector((0.0, 0.0, 0.0)))
     with pytest.raises(InvalidInput):
         realize_superpattern(p, [(0, 2, Sign.ZERO)], CoeffVector((0.0, 0.0, 0.0)))
+
+
+def test_diagnostics_share_the_elimination_of_the_solver():
+    from fractions import Fraction as F
+
+    from sapcert.realize import _diagnose_scaled, _eliminate
+
+    a_polys, g = _eliminate(4, 3, [F(-2), F(1), F(1), F(1)])
+    assert g is None and a_polys[-1] == [F(-1)]
+    assert _diagnose_scaled(4, 3, [F(-2), F(1), F(1), F(1)]) == (
+        "column value 1 is -1.000e+00 <= 0 before any root"
+    )
+    assert _diagnose_scaled(4, 2, [F(3), F(-2), F(1), F(5)]) == (
+        "closing-poly coefficient signs -+-; 2 positive roots "
+        "(b~1.438: min a_3=-4.192e+00; b~5.562: min a_3=-2.481e+01)"
+    )
