@@ -12,12 +12,16 @@ the structure of the characteristic coefficients.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
+from math import lcm
+from typing import Sequence
 
 import numpy as np
 
 from .charpoly import CoeffVector
 from .errors import InvalidInput, UnsupportedParams
 from .patterns import Sign, SignPattern
+from .polyroots import IntPolynomial
 
 
 @dataclass(frozen=True)
@@ -77,26 +81,6 @@ def build_matrix(x: FamilyRealization) -> np.ndarray:
     return M
 
 
-def coeff_values(n: int, r: int, a, b: float) -> list[float]:
-    """Characteristic coefficients of the normalized structure, closed form.
-
-    Valid for any real parameter values (positivity is not needed for the
-    identity itself).  ``a`` is indexed a[0] = a_1, ..., a[n-2] = a_{n-1};
-    a_0 = 1 is injected here.
-    """
-
-    def av(j):
-        return 1.0 if j == 0 else a[j - 1]
-
-    vals = [av(1) - 1.0]
-    for j in range(2, r):
-        vals.append(av(j) - av(j - 1))
-    for j in range(r, n):
-        vals.append(av(j) - av(j - 1) + b * av(j - r))
-    vals.append(b * av(n - r) - av(n - 1))
-    return vals
-
-
 def coeff_map(x: FamilyRealization) -> CoeffVector:
     """Coefficient vector of ``build_matrix(x)`` without forming the matrix.
 
@@ -107,26 +91,60 @@ def coeff_map(x: FamilyRealization) -> CoeffVector:
     n, r = x.params.n, x.params.r
     if r >= n:
         raise UnsupportedParams("closed-form coefficients require r < n")
-    return CoeffVector(tuple(coeff_values(n, r, x.a, x.b)))
+    row = coeff_values_batch(n, r, np.array([x.a], dtype=float), np.array([x.b]))[0]
+    return CoeffVector(tuple(row.tolist()))
 
 
 def coeff_values_batch(
     n: int, r: int, a: np.ndarray, b: np.ndarray, corner: float = -1.0
 ) -> np.ndarray:
-    """Vectorized :func:`coeff_values` over rows of ``a`` and entries of ``b``.
+    """Characteristic coefficients of the normalized structure, closed form.
 
-    Accepts r = n (empty middle band); used by sampling-based checks.
-    ``corner`` is the (n, n) entry: -1 in the normalized family, 0 when
-    that entry is deleted.  In general
+    One row per row of ``a`` (a_1..a_{n-1}; a_0 = 1 is injected here) and
+    entry of ``b``.  Valid for any real parameter values and for r = n
+    (empty middle band).  ``corner`` is the (n, n) entry: -1 in the
+    normalized family, 0 when that entry is deleted.  In general
     v_j = a_j + corner a_{j-1} (+ b a_{j-r} for j >= r) for j < n and
     v_n = b a_{n-r} + corner a_{n-1}.
     """
     m = a.shape[0]
-    full = np.concatenate([np.ones((m, 1)), a], axis=1)  # a_0..a_{n-1}
-    out = np.empty((m, n))
-    for j in range(1, r):
-        out[:, j - 1] = full[:, j] + corner * full[:, j - 1]
-    for j in range(r, n):
-        out[:, j - 1] = full[:, j] + corner * full[:, j - 1] + b * full[:, j - r]
-    out[:, n - 1] = b * full[:, n - r] + corner * full[:, n - 1]
-    return out
+    # one contiguous row per coefficient, so each operation covers all
+    # coefficients and samples at once; written in place, because large
+    # temporaries make the allocator return and re-fault heap pages
+    full = np.concatenate([np.ones((1, m)), a.T])  # a_0..a_{n-1}
+    out = np.empty((n, m))
+    np.multiply(corner, full[:-1], out=out[:-1])
+    np.add(full[1:], out[:-1], out=out[:-1])
+    out[n - 1] = b * full[n - r] + corner * full[n - 1]
+    full[: n - r] *= b
+    out[r - 1 : n - 1] += full[: n - r]
+    return out.T
+
+
+def eliminate(
+    n: int, r: int, alpha: Sequence[Fraction | int]
+) -> tuple[int, list[IntPolynomial], IntPolynomial | None]:
+    """The coefficient equations for the exact target ``alpha`` solved forward in b.
+
+    Returns (D, [a'_0, a'_1, ...], g'), scaled by D, the lcm of the
+    denominators of ``alpha``, so that every a'_j and g' is an integer
+    polynomial and a_j(b) = a'_j(b) / D:
+
+        a'_0 = D,   a'_j = a'_{j-1} - b a'_{j-r} + D alpha_j,
+
+    with a'_{j-r} read as 0 for j < r.  The closing polynomial
+    g'(b) = b a'_{n-r} - a'_{n-1} - D alpha_n vanishes at the b that
+    realize the target.  The constants a_1..a_{r-1} come first; when one
+    of them is not positive the elimination stops there and g' is None.
+    At alpha = 0 this is the nilpotent recurrence, closed by h = -g'.
+    """
+    scale = lcm(*(v.denominator for v in alpha))
+    steps = [v.numerator * (scale // v.denominator) for v in alpha]  # D alpha_j
+    a = [IntPolynomial((scale,))]
+    for j in range(1, n):
+        prev = a[j - 1] if j < r else a[j - 1].subtract(a[j - r].shift_up())
+        a.append(prev.plus(steps[j - 1]))
+        if j < r and sum(a[j].coeffs) <= 0:  # the constant a'_j
+            return scale, a, None
+    g = a[n - r].shift_up().subtract(a[n - 1]).plus(-steps[n - 1])
+    return scale, a, g

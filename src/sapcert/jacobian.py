@@ -82,11 +82,6 @@ class NJCertificate:
         }
 
 
-def lu_det(M: np.ndarray) -> float:
-    """Determinant via LAPACK partial-pivoting LU."""
-    return float(np.linalg.det(M))
-
-
 def jacobian_matrix(x: FamilyRealization) -> np.ndarray:
     """Partial derivatives of the characteristic coefficients.
 
@@ -164,7 +159,7 @@ def det_A_brute(k: int, p: FamilyParams, t_h: float) -> float:
     """LU determinant of the materialized A-style block."""
     if not (1 <= k < p.n):
         raise InvalidInput(f"need 1 <= k < n, got k={k}")
-    return lu_det(build_A_block(k, p.r, t_h))
+    return float(np.linalg.det(build_A_block(k, p.r, t_h)))
 
 
 def det_A_closed(k: int, p: FamilyParams, cert: NilpotentCertificate) -> float:
@@ -188,7 +183,7 @@ def det_B_brute(l: int, p: FamilyParams, t_h: float, c) -> float:
     """LU determinant of the materialized B-style block."""
     if not (1 <= l <= p.n):
         raise InvalidInput(f"need 1 <= l <= n, got l={l}")
-    return lu_det(build_B_block(l, p.r, t_h, c))
+    return float(np.linalg.det(build_B_block(l, p.r, t_h, c)))
 
 
 def jacobian_det(x: FamilyRealization) -> JacobianReport:
@@ -201,7 +196,7 @@ def jacobian_det(x: FamilyRealization) -> JacobianReport:
     """
     n, r = x.params.n, x.params.r
     J = jacobian_matrix(x)
-    d_lu = lu_det(J)
+    d_lu = float(np.linalg.det(J))
     c = [1.0] + list(x.a[: n - r])
     d_blocks = det_B_brute(n - r + 1, x.params, x.b, c)
     if abs(d_lu - d_blocks) > DET_CROSSCHECK_RTOL * max(1.0, abs(d_lu)):
@@ -250,7 +245,7 @@ def nj_verify(S: SignPattern, M, positions) -> NJCertificate:
         raise PreconditionViolated(
             f"matrix is not nilpotent to tolerance: residual {nilp_residual:.3e}"
         )
-    det = lu_det(J)
+    det = float(np.linalg.det(J))
     conclusion = SAP_CERTIFIED if abs(det) > NJ_DET_THRESHOLD else INCONCLUSIVE
     return NJCertificate(
         pattern=S,

@@ -6,9 +6,11 @@ recurrence
 
     a_j(t) = a_{j-1}(t) - t a_{j-r}(t),    a_0 = ... = a_{r-1} = 1,
 
-closed by h(t) = a_{n-1}(t) - t a_{n-r}(t) = 0.  The smallest positive
-root of h keeps every a_j strictly positive, which is certified here with
-exact rational brackets rather than assumed.
+closed by h(t) = a_{n-1}(t) - t a_{n-r}(t) = 0.  This is the elimination
+that realizes every target (:func:`sapcert.family.eliminate`) taken at the
+zero target, whose closing polynomial is -h.  The smallest positive root
+of h keeps every a_j strictly positive, which is certified here with
+exact rational brackets on integer polynomials rather than assumed.
 """
 
 from __future__ import annotations
@@ -19,7 +21,7 @@ from fractions import Fraction
 
 from .charpoly import char_coeffs
 from .errors import CertificationFailed, PreconditionViolated, UnsupportedParams
-from .family import FamilyParams, FamilyRealization, build_matrix, coeff_map
+from .family import FamilyParams, FamilyRealization, build_matrix, coeff_map, eliminate
 from .polyroots import (
     IntPolynomial,
     RootBracket,
@@ -94,12 +96,8 @@ def recurrence_polys(p: FamilyParams) -> tuple[tuple[IntPolynomial, ...], IntPol
 
 @functools.lru_cache(maxsize=None)
 def _recurrence_cached(n: int, r: int):
-    one = IntPolynomial((1,))
-    a = [one] * r
-    for j in range(r, n):
-        a.append(a[j - 1].subtract(a[j - r].shift_up()))
-    h = a[n - 1].subtract(a[n - r].shift_up())
-    return tuple(a), h
+    _, a, g = eliminate(n, r, (0,) * n)
+    return tuple(a), IntPolynomial(()).subtract(g)
 
 
 @functools.lru_cache(maxsize=None)

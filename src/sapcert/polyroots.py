@@ -12,8 +12,11 @@ for and a bracket is narrowed only on demand (:func:`refine`), one
 certified bisection step (:func:`halve`) at a time, with the chain built
 once and carried by the bracket.
 
-Signs and values at rational points are evaluated homogeneously in
-integer arithmetic, which keeps deep bisection cheap.
+Every polynomial in the package is an :class:`IntPolynomial`.  Signs and
+values at rational points are evaluated homogeneously in integer
+arithmetic, which keeps deep bisection cheap, and positive rational roots
+are divided out in integers (Gauss's lemma makes the division by
+den*x - num exact).
 """
 
 from __future__ import annotations
@@ -90,13 +93,21 @@ class IntPolynomial:
             return self
         return IntPolynomial((0,) + self.coeffs)
 
+    def plus(self, c: int) -> "IntPolynomial":
+        """Add the integer constant ``c``."""
+        if not c:
+            return self
+        head = self.coeffs[0] if self.coeffs else 0
+        return IntPolynomial.from_coeffs((head + c,) + self.coeffs[1:])
+
 
 @dataclass(frozen=True)
 class RootBracket:
     """Certified enclosure of a single positive root.
 
-    ``poly`` changes sign across (lo, hi), the Sturm count on (lo, hi] is
-    one, and the count on (0, lo] is zero when produced by
+    The Sturm count of ``poly`` on (lo, hi] is one, ``poly`` changes sign
+    across (lo, hi) unless the root is a deflated rational one of even
+    multiplicity, and the count on (0, lo] is zero when produced by
     :func:`min_positive_root`.  ``exact`` is set when the root is a known
     rational: a root found by deflation lies strictly inside (lo, hi), a
     bisection midpoint that hit the root is ``hi``.  ``chain`` is the Sturm
@@ -143,13 +154,6 @@ def _homogeneous(ints, x: Fraction) -> int:
 def _sign_at(ints: tuple[int, ...], x: Fraction) -> int:
     acc = _homogeneous(ints, x)
     return (acc > 0) - (acc < 0)
-
-
-def _primitive(fracs: list[Fraction]) -> tuple[int, ...]:
-    den = 1
-    for c in fracs:
-        den = den * c.denominator // gcd(den, c.denominator)
-    return _content_free([int(c * den) for c in fracs])
 
 
 def _content_free(ints: list[int]) -> tuple[int, ...]:
@@ -276,14 +280,30 @@ def _divisors(n: int) -> list[int]:
     return sorted(out)
 
 
-def _deflate_exact(coeffs: list[Fraction], root: Fraction) -> list[Fraction]:
-    # synthetic division by (x - root); remainder is known to be zero
-    out = [Fraction(0)] * (len(coeffs) - 1)
-    acc = Fraction(0)
-    for i in range(len(coeffs) - 1, 0, -1):
-        acc = acc * root + coeffs[i]
+def _divide_out(ints: list[int], root: Fraction) -> list[int]:
+    # quotient by (den x - num) for root = num/den; by Gauss's lemma it is
+    # exact in integers when ``ints`` is primitive and ``root`` a root
+    num, den = root.numerator, root.denominator
+    out = [0] * (len(ints) - 1)
+    acc = 0
+    for i in range(len(ints) - 1, 0, -1):
+        acc = (ints[i] + num * acc) // den
         out[i - 1] = acc
     return out
+
+
+def _centred(p: IntPolynomial, exact: Fraction, delta: Fraction, alone):
+    """(exact - delta, exact + delta) around the rational root ``exact`` of ``p``.
+
+    ``delta`` is halved until neither end is a root of ``p`` and
+    ``alone(lo, hi)`` holds: the caller's proof that no other root of
+    ``p`` lies in (lo, hi].
+    """
+    lo, hi = exact - delta, exact + delta
+    while not alone(lo, hi) or _sign_at(p.coeffs, lo) == 0 or _sign_at(p.coeffs, hi) == 0:
+        delta /= 2
+        lo, hi = exact - delta, exact + delta
+    return lo, hi
 
 
 def positive_rational_roots(p: IntPolynomial) -> list[Fraction]:
@@ -349,15 +369,7 @@ def min_positive_root(
     if exact is not None:
         # re-center a sign-change bracket around the exact root
         delta = min(width / 2, exact - lo if exact > lo else width / 2)
-        blo, bhi = exact - delta, exact + delta
-        while (
-            count_roots(chain, blo, bhi) != 1
-            or _sign_at(p.coeffs, blo) == 0
-            or _sign_at(p.coeffs, bhi) == 0
-        ):
-            delta /= 2
-            blo, bhi = exact - delta, exact + delta
-        lo, hi = blo, bhi
+        lo, hi = _centred(p, exact, delta, lambda a, b: count_roots(chain, a, b) == 1)
 
     s_lo = _sign_at(p.coeffs, lo)
     s_hi = _sign_at(p.coeffs, hi)
@@ -378,34 +390,38 @@ def isolate_positive_roots(
     """Brackets for every distinct positive root, in increasing order.
 
     Exact rational roots are deflated first so that bisection endpoints
-    can never collide with a root; each irrational root gets a certified
-    one-root bracket of width at most ``width``.  Isolate coarsely and
-    :func:`refine` only the brackets that are used.
+    can never collide with a root; each is centred in a bracket of width
+    at most ``width`` that holds no other root.  Each irrational root gets
+    a certified one-root bracket of width at most ``width``.  Isolate
+    coarsely and :func:`refine` only the brackets that are used.
     """
     if p.is_zero:
         raise InvalidInput("cannot isolate roots of the zero polynomial")
     if p.degree < 1:
         return []
-    work = [Fraction(c) for c in p.coeffs]
-    while work[0] == 0:
-        work.pop(0)  # roots at zero are not positive
-        if len(work) == 1:
-            break
-    rational = positive_rational_roots(IntPolynomial.from_coeffs(_primitive(work)))
+    lowest = next(i for i, c in enumerate(p.coeffs) if c)  # roots at zero are not positive
+    work = list(_content_free(p.coeffs[lowest:]))
+    rational = positive_rational_roots(IntPolynomial(tuple(work)))
     for q in rational:
-        reduced = _deflate_exact(work, q)
-        while len(reduced) > 1 and IntPolynomial.from_coeffs(_primitive(reduced))(q) == 0:
-            reduced = _deflate_exact(reduced, q)
-        work = reduced
-    deflated = IntPolynomial.from_coeffs(_primitive(work))
+        while len(work) > 1 and _sign_at(work, q) == 0:
+            work = _divide_out(work, q)
+    deflated = IntPolynomial(tuple(work))
+    chain = sturm_chain(deflated) if deflated.degree >= 1 else None
+
+    def alone(lo, hi):
+        # one rational root in (lo, hi], the centre, and no root of the
+        # deflated polynomial; 0 < lo keeps out the roots at zero
+        return (
+            lo > 0
+            and sum(lo < o <= hi for o in rational) == 1
+            and (chain is None or count_roots(chain, lo, hi) == 0)
+        )
 
     brackets = [
-        RootBracket(lo=q - width / 2, hi=q + width / 2, poly=p, exact=q)
-        for q in rational
+        RootBracket(*_centred(p, q, width / 2, alone), poly=p, exact=q) for q in rational
     ]
 
-    if deflated.degree >= 1:
-        chain = sturm_chain(deflated)
+    if chain is not None:
         bound = cauchy_bound(deflated)
         zero = Fraction(0)
         pending = [(zero, bound, sign_variations(chain, zero), sign_variations(chain, bound))]

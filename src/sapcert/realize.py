@@ -1,11 +1,12 @@
 """Constructive realization of target characteristic polynomials.
 
 Within the normalized family structure the coefficient equations eliminate
-forward: each first-column value becomes an explicit polynomial in the
-feedback entry b, and the last equation closes the system as a scalar
-polynomial g(b).  Exact rational arithmetic (floats are rationals) plus
-certified root isolation then either finds an admissible positive root or
-proves there is none at the current scale.
+forward (:func:`sapcert.family.eliminate`): once the target's denominators
+are cleared (floats are dyadic rationals), each first-column value becomes
+an integer polynomial in the feedback entry b, and the last equation
+closes the system as a scalar integer polynomial g(b).  Certified root
+isolation then either finds an admissible positive root or proves there is
+none at the current scale; values at the root are exact rationals.
 
 Targets with no admissible root are handled by the scaling fallback: the
 coefficients c^j * v_j of the scaled matrix c*A are realized instead and
@@ -30,17 +31,16 @@ from .errors import (
     RealizationFailed,
     UnsupportedParams,
 )
-from .family import FamilyParams, FamilyRealization, build_matrix, build_pattern
+from .family import (
+    FamilyParams,
+    FamilyRealization,
+    build_matrix,
+    build_pattern,
+    eliminate,
+)
 from .nilpotent import nilpotent_realization
 from .patterns import Sign, member_of_class
-from .polyroots import (
-    IntPolynomial,
-    RootBracket,
-    _primitive,
-    isolate_positive_roots,
-    refine,
-    sign_at_root,
-)
+from .polyroots import RootBracket, isolate_positive_roots, refine, sign_at_root
 
 RESIDUAL_RTOL = 1e-8
 _LADDER_MAX_HALVINGS = 40
@@ -84,64 +84,6 @@ class _ScaledSolution:
     a_values: tuple[Fraction, ...]
 
 
-def _poly_add_const(p: list[Fraction], c: Fraction) -> list[Fraction]:
-    out = list(p) if p else [Fraction(0)]
-    out[0] += c
-    return out
-
-
-def _poly_sub(p: list[Fraction], q: list[Fraction]) -> list[Fraction]:
-    n = max(len(p), len(q))
-    out = [Fraction(0)] * n
-    for i, v in enumerate(p):
-        out[i] += v
-    for i, v in enumerate(q):
-        out[i] -= v
-    return out
-
-
-def _poly_shift(p: list[Fraction]) -> list[Fraction]:
-    return [Fraction(0)] + list(p)
-
-
-def _poly_eval(p: list[Fraction], x: Fraction) -> Fraction:
-    acc = Fraction(0)
-    for c in reversed(p):
-        acc = acc * x + c
-    return acc
-
-
-def _as_int_poly(p: list[Fraction]) -> IntPolynomial:
-    return IntPolynomial.from_coeffs(_primitive([Fraction(c) for c in p]))
-
-
-def _eliminate(
-    n: int, r: int, alpha: Sequence[Fraction]
-) -> tuple[list[list[Fraction]], list[Fraction] | None]:
-    """Column values a_0, a_1, ... as polynomials in b, and the closing g(b).
-
-    a_1..a_{r-1} are constants; when one of them is not positive the
-    elimination stops there and g is None.
-    """
-    a_polys: list[list[Fraction]] = [[Fraction(1)]]
-    for j in range(1, n):
-        if j <= r - 1:
-            const = alpha[j - 1] + a_polys[j - 1][0]
-            a_polys.append([const])
-            if const <= 0:
-                return a_polys, None
-        else:
-            a_polys.append(
-                _poly_add_const(
-                    _poly_sub(a_polys[j - 1], _poly_shift(a_polys[j - r])), alpha[j - 1]
-                )
-            )
-    g = _poly_add_const(
-        _poly_sub(_poly_shift(a_polys[n - r]), a_polys[n - 1]), -alpha[n - 1]
-    )
-    return a_polys, g
-
-
 def _solve_scaled(n: int, r: int, alpha: Sequence[Fraction]) -> _ScaledSolution | None:
     """Admissible solution of the coefficient equations, or None.
 
@@ -150,26 +92,24 @@ def _solve_scaled(n: int, r: int, alpha: Sequence[Fraction]) -> _ScaledSolution 
     at which all first-column values are certifiably positive; only that
     root's bracket is refined.
     """
-    a_polys, g = _eliminate(n, r, alpha)
+    scale, a_polys, g = eliminate(n, r, alpha)
     if g is None:
         return None
-    g_int = _as_int_poly(g)
 
     candidates: list[RootBracket] = []
-    if g_int.is_zero:
+    if g.is_zero:
         # every b solves the closing equation; probe b = 1
         candidates = [
-            RootBracket(lo=Fraction(1, 2), hi=Fraction(2), poly=g_int, exact=Fraction(1))
+            RootBracket(lo=Fraction(1, 2), hi=Fraction(2), poly=g, exact=Fraction(1))
         ]
-    elif g_int.degree >= 1:
-        candidates = isolate_positive_roots(g_int, width=_ISOLATE_WIDTH)
+    elif g.degree >= 1:
+        candidates = isolate_positive_roots(g, width=_ISOLATE_WIDTH)
 
-    varying = [_as_int_poly(a_polys[j]) for j in range(r, n)]
     for bracket in candidates:
-        if not all(sign_at_root(q, bracket) == 1 for q in varying):
+        if not all(sign_at_root(q, bracket) == 1 for q in a_polys[r:]):
             continue
         b = refine(bracket, _ROOT_WIDTH).midpoint
-        values = tuple(_poly_eval(a_polys[j], b) for j in range(1, n))
+        values = tuple(a_polys[j](b) / scale for j in range(1, n))
         if all(v > 0 for v in values):
             return _ScaledSolution(b=b, a_values=values)
     return None
@@ -225,20 +165,19 @@ def _scaled_target(alpha: list[Fraction], c: Fraction) -> list[Fraction]:
 
 def _diagnose_scaled(n: int, r: int, alpha: Sequence[Fraction]) -> str:
     """Failure diagnostics for one scale: closing-poly signs, root verdicts."""
-    a_polys, g = _eliminate(n, r, alpha)
+    scale, a_polys, g = eliminate(n, r, alpha)
     if g is None:
         j = len(a_polys) - 1
-        return f"column value {j} is {float(a_polys[j][0]):.3e} <= 0 before any root"
-    g_signs = "".join("+" if v > 0 else "-" if v < 0 else "0" for v in g)
-    g_int = _as_int_poly(g)
-    if g_int.is_zero or g_int.degree < 1:
+        return f"column value {j} is {a_polys[j](0) / scale:.3e} <= 0 before any root"
+    g_signs = "".join("+" if v > 0 else "-" if v < 0 else "0" for v in g.coeffs)
+    if g.is_zero or g.degree < 1:
         return f"closing polynomial degenerate (coefficient signs {g_signs})"
-    roots = isolate_positive_roots(g_int)
+    roots = isolate_positive_roots(g)
     verdicts = []
     for br in roots:
         worst_j, worst_val = None, None
         for j in range(r, n):
-            val = float(_poly_eval(a_polys[j], br.midpoint))
+            val = float(a_polys[j](br.midpoint) / scale)
             if worst_val is None or val < worst_val:
                 worst_j, worst_val = j, val
         verdicts.append(f"b~{float(br.midpoint):.4g}: min a_{worst_j}={worst_val:.3e}")

@@ -1,3 +1,6 @@
+import random
+from fractions import Fraction
+
 import numpy as np
 import pytest
 
@@ -9,8 +12,8 @@ from sapcert.family import (
     build_matrix,
     build_pattern,
     coeff_map,
-    coeff_values,
     coeff_values_batch,
+    eliminate,
 )
 from sapcert.patterns import Sign, member_of_class, nonzero_count
 
@@ -129,7 +132,7 @@ def test_coeff_values_handles_r_equal_n():
         a = tuple(rng.uniform(0.1, 3.0, n - 1))
         b = float(rng.uniform(0.1, 3.0))
         x = FamilyRealization(FamilyParams(n, n), a=a, b=b)
-        closed = coeff_values(n, n, a, b)
+        closed = coeff_values_batch(n, n, np.array([a]), np.array([b]))[0]
         direct = char_coeffs(build_matrix(x)).values
         assert np.allclose(closed, direct, atol=1e-10 * max(1.0, max(a), b) ** n)
 
@@ -161,7 +164,8 @@ def test_coeff_values_batch_matches_scalar():
         b = rng.uniform(0.1, 3.0, 40)
         batch = coeff_values_batch(n, r, a, b)
         for k in range(40):
-            assert np.allclose(batch[k], coeff_values(n, r, tuple(a[k]), float(b[k])))
+            x = FamilyRealization(FamilyParams(n, r), tuple(a[k]), float(b[k]))
+            assert np.allclose(batch[k], char_coeffs(build_matrix(x)).values)
 
 
 def test_coeff_values_batch_deleted_corner_matches_oracle():
@@ -178,3 +182,41 @@ def test_coeff_values_batch_deleted_corner_matches_oracle():
                 M[n - 1, n - 1] = 0.0
                 want = char_coeffs_oracle(M).values
                 np.testing.assert_allclose(got[k], want, rtol=1e-12, err_msg=f"n={n} r={r}")
+
+
+def _closed_form_target(n, r, a, b):
+    # alpha_j = a_j - a_{j-1} (+ b a_{j-r} for j >= r), alpha_n = b a_{n-r} - a_{n-1}
+    full = [Fraction(1)] + list(a)
+    alpha = [full[j] - full[j - 1] + (b * full[j - r] if j >= r else 0) for j in range(1, n)]
+    return alpha + [b * full[n - r] - full[n - 1]]
+
+
+def test_eliminate_round_trips_exact_realizations():
+    rnd = random.Random(18)
+    for n, r in [(3, 2), (4, 2), (5, 3), (6, 2), (7, 5), (8, 3), (10, 9), (12, 4)]:
+        for _ in range(10):
+            a = [Fraction(rnd.randint(1, 400), rnd.choice([1, 3, 8, 35])) for _ in range(n - 1)]
+            b = Fraction(rnd.randint(1, 90), rnd.choice([1, 7, 16]))
+            alpha = _closed_form_target(n, r, a, b)
+            scale, a_polys, g = eliminate(n, r, alpha)
+            assert scale > 0 and all((v * scale).denominator == 1 for v in alpha)
+            assert len(a_polys) == n and a_polys[0].coeffs == (scale,)
+            assert [q(b) / scale for q in a_polys[1:]] == a
+            assert g is not None and g(b) == 0
+
+
+def test_eliminate_at_zero_is_the_nilpotent_recurrence():
+    from sapcert.nilpotent import recurrence_polys
+    from sapcert.polyroots import IntPolynomial
+
+    for n in range(3, 41):
+        for r in range(2, n):
+            scale, a_polys, g = eliminate(n, r, [0] * n)
+            # reference: a_0 = ... = a_{r-1} = 1, a_j = a_{j-1} - t a_{j-r}
+            ref = [IntPolynomial((1,))] * r
+            for j in range(r, n):
+                ref.append(ref[j - 1].subtract(ref[j - r].shift_up()))
+            h = ref[n - 1].subtract(ref[n - r].shift_up())
+            assert scale == 1 and a_polys == ref
+            assert IntPolynomial(()).subtract(g) == h
+            assert recurrence_polys(FamilyParams(n, r)) == (tuple(ref), h)

@@ -2,7 +2,8 @@
 
 The digests pin the deterministic stdout of ``nilpotent``, ``sweep`` and
 ``realize --monic`` (one unscaled target, one that takes the scaling
-ladder).  A refactor must leave every one of them byte-identical; an
+ladder, and one whose closing polynomial has the positive rational roots
+1 and 7, so that it goes through deflation).  A refactor must leave every one of them byte-identical; an
 intended output change updates the digest here and is logged with its
 reason in CHANGES.md.
 """
@@ -41,6 +42,9 @@ GOLDEN = [
     ('realize --n 4 --r 2 --monic 3,-2,1,5 --format json', 0, 'b0b2e5a0db0f4a3288e15eba1929058186ddd071ee6461ff1a8dc5e4dcb33548'),
     ('realize --n 4 --r 2 --monic 3,-2,1,5 --format csv', 0, '1589cb7a910030f6e9889c33e277c736c549d6c93a3ab69f9b517ce4236b8d81'),
     ('realize --n 4 --r 2 --monic 3,-2,1,5 --format text', 0, '24b3e691a5ee67a3cc4eb29aad4131c534e4537f31aa765f2bed336b4c3ad13c'),
+    ('realize --n 4 --r 2 --monic -3,-1,-3,1 --format json', 0, 'e146e5667b9dcf8f3a6ccb711e99757ad117855fcaf719a41866b42986c11e49'),
+    ('realize --n 4 --r 2 --monic -3,-1,-3,1 --format csv', 0, 'f26d686d0bdaf1d8d4c2250909a326ad1daf7318be63d3f08ce9d092e05be4a3'),
+    ('realize --n 4 --r 2 --monic -3,-1,-3,1 --format text', 0, 'bcf01b85a9a046a6ae1af88b64dd86eed5d2f20de4fc05d4a853dffb335a4ccd'),
 ]
 
 

@@ -345,11 +345,15 @@ def test_refine_stops_at_an_exact_dyadic_hit():
 def test_coarse_isolation_then_refinement_equals_fine_isolation():
     rng = np.random.default_rng(11)
     fine_w, coarse_w = Fraction(1, 2**60), Fraction(1, 2**8)
-    checked = 0
+    polys = []
     for _ in range(40):
         coeffs = [int(c) for c in rng.integers(-20, 21, int(rng.integers(2, 9)))]
         coeffs[-1] = coeffs[-1] or 3
-        p = IntPolynomial.from_coeffs(coeffs)
+        polys.append(IntPolynomial.from_coeffs(coeffs))
+    # the roots 0.5 +- 0.0014 lie within 2^-9 of the rational root 1/2
+    close = IntPolynomial.from_coeffs(_mul([-1, 2], [249998, -10**6, 10**6]))
+    checked = 0
+    for p in polys + [close]:
         fine = isolate_positive_roots(p, width=fine_w)
         coarse = isolate_positive_roots(p, width=coarse_w)
         refined = [refine(b, fine_w) for b in coarse]
@@ -358,12 +362,33 @@ def test_coarse_isolation_then_refinement_equals_fine_isolation():
             b.exact or (b.lo, b.hi) for b in fine
         ]
         for b in coarse:
+            # one root by the chain of the bracket's own polynomial
+            assert count_roots(b.sturm(), b.lo, b.hi) == 1
+            assert b.width <= coarse_w
             if b.exact is None:
-                assert b.width <= coarse_w
-                assert count_roots(b.sturm(), b.lo, b.hi) == 1
                 assert b.poly(b.lo) * b.poly(b.hi) < 0
         checked += len(coarse)
     assert checked >= 20
+    assert [b.exact for b in isolate_positive_roots(close, width=coarse_w)] == [
+        None, Fraction(1, 2), None
+    ]
+
+
+def test_rational_root_brackets_exclude_every_other_root():
+    # x^2 (x + 1) (2x - 1)^2 (3x - 2) (x^2 - 2): roots 0, -1, 1/2 (double),
+    # 2/3 and +-sqrt 2; at width 1 the bracket 1/2 +- 1/2 would hold 2/3
+    p = IntPolynomial.from_coeffs(
+        [0, 0] + _mul(_mul(_mul([1, 1], _mul([-1, 2], [-1, 2])), [-2, 3]), [-2, 0, 1])
+    )
+    # x (4x - 1) (x^2 - 2): at width 1 the bracket 1/4 +- 1/2 would hold 0
+    p2 = IntPolynomial.from_coeffs([0] + _mul([-1, 4], [-2, 0, 1]))
+    brs = isolate_positive_roots(p, width=Fraction(1))
+    brs2 = isolate_positive_roots(p2, width=Fraction(1))
+    assert [b.exact for b in brs] == [Fraction(1, 2), Fraction(2, 3), None]
+    assert [b.exact for b in brs2] == [Fraction(1, 4), None]
+    for b in brs + brs2:
+        assert 0 < b.lo and count_roots(b.sturm(), b.lo, b.hi) == 1
+        assert b.poly(b.lo) != 0 and b.poly(b.hi) != 0
 
 
 def test_brackets_carry_their_chain():

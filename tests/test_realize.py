@@ -53,9 +53,13 @@ def test_realize_smallest_admissible_root_is_chosen():
     # admissible one: re-derive g and check no smaller admissible root
     rng = np.random.default_rng(42)
     from fractions import Fraction
+    from math import lcm
 
-    from sapcert.polyroots import isolate_positive_roots, sign_at_root
-    from sapcert.realize import _as_int_poly, _poly_add_const, _poly_shift, _poly_sub
+    from sapcert.polyroots import IntPolynomial, isolate_positive_roots, sign_at_root
+
+    def int_poly(fracs):
+        den = lcm(*(c.denominator for c in fracs))
+        return IntPolynomial.from_coeffs(c * den for c in fracs)
 
     for _ in range(20):
         alpha = tuple(rng.uniform(-2, 2, 4))
@@ -63,17 +67,16 @@ def test_realize_smallest_admissible_root_is_chosen():
         if res.scaling_c != 1.0:
             continue
         av = [Fraction(v) for v in alpha]
+        # ascending coefficients in b: a_2 = a_1 - b + alpha_2,
+        # a_3 = a_2 - b a_1 + alpha_3, g = b a_2 - a_3 - alpha_4
         a1 = av[0] + 1
-        a_polys = [[Fraction(1)], [a1]]
-        a_polys.append(_poly_add_const(_poly_sub(a_polys[1], _poly_shift(a_polys[0])), av[1]))
-        a_polys.append(_poly_add_const(_poly_sub(a_polys[2], _poly_shift(a_polys[1])), av[2]))
-        g = _poly_add_const(_poly_sub(_poly_shift(a_polys[2]), a_polys[3]), -av[3])
-        roots = isolate_positive_roots(_as_int_poly(g))
+        a2 = [a1 + av[1], Fraction(-1)]
+        a3 = [a2[0] + av[2], a2[1] - a1]
+        g = [-a3[0] - av[3], a2[0] - a3[1], a2[1]]
+        roots = isolate_positive_roots(int_poly(g))
         admissible = []
         for br in roots:
-            if all(
-                sign_at_root(_as_int_poly(a_polys[j]), br) == 1 for j in (2, 3)
-            ) and a1 > 0:
+            if all(sign_at_root(int_poly(q), br) == 1 for q in (a2, a3)) and a1 > 0:
                 admissible.append(float(br.midpoint))
         assert admissible, alpha
         assert res.params.b == pytest.approx(min(admissible), abs=1e-9)
@@ -216,12 +219,16 @@ def test_superpattern_rejects_nonzero_extra_position():
 def test_diagnostics_share_the_elimination_of_the_solver():
     from fractions import Fraction as F
 
-    from sapcert.realize import _diagnose_scaled, _eliminate
+    from sapcert.family import eliminate
+    from sapcert.realize import _diagnose_scaled
 
-    a_polys, g = _eliminate(4, 3, [F(-2), F(1), F(1), F(1)])
-    assert g is None and a_polys[-1] == [F(-1)]
+    scale, a_polys, g = eliminate(4, 3, [F(-2), F(1), F(1), F(1)])
+    assert g is None and scale == 1 and a_polys[-1].coeffs == (-1,)
     assert _diagnose_scaled(4, 3, [F(-2), F(1), F(1), F(1)]) == (
         "column value 1 is -1.000e+00 <= 0 before any root"
+    )
+    assert _diagnose_scaled(4, 3, [F(-1), F(1), F(1), F(1)]) == (
+        "column value 1 is 0.000e+00 <= 0 before any root"
     )
     assert _diagnose_scaled(4, 2, [F(3), F(-2), F(1), F(5)]) == (
         "closing-poly coefficient signs -+-; 2 positive roots "
