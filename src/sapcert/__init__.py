@@ -29,7 +29,6 @@ from .errors import (
     RealizationFailed,
     SapcertError,
     SizeLimitExceeded,
-    UnsupportedParams,
 )
 from .family import (
     FamilyParams,

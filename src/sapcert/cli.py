@@ -2,8 +2,7 @@
 
 Commands: nilpotent, jacobian, realize, msap, njverify, sweep.  All matrix
 indices in files, flags, and output are 1-based.  Exit codes: 0 success,
-2 certification failure, 64 usage error, 65 data or unsupported-parameter
-error.
+2 certification failure, 64 usage error, 65 data error.
 """
 
 from __future__ import annotations
@@ -19,10 +18,8 @@ from .charpoly import CoeffVector, monic_to_coeffs, spectrum
 from .errors import (
     CertificationFailed,
     InvalidInput,
-    PreconditionViolated,
     RealizationFailed,
     SapcertError,
-    UnsupportedParams,
 )
 from .family import FamilyParams
 from .jacobian import SAP_CERTIFIED, jacobian_det, nj_verify
@@ -344,9 +341,6 @@ def main(argv=None) -> int:
     except InvalidInput as exc:
         print(f"sapcert: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except (UnsupportedParams, PreconditionViolated) as exc:
-        print(f"sapcert: {exc}", file=sys.stderr)
-        return EXIT_DATA
     except (CertificationFailed, RealizationFailed) as exc:
         print(f"sapcert: {exc}", file=sys.stderr)
         return EXIT_CERTIFICATION

@@ -17,10 +17,6 @@ class SizeLimitExceeded(SapcertError):
     """A brute-force routine was asked for a size it refuses to handle."""
 
 
-class UnsupportedParams(SapcertError):
-    """The operation is not defined for this parameter combination."""
-
-
 class NoPositiveRoot(SapcertError):
     """The polynomial has no root on the positive half-axis."""
 

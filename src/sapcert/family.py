@@ -19,7 +19,7 @@ from typing import Sequence
 import numpy as np
 
 from .charpoly import CoeffVector
-from .errors import InvalidInput, UnsupportedParams
+from .errors import InvalidInput
 from .patterns import Sign, SignPattern
 from .polyroots import IntPolynomial
 
@@ -84,13 +84,9 @@ def build_matrix(x: FamilyRealization) -> np.ndarray:
 def coeff_map(x: FamilyRealization) -> CoeffVector:
     """Coefficient vector of ``build_matrix(x)`` without forming the matrix.
 
-    Refuses r = n, where the middle band of the closed form is empty and
-    the construction is handled separately; route those through
-    ``charpoly.char_coeffs`` instead.
+    Valid for every 2 <= r <= n (at r = n the middle band is empty).
     """
     n, r = x.params.n, x.params.r
-    if r >= n:
-        raise UnsupportedParams("closed-form coefficients require r < n")
     row = coeff_values_batch(n, r, np.array([x.a], dtype=float), np.array([x.b]))[0]
     return CoeffVector(tuple(row.tolist()))
 

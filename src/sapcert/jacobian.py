@@ -21,12 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .charpoly import coeff_jacobian
-from .errors import (
-    CertificationFailed,
-    InvalidInput,
-    PreconditionViolated,
-    UnsupportedParams,
-)
+from .errors import CertificationFailed, InvalidInput, PreconditionViolated
 from .family import FamilyParams, FamilyRealization
 from .nilpotent import NilpotentCertificate
 from .patterns import Sign, SignPattern, member_of_class
@@ -90,8 +85,6 @@ def jacobian_matrix(x: FamilyRealization) -> np.ndarray:
     affine in every single parameter.
     """
     n, r = x.params.n, x.params.r
-    if r >= n:
-        raise UnsupportedParams("family Jacobian requires r < n")
 
     def av(j):
         return 1.0 if j == 0 else x.a[j - 1]
@@ -169,8 +162,6 @@ def det_A_closed(k: int, p: FamilyParams, cert: NilpotentCertificate) -> float:
     """
     if not (0 <= k < p.n):
         raise InvalidInput(f"need 0 <= k < n, got k={k}")
-    if p.r >= p.n:
-        raise UnsupportedParams("closed form requires r < n")
     if k == 0:
         return 1.0
     sign = -1.0 if k % 2 else 1.0

@@ -196,6 +196,12 @@ def _sample_parameters(
     return 10.0 ** rng.uniform(-2.0, 1.0, size=(m, count))
 
 
+def _check_samples(samples: int) -> None:
+    # zero samples would confirm every sign claim vacuously
+    if samples < 1:
+        raise InvalidInput(f"need at least one sample, got {samples}")
+
+
 def confirm_fixed_sign(
     p: FamilyParams,
     deleted: tuple[int, int],
@@ -210,7 +216,9 @@ def confirm_fixed_sign(
     deleted entry, and checks that coefficient ``index`` keeps the
     claimed strict sign in every sample.  Every deletion, the (n, n)
     corner included, is evaluated through the closed-form coefficient map.
+    Raises InvalidInput for ``samples < 1``.
     """
+    _check_samples(samples)
     n, r = p.n, p.r
     roles = _family_positions(p)
     role = roles.get(tuple(deleted))
@@ -238,7 +246,8 @@ def verify_msap(
     The verdict is True iff each deletion is obstructed; fixed-sign claims
     are additionally confirmed on seeded samples and a failed confirmation
     (which would indicate a bug, not a property of the pattern) clears the
-    verdict.
+    verdict.  Raises InvalidInput for ``samples < 1`` (through the first
+    confirmation).
     """
     S = build_pattern(p)
     rows = []
@@ -279,10 +288,12 @@ def obstruction_scan(
     coefficient that keeps one strict sign over all sampled realizations
     of the deleted pattern is reported with ``certified: False``.  Absence
     of an obstruction yields verdict False, which is not a claim that any
-    subpattern is spectrally arbitrary.
+    subpattern is spectrally arbitrary.  Raises InvalidInput for
+    ``samples < 1``.
     """
     if not S.is_square:
         raise InvalidInput("pattern must be square")
+    _check_samples(samples)
     rng = np.random.default_rng(seed)
     rows = []
     verdict = True

@@ -19,9 +19,8 @@ import functools
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .charpoly import char_coeffs
-from .errors import CertificationFailed, PreconditionViolated, UnsupportedParams
-from .family import FamilyParams, FamilyRealization, build_matrix, coeff_map, eliminate
+from .errors import CertificationFailed, PreconditionViolated
+from .family import FamilyParams, FamilyRealization, coeff_map, eliminate
 from .polyroots import (
     IntPolynomial,
     RootBracket,
@@ -83,20 +82,14 @@ class NilpotentCertificate:
         }
 
 
+@functools.lru_cache(maxsize=None)
 def recurrence_polys(p: FamilyParams) -> tuple[tuple[IntPolynomial, ...], IntPolynomial]:
     """Exact recurrence polynomials (a_0 .. a_{n-1}) and the closing h.
 
-    Requires r < n; the r = n construction does not use the recurrence.
+    Defined for every 2 <= r <= n; at r = n every a_j is the constant 1
+    and h(t) = 1 - t.
     """
-    n, r = p.n, p.r
-    if r >= n:
-        raise UnsupportedParams("recurrence requires r < n")
-    return _recurrence_cached(n, r)
-
-
-@functools.lru_cache(maxsize=None)
-def _recurrence_cached(n: int, r: int):
-    _, a, g = eliminate(n, r, (0,) * n)
+    _, a, g = eliminate(p.n, p.r, (0,) * p.n)
     return tuple(a), IntPolynomial(()).subtract(g)
 
 
@@ -142,24 +135,22 @@ def verify_min_chain(p: FamilyParams) -> bool:
     """Certify the strict order of the smallest positive roots.
 
     t_h < t_{n-1} < ... < t_{r+1} < t_r = 1, where t_q is the smallest
-    positive root of q.  Each link (prev, q) is a separation certificate:
-    a dyadic s with count(prev, (0, s]) = 0 and count(q, (0, s]) >= 1 by
-    Sturm count, so t_q <= s < t_prev; the roots themselves are never
-    refined.  Read through the Intermediate Value Theorem: every a_j
+    positive root of q (at r = n the chain is t_h = 1).  Each link
+    (prev, q) is a separation certificate: a dyadic s with
+    count(prev, (0, s]) = 0 and count(q, (0, s]) >= 1 by Sturm count, so
+    t_q <= s < t_prev; the roots themselves are never refined.  Read through the Intermediate Value Theorem: every a_j
     starts at a_j(0) = 1 and has no root in (0, t_h], so it is positive
     on [0, t_h], which is what the nilpotent point needs.  The verdict is
     memoized per (n, r).
     """
-    n, r = p.n, p.r
-    if r >= n:
-        raise UnsupportedParams("chain is defined for r < n")
-    return _min_chain_verdict(n, r)
+    return _min_chain_verdict(p.n, p.r)
 
 
 @functools.lru_cache(maxsize=None)
 def _min_chain_verdict(n: int, r: int) -> bool:
-    a, _ = recurrence_polys(FamilyParams(n, r))
-    if a[r].coeffs != (1, -1):  # a_r(t) = 1 - t, root exactly 1
+    a, h = recurrence_polys(FamilyParams(n, r))
+    # a_r(t) = 1 - t, root exactly 1; at r = n that polynomial is h itself
+    if (a + (h,))[r].coeffs != (1, -1):
         return False
     chains = _a_chains(n, r)[r:] + (_h_min_root(n, r)[1].sturm(),)
     return all(_root_below(prev, q) for prev, q in zip(chains, chains[1:]))
@@ -196,62 +187,39 @@ def nilpotent_realization(
 ) -> NilpotentCertificate:
     """Construct and certify a nilpotent realization for the parameters.
 
-    For r = n all parameters equal to one already close the system, so no
-    root isolation is involved; otherwise the smallest positive root of h
-    is isolated, every a_j is certified positive on the bracket, and the
-    coefficient residual of the emitted realization is checked against
-    RESIDUAL_TOL_PER_N * n.
+    The smallest positive root of h is isolated (at r = n, h = 1 - t and
+    the root is exactly 1), every a_j is certified positive on the
+    bracket, and the coefficient residual of the emitted realization is
+    checked against RESIDUAL_TOL_PER_N * n.
     """
     if precision not in ("double", "extended"):
         raise PreconditionViolated(f"unknown precision mode {precision!r}")
     n, r = p.n, p.r
-    if r == n:
-        closing = IntPolynomial((1, -1))  # 1 - t, the r = n closing identity
-        delta = Fraction(1, 2**60)
-        bracket = RootBracket(lo=1 - delta, hi=1 + delta, poly=closing, exact=Fraction(1))
-        a0 = (1.0,) * (n - 1)
-        reali = FamilyRealization(params=p, a=a0, b=1.0)
-        residual = (
-            0.0
-            if precision == "extended"
-            else max(abs(v) for v in char_coeffs(build_matrix(reali)))
-        )
-        cert = NilpotentCertificate(
-            params=p,
-            t_h=1.0,
-            bracket=bracket,
-            a0=a0,
-            residual=residual,
-            chain_verified=True,
-            a0_margins=(1.0,) * (n - 1),
-            precision_mode=precision,
-        )
+    a_polys, _h = recurrence_polys(p)
+    chains = _a_chains(n, r)
+    t_float, bracket = _h_min_root(n, r)
+    t_mid = bracket.midpoint
+    a0 = []
+    margins = []
+    for j in range(1, n):
+        qj = a_polys[j]
+        margins.append(_certify_positive_on_bracket(qj, chains[j], bracket))
+        a0.append(float(qj(t_mid)))
+    reali = FamilyRealization(params=p, a=tuple(a0), b=t_float)
+    if precision == "extended":
+        residual = _exact_alpha_residual(p, t_mid)
     else:
-        a_polys, _h = recurrence_polys(p)
-        chains = _a_chains(n, r)
-        t_float, bracket = _h_min_root(n, r)
-        t_mid = bracket.midpoint
-        a0 = []
-        margins = []
-        for j in range(1, n):
-            qj = a_polys[j]
-            margins.append(_certify_positive_on_bracket(qj, chains[j], bracket))
-            a0.append(float(qj(t_mid)))
-        reali = FamilyRealization(params=p, a=tuple(a0), b=t_float)
-        if precision == "extended":
-            residual = _exact_alpha_residual(p, t_mid)
-        else:
-            residual = max(abs(v) for v in coeff_map(reali))
-        cert = NilpotentCertificate(
-            params=p,
-            t_h=t_float,
-            bracket=bracket,
-            a0=tuple(a0),
-            residual=residual,
-            chain_verified=verify_min_chain(p),
-            a0_margins=tuple(margins),
-            precision_mode=precision,
-        )
+        residual = max(abs(v) for v in coeff_map(reali))
+    cert = NilpotentCertificate(
+        params=p,
+        t_h=t_float,
+        bracket=bracket,
+        a0=tuple(a0),
+        residual=residual,
+        chain_verified=verify_min_chain(p),
+        a0_margins=tuple(margins),
+        precision_mode=precision,
+    )
     if cert.residual > RESIDUAL_TOL_PER_N * n:
         raise CertificationFailed(
             f"coefficient residual {cert.residual:.3e} exceeds "

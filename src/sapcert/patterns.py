@@ -19,6 +19,7 @@ from typing import Iterable, Iterator, Sequence
 import numpy as np
 
 from .errors import DimensionError, InvalidInput
+from .serialize import split_grid_text
 
 
 class Sign(enum.Enum):
@@ -111,23 +112,9 @@ class SignPattern:
     @classmethod
     def from_text(cls, text: str) -> "SignPattern":
         """Parse the ``.sgn`` format; raises InvalidInput with line numbers."""
-        lines = text.splitlines()
-        if not lines:
-            raise InvalidInput("line 1: empty pattern file")
-        header = lines[0].split()
-        if len(header) != 2:
-            raise InvalidInput("line 1: expected 'n m' dimension header")
-        try:
-            n, m = int(header[0]), int(header[1])
-        except ValueError as exc:
-            raise InvalidInput("line 1: non-integer dimensions") from exc
-        if n < 1 or m < 1:
-            raise InvalidInput("line 1: dimensions must be positive")
-        if len(lines) < 1 + n:
-            raise InvalidInput(f"expected {n} pattern rows, found {len(lines) - 1}")
+        m, lines = split_grid_text(text, "pattern")
         grid = []
-        for k in range(n):
-            row = lines[1 + k]
+        for k, row in enumerate(lines):
             if len(row) != m:
                 raise InvalidInput(f"line {k + 2}: expected {m} characters, got {len(row)}")
             try:

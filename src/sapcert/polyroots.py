@@ -30,6 +30,8 @@ from .errors import InvalidInput, NoPositiveRoot, PreconditionViolated
 DEFAULT_WIDTH = Fraction(1, 10**14)
 
 _MAX_BISECTIONS = 4000
+# bisections sign_at_root spends separating q from zero at a bracketed root
+_MAX_SIGN_REFINE = 200
 _RATROOT_COEFF_LIMIT = 10**9
 
 
@@ -450,11 +452,11 @@ def isolate_positive_roots(
     return sorted(brackets, key=lambda b: b.midpoint)
 
 
-def sign_at_root(q: IntPolynomial, bracket: RootBracket, max_refine: int = 200) -> int:
+def sign_at_root(q: IntPolynomial, bracket: RootBracket) -> int:
     """Certified sign of ``q`` at the root enclosed by ``bracket``.
 
     Returns +1/-1 when provable, 0 when the sign could not be separated
-    from zero within ``max_refine`` bisection steps of the bracket
+    from zero within ``_MAX_SIGN_REFINE`` bisection steps of the bracket
     (including the case that the root of the bracket polynomial is also a
     root of ``q``).  The bracket's own chain drives the bisection.
     """
@@ -464,7 +466,7 @@ def sign_at_root(q: IntPolynomial, bracket: RootBracket, max_refine: int = 200) 
     lo, hi = bracket.lo, bracket.hi
     q_chain = None
     v_lo = v_hi = None
-    for _ in range(max_refine):
+    for _ in range(_MAX_SIGN_REFINE):
         s_lo = _sign_at(q.coeffs, lo)
         s_hi = _sign_at(q.coeffs, hi)
         if s_lo == s_hi and s_lo != 0:

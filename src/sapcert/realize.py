@@ -18,6 +18,7 @@ scale is refined upward by dyadic bisection to the largest admissible c.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Sequence
@@ -25,12 +26,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .charpoly import CoeffVector, char_coeffs
-from .errors import (
-    ConvergenceError,
-    InvalidInput,
-    RealizationFailed,
-    UnsupportedParams,
-)
+from .errors import ConvergenceError, InvalidInput, RealizationFailed
 from .family import (
     FamilyParams,
     FamilyRealization,
@@ -187,19 +183,25 @@ def _diagnose_scaled(n: int, r: int, alpha: Sequence[Fraction]) -> str:
     )
 
 
+def _check_target(n: int, target: CoeffVector) -> None:
+    if target.n != n:
+        raise InvalidInput(f"target length {target.n} does not match n={n}")
+    if not all(math.isfinite(v) for v in target.values):
+        raise InvalidInput("target coefficients must be finite")
+
+
 def realize(p: FamilyParams, target: CoeffVector) -> RealizationResult:
     """Matrix in the pattern class whose characteristic coefficients are ``target``.
 
     Tries the unscaled system first, then descends the scaling ladder by
     halving; the first admissible scale is refined upward because the
     delivered accuracy degrades with c^{-n}.  Raises RealizationFailed
-    with the attained diagnostics if the ladder bottoms out.
+    with the attained diagnostics if the ladder bottoms out, and
+    InvalidInput for a target of the wrong length or with a non-finite
+    coefficient.
     """
     n, r = p.n, p.r
-    if r >= n:
-        raise UnsupportedParams("realization requires r < n")
-    if target.n != n:
-        raise InvalidInput(f"target length {target.n} does not match n={n}")
+    _check_target(n, target)
     alpha = [Fraction(v) for v in target.values]
 
     c = Fraction(1)
@@ -303,13 +305,10 @@ def realize_superpattern(
     magnitude eps and the full coefficient system is solved by damped
     Newton seeded at the nilpotent certificate, under the same scaling
     fallback as :func:`realize`.  Eps backs off geometrically when Newton
-    stalls.
+    stalls.  Targets are checked as in :func:`realize`.
     """
     n, r = p.n, p.r
-    if r >= n:
-        raise UnsupportedParams("realization requires r < n")
-    if target.n != n:
-        raise InvalidInput(f"target length {target.n} does not match n={n}")
+    _check_target(n, target)
     base_pattern = build_pattern(p)
     extra = list(extra)
     seen = set()

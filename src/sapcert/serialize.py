@@ -1,4 +1,4 @@
-"""Deterministic output encoding and the matrix file format.
+"""Deterministic output encoding and the matrix and pattern file layout.
 
 JSON numbers are written with 17 significant digits so that doubles
 round-trip and repeated runs are byte-identical.
@@ -55,11 +55,15 @@ def _write(obj, parts: list[str]):
         raise InvalidInput(f"cannot serialize {type(obj).__name__}")
 
 
-def parse_matrix_text(text: str) -> np.ndarray:
-    """Parse the ``.mat`` format: 'n m' header, then n rows of m numbers."""
+def split_grid_text(text: str, noun: str) -> tuple[int, list[str]]:
+    """Header and rows of the ``.sgn`` and ``.mat`` formats.
+
+    Checks the 'n m' header and that n rows follow; returns m and the n
+    row lines.  ``noun`` names the file kind in the error messages.
+    """
     lines = text.splitlines()
     if not lines:
-        raise InvalidInput("line 1: empty matrix file")
+        raise InvalidInput(f"line 1: empty {noun} file")
     header = lines[0].split()
     if len(header) != 2:
         raise InvalidInput("line 1: expected 'n m' dimension header")
@@ -70,10 +74,16 @@ def parse_matrix_text(text: str) -> np.ndarray:
     if n < 1 or m < 1:
         raise InvalidInput("line 1: dimensions must be positive")
     if len(lines) < 1 + n:
-        raise InvalidInput(f"expected {n} matrix rows, found {len(lines) - 1}")
+        raise InvalidInput(f"expected {n} {noun} rows, found {len(lines) - 1}")
+    return m, lines[1 : 1 + n]
+
+
+def parse_matrix_text(text: str) -> np.ndarray:
+    """Parse the ``.mat`` format: 'n m' header, then n rows of m numbers."""
+    m, lines = split_grid_text(text, "matrix")
     rows = []
-    for k in range(n):
-        fields = lines[1 + k].split()
+    for k, line in enumerate(lines):
+        fields = line.split()
         if len(fields) != m:
             raise InvalidInput(f"line {k + 2}: expected {m} values, got {len(fields)}")
         row = []

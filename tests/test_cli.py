@@ -58,10 +58,37 @@ def test_jacobian_large_n(capsys):
     assert json.loads(out)["positive"] is True
 
 
-def test_jacobian_r_equal_n_unsupported(capsys):
-    code, _, err = run(capsys, "jacobian", "--n", "4", "--r", "4")
-    assert code == 65
-    assert "r < n" in err
+def test_jacobian_r_equal_n(capsys):
+    code, out, _ = run(capsys, "jacobian", "--n", "4", "--r", "4")
+    assert code == 0
+    payload = json.loads(out)
+    assert payload["det_lu"] == payload["det_blocks"] == 1.0
+    assert payload["positive"] is True
+
+
+@pytest.mark.parametrize(
+    "flag,value", [("--monic", "nan,1,1"), ("--monic", "inf,1,1"), ("--eigs", "nan,1,1")]
+)
+def test_realize_non_finite_target_is_usage_error(capsys, flag, value):
+    code, out, err = run(capsys, "realize", "--n", "3", "--r", "2", flag, value)
+    assert code == 64
+    assert out == ""
+    assert "finite" in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("msap", "--n", "3", "--r", "2", "--samples", "-1"),
+        ("msap", "--n", "3", "--r", "2", "--samples", "0"),
+        ("sweep", "--n-max", "3", "--samples", "-2"),
+    ],
+)
+def test_sample_count_below_one_is_usage_error(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == 64
+    assert out == ""
+    assert "at least one sample" in err
 
 
 def test_realize_monic(capsys):

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from sapcert.charpoly import char_coeffs, char_coeffs_oracle
-from sapcert.errors import InvalidInput, UnsupportedParams
+from sapcert.errors import InvalidInput
 from sapcert.family import (
     FamilyParams,
     FamilyRealization,
@@ -103,10 +103,17 @@ def test_coeff_map_hand_example_4_2():
     assert coeff_map(x).values == pytest.approx((0.0, 2.0, 2.0, -1.0))
 
 
-def test_coeff_map_refuses_r_equal_n():
-    x = FamilyRealization(FamilyParams(3, 3), a=(1.0, 1.0), b=1.0)
-    with pytest.raises(UnsupportedParams):
-        coeff_map(x)
+def test_coeff_map_r_equal_n_matches_oracle():
+    rng = np.random.default_rng(14)
+    for n in range(2, 13):
+        x = FamilyRealization(
+            FamilyParams(n, n),
+            a=tuple(rng.uniform(0.05, 4.0, n - 1)),
+            b=float(rng.uniform(0.05, 4.0)),
+        )
+        oracle = char_coeffs_oracle(build_matrix(x)).values
+        scale = max(1.0, max(x.a), x.b) ** n
+        assert np.allclose(coeff_map(x).values, oracle, rtol=0, atol=1e-10 * scale), n
 
 
 def test_coeff_map_matches_char_coeffs():

@@ -1,11 +1,12 @@
 """Golden CLI outputs: sha256 of stdout and the exit code of fixed invocations.
 
-The digests pin the deterministic stdout of ``nilpotent``, ``sweep`` and
-``realize --monic`` (one unscaled target, one that takes the scaling
-ladder, and one whose closing polynomial has the positive rational roots
-1 and 7, so that it goes through deflation).  A refactor must leave every one of them byte-identical; an
-intended output change updates the digest here and is logged with its
-reason in CHANGES.md.
+The digests pin the deterministic stdout of ``nilpotent``, ``jacobian``,
+``msap``, ``sweep`` and ``realize --monic`` (one unscaled target, one that
+takes the scaling ladder, and one whose closing polynomial has the
+positive rational roots 1 and 7, so that it goes through deflation), with
+r = n cases for ``nilpotent``, ``jacobian`` and ``realize``.  A refactor
+must leave every one of them byte-identical; an intended output change
+updates the digest here and is logged with its reason in CHANGES.md.
 """
 
 import hashlib
@@ -33,6 +34,21 @@ GOLDEN = [
     ('nilpotent --n 80 --r 79 --format json', 0, 'c6ccc7d326a7018f4077d1a33f5bde46cb9ae1d07669cb3ee68972c82d5244a5'),
     ('nilpotent --n 80 --r 79 --format csv', 0, 'd2e3510026941890770abad86dc959f8e5ed126f43a24fb1e9a2e3f3cbf581f4'),
     ('nilpotent --n 80 --r 79 --format text', 0, '0c9cd176ee678ca4f0848d27e89d5d981284be77d405d4f50e3314feeef3e82c'),
+    ('jacobian --n 12 --r 5 --format json', 0, '44e86e2e81e333367f1a21b8ce9d8bed3aa4f23946815e656899221e012f0dfe'),
+    ('jacobian --n 12 --r 5 --format csv', 0, 'aeb769446aed3760f5b910b8a25c894d3dfb8aec397b7603d5101203d7baf4ce'),
+    ('jacobian --n 12 --r 5 --format text', 0, '979038f041bf04342b8924d1dc55b8f46b67257e8bdd44c64afac44c74aa32a2'),
+    ('msap --n 6 --r 3 --format json', 0, '2cd72bff5beeca439db3f436a27c7a49cc06bf3189b8b8f6b849534ff3266cde'),
+    ('msap --n 6 --r 3 --format csv', 0, 'db9b7a357423033ee1847fc53470f0fdff9037ef7597f13f1db3199eaea17c6e'),
+    ('msap --n 6 --r 3 --format text', 0, '911ecf23b35ae53a05c6a0e2a506f12033e196dece42acd46dbbdffa1a08a380'),
+    ('nilpotent --n 4 --r 4 --format json', 0, '83360bf8d16fa8d4663470a225e5a1d52dce0d916a517dfe8da47ea3cb76dccf'),
+    ('nilpotent --n 4 --r 4 --format csv', 0, 'fb0cb0723e40220192b5cb74e42de9de81ff0260c8028eda4661827f788fade5'),
+    ('nilpotent --n 4 --r 4 --format text', 0, 'e8adc4c497bb8030d8a61b31b5eb68a85056e1a15606a55282e35788131273c4'),
+    ('jacobian --n 4 --r 4 --format json', 0, '734de772e88acc810d8c64c2aa26df9c0aa580172a5203b5be4bb966e9ca13a7'),
+    ('jacobian --n 4 --r 4 --format csv', 0, '22e84ea505a474725a87e2d6a55973e3de3e4b8e9328d50d7261b80e25681ba9'),
+    ('jacobian --n 4 --r 4 --format text', 0, '3cb6f87755ac19a41a1d145e333a8a20474f90cc46b2fb60eabd45e868c59d4e'),
+    ('realize --n 4 --r 4 --monic -10,35,-50,24 --format json', 0, '10ae730f83f4727e90fa9bbce58a38ccdcaa48b2bcfcd295aa54965e22176491'),
+    ('realize --n 4 --r 4 --monic -10,35,-50,24 --format csv', 0, '2f10860bdf0b5719393109377576a40fc4c48b82517d3ab2db9f2fea1ed794f9'),
+    ('realize --n 4 --r 4 --monic -10,35,-50,24 --format text', 0, '5ed695db968c2cac7b4a4d72eac73acacc9acdb79d11845d9741d6ada556bf61'),
     ('sweep --n-max 12 --format json', 0, '6c2d2479dda74494ebed4a2a7991289da5c19c98a19732762d436351d39f2e5b'),
     ('sweep --n-max 12 --format csv', 0, '3dc9fc77f25f9be34b63959980dac7ed8bdbb0fabc23cda7c886f67b13dd9edd'),
     ('sweep --n-max 12 --format text', 0, '41168fd99bcf23713459fdb1ed7b597b4104e9e03de64317282dcff1200688d8'),

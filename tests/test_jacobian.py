@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from sapcert.errors import InvalidInput, PreconditionViolated, UnsupportedParams
+from sapcert.charpoly import char_coeffs_oracle
+from sapcert.errors import InvalidInput, PreconditionViolated
 from sapcert.family import (
     FamilyParams,
     FamilyRealization,
@@ -30,10 +31,30 @@ def test_jacobian_matrix_3_2_hand_value():
     assert J.tolist() == [[1, 0, 0], [-1, 1, 1], [0.5, -1, 1]]
 
 
-def test_jacobian_matrix_refuses_r_equal_n():
-    x = FamilyRealization(FamilyParams(3, 3), a=(1.0, 1.0), b=1.0)
-    with pytest.raises(UnsupportedParams):
-        jacobian_matrix(x)
+def test_jacobian_r_equal_n_matches_oracle():
+    # every coefficient is affine in each single parameter, so a unit
+    # forward difference of the oracle is the exact partial derivative
+    rng = np.random.default_rng(32)
+    for n in range(2, 13):
+        p = FamilyParams(n, n)
+        x = FamilyRealization(
+            p, a=tuple(rng.uniform(0.2, 3.0, n - 1)), b=float(rng.uniform(0.2, 3.0))
+        )
+        base = np.array(list(x.a) + [x.b])
+
+        def oracle_at(v):
+            point = FamilyRealization(p, a=tuple(v[:-1]), b=float(v[-1]))
+            return np.array(char_coeffs_oracle(build_matrix(point)).values)
+
+        f0 = oracle_at(base)
+        fd = np.column_stack([oracle_at(base + np.eye(n)[k]) - f0 for k in range(n)])
+        assert np.allclose(jacobian_matrix(x), fd, rtol=0, atol=1e-9 * 4.0**n), n
+        cert = nilpotent_realization(p)
+        report = jacobian_det(cert.realization())
+        assert report.det_lu == report.det_blocks == 1.0
+        assert report.positive
+        for k in range(n):
+            assert det_A_closed(k, p, cert) == (-1.0) ** k
 
 
 def _fd_jacobian(x: FamilyRealization) -> np.ndarray:

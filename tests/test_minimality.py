@@ -165,7 +165,7 @@ def test_verify_msap_2_2():
     assert kinds[(1, 1)] == FIXED_SIGN_COEFF
 
 
-@pytest.mark.parametrize("n", range(2, 9))
+@pytest.mark.parametrize("n", range(2, 13))
 def test_verify_msap_sweep(n):
     for r in range(2, n + 1):
         report = verify_msap(FamilyParams(n, r), samples=200, seed=1)
@@ -214,6 +214,21 @@ def test_obstruction_scan_sampled_detail_not_certified():
     assert obs.kind == FIXED_SIGN_COEFF
     assert obs.detail["index"] == 1 and obs.detail["sign"] == "-"
     assert obs.detail["certified"] is False
+
+
+@pytest.mark.parametrize("samples", [0, -1])
+def test_sample_count_below_one_is_rejected(samples):
+    # zero samples would confirm every fixed-sign claim vacuously: this
+    # pattern scans False on real samples
+    S = SignPattern.from_rows(["+-+", "+--", "-+-"])
+    assert not obstruction_scan(S, samples=1000).verdict
+    p = FamilyParams(4, 2)
+    with pytest.raises(InvalidInput, match="at least one sample"):
+        obstruction_scan(S, samples=samples)
+    with pytest.raises(InvalidInput, match="at least one sample"):
+        verify_msap(p, samples=samples)
+    with pytest.raises(InvalidInput, match="at least one sample"):
+        confirm_fixed_sign(p, (0, 0), 1, "-", samples=samples)
 
 
 def test_msap_report_json_layout():

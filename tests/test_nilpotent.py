@@ -3,8 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from sapcert.charpoly import char_coeffs, spectrum
-from sapcert.errors import UnsupportedParams
+from sapcert.charpoly import char_coeffs, char_coeffs_oracle, spectrum
 from sapcert.family import FamilyParams, build_matrix, build_pattern, coeff_map
 import sapcert.nilpotent as nilpotent
 from sapcert.nilpotent import (
@@ -37,9 +36,11 @@ def test_recurrence_5_3():
     assert h.coeffs == (1, -3)  # 1 - 3t
 
 
-def test_recurrence_refuses_r_equal_n():
-    with pytest.raises(UnsupportedParams):
-        recurrence_polys(FamilyParams(4, 4))
+def test_recurrence_r_equal_n():
+    for n in range(2, 13):
+        a, h = recurrence_polys(FamilyParams(n, n))
+        assert [q.coeffs for q in a] == [(1,)] * n
+        assert h.coeffs == (1, -1)  # 1 - t
 
 
 def test_recurrence_exactness_properties():
@@ -200,6 +201,17 @@ def test_certificate_json_schema():
     assert lo < Fraction(1, 2) < hi
 
 
-def test_chain_refuses_r_equal_n():
-    with pytest.raises(UnsupportedParams):
-        verify_min_chain(FamilyParams(5, 5))
+def test_certificate_r_equal_n_through_the_recurrence():
+    for n in range(2, 13):
+        p = FamilyParams(n, n)
+        assert verify_min_chain(p)
+        for precision in ("double", "extended"):
+            cert = nilpotent_realization(p, precision=precision)
+            assert cert.chain_verified
+            assert cert.t_h == 1.0 and cert.a0 == (1.0,) * (n - 1)
+            assert all(m > 0 for m in cert.a0_margins)
+            assert cert.bracket.lo < 1 < cert.bracket.hi
+            assert cert.bracket.width <= Fraction(1, 2**70)
+            assert cert.residual == 0.0
+            oracle = char_coeffs_oracle(build_matrix(cert.realization())).values
+            assert oracle == (0.0,) * n

@@ -1,8 +1,8 @@
 import numpy as np
 import pytest
 
-from sapcert.charpoly import CoeffVector, char_coeffs, spectrum
-from sapcert.errors import ConvergenceError, InvalidInput, UnsupportedParams
+from sapcert.charpoly import CoeffVector, char_coeffs, char_coeffs_oracle, spectrum
+from sapcert.errors import ConvergenceError, InvalidInput
 from sapcert.family import FamilyParams, build_pattern
 from sapcert.nilpotent import nilpotent_realization
 from sapcert.patterns import Sign, is_superpattern, member_of_class, member_of_class_tol
@@ -28,11 +28,33 @@ def test_realize_3_2_hand_elimination():
     assert eigs == pytest.approx((1.0, 2.0, 3.0), abs=1e-6)
 
 
-def test_realize_requires_matching_length_and_r_lt_n():
+def test_realize_requires_matching_length():
     with pytest.raises(InvalidInput):
         realize(FamilyParams(3, 2), CoeffVector((1.0, 2.0)))
-    with pytest.raises(UnsupportedParams):
-        realize(FamilyParams(3, 3), CoeffVector((1.0, 2.0, 3.0)))
+
+
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
+def test_realize_rejects_non_finite_targets(bad):
+    target = CoeffVector((bad, 1.0, 1.0))
+    with pytest.raises(InvalidInput, match="finite"):
+        realize(FamilyParams(3, 2), target)
+    with pytest.raises(InvalidInput, match="finite"):
+        realize_superpattern(FamilyParams(3, 2), [], target)
+
+
+def test_realize_r_equal_n_round_trips_against_oracle():
+    rng = np.random.default_rng(43)
+    for n in range(2, 13):
+        p = FamilyParams(n, n)
+        pat = build_pattern(p)
+        for _ in range(5):
+            alpha = tuple(rng.uniform(-5, 5, n))
+            res = realize(p, CoeffVector(alpha))
+            assert member_of_class(res.matrix, pat)
+            scale = max(1.0, max(abs(v) for v in alpha))
+            assert res.residual <= 1e-8 * scale
+            oracle = char_coeffs_oracle(res.matrix).values
+            assert np.allclose(oracle, alpha, rtol=0, atol=1e-7 * scale), (n, alpha)
 
 
 def test_realize_random_targets_4_2():

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from sapcert.errors import InvalidInput
+from sapcert.patterns import SignPattern
 from sapcert.serialize import (
     format_matrix_text,
     json_dumps,
@@ -45,6 +46,23 @@ def test_matrix_parse_diagnostics():
         parse_matrix_text("2 2\n1 2\n3\n")
     with pytest.raises(InvalidInput, match="line 2, column 2"):
         parse_matrix_text("1 2\n1 x\n")
+
+
+@pytest.mark.parametrize(
+    "text,message",
+    [
+        ("", "line 1: empty {} file"),
+        ("2\n", "line 1: expected 'n m' dimension header"),
+        ("2 x\n", "line 1: non-integer dimensions"),
+        ("0 2\n", "line 1: dimensions must be positive"),
+        ("2 2\n+-\n", "expected 2 {} rows, found 1"),
+    ],
+)
+def test_grid_header_messages_shared_by_both_formats(text, message):
+    for parse, noun in ((parse_matrix_text, "matrix"), (SignPattern.from_text, "pattern")):
+        with pytest.raises(InvalidInput) as info:
+            parse(text)
+        assert str(info.value) == message.format(noun)
 
 
 def test_parse_complex_list():
