@@ -7,23 +7,28 @@ exists.  Grid scanning can miss close root pairs; counting cannot.
 
 The Sturm chain is a fraction-free remainder sequence: each
 pseudo-remainder is scaled by a positive factor, which keeps its signs,
-and divided by its content.  Isolation stops at the width the caller asks
-for and a bracket is narrowed only on demand (:func:`refine`), one
-certified bisection step (:func:`halve`) at a time, with the chain built
-once and carried by the bracket.
+and divided by its content.  :func:`positive_roots` is the one isolation
+routine: a lazy, leftmost-first subdivision on the square-free part of
+the polynomial that yields one-root brackets in increasing order, so a
+caller that needs only the first admissible root stops there; a rational
+root is recognised and centred on the first interval that holds it
+alone.  Isolation stops at the width the caller asks for and a bracket
+is narrowed only on demand (:func:`refine`), one certified bisection
+step (:func:`halve`) at a time, with the chain built once and carried
+by the bracket.
 
 Every polynomial in the package is an :class:`IntPolynomial`.  Signs and
 values at rational points are evaluated homogeneously in integer
-arithmetic, which keeps deep bisection cheap, and positive rational roots
-are divided out in integers (Gauss's lemma makes the division by
-den*x - num exact).
+arithmetic, which keeps deep bisection cheap.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import gcd, isqrt
+from math import ceil, gcd, isqrt
+from typing import Iterator
 
 from .errors import InvalidInput, NoPositiveRoot, PreconditionViolated
 
@@ -107,12 +112,13 @@ class IntPolynomial:
 class RootBracket:
     """Certified enclosure of a single positive root.
 
-    The Sturm count of ``poly`` on (lo, hi] is one, ``poly`` changes sign
-    across (lo, hi) unless the root is a deflated rational one of even
-    multiplicity, and the count on (0, lo] is zero when produced by
+    The Sturm count of ``poly`` on (lo, hi] is one; ``poly`` from
+    :func:`positive_roots` is square-free, so it changes sign across the
+    bracket, and the count on (0, lo] is zero when produced by
     :func:`min_positive_root`.  ``exact`` is set when the root is a known
-    rational: a root found by deflation lies strictly inside (lo, hi), a
-    bisection midpoint that hit the root is ``hi``.  ``chain`` is the Sturm
+    rational, which lies strictly inside (lo, hi) in every bracket from
+    :func:`positive_roots`; :func:`refine` stops at a bisection midpoint
+    that hits the root and keeps it as ``hi``.  ``chain`` is the Sturm
     chain of ``poly``, built at most once (:meth:`sturm`) and passed on to
     refined brackets.
     """
@@ -282,62 +288,139 @@ def _divisors(n: int) -> list[int]:
     return sorted(out)
 
 
-def _divide_out(ints: list[int], root: Fraction) -> list[int]:
-    # quotient by (den x - num) for root = num/den; by Gauss's lemma it is
-    # exact in integers when ``ints`` is primitive and ``root`` a root
-    num, den = root.numerator, root.denominator
-    out = [0] * (len(ints) - 1)
-    acc = 0
-    for i in range(len(ints) - 1, 0, -1):
-        acc = (ints[i] + num * acc) // den
-        out[i - 1] = acc
-    return out
+def _exact_quotient(num: tuple[int, ...], den: tuple[int, ...]) -> tuple[int, ...]:
+    # num / den for a primitive factor den of num: by Gauss's lemma every
+    # quotient coefficient is an integer, so the long division is exact
+    rem = list(num)
+    out = [0] * (len(num) - len(den) + 1)
+    for k in range(len(out) - 1, -1, -1):
+        c = rem[k + len(den) - 1] // den[-1]
+        out[k] = c
+        for i, d in enumerate(den):
+            rem[k + i] -= c * d
+    return tuple(out)
 
 
-def _centred(p: IntPolynomial, exact: Fraction, delta: Fraction, alone):
-    """(exact - delta, exact + delta) around the rational root ``exact`` of ``p``.
+def _square_free(ints: tuple[int, ...]) -> tuple[IntPolynomial, tuple[tuple[int, ...], ...]]:
+    """The primitive ``ints`` divided by gcd(p, p'), with its Sturm chain.
 
-    ``delta`` is halved until neither end is a root of ``p`` and
-    ``alone(lo, hi)`` holds: the caller's proof that no other root of
-    ``p`` lies in (lo, hi].
+    At a repeated root every member of the chain of p vanishes, so a
+    subdivision midpoint that hits one loses count; the square-free part
+    has the same distinct roots and no such points.
+    """
+    poly = IntPolynomial(ints)
+    chain = sturm_chain(poly)
+    g = _content_free(chain[-1])
+    if len(g) == 1:
+        return poly, chain
+    poly = IntPolynomial(_exact_quotient(ints, g))
+    return poly, sturm_chain(poly)
+
+
+def _rational_root(ints, lo: Fraction, hi: Fraction, nums: list[int], dens: list[int]):
+    """The root num/den of ``ints`` in (lo, hi] with num in ``nums`` and den in ``dens``, or None.
+
+    (lo, hi] holds one simple root, so the sign at a candidate tells its
+    side; for each den the sorted numerators in (lo * den, hi * den] are
+    bisected by sign, which narrows (lo, hi] for the next den.
+    """
+    s_hi = _sign_at(ints, hi)
+    for den in dens:
+        i, j = bisect_right(nums, lo * den), bisect_right(nums, hi * den)
+        while i < j:
+            k = (i + j) // 2
+            x = Fraction(nums[k], den)
+            s = _sign_at(ints, x)
+            if s == 0:
+                return x
+            if s == s_hi:
+                hi, j = x, k
+            else:
+                lo, i = x, k + 1
+    return None
+
+
+def _centred(poly: IntPolynomial, chain, exact: Fraction, delta: Fraction):
+    """(exact - delta, exact + delta) around the root ``exact`` of ``poly``.
+
+    ``delta`` is halved until 0 < lo, neither end is a root of ``poly``
+    and ``chain`` counts one root, the centre, on (lo, hi].
     """
     lo, hi = exact - delta, exact + delta
-    while not alone(lo, hi) or _sign_at(p.coeffs, lo) == 0 or _sign_at(p.coeffs, hi) == 0:
+    while (
+        lo <= 0
+        or _sign_at(poly.coeffs, lo) == 0
+        or _sign_at(poly.coeffs, hi) == 0
+        or count_roots(chain, lo, hi) != 1
+    ):
         delta /= 2
         lo, hi = exact - delta, exact + delta
     return lo, hi
 
 
-def positive_rational_roots(p: IntPolynomial) -> list[Fraction]:
-    """Exact positive rational roots, each listed once.
+def positive_roots(p: IntPolynomial, width: Fraction = DEFAULT_WIDTH) -> Iterator[RootBracket]:
+    """Brackets for the distinct positive roots of ``p``, lazily, in increasing order.
 
-    Candidate enumeration needs the constant and leading coefficients
-    factored, so this gives up (returns []) when they are too large; the
-    bisection path stays fully general either way.
+    Works on the primitive part of ``p`` with its roots at zero divided
+    out, and on the square-free part of that when gcd(p, p') is not
+    constant.  A leftmost-first Sturm subdivision of (0, cauchy_bound(p)]
+    yields each bracket as soon as it holds one root and is at most
+    ``width`` wide; isolate coarsely and :func:`refine` only the brackets
+    that are used.  Rational roots num/den, num dividing the constant and
+    den the leading coefficient (both at most 1e9), are looked for once,
+    on the first interval that holds the root alone; one found there, or a
+    midpoint that hits a root, is reported as ``exact`` and centred at once
+    in a bracket that holds no other root.  Each bracket lies right of the
+    one before.
     """
-    cs = list(p.coeffs)
-    shift = 0
-    while cs and cs[0] == 0:
-        cs.pop(0)
-        shift += 1
-    if not cs or len(cs) == 1:
-        return []
-    c0, lead = abs(cs[0]), abs(cs[-1])
-    if c0 > _RATROOT_COEFF_LIMIT or lead > _RATROOT_COEFF_LIMIT:
-        return []
-    roots = []
-    for num in _divisors(c0):
-        for den in _divisors(lead):
-            cand = Fraction(num, den)
-            if cand not in roots and p(cand) == 0:
-                roots.append(cand)
-    return sorted(roots)
+    if p.is_zero:
+        raise InvalidInput("cannot isolate roots of the zero polynomial")
+    lowest = next(i for i, c in enumerate(p.coeffs) if c)  # roots at zero are not positive
+    work = _content_free(p.coeffs[lowest:])
+    if len(work) < 2:
+        return
+    poly, chain = _square_free(work)
+    candidates = None  # sorted divisors of poly(0) and lead, on the first search
+    zero, bound = Fraction(0), cauchy_bound(p)
+    # searched: an enclosing interval with one root held no rational root
+    pending = [(zero, bound, sign_variations(chain, zero), sign_variations(chain, bound), False)]
+    floor = zero  # hi of the last bracket; a centred one can reach past its parent
+    for _ in range(_MAX_BISECTIONS * len(work)):
+        if not pending:
+            return
+        lo, hi, v_lo, v_hi, searched = pending.pop()
+        if v_lo == v_hi:
+            continue
+        narrow = hi - lo <= width
+        if v_lo - v_hi == 1 and lo >= floor:
+            exact = hi if narrow and _sign_at(poly.coeffs, hi) == 0 else None
+            if exact is None and not searched:
+                if candidates is None:
+                    c0, lead = abs(poly.coeffs[0]), abs(poly.coeffs[-1])
+                    small = c0 <= _RATROOT_COEFF_LIMIT and lead <= _RATROOT_COEFF_LIMIT
+                    candidates = (_divisors(c0), _divisors(lead)) if small else ([], [])
+                exact = _rational_root(poly.coeffs, lo, hi, *candidates)
+                searched = True
+            if exact is not None:
+                # centred on the cell that bisecting on to ``width`` ends in,
+                # after the fewest halvings k with 2^k >= cells
+                cells = ceil((hi - lo) / width)
+                step = (hi - lo) / 2 ** (cells - 1).bit_length()
+                lo, hi = _centred(poly, chain, exact, min(width / 2, (exact - lo) % step or step))
+            if exact is not None or narrow:
+                floor = hi
+                yield RootBracket(lo=lo, hi=hi, poly=poly, exact=exact, chain=chain)
+                continue
+        mid = (lo + hi) / 2
+        v_mid = sign_variations(chain, mid)
+        pending += [(mid, hi, v_mid, v_hi, searched), (lo, mid, v_lo, v_mid, searched)]
+    raise PreconditionViolated("root isolation did not converge")
 
 
 def min_positive_root(
     p: IntPolynomial, width: Fraction = DEFAULT_WIDTH
 ) -> tuple[float, RootBracket]:
-    """Smallest positive root of ``p``, certified.
+    """Smallest positive root of ``p``, certified: the first of :func:`positive_roots`.
 
     Requires p(0) > 0.  The returned bracket (lo, hi) has width at most
     ``width``, contains exactly one root by Sturm count, shows a sign
@@ -348,108 +431,18 @@ def min_positive_root(
         raise NoPositiveRoot("constant polynomial has no positive root")
     if p(0) <= 0:
         raise PreconditionViolated("min_positive_root requires p(0) > 0")
-    chain = sturm_chain(p)
-    bound = cauchy_bound(p)
-    lo, hi = Fraction(0), bound
-    v_lo, v_hi = sign_variations(chain, lo), sign_variations(chain, hi)
-    if v_lo == v_hi:
+    bracket = next(positive_roots(p, width), None)
+    if bracket is None:
         raise NoPositiveRoot("no root on the positive half-axis")
-
-    rational = positive_rational_roots(p)
-
-    # the count on (0, lo] stays zero: a midpoint root is kept as ``hi``
-    for _ in range(_MAX_BISECTIONS):
-        if hi - lo <= width and v_lo - v_hi == 1:
-            break
-        lo, hi, v_lo, v_hi, _ = halve(chain, lo, hi, v_lo, v_hi)
-    else:
-        raise PreconditionViolated("root isolation did not converge")
-
-    exact = next((q for q in rational if lo < q <= hi), None)
-    if exact is None and _sign_at(p.coeffs, hi) == 0:
-        exact = hi  # bisection midpoint landed on the root
-    if exact is not None:
-        # re-center a sign-change bracket around the exact root
-        delta = min(width / 2, exact - lo if exact > lo else width / 2)
-        lo, hi = _centred(p, exact, delta, lambda a, b: count_roots(chain, a, b) == 1)
-
-    s_lo = _sign_at(p.coeffs, lo)
-    s_hi = _sign_at(p.coeffs, hi)
+    s_lo, s_hi = _sign_at(p.coeffs, bracket.lo), _sign_at(p.coeffs, bracket.hi)
     if s_lo == 0 or s_hi == 0 or s_lo == s_hi:
         raise PreconditionViolated(
             "smallest positive root admits no sign-change bracket "
             "(even multiplicity); cannot certify by bisection"
         )
-    if count_roots(chain, Fraction(0), lo) != 0:
+    if count_roots(bracket.sturm(), Fraction(0), bracket.lo) != 0:
         raise PreconditionViolated("a smaller positive root slipped below the bracket")
-    bracket = RootBracket(lo=lo, hi=hi, poly=p, exact=exact, chain=chain)
     return bracket.as_float(), bracket
-
-
-def isolate_positive_roots(
-    p: IntPolynomial, width: Fraction = DEFAULT_WIDTH
-) -> list[RootBracket]:
-    """Brackets for every distinct positive root, in increasing order.
-
-    Exact rational roots are deflated first so that bisection endpoints
-    can never collide with a root; each is centred in a bracket of width
-    at most ``width`` that holds no other root.  Each irrational root gets
-    a certified one-root bracket of width at most ``width``.  Isolate
-    coarsely and :func:`refine` only the brackets that are used.
-    """
-    if p.is_zero:
-        raise InvalidInput("cannot isolate roots of the zero polynomial")
-    if p.degree < 1:
-        return []
-    lowest = next(i for i, c in enumerate(p.coeffs) if c)  # roots at zero are not positive
-    work = list(_content_free(p.coeffs[lowest:]))
-    rational = positive_rational_roots(IntPolynomial(tuple(work)))
-    for q in rational:
-        while len(work) > 1 and _sign_at(work, q) == 0:
-            work = _divide_out(work, q)
-    deflated = IntPolynomial(tuple(work))
-    chain = sturm_chain(deflated) if deflated.degree >= 1 else None
-
-    def alone(lo, hi):
-        # one rational root in (lo, hi], the centre, and no root of the
-        # deflated polynomial; 0 < lo keeps out the roots at zero
-        return (
-            lo > 0
-            and sum(lo < o <= hi for o in rational) == 1
-            and (chain is None or count_roots(chain, lo, hi) == 0)
-        )
-
-    brackets = [
-        RootBracket(*_centred(p, q, width / 2, alone), poly=p, exact=q) for q in rational
-    ]
-
-    if chain is not None:
-        bound = cauchy_bound(deflated)
-        zero = Fraction(0)
-        pending = [(zero, bound, sign_variations(chain, zero), sign_variations(chain, bound))]
-        guard = 0
-        while pending:
-            guard += 1
-            if guard > _MAX_BISECTIONS * (p.degree + 1):
-                raise PreconditionViolated("root isolation did not converge")
-            lo, hi, v_lo, v_hi = pending.pop()
-            cnt = v_lo - v_hi
-            if cnt == 0:
-                continue
-            if cnt == 1 and hi - lo <= width:
-                # right endpoint may be an exact (dyadic) hit from subdivision;
-                # the deflated polynomial certifies the root, so store it:
-                # the original may have deflated rational roots nearby
-                hit = hi if _sign_at(deflated.coeffs, hi) == 0 else None
-                brackets.append(
-                    RootBracket(lo=lo, hi=hi, poly=deflated, exact=hit, chain=chain)
-                )
-                continue
-            mid = (lo + hi) / 2
-            v_mid = sign_variations(chain, mid)
-            pending.append((lo, mid, v_lo, v_mid))
-            pending.append((mid, hi, v_mid, v_hi))
-    return sorted(brackets, key=lambda b: b.midpoint)
 
 
 def sign_at_root(q: IntPolynomial, bracket: RootBracket) -> int:

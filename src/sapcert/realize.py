@@ -21,7 +21,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Sequence
+from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
@@ -36,7 +36,7 @@ from .family import (
 )
 from .nilpotent import nilpotent_realization
 from .patterns import Sign, member_of_class
-from .polyroots import RootBracket, isolate_positive_roots, refine, sign_at_root
+from .polyroots import RootBracket, positive_roots, refine, sign_at_root
 
 RESIDUAL_RTOL = 1e-8
 _LADDER_MAX_HALVINGS = 40
@@ -83,23 +83,23 @@ class _ScaledSolution:
 def _solve_scaled(n: int, r: int, alpha: Sequence[Fraction]) -> _ScaledSolution | None:
     """Admissible solution of the coefficient equations, or None.
 
-    Eliminates a_1..a_{n-1} as polynomials in b, isolates every positive
-    root of the closing polynomial coarsely, and accepts the smallest root
-    at which all first-column values are certifiably positive; only that
-    root's bracket is refined.
+    Eliminates a_1..a_{n-1} as polynomials in b, takes the positive roots
+    of the closing polynomial coarsely and in increasing order, and stops
+    at the first at which all first-column values are certifiably
+    positive; no root past it is isolated, and only its bracket is
+    refined.
     """
     scale, a_polys, g = eliminate(n, r, alpha)
     if g is None:
         return None
 
-    candidates: list[RootBracket] = []
     if g.is_zero:
         # every b solves the closing equation; probe b = 1
-        candidates = [
+        candidates: Iterable[RootBracket] = [
             RootBracket(lo=Fraction(1, 2), hi=Fraction(2), poly=g, exact=Fraction(1))
         ]
-    elif g.degree >= 1:
-        candidates = isolate_positive_roots(g, width=_ISOLATE_WIDTH)
+    else:
+        candidates = positive_roots(g, width=_ISOLATE_WIDTH)
 
     for bracket in candidates:
         if not all(sign_at_root(q, bracket) == 1 for q in a_polys[r:]):
@@ -138,7 +138,13 @@ def _deliver(
         raise RealizationFailed(
             f"delivered matrix left the sign class at scaling {float(c):.3e}"
         )
-    got = char_coeffs(M)
+    with np.errstate(over="ignore", invalid="ignore"):
+        got = char_coeffs(M)
+    if not all(math.isfinite(v) for v in got.values):
+        raise RealizationFailed(
+            "non-finite round trip: the characteristic coefficients of the "
+            f"delivered matrix overflow at scaling {float(c):.3e}"
+        )
     residual = max(abs(g - t) for g, t in zip(got.values, target.values))
     limit = RESIDUAL_RTOL * max(1.0, max(abs(t) for t in target.values))
     if residual > limit:
@@ -168,7 +174,7 @@ def _diagnose_scaled(n: int, r: int, alpha: Sequence[Fraction]) -> str:
     g_signs = "".join("+" if v > 0 else "-" if v < 0 else "0" for v in g.coeffs)
     if g.is_zero or g.degree < 1:
         return f"closing polynomial degenerate (coefficient signs {g_signs})"
-    roots = isolate_positive_roots(g)
+    roots = list(positive_roots(g))
     verdicts = []
     for br in roots:
         worst_j, worst_val = None, None

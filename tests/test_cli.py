@@ -1,7 +1,11 @@
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
+import sapcert
 from sapcert.cli import main
 
 EX22_SGN = "2 2\n+-\n+-\n"
@@ -74,6 +78,27 @@ def test_realize_non_finite_target_is_usage_error(capsys, flag, value):
     assert code == 64
     assert out == ""
     assert "finite" in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("--n", "4", "--r", "2", "--monic", "-1e200,1e200,-1e200,1e200"),
+        ("--n", "3", "--r", "2", "--eigs", "1e200,1,1"),
+    ],
+)
+def test_realize_overflowing_round_trip_fails_without_warnings(argv):
+    # a fresh interpreter, so that stderr is exactly what a user sees
+    src = os.path.dirname(os.path.dirname(sapcert.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    proc = subprocess.run(
+        [sys.executable, "-m", "sapcert.cli", "realize", *argv],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert "non-finite round trip" in proc.stderr
+    assert "RuntimeWarning" not in proc.stderr
 
 
 @pytest.mark.parametrize(

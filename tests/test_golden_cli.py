@@ -3,10 +3,11 @@
 The digests pin the deterministic stdout of ``nilpotent``, ``jacobian``,
 ``msap``, ``sweep`` and ``realize --monic`` (one unscaled target, one that
 takes the scaling ladder, and one whose closing polynomial has the
-positive rational roots 1 and 7, so that it goes through deflation), with
-r = n cases for ``nilpotent``, ``jacobian`` and ``realize``.  A refactor
-must leave every one of them byte-identical; an intended output change
-updates the digest here and is logged with its reason in CHANGES.md.
+positive rational roots 1 and 7, so that it goes through rational-root
+recognition), with r = n cases for ``nilpotent``,
+``jacobian`` and ``realize``.  A refactor must leave every one of them
+byte-identical; an intended output change updates the digest here and is
+logged with its reason in CHANGES.md.
 """
 
 import hashlib

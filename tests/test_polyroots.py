@@ -5,6 +5,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from sapcert import polyroots
 from sapcert.errors import InvalidInput, NoPositiveRoot, PreconditionViolated
 from sapcert.polyroots import (
     IntPolynomial,
@@ -12,9 +13,8 @@ from sapcert.polyroots import (
     cauchy_bound,
     count_roots,
     halve,
-    isolate_positive_roots,
     min_positive_root,
-    positive_rational_roots,
+    positive_roots,
     refine,
     sign_at_root,
     sign_variations,
@@ -120,8 +120,8 @@ def test_cauchy_bound_contains_roots():
 
 def test_positive_rational_roots():
     p = P(-2, 11, -17, 6)
-    assert positive_rational_roots(p) == [Fraction(1, 3), Fraction(1, 2), Fraction(2)]
-    assert positive_rational_roots(P(1, 0, 1)) == []
+    assert [b.exact for b in positive_roots(p)] == [Fraction(1, 3), Fraction(1, 2), Fraction(2)]
+    assert list(positive_roots(P(1, 0, 1))) == []
 
 
 def test_min_positive_root_linear():
@@ -182,14 +182,93 @@ def test_min_positive_root_errors():
 
 
 def test_min_positive_root_even_multiplicity_rejected():
-    # (1 - 2t)^2: smallest positive root has no sign change
-    with pytest.raises(PreconditionViolated):
-        min_positive_root(P(1, -4, 4))
+    # (1 - 2t)^2: smallest positive root has no sign change; so has
+    # -(t - 1)^2 (t - 15), where bisection from (0, 32] hits the double
+    # root 1 as a midpoint and every member of the chain of p vanishes
+    for p in (P(1, -4, 4), P(15, -31, 17, -1)):
+        with pytest.raises(PreconditionViolated, match="even multiplicity"):
+            min_positive_root(p)
+
+
+@pytest.mark.parametrize(
+    "factors,exact",
+    [
+        ([[-1, 1], [-1, 1], [-15, 1]], [Fraction(1), Fraction(15)]),  # (x - 1)^2 (x - 15)
+        ([[-1, 2]] * 3 + [[-3, 1]], [Fraction(1, 2), Fraction(3)]),  # (2x - 1)^3 (x - 3)
+        ([[-1, 2]] * 3 + [[-2, 0, 1]], [Fraction(1, 2), None]),  # (2x - 1)^3 (x^2 - 2)
+    ],
+)
+def test_positive_roots_of_repeated_factors(factors, exact):
+    coeffs = [1]
+    for f in factors:
+        coeffs = _mul(coeffs, f)
+    p = IntPolynomial.from_coeffs(coeffs)
+    brs = list(positive_roots(p))
+    assert [b.exact for b in brs] == exact
+    if exact[-1] is None:
+        assert brs[-1].lo ** 2 < 2 < brs[-1].hi ** 2
+    chain = sturm_chain(p)
+    for b in brs:
+        assert count_roots(chain, b.lo, b.hi) == 1
+        assert b.lo < b.midpoint < b.hi
+
+
+def test_midpoint_root_is_exact_beyond_the_divisor_limit():
+    # (2x - 1)(x^2 - A) with A = 2^40 - 1 > 10^9: no rational candidate is
+    # tried, but the bound 1 + A = 2^40 makes 1/2 a subdivision midpoint
+    a = 2**40 - 1
+    p = IntPolynomial.from_coeffs(_mul([-1, 2], [-a, 0, 1]))
+    assert cauchy_bound(p) == 2**40
+    first, second = positive_roots(p)
+    assert first.exact == Fraction(1, 2) and first.lo < first.exact < first.hi
+    assert second.exact is None and second.lo ** 2 < a < second.hi ** 2
+
+
+def test_divisor_walk_tries_only_candidates_inside_a_bracket(monkeypatch):
+    sympy = pytest.importorskip("sympy")
+    # 735134400 = 2^6 3^3 5^2 7 11 13 17 has 1,344 divisors: walking every
+    # (num, den) pair evaluates p about 10^6 times
+    p = P(735134400, 0, 0, -2000000001, 0, 735134400)
+    calls = [0]
+    homogeneous = polyroots._homogeneous
+
+    def counted(ints, x):
+        calls[0] += 1
+        return homogeneous(ints, x)
+
+    monkeypatch.setattr(polyroots, "_homogeneous", counted)
+    brs = list(positive_roots(p))
+    assert calls[0] < 10**4
+    x = sympy.Symbol("x")
+    roots = [r for r in sympy.real_roots(sympy.Poly(p.coeffs[::-1], x)) if r > 0]
+    assert len(brs) == len(roots) == 2
+    for b, root in zip(brs, roots):
+        assert b.exact is None
+        assert sympy.Rational(b.lo.numerator, b.lo.denominator) < root
+        assert root < sympy.Rational(b.hi.numerator, b.hi.denominator)
+
+
+def test_rational_root_is_centred_without_bisecting_to_width(monkeypatch):
+    # (3x - 1)(x - 7) at width 1e-14: narrowing (0, 25/3] to that width takes
+    # about 50 bisections per root; a rational root is recognised on the
+    # first interval that holds it alone and centred there
+    calls = [0]
+    variations = polyroots.sign_variations
+
+    def counted(chain, x):
+        calls[0] += 1
+        return variations(chain, x)
+
+    monkeypatch.setattr(polyroots, "sign_variations", counted)
+    brs = list(positive_roots(P(7, -22, 3)))
+    assert [b.exact for b in brs] == [Fraction(1, 3), Fraction(7)]
+    assert all(b.width <= polyroots.DEFAULT_WIDTH for b in brs)
+    assert calls[0] < 20
 
 
 def test_isolate_positive_roots_known():
     p = P(-2, 11, -17, 6)  # roots 1/3, 1/2, 2
-    brs = isolate_positive_roots(p)
+    brs = list(positive_roots(p))
     assert len(brs) == 3
     assert [b.exact for b in brs] == [Fraction(1, 3), Fraction(1, 2), Fraction(2)]
 
@@ -197,7 +276,7 @@ def test_isolate_positive_roots_known():
 def test_isolate_positive_roots_mixed():
     # (t^2 - 2)(2t - 1): positive roots 1/2 and sqrt(2)
     p = P(2, -4, -1, 2)
-    brs = isolate_positive_roots(p)
+    brs = list(positive_roots(p))
     assert len(brs) == 2
     assert brs[0].exact == Fraction(1, 2)
     assert brs[1].exact is None
@@ -207,7 +286,7 @@ def test_isolate_positive_roots_mixed():
 def test_isolate_handles_zero_roots_and_negatives():
     # t^2 (t+1) (t-3): only positive root 3
     p = P(0, 0, -3, -2, 1)
-    brs = isolate_positive_roots(p)
+    brs = list(positive_roots(p))
     assert [b.exact for b in brs] == [Fraction(3)]
 
 
@@ -354,10 +433,10 @@ def test_coarse_isolation_then_refinement_equals_fine_isolation():
     close = IntPolynomial.from_coeffs(_mul([-1, 2], [249998, -10**6, 10**6]))
     checked = 0
     for p in polys + [close]:
-        fine = isolate_positive_roots(p, width=fine_w)
-        coarse = isolate_positive_roots(p, width=coarse_w)
+        fine = list(positive_roots(p, width=fine_w))
+        coarse = list(positive_roots(p, width=coarse_w))
         refined = [refine(b, fine_w) for b in coarse]
-        # deflated rational roots keep exact; every other bracket is the same
+        # rational roots and midpoint hits keep exact; every other bracket is the same
         assert [b.exact or (b.lo, b.hi) for b in refined] == [
             b.exact or (b.lo, b.hi) for b in fine
         ]
@@ -369,7 +448,7 @@ def test_coarse_isolation_then_refinement_equals_fine_isolation():
                 assert b.poly(b.lo) * b.poly(b.hi) < 0
         checked += len(coarse)
     assert checked >= 20
-    assert [b.exact for b in isolate_positive_roots(close, width=coarse_w)] == [
+    assert [b.exact for b in positive_roots(close, width=coarse_w)] == [
         None, Fraction(1, 2), None
     ]
 
@@ -382,8 +461,8 @@ def test_rational_root_brackets_exclude_every_other_root():
     )
     # x (4x - 1) (x^2 - 2): at width 1 the bracket 1/4 +- 1/2 would hold 0
     p2 = IntPolynomial.from_coeffs([0] + _mul([-1, 4], [-2, 0, 1]))
-    brs = isolate_positive_roots(p, width=Fraction(1))
-    brs2 = isolate_positive_roots(p2, width=Fraction(1))
+    brs = list(positive_roots(p, width=Fraction(1)))
+    brs2 = list(positive_roots(p2, width=Fraction(1)))
     assert [b.exact for b in brs] == [Fraction(1, 2), Fraction(2, 3), None]
     assert [b.exact for b in brs2] == [Fraction(1, 4), None]
     for b in brs + brs2:
@@ -393,7 +472,7 @@ def test_rational_root_brackets_exclude_every_other_root():
 
 def test_brackets_carry_their_chain():
     p = P(2, -4, -1, 2)
-    brs = isolate_positive_roots(p, width=Fraction(1, 4))
+    brs = list(positive_roots(p, width=Fraction(1, 4)))
     irrational = [b for b in brs if b.exact is None]
     assert irrational and irrational[0].chain == sturm_chain(irrational[0].poly)
     assert refine(irrational[0], Fraction(1, 2**40)).chain is irrational[0].chain

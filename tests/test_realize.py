@@ -77,7 +77,7 @@ def test_realize_smallest_admissible_root_is_chosen():
     from fractions import Fraction
     from math import lcm
 
-    from sapcert.polyroots import IntPolynomial, isolate_positive_roots, sign_at_root
+    from sapcert.polyroots import IntPolynomial, positive_roots, sign_at_root
 
     def int_poly(fracs):
         den = lcm(*(c.denominator for c in fracs))
@@ -95,7 +95,7 @@ def test_realize_smallest_admissible_root_is_chosen():
         a2 = [a1 + av[1], Fraction(-1)]
         a3 = [a2[0] + av[2], a2[1] - a1]
         g = [-a3[0] - av[3], a2[0] - a3[1], a2[1]]
-        roots = isolate_positive_roots(int_poly(g))
+        roots = list(positive_roots(int_poly(g)))
         admissible = []
         for br in roots:
             if all(sign_at_root(int_poly(q), br) == 1 for q in (a2, a3)) and a1 > 0:
