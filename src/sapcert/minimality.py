@@ -6,19 +6,26 @@ blocks, or pins the sign of one characteristic coefficient over the whole
 class.  Both obstructions survive further deletions, so they rule out
 every subpattern at once.
 
-For the family the fixed signs are read off the closed-form coefficient
-map, where they are sums of strictly positive terms; a seeded sampling
-confirmation is run on top.  All family confirmations, the deletion of the
-(n, n) corner included, evaluate that closed form on the whole sample at
-once; no matrix is formed.  For arbitrary user patterns only the sampling
-detector is available: it runs one stacked Faddeev-LeVerrier pass over all
-samples, and its verdicts are evidence, never proofs.
+For the family, ``fixed_sign_obstruction`` is the one table of fixed-sign
+claims: it reads the coefficient and its sign straight from the deleted
+position, off the closed-form coefficient map, where they are sums of
+strictly positive terms; a seeded sampling confirmation is run on top.
+All family confirmations, the deletion of the (n, n) corner included,
+evaluate that closed form on the whole sample at once; no matrix is
+formed.  For arbitrary user patterns only the sampling detector is
+available: it runs one stacked Faddeev-LeVerrier pass over all samples,
+and its verdicts are evidence, never proofs.
+
+``verify_msap`` and ``obstruction_scan`` are one deletion scan with two
+detectors.  The scan checks the sampling arguments once, asks the
+detector about every one-entry deletion and clears the verdict for an
+unobstructed deletion or a failed sampling confirmation.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import Callable, Optional
 
 import numpy as np
 
@@ -41,6 +48,8 @@ FIXED_SIGN_COEFF = "FixedSignCoefficient"
 UNOBSTRUCTED = "Unobstructed"
 
 DEFAULT_SAMPLES = 1000
+# largest sampled array, in float64 values (256 MiB)
+SAMPLE_VALUE_BUDGET = 2**25
 
 
 @dataclass(frozen=True)
@@ -134,17 +143,6 @@ def reducibility_obstruction(S: SignPattern) -> Optional[Obstruction]:
     )
 
 
-def _family_positions(p: FamilyParams) -> dict[tuple[int, int], str]:
-    n, r = p.n, p.r
-    roles = {}
-    for i in range(n - 1):
-        roles[(i, 0)] = "a"
-        roles[(i, i + 1)] = "superdiagonal"
-    roles[(n - 1, n - r)] = "feedback"
-    roles[(n - 1, n - 1)] = "corner"
-    return roles
-
-
 def fixed_sign_obstruction(
     p: FamilyParams, deleted: tuple[int, int]
 ) -> Optional[Obstruction]:
@@ -156,36 +154,26 @@ def fixed_sign_obstruction(
     similarity preserve coefficient signs).  Superdiagonal deletions are
     not of this kind and return None.
     """
-    n = p.n
-    roles = _family_positions(p)
-    role = roles.get(tuple(deleted))
-    if role is None:
-        raise InvalidInput(f"{deleted} is not a nonzero position of the pattern")
-    if role == "superdiagonal":
-        return None
-    if role == "corner":
+    n, r = p.n, p.r
+    i, j = deleted
+    if (i, j) == (n - 1, n - 1):
         # trace reduces to the positive (1,1) entry
-        return Obstruction(
-            kind=FIXED_SIGN_COEFF,
-            detail={"index": 1, "sign": "+", "certified": True},
-        )
-    if role == "feedback":
-        # last coefficient reduces to -a_{n-1}
-        return Obstruction(
-            kind=FIXED_SIGN_COEFF,
-            detail={"index": n, "sign": "-", "certified": True},
-        )
-    j = deleted[0] + 1  # a_j
-    if j == 1:
-        # trace reduces to the negative corner
-        return Obstruction(
-            kind=FIXED_SIGN_COEFF,
-            detail={"index": 1, "sign": "-", "certified": True},
-        )
-    # with a_j = 0 coefficient j+1 is a sum of strictly positive terms
+        index, sign = 1, "+"
+    elif (i, j) == (n - 1, n - r):
+        # last coefficient reduces to -a_{n-1}; checked before column one,
+        # where the feedback entry sits at r = n
+        index, sign = n, "-"
+    elif 0 <= i < n - 1 and j == i + 1:
+        return None
+    elif 0 <= i < n - 1 and j == 0:
+        # deleting a_1 leaves the trace the negative corner; with a_j = 0
+        # (j >= 2) coefficient j+1 is a sum of strictly positive terms
+        index, sign = (1, "-") if i == 0 else (i + 2, "+")
+    else:
+        raise InvalidInput(f"{deleted} is not a nonzero position of the pattern")
     return Obstruction(
         kind=FIXED_SIGN_COEFF,
-        detail={"index": j + 1, "sign": "+", "certified": True},
+        detail={"index": index, "sign": sign, "certified": True},
     )
 
 
@@ -196,10 +184,17 @@ def _sample_parameters(
     return 10.0 ** rng.uniform(-2.0, 1.0, size=(m, count))
 
 
-def _check_samples(samples: int) -> None:
+def _check_sampling(samples: int, seed: int, values_per_sample: int) -> None:
     # zero samples would confirm every sign claim vacuously
     if samples < 1:
         raise InvalidInput(f"need at least one sample, got {samples}")
+    if seed < 0:
+        raise InvalidInput(f"seed must be non-negative, got {seed}")
+    if samples * values_per_sample > SAMPLE_VALUE_BUDGET:
+        raise InvalidInput(
+            f"{samples} samples of {values_per_sample} values each exceed "
+            f"the sampling budget of {SAMPLE_VALUE_BUDGET} values"
+        )
 
 
 def confirm_fixed_sign(
@@ -216,26 +211,60 @@ def confirm_fixed_sign(
     deleted entry, and checks that coefficient ``index`` keeps the
     claimed strict sign in every sample.  Every deletion, the (n, n)
     corner included, is evaluated through the closed-form coefficient map.
-    Raises InvalidInput for ``samples < 1``.
+    Raises InvalidInput for ``samples < 1``, a negative ``seed`` or a
+    sample count over the sampling budget.
     """
-    _check_samples(samples)
     n, r = p.n, p.r
-    roles = _family_positions(p)
-    role = roles.get(tuple(deleted))
-    if role in (None, "superdiagonal"):
+    _check_sampling(samples, seed, n)
+    try:
+        claim = fixed_sign_obstruction(p, deleted)
+    except InvalidInput:
+        claim = None
+    if claim is None:
         raise InvalidInput(f"no fixed-sign claim for position {deleted}")
-    rng = np.random.default_rng([seed, deleted[0], deleted[1]])
+    i, j = deleted
+    rng = np.random.default_rng([seed, i, j])
     a = _sample_parameters(rng, samples, n - 1)
     b = _sample_parameters(rng, samples, 1)[:, 0]
-    if role == "a":
-        a[:, deleted[0]] = 0.0
-    elif role == "feedback":
+    corner = -1.0
+    if (i, j) == (n - 1, n - 1):
+        corner = 0.0
+    elif (i, j) == (n - 1, n - r):
         b[:] = 0.0
-    corner = 0.0 if role == "corner" else -1.0
+    else:
+        a[:, i] = 0.0
     col = coeff_values_batch(n, r, a, b, corner)[:, index - 1]
     if sign == "+":
         return bool(np.all(col > 0.0))
     return bool(np.all(col < 0.0))
+
+
+def _scan(
+    S: SignPattern,
+    detect: Callable[[tuple[int, int], SignPattern], Optional[Obstruction]],
+    samples: int,
+    seed: int,
+    params: Optional[FamilyParams] = None,
+) -> MsapReport:
+    # the family is sampled in closed form, n coefficients per sample; any
+    # other pattern as a stack of n x n matrices
+    n = S.n_rows
+    _check_sampling(samples, seed, n if params is not None else n * n)
+    rows = []
+    verdict = True
+    for pos, sub in one_entry_subpatterns(S):
+        obs = detect(pos, sub)
+        if obs is None or obs.detail.get("sample_confirmed") is False:
+            verdict = False
+        rows.append((pos, obs))
+    return MsapReport(
+        pattern=S,
+        per_deletion=tuple(rows),
+        verdict=verdict,
+        seed=seed,
+        samples=samples,
+        params=params,
+    )
 
 
 def verify_msap(
@@ -246,37 +275,21 @@ def verify_msap(
     The verdict is True iff each deletion is obstructed; fixed-sign claims
     are additionally confirmed on seeded samples and a failed confirmation
     (which would indicate a bug, not a property of the pattern) clears the
-    verdict.  Raises InvalidInput for ``samples < 1`` (through the first
-    confirmation).
+    verdict.  The family's claim is tried before the structural rules.
+    Raises InvalidInput for ``samples < 1``, a negative ``seed`` or a
+    sample count over the sampling budget.
     """
-    S = build_pattern(p)
-    rows = []
-    verdict = True
-    for pos, sub in one_entry_subpatterns(S):
+
+    def detect(pos, sub):
         obs = fixed_sign_obstruction(p, pos)
-        if obs is not None:
-            confirmed = confirm_fixed_sign(
-                p, pos, obs.detail["index"], obs.detail["sign"], samples, seed
-            )
-            detail = dict(obs.detail)
-            detail["sample_confirmed"] = confirmed
-            detail["samples"] = samples
-            obs = Obstruction(kind=obs.kind, detail=detail)
-            if not confirmed:
-                verdict = False
-        else:
-            obs = reducibility_obstruction(sub) or entry_count_obstruction(sub)
         if obs is None:
-            verdict = False
-        rows.append((pos, obs))
-    return MsapReport(
-        pattern=S,
-        per_deletion=tuple(rows),
-        verdict=verdict,
-        seed=seed,
-        samples=samples,
-        params=p,
-    )
+            return reducibility_obstruction(sub) or entry_count_obstruction(sub)
+        index, sign = obs.detail["index"], obs.detail["sign"]
+        confirmed = confirm_fixed_sign(p, pos, index, sign, samples, seed)
+        detail = {**obs.detail, "sample_confirmed": confirmed, "samples": samples}
+        return Obstruction(kind=obs.kind, detail=detail)
+
+    return _scan(build_pattern(p), detect, samples, seed, p)
 
 
 def obstruction_scan(
@@ -289,28 +302,23 @@ def obstruction_scan(
     of the deleted pattern is reported with ``certified: False``.  Absence
     of an obstruction yields verdict False, which is not a claim that any
     subpattern is spectrally arbitrary.  Raises InvalidInput for
-    ``samples < 1``.
+    ``samples < 1``, a negative ``seed`` or a sample count over the
+    sampling budget.
     """
     if not S.is_square:
         raise InvalidInput("pattern must be square")
-    _check_samples(samples)
-    rng = np.random.default_rng(seed)
-    rows = []
-    verdict = True
-    for pos, sub in one_entry_subpatterns(S):
+    rng = None
+
+    def detect(pos, sub):
+        nonlocal rng
         obs = reducibility_obstruction(sub) or entry_count_obstruction(sub)
         if obs is None:
+            # one generator across deletions, made once the seed is checked
+            rng = rng or np.random.default_rng(seed)
             obs = _sampled_fixed_sign(sub, rng, samples)
-        if obs is None:
-            verdict = False
-        rows.append((pos, obs))
-    return MsapReport(
-        pattern=S,
-        per_deletion=tuple(rows),
-        verdict=verdict,
-        seed=seed,
-        samples=samples,
-    )
+        return obs
+
+    return _scan(S, detect, samples, seed)
 
 
 def _sampled_fixed_sign(

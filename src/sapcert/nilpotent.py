@@ -46,8 +46,12 @@ class NilpotentCertificate:
 
     ``a0`` holds the realized first-column values a_1..a_{n-1}; ``t_h`` is
     the feedback entry (the isolated smallest positive root of the closing
-    polynomial, kept with its exact bracket).  ``a0_margins`` are certified
-    lower bounds for the a-values over the bracket.  ``residual`` is the
+    polynomial, kept with its exact bracket).  ``a0_margins`` are the
+    smaller endpoint values of each a_j; what is certified is that each
+    a_j is positive at both ends of the bracket and has no root inside,
+    so it is positive on the whole bracket.  A margin is not a lower
+    bound: a_j may dip below both endpoint values inside the bracket.
+    ``residual`` is the
     largest characteristic-coefficient magnitude of the emitted double
     matrix (mode "double") or of the exact rational construction at the
     bracket midpoint (mode "extended").
@@ -157,11 +161,13 @@ def _min_chain_verdict(n: int, r: int) -> bool:
 
 
 def _certify_positive_on_bracket(q: IntPolynomial, chain, bracket: RootBracket) -> float:
-    """Certified lower bound of ``q`` over the bracket, or raise.
+    """Certify that ``q`` is positive on the bracket, or raise.
 
     Positive at both endpoints and root-free inside (by the Sturm count
-    of ``chain``, the chain of ``q``) implies positive throughout; the
-    smaller endpoint value is a valid margin.
+    of ``chain``, the chain of ``q``) implies positive throughout.
+    Returns the smaller endpoint value, which is not a lower bound of
+    ``q`` over the bracket: a positive, root-free ``q`` may still dip
+    below both endpoint values inside.
     """
     lo_val = q(bracket.lo)
     hi_val = q(bracket.hi)

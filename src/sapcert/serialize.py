@@ -6,6 +6,8 @@ round-trip and repeated runs are byte-identical.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from .errors import InvalidInput
@@ -79,7 +81,7 @@ def split_grid_text(text: str, noun: str) -> tuple[int, list[str]]:
 
 
 def parse_matrix_text(text: str) -> np.ndarray:
-    """Parse the ``.mat`` format: 'n m' header, then n rows of m numbers."""
+    """Parse the ``.mat`` format: 'n m' header, then n rows of m finite numbers."""
     m, lines = split_grid_text(text, "matrix")
     rows = []
     for k, line in enumerate(lines):
@@ -89,9 +91,12 @@ def parse_matrix_text(text: str) -> np.ndarray:
         row = []
         for col, f in enumerate(fields, start=1):
             try:
-                row.append(float(f))
+                value = float(f)
             except ValueError:
                 raise InvalidInput(f"line {k + 2}, column {col}: bad number {f!r}") from None
+            if not math.isfinite(value):
+                raise InvalidInput(f"line {k + 2}, column {col}: non-finite number {f!r}")
+            row.append(value)
         rows.append(row)
     return np.array(rows)
 

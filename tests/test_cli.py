@@ -116,6 +116,23 @@ def test_sample_count_below_one_is_usage_error(capsys, argv):
     assert "at least one sample" in err
 
 
+@pytest.mark.parametrize(
+    "argv,message",
+    [
+        (("msap", "--n", "3", "--r", "2", "--seed", "-1"), "seed must be non-negative"),
+        (("sweep", "--n-max", "3", "--seed", "-5"), "seed must be non-negative"),
+        (("msap", "--n", "3", "--r", "2", "--samples", "3000000000"), "sampling budget"),
+        (("sweep", "--n-max", "3", "--samples", "100000000000"), "sampling budget"),
+    ],
+)
+def test_sampling_arguments_out_of_range_are_usage_errors(capsys, argv, message):
+    code, out, err = run(capsys, *argv)
+    assert code == 64
+    assert out == ""
+    assert message in err
+    assert err.count("\n") == 1 and "Traceback" not in err
+
+
 def test_realize_monic(capsys):
     code, out, _ = run(
         capsys, "realize", "--n", "3", "--r", "2", "--monic", "-6,11,-6"
@@ -204,6 +221,27 @@ def test_njverify_parse_error_exit_65(capsys, tmp_path):
     )
     assert code == 65
     assert "line 2" in err
+
+
+@pytest.mark.parametrize("value", ["nan", "1e999", "-inf"])
+def test_njverify_non_finite_matrix_entry_exit_65(capsys, tmp_path, value):
+    pat = tmp_path / "ex22.sgn"
+    mat = tmp_path / "bad.mat"
+    pat.write_text(EX22_SGN)
+    mat.write_text(f"2 2\n1 -1\n{value} -1\n")
+    code, out, err = run(
+        capsys,
+        "njverify",
+        "--pattern",
+        str(pat),
+        "--matrix",
+        str(mat),
+        "--positions",
+        "1,1,2,2",
+    )
+    assert code == 65
+    assert out == ""
+    assert err == f"sapcert: {mat}: line 3, column 1: non-finite number {value!r}\n"
 
 
 def test_njverify_missing_file_exit_65(capsys, tmp_path):

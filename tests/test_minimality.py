@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from sapcert import charpoly
+from sapcert import minimality
 from sapcert.charpoly import char_coeffs
 from sapcert.errors import InvalidInput
 from sapcert.family import FamilyParams, build_pattern
@@ -18,7 +19,7 @@ from sapcert.minimality import (
     reducibility_obstruction,
     verify_msap,
 )
-from sapcert.patterns import Sign, SignPattern
+from sapcert.patterns import Sign, SignPattern, one_entry_subpatterns
 
 
 def test_entry_count_family_itself_unobstructed():
@@ -120,6 +121,32 @@ def test_fixed_sign_superdiagonal_routed_away():
 def test_fixed_sign_invalid_position():
     with pytest.raises(InvalidInput):
         fixed_sign_obstruction(FamilyParams(4, 2), (2, 2))
+
+
+def test_every_family_claim_is_an_exact_fixed_sign():
+    # v_k is a sum of distinct signed monomials in the entries (one per
+    # cycle cover), so a claim holds over the whole class iff every term
+    # carries the claimed sign
+    sp = pytest.importorskip("sympy")
+    lam = sp.Symbol("lam")
+    for n in range(2, 6):
+        for r in range(2, n + 1):
+            p = FamilyParams(n, r)
+            for pos, sub in one_entry_subpatterns(build_pattern(p)):
+                obs = fixed_sign_obstruction(p, pos)
+                if obs is None:
+                    continue
+                entries = list(sub.nonzero_positions())
+                xs = sp.symbols(f"x0:{len(entries)}", positive=True)
+                M = sp.zeros(n, n)
+                for x, (i, j) in zip(xs, entries):
+                    M[i, j] = x if sub.entries[i][j] is Sign.PLUS else -x
+                charpoly = (lam * sp.eye(n) - M).det(method="berkowitz")
+                k = obs.detail["index"]
+                v_k = sp.expand((-1) ** k * sp.Poly(charpoly, lam).all_coeffs()[k])
+                want = 1 if obs.detail["sign"] == "+" else -1
+                terms = sp.Poly(v_k, *xs).coeffs()
+                assert v_k != 0 and all(t * want > 0 for t in terms), (n, r, pos)
 
 
 def test_confirm_fixed_sign_agrees_with_oracle():
@@ -229,6 +256,46 @@ def test_sample_count_below_one_is_rejected(samples):
         verify_msap(p, samples=samples)
     with pytest.raises(InvalidInput, match="at least one sample"):
         confirm_fixed_sign(p, (0, 0), 1, "-", samples=samples)
+
+
+def test_negative_seed_is_rejected():
+    S = SignPattern.from_rows(["+-+", "+--", "-+-"])
+    p = FamilyParams(4, 2)
+    with pytest.raises(InvalidInput, match="seed must be non-negative, got -1"):
+        obstruction_scan(S, seed=-1)
+    with pytest.raises(InvalidInput, match="seed must be non-negative, got -1"):
+        verify_msap(p, seed=-1)
+    with pytest.raises(InvalidInput, match="seed must be non-negative, got -1"):
+        confirm_fixed_sign(p, (0, 0), 1, "-", seed=-1)
+
+
+def test_sample_count_over_the_budget_is_rejected():
+    S = SignPattern.from_rows(["+-+", "+--", "-+-"])
+    p = FamilyParams(3, 2)
+    with pytest.raises(InvalidInput, match="sampling budget"):
+        obstruction_scan(S, samples=10**11)
+    with pytest.raises(InvalidInput, match="sampling budget"):
+        verify_msap(p, samples=3 * 10**9)
+    with pytest.raises(InvalidInput, match="sampling budget"):
+        confirm_fixed_sign(p, (0, 0), 1, "-", samples=3 * 10**9)
+
+
+def test_sample_budget_counts_the_largest_sampled_array(monkeypatch):
+    # the family samples n coefficients per draw, a user pattern an n x n
+    # matrix: at n = 3 and 30 samples that is 90 and 270 values
+    monkeypatch.setattr(minimality, "SAMPLE_VALUE_BUDGET", 100)
+    p = FamilyParams(3, 2)
+    assert verify_msap(p, samples=30).verdict
+    with pytest.raises(InvalidInput, match="30 samples of 9 values each"):
+        obstruction_scan(build_pattern(p), samples=30)
+    with pytest.raises(InvalidInput, match="34 samples of 3 values each"):
+        verify_msap(p, samples=34)
+
+
+def test_default_samples_fit_the_budget():
+    # the largest orders the golden set, the tests and the benchmark scan
+    assert minimality.DEFAULT_SAMPLES * 12 * 12 <= minimality.SAMPLE_VALUE_BUDGET
+    assert minimality.DEFAULT_SAMPLES * 80 <= minimality.SAMPLE_VALUE_BUDGET
 
 
 def test_msap_report_json_layout():

@@ -46,6 +46,8 @@ def test_matrix_parse_diagnostics():
         parse_matrix_text("2 2\n1 2\n3\n")
     with pytest.raises(InvalidInput, match="line 2, column 2"):
         parse_matrix_text("1 2\n1 x\n")
+    with pytest.raises(InvalidInput, match="line 3, column 2: non-finite number 'nan'"):
+        parse_matrix_text("2 2\n1 2\n3 nan\n")
 
 
 @pytest.mark.parametrize(
