@@ -216,12 +216,17 @@ def cmd_msap(args) -> int:
 
 
 def cmd_njverify(args) -> int:
-    try:
-        pattern_text = Path(args.pattern).read_text()
-        matrix_text = Path(args.matrix).read_text()
-    except OSError as exc:
-        print(f"sapcert: cannot read file: {exc}", file=sys.stderr)
-        return EXIT_DATA
+    texts = []
+    for path in (args.pattern, args.matrix):
+        try:
+            texts.append(Path(path).read_text(encoding="utf-8"))
+        except OSError as exc:
+            print(f"sapcert: cannot read file: {exc}", file=sys.stderr)
+            return EXIT_DATA
+        except UnicodeDecodeError as exc:
+            print(f"sapcert: {path}: not UTF-8 text: {exc}", file=sys.stderr)
+            return EXIT_DATA
+    pattern_text, matrix_text = texts
     try:
         S = SignPattern.from_text(pattern_text)
     except InvalidInput as exc:

@@ -211,11 +211,16 @@ def confirm_fixed_sign(
     deleted entry, and checks that coefficient ``index`` keeps the
     claimed strict sign in every sample.  Every deletion, the (n, n)
     corner included, is evaluated through the closed-form coefficient map.
-    Raises InvalidInput for ``samples < 1``, a negative ``seed`` or a
-    sample count over the sampling budget.
+    Raises InvalidInput for ``samples < 1``, a negative ``seed``, a
+    sample count over the sampling budget, an ``index`` outside 1..n or a
+    ``sign`` other than "+" and "-".
     """
     n, r = p.n, p.r
     _check_sampling(samples, seed, n)
+    if not 1 <= index <= n:
+        raise InvalidInput(f"coefficient index {index} outside 1..{n}")
+    if sign not in ("+", "-"):
+        raise InvalidInput(f"claimed sign must be '+' or '-', got {sign!r}")
     try:
         claim = fixed_sign_obstruction(p, deleted)
     except InvalidInput:

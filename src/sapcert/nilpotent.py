@@ -11,21 +11,24 @@ that realizes every target (:func:`sapcert.family.eliminate`) taken at the
 zero target, whose closing polynomial is -h.  The smallest positive root
 of h keeps every a_j strictly positive, which is certified here with
 exact rational brackets on integer polynomials rather than assumed.
+The whole proof for one (n, r) is built in one pass and memoized once;
+the public functions read that one certificate.
 """
 
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
+from itertools import islice
 
 from .errors import CertificationFailed, PreconditionViolated
 from .family import FamilyParams, FamilyRealization, coeff_map, eliminate
 from .polyroots import (
     IntPolynomial,
     RootBracket,
+    bisections,
     count_roots,
-    halve,
     min_positive_root,
     sign_variations,
     sturm_chain,
@@ -86,7 +89,6 @@ class NilpotentCertificate:
         }
 
 
-@functools.lru_cache(maxsize=None)
 def recurrence_polys(p: FamilyParams) -> tuple[tuple[IntPolynomial, ...], IntPolynomial]:
     """Exact recurrence polynomials (a_0 .. a_{n-1}) and the closing h.
 
@@ -95,21 +97,6 @@ def recurrence_polys(p: FamilyParams) -> tuple[tuple[IntPolynomial, ...], IntPol
     """
     _, a, g = eliminate(p.n, p.r, (0,) * p.n)
     return tuple(a), IntPolynomial(()).subtract(g)
-
-
-@functools.lru_cache(maxsize=None)
-def _h_min_root(n: int, r: int) -> tuple[float, RootBracket]:
-    _, h = recurrence_polys(FamilyParams(n, r))
-    return min_positive_root(h, width=_CERT_WIDTH)
-
-
-# one (n, r) at a time: the chains are shared by the positivity
-# certificates and the root-order check of the same certificate
-@functools.lru_cache(maxsize=1)
-def _a_chains(n: int, r: int) -> tuple[tuple[tuple[int, ...], ...], ...]:
-    """Sturm chains of a_0 .. a_{n-1}; a constant a_j = 1 is its own chain."""
-    a, _ = recurrence_polys(FamilyParams(n, r))
-    return tuple(sturm_chain(q) if q.degree >= 1 else (q.coeffs,) for q in a)
 
 
 def _root_below(prev_chain, q_chain) -> bool:
@@ -122,12 +109,10 @@ def _root_below(prev_chain, q_chain) -> bool:
     roots never separate).
     """
     lo, hi = Fraction(0), Fraction(1)
-    v_lo, v_hi = sign_variations(prev_chain, lo), sign_variations(prev_chain, hi)
-    if v_lo == v_hi:
+    if sign_variations(prev_chain, lo) == sign_variations(prev_chain, hi):
         return False
     q_zero = sign_variations(q_chain, lo)
-    for _ in range(_SEPARATION_STEPS):
-        new_lo, hi, v_lo, v_hi, _ = halve(prev_chain, lo, hi, v_lo, v_hi)
+    for new_lo, _, _ in islice(bisections(prev_chain, lo, hi), _SEPARATION_STEPS):
         if new_lo != lo:
             lo = new_lo
             if q_zero - sign_variations(q_chain, lo) >= 1:
@@ -142,22 +127,15 @@ def verify_min_chain(p: FamilyParams) -> bool:
     positive root of q (at r = n the chain is t_h = 1).  Each link
     (prev, q) is a separation certificate: a dyadic s with
     count(prev, (0, s]) = 0 and count(q, (0, s]) >= 1 by Sturm count, so
-    t_q <= s < t_prev; the roots themselves are never refined.  Read through the Intermediate Value Theorem: every a_j
-    starts at a_j(0) = 1 and has no root in (0, t_h], so it is positive
-    on [0, t_h], which is what the nilpotent point needs.  The verdict is
-    memoized per (n, r).
+    t_q <= s < t_prev; the roots themselves are never refined.  Read
+    through the Intermediate Value Theorem: every a_j starts at
+    a_j(0) = 1 and has no root in (0, t_h], so it is positive on
+    [0, t_h], which is what the nilpotent point needs.  The verdict is
+    part of the memoized certificate of (n, r), so this raises
+    :class:`CertificationFailed` too if a first-column value is not
+    certifiably positive on h's bracket (which no valid (n, r) has shown).
     """
-    return _min_chain_verdict(p.n, p.r)
-
-
-@functools.lru_cache(maxsize=None)
-def _min_chain_verdict(n: int, r: int) -> bool:
-    a, h = recurrence_polys(FamilyParams(n, r))
-    # a_r(t) = 1 - t, root exactly 1; at r = n that polynomial is h itself
-    if (a + (h,))[r].coeffs != (1, -1):
-        return False
-    chains = _a_chains(n, r)[r:] + (_h_min_root(n, r)[1].sturm(),)
-    return all(_root_below(prev, q) for prev, q in zip(chains, chains[1:]))
+    return _certify(p).chain_verified
 
 
 def _certify_positive_on_bracket(q: IntPolynomial, chain, bracket: RootBracket) -> float:
@@ -178,14 +156,39 @@ def _certify_positive_on_bracket(q: IntPolynomial, chain, bracket: RootBracket) 
     return float(min(lo_val, hi_val))
 
 
-def _exact_alpha_residual(p: FamilyParams, t: Fraction) -> float:
-    """|alpha| residual of the exact rational construction at feedback t.
+# the one memo of the module: one pass per (n, r) builds every Sturm
+# chain it needs as locals, so no chain outlives the certificate
+@functools.lru_cache(maxsize=None)
+def _certify(p: FamilyParams) -> NilpotentCertificate:
+    """The double-mode certificate of ``p``, its residual not yet checked.
 
-    The recurrence makes every coefficient except the last vanish
-    identically, so the exact residual is |h(t)|.
+    Isolates h's smallest positive root, certifies every a_j positive on
+    its bracket, and proves the root order from the same chains.
     """
-    _, h = recurrence_polys(p)
-    return abs(float(h(t)))
+    n, r = p.n, p.r
+    a_polys, h = recurrence_polys(p)
+    chains = [sturm_chain(q) if q.degree >= 1 else (q.coeffs,) for q in a_polys]
+    t_float, bracket = min_positive_root(h, width=_CERT_WIDTH)
+    t_mid = bracket.midpoint
+    margins = tuple(
+        _certify_positive_on_bracket(a_polys[j], chains[j], bracket) for j in range(1, n)
+    )
+    a0 = tuple(float(a_polys[j](t_mid)) for j in range(1, n))
+    # a_r(t) = 1 - t, root exactly 1; at r = n that polynomial is h itself
+    order = chains[r:] + [bracket.sturm()]
+    chain_verified = (a_polys + (h,))[r].coeffs == (1, -1) and all(
+        _root_below(prev, q) for prev, q in zip(order, order[1:])
+    )
+    reali = FamilyRealization(params=p, a=a0, b=t_float)
+    return NilpotentCertificate(
+        params=p,
+        t_h=t_float,
+        bracket=bracket,
+        a0=a0,
+        residual=max(abs(v) for v in coeff_map(reali)),
+        chain_verified=chain_verified,
+        a0_margins=margins,
+    )
 
 
 def nilpotent_realization(
@@ -196,39 +199,23 @@ def nilpotent_realization(
     The smallest positive root of h is isolated (at r = n, h = 1 - t and
     the root is exactly 1), every a_j is certified positive on the
     bracket, and the coefficient residual of the emitted realization is
-    checked against RESIDUAL_TOL_PER_N * n.
+    checked against RESIDUAL_TOL_PER_N * n.  In "extended" mode the
+    residual is that of the exact rational construction at the bracket
+    midpoint: the recurrence makes every coefficient but the last vanish
+    identically, so it is |h(t_mid)|.
     """
     if precision not in ("double", "extended"):
         raise PreconditionViolated(f"unknown precision mode {precision!r}")
-    n, r = p.n, p.r
-    a_polys, _h = recurrence_polys(p)
-    chains = _a_chains(n, r)
-    t_float, bracket = _h_min_root(n, r)
-    t_mid = bracket.midpoint
-    a0 = []
-    margins = []
-    for j in range(1, n):
-        qj = a_polys[j]
-        margins.append(_certify_positive_on_bracket(qj, chains[j], bracket))
-        a0.append(float(qj(t_mid)))
-    reali = FamilyRealization(params=p, a=tuple(a0), b=t_float)
+    cert = _certify(p)
     if precision == "extended":
-        residual = _exact_alpha_residual(p, t_mid)
-    else:
-        residual = max(abs(v) for v in coeff_map(reali))
-    cert = NilpotentCertificate(
-        params=p,
-        t_h=t_float,
-        bracket=bracket,
-        a0=tuple(a0),
-        residual=residual,
-        chain_verified=verify_min_chain(p),
-        a0_margins=tuple(margins),
-        precision_mode=precision,
-    )
-    if cert.residual > RESIDUAL_TOL_PER_N * n:
+        _, h = recurrence_polys(p)
+        cert = replace(
+            cert, residual=abs(float(h(cert.bracket.midpoint))), precision_mode="extended"
+        )
+    limit = RESIDUAL_TOL_PER_N * p.n
+    if cert.residual > limit:
         raise CertificationFailed(
             f"coefficient residual {cert.residual:.3e} exceeds "
-            f"{RESIDUAL_TOL_PER_N * n:.3e} (bracket width {float(cert.bracket.width):.3e})"
+            f"{limit:.3e} (bracket width {float(cert.bracket.width):.3e})"
         )
     return cert

@@ -13,9 +13,9 @@ the polynomial that yields one-root brackets in increasing order, so a
 caller that needs only the first admissible root stops there; a rational
 root is recognised and centred on the first interval that holds it
 alone.  Isolation stops at the width the caller asks for and a bracket
-is narrowed only on demand (:func:`refine`), one certified bisection
-step (:func:`halve`) at a time, with the chain built once and carried
-by the bracket.
+is narrowed only on demand (:func:`refine`, :func:`sign_at_root`) by
+one certified bisection sequence (:func:`bisections`), with the chain
+built once and carried by the bracket.
 
 Every polynomial in the package is an :class:`IntPolynomial`.  Signs and
 values at rational points are evaluated homogeneously in integer
@@ -235,21 +235,26 @@ def count_roots(chain, a: Fraction, b: Fraction) -> int:
     return sign_variations(chain, a) - sign_variations(chain, b)
 
 
-def halve(chain, lo: Fraction, hi: Fraction, v_lo: int, v_hi: int):
-    """One certified bisection step on (lo, hi].
+def bisections(
+    chain, lo: Fraction, hi: Fraction
+) -> Iterator[tuple[Fraction, Fraction, Fraction | None]]:
+    """Certified bisection steps on (lo, hi], one per item, without end.
 
-    ``v_lo`` and ``v_hi`` are the sign variations of ``chain`` at the
-    ends, so a step evaluates the chain at the midpoint only.  Keeps the
-    left half when its Sturm count is at least one, else the right half,
-    and returns the kept (lo, hi, v_lo, v_hi) with the midpoint when it is
-    a root of ``chain[0]`` (it is then the kept ``hi``), else None.
+    Keeps the left half when its Sturm count is at least one, else the
+    right half, and yields the kept (lo, hi) with the midpoint when it is
+    a root of ``chain[0]`` (it is then the kept ``hi``), else None.  The
+    sign variations at the kept ``lo`` are carried along, so a step
+    evaluates the chain at the midpoint only.
     """
-    mid = (lo + hi) / 2
-    v_mid = sign_variations(chain, mid)
-    if v_lo - v_mid >= 1:
-        hit = mid if _sign_at(chain[0], mid) == 0 else None
-        return lo, mid, v_lo, v_mid, hit
-    return mid, hi, v_mid, v_hi, None
+    v_lo = sign_variations(chain, lo)
+    while True:
+        mid = (lo + hi) / 2
+        v_mid = sign_variations(chain, mid)
+        if v_lo - v_mid >= 1:
+            hi, hit = mid, (mid if _sign_at(chain[0], mid) == 0 else None)
+        else:
+            lo, v_lo, hit = mid, v_mid, None
+        yield lo, hi, hit
 
 
 def refine(bracket: RootBracket, width: Fraction) -> RootBracket:
@@ -261,12 +266,9 @@ def refine(bracket: RootBracket, width: Fraction) -> RootBracket:
     if bracket.exact is not None or bracket.width <= width:
         return bracket
     chain = bracket.sturm()
-    lo, hi = bracket.lo, bracket.hi
-    v_lo, v_hi = sign_variations(chain, lo), sign_variations(chain, hi)
-    hit = None
-    while hi - lo > width and hit is None:
-        lo, hi, v_lo, v_hi, hit = halve(chain, lo, hi, v_lo, v_hi)
-    return RootBracket(lo=lo, hi=hi, poly=bracket.poly, exact=hit, chain=chain)
+    for lo, hi, hit in bisections(chain, bracket.lo, bracket.hi):
+        if hit is not None or hi - lo <= width:
+            return RootBracket(lo=lo, hi=hi, poly=bracket.poly, exact=hit, chain=chain)
 
 
 def cauchy_bound(p: IntPolynomial) -> Fraction:
@@ -457,8 +459,7 @@ def sign_at_root(q: IntPolynomial, bracket: RootBracket) -> int:
         v = q(bracket.exact)
         return (v > 0) - (v < 0)
     lo, hi = bracket.lo, bracket.hi
-    q_chain = None
-    v_lo = v_hi = None
+    q_chain = steps = None
     for _ in range(_MAX_SIGN_REFINE):
         s_lo = _sign_at(q.coeffs, lo)
         s_hi = _sign_at(q.coeffs, hi)
@@ -468,10 +469,9 @@ def sign_at_root(q: IntPolynomial, bracket: RootBracket) -> int:
             if count_roots(q_chain, lo, hi) == 0:
                 return s_lo
         # count-based refinement works for any root multiplicity
-        chain = bracket.sturm()
-        if v_lo is None:
-            v_lo, v_hi = sign_variations(chain, lo), sign_variations(chain, hi)
-        lo, hi, v_lo, v_hi, hit = halve(chain, lo, hi, v_lo, v_hi)
+        if steps is None:
+            steps = bisections(bracket.sturm(), lo, hi)
+        lo, hi, hit = next(steps)
         if hit is not None:
             return _sign_at(q.coeffs, hit)
     return 0

@@ -116,7 +116,6 @@ def _deliver(
     target: CoeffVector,
     c: Fraction,
     sol: _ScaledSolution,
-    newton_iters: int = 0,
 ) -> RealizationResult:
     n, r = p.n, p.r
     a_float = tuple(float(v) for v in sol.a_values)
@@ -157,7 +156,7 @@ def _deliver(
         params=params,
         scaling_c=float(c),
         residual=residual,
-        newton_iters=newton_iters,
+        newton_iters=0,
     )
 
 

@@ -258,6 +258,28 @@ def test_njverify_missing_file_exit_65(capsys, tmp_path):
     assert code == 65
 
 
+@pytest.mark.parametrize("kind", ["pattern", "matrix"])
+def test_njverify_non_utf8_file_exit_65(capsys, tmp_path, kind):
+    files = {"pattern": tmp_path / "ex22.sgn", "matrix": tmp_path / "ex22.mat"}
+    files["pattern"].write_text(EX22_SGN)
+    files["matrix"].write_text(EX22_MAT)
+    files[kind].write_bytes(b"\xff\xfe" + files[kind].read_bytes())
+    code, out, err = run(
+        capsys,
+        "njverify",
+        "--pattern",
+        str(files["pattern"]),
+        "--matrix",
+        str(files["matrix"]),
+        "--positions",
+        "1,1,2,2",
+    )
+    assert code == 65
+    assert out == ""
+    assert err.startswith(f"sapcert: {files[kind]}: not UTF-8 text: ")
+    assert "Traceback" not in err and err.count("\n") == 1
+
+
 def test_sweep_csv_shape(capsys):
     code, out, _ = run(capsys, "--format", "csv", "sweep", "--n-max", "5")
     assert code == 0

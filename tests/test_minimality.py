@@ -316,6 +316,21 @@ def test_confirm_fixed_sign_corner_rejects_the_opposite_claim():
         assert not confirm_fixed_sign(p, (n - 1, n - 1), 1, "-")
 
 
+@pytest.mark.parametrize("index", [0, -1, 5])
+def test_confirm_fixed_sign_rejects_an_index_outside_one_to_n(index):
+    p = FamilyParams(4, 2)
+    assert confirm_fixed_sign(p, (2, 0), 4, "+")
+    with pytest.raises(InvalidInput, match=f"coefficient index {index} outside 1..4"):
+        confirm_fixed_sign(p, (2, 0), index, "+")
+
+
+@pytest.mark.parametrize("sign", ["?", "", "\u2212", "plus"])
+def test_confirm_fixed_sign_rejects_a_sign_other_than_plus_or_minus(sign):
+    p = FamilyParams(4, 2)
+    with pytest.raises(InvalidInput, match="claimed sign must be"):
+        confirm_fixed_sign(p, (2, 0), 4, sign)
+
+
 def test_sampling_paths_run_no_per_matrix_char_coeffs(monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("single-matrix char_coeffs called on a sampling path")

@@ -1,3 +1,5 @@
+import hashlib
+import json
 import math
 from fractions import Fraction
 
@@ -90,8 +92,7 @@ def test_verify_min_chain_every_r_at_n_80():
 
 def test_nilpotent_realization_isolates_no_root_but_h(monkeypatch):
     # the root order is proved by separation: no a_j root is ever bisected
-    for fn in (nilpotent._h_min_root, nilpotent._min_chain_verdict, nilpotent._a_chains):
-        fn.cache_clear()
+    nilpotent._certify.cache_clear()
     n = 40
     closing = {recurrence_polys(FamilyParams(n, r))[1] for r in range(2, n)}
     real = nilpotent.min_positive_root
@@ -215,3 +216,20 @@ def test_certificate_r_equal_n_through_the_recurrence():
             assert cert.residual == 0.0
             oracle = char_coeffs_oracle(build_matrix(cert.realization())).values
             assert oracle == (0.0,) * n
+
+
+def test_nilpotent_layer_digest_is_pinned():
+    # every certificate field, margin, residual and mode for 2 <= r <= n <= 30
+    # in both precisions, and the root-order verdict, as first recorded
+    digest = hashlib.sha256()
+    for n in range(2, 31):
+        for r in range(2, n + 1):
+            p = FamilyParams(n, r)
+            for precision in ("double", "extended"):
+                cert = nilpotent_realization(p, precision=precision)
+                fields = [cert.as_json_dict(), list(cert.a0_margins), cert.residual, cert.precision_mode]
+                digest.update(json.dumps(fields).encode())
+            digest.update(repr(verify_min_chain(p)).encode())
+    assert digest.hexdigest() == (
+        "e3c44d7c2ab37b14cfc1671bd7ffae90e9f3c0dfb94f9fe5d6c24b3d8ab37f0e"
+    )

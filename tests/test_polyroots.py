@@ -10,9 +10,9 @@ from sapcert.errors import InvalidInput, NoPositiveRoot, PreconditionViolated
 from sapcert.polyroots import (
     IntPolynomial,
     RootBracket,
+    bisections,
     cauchy_bound,
     count_roots,
-    halve,
     min_positive_root,
     positive_roots,
     refine,
@@ -399,18 +399,19 @@ def test_int_polynomial_call_is_exact_at_fractions():
     assert P(5)(Fraction(1, 3)) == 5
 
 
-def test_halve_keeps_the_left_root_and_reports_a_midpoint_hit():
+def test_bisections_keep_the_left_root_and_report_a_midpoint_hit():
     p = IntPolynomial.from_coeffs(_mul([-1, 4], [-2, 0, 1]))  # roots 1/4, +-sqrt 2
     chain = sturm_chain(p)
     one, zero = Fraction(1), Fraction(0)
-    lo, hi, v_lo, v_hi, hit = halve(
-        chain, zero, Fraction(2), sign_variations(chain, zero), sign_variations(chain, Fraction(2))
-    )
-    assert (lo, hi, hit) == (zero, one, None)  # 1/4 on the left wins over sqrt 2
-    lo, hi, v_lo, v_hi, hit = halve(chain, lo, hi, v_lo, v_hi)
-    lo, hi, v_lo, v_hi, hit = halve(chain, lo, hi, v_lo, v_hi)
+    steps = bisections(chain, zero, Fraction(2))
+    assert next(steps) == (zero, one, None)  # 1/4 on the left wins over sqrt 2
+    assert next(steps) == (zero, Fraction(1, 2), None)
+    lo, hi, hit = next(steps)
     assert (lo, hi, hit) == (zero, Fraction(1, 4), Fraction(1, 4))
-    assert v_lo - v_hi == 1
+    assert count_roots(chain, lo, hi) == 1
+    steps = bisections(chain, Fraction(1, 2), Fraction(2))  # only sqrt 2 inside
+    assert next(steps) == (Fraction(5, 4), Fraction(2), None)
+    assert next(steps) == (Fraction(5, 4), Fraction(13, 8), None)
 
 
 def test_refine_stops_at_an_exact_dyadic_hit():
