@@ -25,7 +25,7 @@ arithmetic, which keeps deep bisection cheap.
 from __future__ import annotations
 
 from bisect import bisect_right
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from math import ceil, gcd, isqrt
 from typing import Iterator
@@ -447,17 +447,25 @@ def min_positive_root(
     return bracket.as_float(), bracket
 
 
-def sign_at_root(q: IntPolynomial, bracket: RootBracket) -> int:
-    """Certified sign of ``q`` at the root enclosed by ``bracket``.
+def sign_at_root(q: IntPolynomial, bracket: RootBracket) -> tuple[int, RootBracket]:
+    """Certified sign of ``q`` at the root enclosed by ``bracket``, with its proof bracket.
 
     Returns +1/-1 when provable, 0 when the sign could not be separated
     from zero within ``_MAX_SIGN_REFINE`` bisection steps of the bracket
     (including the case that the root of the bracket polynomial is also a
-    root of ``q``).  The bracket's own chain drives the bisection.
+    root of ``q``).  The bracket's own chain drives the bisection
+    (:func:`bisections`), so the bracket handed back lies on the path that
+    :func:`refine` takes from ``bracket`` and encloses the same root.  For
+    a nonzero sign it is the proof: ``q`` has that sign at both ends and
+    no root between them, so the sign holds at every point of it, and a
+    later :func:`refine` or ``sign_at_root`` started from it stays inside.
+    A bracket whose root is ``exact`` (given, or hit by a midpoint) proves
+    the sign by evaluation there.  For sign 0 it is where the search
+    stopped.
     """
     if bracket.exact is not None:
         v = q(bracket.exact)
-        return (v > 0) - (v < 0)
+        return (v > 0) - (v < 0), bracket
     lo, hi = bracket.lo, bracket.hi
     q_chain = steps = None
     for _ in range(_MAX_SIGN_REFINE):
@@ -467,11 +475,11 @@ def sign_at_root(q: IntPolynomial, bracket: RootBracket) -> int:
             if q_chain is None:
                 q_chain = sturm_chain(q)
             if count_roots(q_chain, lo, hi) == 0:
-                return s_lo
+                return s_lo, replace(bracket, lo=lo, hi=hi)
         # count-based refinement works for any root multiplicity
         if steps is None:
             steps = bisections(bracket.sturm(), lo, hi)
         lo, hi, hit = next(steps)
         if hit is not None:
-            return _sign_at(q.coeffs, hit)
-    return 0
+            return _sign_at(q.coeffs, hit), replace(bracket, lo=lo, hi=hi, exact=hit)
+    return 0, replace(bracket, lo=lo, hi=hi)

@@ -6,7 +6,10 @@ are cleared (floats are dyadic rationals), each first-column value becomes
 an integer polynomial in the feedback entry b, and the last equation
 closes the system as a scalar integer polynomial g(b).  Certified root
 isolation then either finds an admissible positive root or proves there is
-none at the current scale; values at the root are exact rationals.
+none at the current scale; values at the root are exact rationals.  A
+scale is judged on coarse brackets and sign proofs alone: the one bracket
+refined to full width is that of the delivered scale, in
+:func:`_deliver`, once per call.
 
 Targets with no admissible root are handled by the scaling fallback: the
 coefficients c^j * v_j of the scaled matrix c*A are realized instead and
@@ -36,15 +39,16 @@ from .family import (
 )
 from .nilpotent import nilpotent_realization
 from .patterns import Sign, member_of_class
-from .polyroots import RootBracket, positive_roots, refine, sign_at_root
+from .polyroots import IntPolynomial, RootBracket, positive_roots, refine, sign_at_root
 
 RESIDUAL_RTOL = 1e-8
 _LADDER_MAX_HALVINGS = 40
 _LADDER_REFINE_STEPS = 14
 _ROOT_WIDTH = Fraction(1, 2**60)
-# candidates are isolated this coarsely; only the accepted one is refined
-# to _ROOT_WIDTH, which continues the same bisection tree and so ends in
-# the bracket that isolating at _ROOT_WIDTH would give
+# candidates are isolated this coarsely and the sign proofs narrow them
+# along the same bisection tree; only the delivered scale's bracket is
+# refined to _ROOT_WIDTH, which ends in the bracket that isolating at
+# _ROOT_WIDTH would give unless a sign proof went narrower
 _ISOLATE_WIDTH = Fraction(1, 2**8)
 
 
@@ -76,18 +80,30 @@ class RealizationResult:
 
 @dataclass(frozen=True)
 class _ScaledSolution:
-    b: Fraction
-    a_values: tuple[Fraction, ...]
+    """An admissible root of one scale's closing polynomial, not yet refined.
+
+    ``bracket`` is the last sign proof's bracket for b (see
+    :func:`_solve_scaled`); ``scale`` and ``a_polys`` are the elimination's
+    D and a'_j, so that a_j(b) = a'_j(b) / D.
+    """
+
+    scale: int
+    a_polys: list[IntPolynomial]
+    bracket: RootBracket
 
 
 def _solve_scaled(n: int, r: int, alpha: Sequence[Fraction]) -> _ScaledSolution | None:
-    """Admissible solution of the coefficient equations, or None.
+    """Admissible root of the coefficient equations, or None.
 
     Eliminates a_1..a_{n-1} as polynomials in b, takes the positive roots
     of the closing polynomial coarsely and in increasing order, and stops
-    at the first at which all first-column values are certifiably
-    positive; no root past it is isolated, and only its bracket is
-    refined.
+    at the first at which a_r..a_{n-1} are certifiably positive; no root
+    past it is isolated.  Each a_j's sign proof starts from the bracket on
+    which the one before it was proved, so the bracket returned lies inside
+    every proof: a_r..a_{n-1} are positive on all of it, and the constants
+    a_1..a_{r-1} are positive or :func:`eliminate` would have stopped.
+    Nothing is refined here; :func:`_deliver` refines the bracket of the
+    delivered scale only.
     """
     scale, a_polys, g = eliminate(n, r, alpha)
     if g is None:
@@ -102,12 +118,12 @@ def _solve_scaled(n: int, r: int, alpha: Sequence[Fraction]) -> _ScaledSolution 
         candidates = positive_roots(g, width=_ISOLATE_WIDTH)
 
     for bracket in candidates:
-        if not all(sign_at_root(q, bracket) == 1 for q in a_polys[r:]):
-            continue
-        b = refine(bracket, _ROOT_WIDTH).midpoint
-        values = tuple(a_polys[j](b) / scale for j in range(1, n))
-        if all(v > 0 for v in values):
-            return _ScaledSolution(b=b, a_values=values)
+        for q in a_polys[r:]:
+            sign, bracket = sign_at_root(q, bracket)
+            if sign != 1:
+                break
+        else:
+            return _ScaledSolution(scale=scale, a_polys=a_polys, bracket=bracket)
     return None
 
 
@@ -118,10 +134,16 @@ def _deliver(
     sol: _ScaledSolution,
 ) -> RealizationResult:
     n, r = p.n, p.r
-    a_float = tuple(float(v) for v in sol.a_values)
-    b_float = float(sol.b)
+    # the one refinement of realize; it continues the sign proofs'
+    # bisection path, so b lies in every proof bracket and b and every
+    # a_j are positive exactly
+    b = refine(sol.bracket, _ROOT_WIDTH).midpoint
+    a_values = tuple(sol.a_polys[j](b) / sol.scale for j in range(1, n))
+    a_float = tuple(float(v) for v in a_values)
+    b_float = float(b)
     if any(v <= 0.0 for v in a_float) or b_float <= 0.0:
-        # exact values are positive but can underflow to zero as doubles
+        # the exact values are positive, but can underflow to zero as
+        # doubles; a double is positive only when its exact value is
         raise RealizationFailed(
             f"solution parameter underflowed at scaling {float(c):.3e}"
         )
@@ -129,9 +151,9 @@ def _deliver(
     M = np.zeros((n, n))
     inv = 1 / c
     for i in range(n - 1):
-        M[i, 0] = float(sol.a_values[i] * inv)
+        M[i, 0] = float(a_values[i] * inv)
         M[i, i + 1] = float(-inv)
-    M[n - 1, n - r] = float(sol.b * inv)
+    M[n - 1, n - r] = float(b * inv)
     M[n - 1, n - 1] = float(-inv)
     if not member_of_class(M, build_pattern(p)):
         raise RealizationFailed(
@@ -200,7 +222,8 @@ def realize(p: FamilyParams, target: CoeffVector) -> RealizationResult:
 
     Tries the unscaled system first, then descends the scaling ladder by
     halving; the first admissible scale is refined upward because the
-    delivered accuracy degrades with c^{-n}.  Raises RealizationFailed
+    delivered accuracy degrades with c^{-n}.  Every scale is solved once
+    and the last admissible one is delivered.  Raises RealizationFailed
     with the attained diagnostics if the ladder bottoms out, and
     InvalidInput for a target of the wrong length or with a non-finite
     coefficient.

@@ -7,6 +7,7 @@ round-trip and repeated runs are byte-identical.
 from __future__ import annotations
 
 import math
+import re
 
 import numpy as np
 
@@ -109,14 +110,22 @@ def format_matrix_text(M: np.ndarray) -> str:
 
 
 def parse_complex_list(text: str) -> list[complex]:
-    """Parse eigenvalues like '1+2i,1-2i,-1,-3' (i or j notation)."""
+    """Parse finite eigenvalues like '1+2i,1-2i,-1,-3' (i or j notation).
+
+    The imaginary unit ends a token (before an optional closing
+    parenthesis), so only a final ``i`` is read as ``j``; ``inf`` and
+    ``nan`` are parsed as such and rejected as non-finite.
+    """
     out = []
     for k, tok in enumerate(text.split(","), start=1):
-        s = tok.strip().replace("i", "j").replace(" ", "")
+        s = re.sub(r"i(\)?)$", r"j\1", tok.replace(" ", "").strip())
         if not s:
             raise InvalidInput(f"eigenvalue {k}: empty token")
         try:
-            out.append(complex(s))
+            z = complex(s)
         except ValueError:
             raise InvalidInput(f"eigenvalue {k}: cannot parse {tok!r}") from None
+        if not (math.isfinite(z.real) and math.isfinite(z.imag)):
+            raise InvalidInput(f"eigenvalue {k}: non-finite value {tok!r}")
+        out.append(z)
     return out

@@ -81,6 +81,18 @@ def test_realize_non_finite_target_is_usage_error(capsys, flag, value):
 
 
 @pytest.mark.parametrize(
+    "value,index",
+    [("1+nani,1-nani,1", 1), ("1,nani,-nani", 2), ("1,2,inf", 3), ("1,1+infi,1-infi", 2)],
+)
+def test_realize_non_finite_eigenvalue_is_named(capsys, value, index):
+    code, out, err = run(capsys, "realize", "--n", "3", "--r", "2", "--eigs", value)
+    assert code == 64
+    assert out == ""
+    assert f"eigenvalue {index}: non-finite value" in err
+    assert err.count("\n") == 1 and "Traceback" not in err
+
+
+@pytest.mark.parametrize(
     "argv",
     [
         ("--n", "4", "--r", "2", "--monic", "-1e200,1e200,-1e200,1e200"),

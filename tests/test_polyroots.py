@@ -295,18 +295,40 @@ def test_sign_at_root_certified():
     _, bracket = min_positive_root(p)
     q_pos = P(1, -2)  # 1 - 2t > 0 at 0.382
     q_neg = P(-1, 3)  # 3t - 1 > 0 at 0.382 -> sign +
-    assert sign_at_root(q_pos, bracket) == 1
-    assert sign_at_root(q_neg, bracket) == 1
-    assert sign_at_root(P(-1, 2), bracket) == -1  # 2t - 1 < 0
+    assert sign_at_root(q_pos, bracket)[0] == 1
+    assert sign_at_root(q_neg, bracket)[0] == 1
+    assert sign_at_root(P(-1, 2), bracket)[0] == -1  # 2t - 1 < 0
     # q vanishing at the root itself: undecidable, reported as 0
-    assert sign_at_root(p, bracket) == 0
+    assert sign_at_root(p, bracket)[0] == 0
 
 
 def test_sign_at_root_exact_bracket():
     _, bracket = min_positive_root(P(1, -2))
     assert bracket.exact == Fraction(1, 2)
-    assert sign_at_root(P(-1, 2), bracket) == 0  # 2t-1 vanishes at 1/2
-    assert sign_at_root(P(1, 2), bracket) == 1
+    assert sign_at_root(P(-1, 2), bracket) == (0, bracket)  # 2t-1 vanishes at 1/2
+    assert sign_at_root(P(1, 2), bracket) == (1, bracket)
+
+
+def test_sign_at_root_proof_bracket_lies_on_the_refine_path():
+    # root (3-sqrt5)/2 ~ 0.38197 of p; q = 1000t - 381 has its root just
+    # left of it, so the proof needs a narrow bracket
+    p = P(1, -3, 1)
+    bracket = next(positive_roots(p, width=Fraction(1, 4)))
+    q = P(-381, 1000)
+    sign, proof = sign_at_root(q, bracket)
+    assert sign == 1
+    assert bracket.lo <= proof.lo < proof.hi <= bracket.hi
+    assert proof.width < Fraction(1, 1000) and proof.chain is bracket.chain
+    # root-free for q with q > 0 at both ends, and still the root of p
+    assert q(proof.lo) > 0 and q(proof.hi) > 0
+    assert count_roots(sturm_chain(q), proof.lo, proof.hi) == 0
+    assert count_roots(proof.sturm(), proof.lo, proof.hi) == 1
+    # continuing from the proof bracket ends where refining the original does
+    width = Fraction(1, 2**40)
+    assert refine(proof, width) == refine(bracket, width)
+    # a second sign proof started from the first one stays inside it
+    sign2, proof2 = sign_at_root(P(-3819, 10000), proof)
+    assert sign2 == 1 and proof.lo <= proof2.lo < proof2.hi <= proof.hi
 
 
 def test_family_recurrence_polys_have_certifiable_roots():
@@ -419,7 +441,8 @@ def test_refine_stops_at_an_exact_dyadic_hit():
     br = refine(RootBracket(lo=Fraction(0), hi=Fraction(1), poly=p), Fraction(1, 2**60))
     assert br.exact == Fraction(1, 4) and br.hi == br.exact
     assert br.midpoint == Fraction(1, 4)
-    assert sign_at_root(P(-1, 2), RootBracket(lo=Fraction(0), hi=Fraction(1), poly=p)) == -1
+    sign, proof = sign_at_root(P(-1, 2), RootBracket(lo=Fraction(0), hi=Fraction(1), poly=p))
+    assert sign == -1 and proof.exact == Fraction(1, 4)
 
 
 def test_coarse_isolation_then_refinement_equals_fine_isolation():

@@ -1,12 +1,19 @@
+import hashlib
+import importlib
+import json
+
 import numpy as np
 import pytest
 
 from sapcert.charpoly import CoeffVector, char_coeffs, char_coeffs_oracle, spectrum
-from sapcert.errors import ConvergenceError, InvalidInput
+from sapcert.errors import ConvergenceError, InvalidInput, RealizationFailed
 from sapcert.family import FamilyParams, build_pattern
 from sapcert.nilpotent import nilpotent_realization
 from sapcert.patterns import Sign, is_superpattern, member_of_class, member_of_class_tol
 from sapcert.realize import newton_solve, realize, realize_superpattern
+
+# the package namespace binds ``sapcert.realize`` to the function
+realize_module = importlib.import_module("sapcert.realize")
 
 
 def test_zero_target_recovers_nilpotent_certificate():
@@ -98,7 +105,7 @@ def test_realize_smallest_admissible_root_is_chosen():
         roots = list(positive_roots(int_poly(g)))
         admissible = []
         for br in roots:
-            if all(sign_at_root(int_poly(q), br) == 1 for q in (a2, a3)) and a1 > 0:
+            if all(sign_at_root(int_poly(q), br)[0] == 1 for q in (a2, a3)) and a1 > 0:
                 admissible.append(float(br.midpoint))
         assert admissible, alpha
         assert res.params.b == pytest.approx(min(admissible), abs=1e-9)
@@ -139,6 +146,101 @@ def test_realize_spectrum_fidelity():
         got = sorted(spectrum(res.matrix), key=lambda w: (w.real, w.imag))
         for a, b in zip(got, eigs):
             assert abs(a - b) <= 1e-5
+
+
+def test_realize_layer_digest_is_pinned():
+    # matrix bytes, scaling_c, residual, params and newton_iters of seeded
+    # targets for every 2 <= r <= n, 3 <= n <= 8, most of them realized on
+    # the scaling ladder, as first recorded
+    rng = np.random.default_rng(2000)
+    digest = hashlib.sha256()
+    ladder = total = 0
+    for n in range(3, 9):
+        for r in range(2, n + 1):
+            p = FamilyParams(n, r)
+            for _ in range(6):
+                res = realize(p, CoeffVector(tuple(rng.uniform(-5.0, 5.0, n))))
+                total += 1
+                ladder += res.scaling_c < 1.0
+                fields = [res.scaling_c, res.residual, list(res.params.a), res.params.b, res.newton_iters]
+                digest.update(res.matrix.astype("<f8").tobytes())
+                digest.update(json.dumps(fields).encode())
+    assert 2 * ladder > total
+    assert digest.hexdigest() == (
+        "cfa70c16118af2df43d3d802b44ea441b4d3055b817d1880284b522287796132"
+    )
+
+
+def _count_refines(monkeypatch):
+    from sapcert import polyroots
+
+    calls = []
+
+    def counted(bracket, width):
+        out = polyroots.refine(bracket, width)
+        calls.append((bracket, out))
+        return out
+
+    monkeypatch.setattr(realize_module, "refine", counted)
+    return calls
+
+
+def test_realize_refines_once_per_target(monkeypatch):
+    calls = _count_refines(monkeypatch)
+    rng = np.random.default_rng(46)
+    ladder = 0
+    for n in range(3, 8):
+        for r in range(2, n + 1):
+            for _ in range(3):
+                before = len(calls)
+                res = realize(FamilyParams(n, r), CoeffVector(tuple(rng.uniform(-5.0, 5.0, n))))
+                ladder += res.scaling_c < 1.0
+                assert len(calls) == before + 1
+    assert ladder > 0
+
+
+def test_realize_failure_on_the_ladder_refines_nothing(monkeypatch):
+    calls = _count_refines(monkeypatch)
+    # the exact solution needs a scale below the ladder's floor of 2^-40
+    with pytest.raises(RealizationFailed, match="no admissible solution"):
+        realize(FamilyParams(3, 2), CoeffVector((-1e15, 1.0, -1.0)))
+    assert calls == []
+
+
+def test_realize_proof_bracket_narrower_than_root_width(monkeypatch):
+    # with a root width of 1/4 every isolated bracket, and so every sign
+    # proof's bracket, is already narrower: refine hands it back as is.  At
+    # every delivered scale b and all a_j must still be exactly positive,
+    # and realize must return them or fail with a typed error
+    from fractions import Fraction
+
+    monkeypatch.setattr(realize_module, "_ROOT_WIDTH", Fraction(1, 4))
+    calls = _count_refines(monkeypatch)
+    delivered = []
+    deliver = realize_module._deliver
+
+    def spy(p, target, c, sol):
+        delivered.append(sol)
+        return deliver(p, target, c, sol)
+
+    monkeypatch.setattr(realize_module, "_deliver", spy)
+    rng = np.random.default_rng(47)
+    targets = 0
+    for n in (3, 4, 5, 6):
+        for r in range(2, n + 1):
+            for _ in range(2):
+                targets += 1
+                try:
+                    res = realize(FamilyParams(n, r), CoeffVector(tuple(rng.uniform(-5.0, 5.0, n))))
+                except RealizationFailed:
+                    continue
+                assert res.params.b > 0 and all(v > 0 for v in res.params.a)
+    assert len(delivered) == len(calls) == targets
+    for sol, (bracket, out) in zip(delivered, calls):
+        assert bracket is sol.bracket and out is bracket
+        assert bracket.exact is not None or bracket.width <= Fraction(1, 4)
+        b = out.midpoint
+        assert b > 0 and all(q(b) > 0 for q in sol.a_polys)
 
 
 def test_newton_solve_scalar_one_step():
