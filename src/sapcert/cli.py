@@ -273,6 +273,7 @@ _SWEEP_COLUMNS = (
 def cmd_sweep(args) -> int:
     if args.n_max < 3:
         raise InvalidInput("--n-max must be at least 3")
+    FamilyParams(args.n_max, 2)  # an --n-max over MAX_N fails here, before the grid
     rows = []
     all_ok = True
     for n in range(3, args.n_max + 1):

@@ -24,9 +24,15 @@ from .patterns import Sign, SignPattern
 from .polyroots import IntPolynomial
 
 
+# largest order accepted: the nilpotent certificate, which every command
+# but njverify builds, is slowest at r = 2 and takes about 5 s there at
+# n = 160 (0.2 s at r = n/2 and r = n - 1) and about 130 s at n = 320
+MAX_N = 160
+
+
 @dataclass(frozen=True)
 class FamilyParams:
-    """Order ``n`` and feedback offset ``r`` with 2 <= r <= n."""
+    """Order ``n`` and feedback offset ``r`` with 2 <= r <= n <= MAX_N."""
 
     n: int
     r: int
@@ -34,6 +40,8 @@ class FamilyParams:
     def __post_init__(self):
         if not (2 <= self.r <= self.n):
             raise InvalidInput(f"need 2 <= r <= n, got n={self.n}, r={self.r}")
+        if self.n > MAX_N:
+            raise InvalidInput(f"n={self.n} exceeds the largest supported order MAX_N={MAX_N}")
 
 
 @dataclass(frozen=True)

@@ -30,8 +30,8 @@ from .polyroots import (
     bisections,
     count_roots,
     min_positive_root,
-    sign_variations,
     sturm_chain,
+    variations,
 )
 
 RESIDUAL_TOL_PER_N = 1e-10
@@ -108,15 +108,14 @@ def _root_below(prev_chain, q_chain) -> bool:
     no root in (0, 1] or the guard runs out first (equal or reversed
     roots never separate).
     """
-    lo, hi = Fraction(0), Fraction(1)
-    if sign_variations(prev_chain, lo) == sign_variations(prev_chain, hi):
+    if variations(prev_chain, 0, 1) == variations(prev_chain, 1, 1):
         return False
-    q_zero = sign_variations(q_chain, lo)
-    for new_lo, _, _ in islice(bisections(prev_chain, lo, hi), _SEPARATION_STEPS):
-        if new_lo != lo:
-            lo = new_lo
-            if q_zero - sign_variations(q_chain, lo) >= 1:
-                return True
+    q_zero = variations(q_chain, 0, 1)
+    a = 0  # lo = a/d
+    for new_a, _, d, _ in islice(bisections(prev_chain, 0, 1, 1), _SEPARATION_STEPS):
+        if new_a != 2 * a and q_zero - variations(q_chain, new_a, d) >= 1:
+            return True
+        a = new_a
     return False
 
 

@@ -18,8 +18,11 @@ one certified bisection sequence (:func:`bisections`), with the chain
 built once and carried by the bracket.
 
 Every polynomial in the package is an :class:`IntPolynomial`.  Signs and
-values at rational points are evaluated homogeneously in integer
-arithmetic, which keeps deep bisection cheap.
+values at a rational point p/q are evaluated homogeneously, as
+q^d f(p/q), by one integer kernel that takes p and q as two integers.
+Bisection keeps its endpoints as integer numerators over one common
+denominator d, so the midpoint of (a/d, b/d] is (a + b)/2d with no gcd;
+Fractions are built only for the brackets handed back.
 """
 
 from __future__ import annotations
@@ -27,7 +30,7 @@ from __future__ import annotations
 from bisect import bisect_right
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
-from math import ceil, gcd, isqrt
+from math import ceil, gcd, isqrt, lcm
 from typing import Iterator
 
 from .errors import InvalidInput, NoPositiveRoot, PreconditionViolated
@@ -73,14 +76,14 @@ class IntPolynomial:
         """Exact value at an int or Fraction argument; Horner otherwise.
 
         At x = p/q the numerator sum c_i p^i q^(d-i) is accumulated in
-        integers, as :func:`_sign_at` does, and divided by q^d once.
+        integers by :func:`_homogeneous` and divided by q^d once; any
+        other argument is taken as x/1, which that loop evaluates by
+        Horner's rule.
         """
-        if isinstance(x, Fraction) and self.coeffs:
-            return Fraction(_homogeneous(self.coeffs, x), x.denominator**self.degree)
-        acc = 0 * x
-        for c in reversed(self.coeffs):
-            acc = acc * x + c
-        return acc
+        if isinstance(x, Fraction):
+            q = x.denominator
+            return Fraction(_homogeneous(self.coeffs, x.numerator, q), q ** max(self.degree, 0))
+        return _homogeneous(self.coeffs, x, 1)
 
     def derivative(self) -> "IntPolynomial":
         return IntPolynomial.from_coeffs(
@@ -148,9 +151,9 @@ class RootBracket:
         return float(self.midpoint)
 
 
-def _homogeneous(ints, x: Fraction) -> int:
-    # sum c_i p^i q^(d-i) for x = p/q, q > 0: q^d f(x), in integers
-    p, q = x.numerator, x.denominator
+def _homogeneous(ints, p: int, q: int) -> int:
+    # sum c_i p^i q^(d-i) for q > 0: q^d f(p/q), in integers; p/q need not
+    # be in lowest terms, which scales the value by a positive factor only
     acc = 0
     qpow = 1
     for c in reversed(ints):
@@ -159,9 +162,12 @@ def _homogeneous(ints, x: Fraction) -> int:
     return acc
 
 
+def _sign(v: int) -> int:
+    return (v > 0) - (v < 0)
+
+
 def _sign_at(ints: tuple[int, ...], x: Fraction) -> int:
-    acc = _homogeneous(ints, x)
-    return (acc > 0) - (acc < 0)
+    return _sign(_homogeneous(ints, x.numerator, x.denominator))
 
 
 def _content_free(ints: list[int]) -> tuple[int, ...]:
@@ -219,15 +225,20 @@ def sturm_chain(p: IntPolynomial) -> tuple[tuple[int, ...], ...]:
     return tuple(chain)
 
 
-def sign_variations(chain, x: Fraction) -> int:
+def variations(chain, p: int, q: int) -> int:
+    """Sign variations of the Sturm chain ``chain`` at p/q, for integers p and q > 0."""
     v, prev = 0, 0
     for f in chain:
-        s = _sign_at(f, x)
-        if s != 0:
-            if prev != 0 and s != prev:
+        s = _homogeneous(f, p, q)
+        if s:
+            if prev and (s < 0) != (prev < 0):
                 v += 1
             prev = s
     return v
+
+
+def sign_variations(chain, x: Fraction) -> int:
+    return variations(chain, x.numerator, x.denominator)
 
 
 def count_roots(chain, a: Fraction, b: Fraction) -> int:
@@ -235,26 +246,32 @@ def count_roots(chain, a: Fraction, b: Fraction) -> int:
     return sign_variations(chain, a) - sign_variations(chain, b)
 
 
-def bisections(
-    chain, lo: Fraction, hi: Fraction
-) -> Iterator[tuple[Fraction, Fraction, Fraction | None]]:
-    """Certified bisection steps on (lo, hi], one per item, without end.
+def _over_common(lo: Fraction, hi: Fraction) -> tuple[int, int, int]:
+    # (a, b, d) with lo = a/d and hi = b/d
+    d = lcm(lo.denominator, hi.denominator)
+    return lo.numerator * (d // lo.denominator), hi.numerator * (d // hi.denominator), d
 
-    Keeps the left half when its Sturm count is at least one, else the
-    right half, and yields the kept (lo, hi) with the midpoint when it is
-    a root of ``chain[0]`` (it is then the kept ``hi``), else None.  The
-    sign variations at the kept ``lo`` are carried along, so a step
-    evaluates the chain at the midpoint only.
+
+def bisections(chain, a: int, b: int, d: int) -> Iterator[tuple[int, int, int, bool]]:
+    """Certified bisection steps on (a/d, b/d], d > 0, one per item, without end.
+
+    Each step halves the interval at (a + b)/2d, keeps the left half when
+    its Sturm count is at least one, else the right half, and yields the
+    kept ends over the doubled denominator as (a, b, d), with True when
+    the midpoint is a root of ``chain[0]`` (it is then the kept hi).  The
+    lo end moved exactly when the new a is not twice the one before.  The
+    sign variations at the kept lo are carried along, so a step evaluates
+    the chain at the midpoint only.
     """
-    v_lo = sign_variations(chain, lo)
+    v_lo = variations(chain, a, d)
     while True:
-        mid = (lo + hi) / 2
-        v_mid = sign_variations(chain, mid)
+        m, d = a + b, 2 * d
+        v_mid = variations(chain, m, d)
         if v_lo - v_mid >= 1:
-            hi, hit = mid, (mid if _sign_at(chain[0], mid) == 0 else None)
+            a, b, hit = 2 * a, m, _homogeneous(chain[0], m, d) == 0
         else:
-            lo, v_lo, hit = mid, v_mid, None
-        yield lo, hi, hit
+            a, b, v_lo, hit = m, 2 * b, v_mid, False
+        yield a, b, d, hit
 
 
 def refine(bracket: RootBracket, width: Fraction) -> RootBracket:
@@ -266,9 +283,13 @@ def refine(bracket: RootBracket, width: Fraction) -> RootBracket:
     if bracket.exact is not None or bracket.width <= width:
         return bracket
     chain = bracket.sturm()
-    for lo, hi, hit in bisections(chain, bracket.lo, bracket.hi):
-        if hit is not None or hi - lo <= width:
-            return RootBracket(lo=lo, hi=hi, poly=bracket.poly, exact=hit, chain=chain)
+    wn, wd = width.numerator, width.denominator
+    for a, b, d, hit in bisections(chain, *_over_common(bracket.lo, bracket.hi)):
+        if hit or (b - a) * wd <= wn * d:
+            hi = Fraction(b, d)
+            return RootBracket(
+                lo=Fraction(a, d), hi=hi, poly=bracket.poly, exact=hi if hit else None, chain=chain
+            )
 
 
 def cauchy_bound(p: IntPolynomial) -> Fraction:
@@ -319,26 +340,27 @@ def _square_free(ints: tuple[int, ...]) -> tuple[IntPolynomial, tuple[tuple[int,
     return poly, sturm_chain(poly)
 
 
-def _rational_root(ints, lo: Fraction, hi: Fraction, nums: list[int], dens: list[int]):
-    """The root num/den of ``ints`` in (lo, hi] with num in ``nums`` and den in ``dens``, or None.
+def _rational_root(ints, a: int, b: int, d: int, nums: list[int], dens: list[int]):
+    """The root num/den of ``ints`` in (a/d, b/d] with num in ``nums`` and den in ``dens``, or None.
 
-    (lo, hi] holds one simple root, so the sign at a candidate tells its
-    side; for each den the sorted numerators in (lo * den, hi * den] are
-    bisected by sign, which narrows (lo, hi] for the next den.
+    The interval holds one simple root, so the sign at a candidate tells
+    its side; for each den the sorted numerators in (a den/d, b den/d]
+    are bisected by sign, which narrows the interval for the next den.
+    Its ends are kept as (numerator, denominator) pairs.
     """
-    s_hi = _sign_at(ints, hi)
+    lo, hi = (a, d), (b, d)
+    s_hi = _sign(_homogeneous(ints, b, d))
     for den in dens:
-        i, j = bisect_right(nums, lo * den), bisect_right(nums, hi * den)
+        i, j = bisect_right(nums, lo[0] * den // lo[1]), bisect_right(nums, hi[0] * den // hi[1])
         while i < j:
             k = (i + j) // 2
-            x = Fraction(nums[k], den)
-            s = _sign_at(ints, x)
+            s = _sign(_homogeneous(ints, nums[k], den))
             if s == 0:
-                return x
+                return Fraction(nums[k], den)
             if s == s_hi:
-                hi, j = x, k
+                hi, j = (nums[k], den), k
             else:
-                lo, i = x, k + 1
+                lo, i = (nums[k], den), k + 1
     return None
 
 
@@ -383,39 +405,44 @@ def positive_roots(p: IntPolynomial, width: Fraction = DEFAULT_WIDTH) -> Iterato
         return
     poly, chain = _square_free(work)
     candidates = None  # sorted divisors of poly(0) and lead, on the first search
-    zero, bound = Fraction(0), cauchy_bound(p)
-    # searched: an enclosing interval with one root held no rational root
-    pending = [(zero, bound, sign_variations(chain, zero), sign_variations(chain, bound), False)]
-    floor = zero  # hi of the last bracket; a centred one can reach past its parent
+    bound = cauchy_bound(p)
+    b, d = bound.numerator, bound.denominator
+    wn, wd = width.numerator, width.denominator
+    # (a, b, d, v_lo, v_hi, searched) for the interval (a/d, b/d]; searched:
+    # an enclosing interval with one root held no rational root
+    pending = [(0, b, d, variations(chain, 0, d), variations(chain, b, d), False)]
+    fn, fd = 0, 1  # floor, the hi of the last bracket; a centred one can reach past its parent
     for _ in range(_MAX_BISECTIONS * len(work)):
         if not pending:
             return
-        lo, hi, v_lo, v_hi, searched = pending.pop()
+        a, b, d, v_lo, v_hi, searched = pending.pop()
         if v_lo == v_hi:
             continue
-        narrow = hi - lo <= width
-        if v_lo - v_hi == 1 and lo >= floor:
-            exact = hi if narrow and _sign_at(poly.coeffs, hi) == 0 else None
+        narrow = (b - a) * wd <= wn * d
+        if v_lo - v_hi == 1 and a * fd >= fn * d:
+            exact = Fraction(b, d) if narrow and _homogeneous(poly.coeffs, b, d) == 0 else None
             if exact is None and not searched:
                 if candidates is None:
                     c0, lead = abs(poly.coeffs[0]), abs(poly.coeffs[-1])
                     small = c0 <= _RATROOT_COEFF_LIMIT and lead <= _RATROOT_COEFF_LIMIT
                     candidates = (_divisors(c0), _divisors(lead)) if small else ([], [])
-                exact = _rational_root(poly.coeffs, lo, hi, *candidates)
+                exact = _rational_root(poly.coeffs, a, b, d, *candidates)
                 searched = True
-            if exact is not None:
-                # centred on the cell that bisecting on to ``width`` ends in,
-                # after the fewest halvings k with 2^k >= cells
-                cells = ceil((hi - lo) / width)
-                step = (hi - lo) / 2 ** (cells - 1).bit_length()
-                lo, hi = _centred(poly, chain, exact, min(width / 2, (exact - lo) % step or step))
             if exact is not None or narrow:
-                floor = hi
+                lo, hi = Fraction(a, d), Fraction(b, d)
+                if exact is not None:
+                    # centred on the cell that bisecting on to ``width`` ends
+                    # in, after the fewest halvings k with 2^k >= cells
+                    cells = ceil((hi - lo) / width)
+                    step = (hi - lo) / 2 ** (cells - 1).bit_length()
+                    delta = min(width / 2, (exact - lo) % step or step)
+                    lo, hi = _centred(poly, chain, exact, delta)
+                fn, fd = hi.numerator, hi.denominator
                 yield RootBracket(lo=lo, hi=hi, poly=poly, exact=exact, chain=chain)
                 continue
-        mid = (lo + hi) / 2
-        v_mid = sign_variations(chain, mid)
-        pending += [(mid, hi, v_mid, v_hi, searched), (lo, mid, v_lo, v_mid, searched)]
+        m, d = a + b, 2 * d
+        v_mid = variations(chain, m, d)
+        pending += [(m, 2 * b, d, v_mid, v_hi, searched), (2 * a, m, d, v_lo, v_mid, searched)]
     raise PreconditionViolated("root isolation did not converge")
 
 
@@ -466,20 +493,28 @@ def sign_at_root(q: IntPolynomial, bracket: RootBracket) -> tuple[int, RootBrack
     if bracket.exact is not None:
         v = q(bracket.exact)
         return (v > 0) - (v < 0), bracket
-    lo, hi = bracket.lo, bracket.hi
+    a, b, d = _over_common(bracket.lo, bracket.hi)
+    s_lo, s_hi = _sign(_homogeneous(q.coeffs, a, d)), _sign(_homogeneous(q.coeffs, b, d))
     q_chain = steps = None
     for _ in range(_MAX_SIGN_REFINE):
-        s_lo = _sign_at(q.coeffs, lo)
-        s_hi = _sign_at(q.coeffs, hi)
         if s_lo == s_hi and s_lo != 0:
             if q_chain is None:
                 q_chain = sturm_chain(q)
-            if count_roots(q_chain, lo, hi) == 0:
-                return s_lo, replace(bracket, lo=lo, hi=hi)
+            if variations(q_chain, a, d) == variations(q_chain, b, d):
+                return s_lo, replace(bracket, lo=Fraction(a, d), hi=Fraction(b, d))
         # count-based refinement works for any root multiplicity
         if steps is None:
-            steps = bisections(bracket.sturm(), lo, hi)
-        lo, hi, hit = next(steps)
-        if hit is not None:
-            return _sign_at(q.coeffs, hit), replace(bracket, lo=lo, hi=hi, exact=hit)
-    return 0, replace(bracket, lo=lo, hi=hi)
+            steps = bisections(bracket.sturm(), a, b, d)
+        prev_a = a
+        a, b, d, hit = next(steps)
+        if hit:
+            hi = Fraction(b, d)
+            return _sign(_homogeneous(q.coeffs, b, d)), replace(
+                bracket, lo=Fraction(a, d), hi=hi, exact=hi
+            )
+        # q's sign is evaluated at the moved end only
+        if a != 2 * prev_a:
+            s_lo = _sign(_homogeneous(q.coeffs, a, d))
+        else:
+            s_hi = _sign(_homogeneous(q.coeffs, b, d))
+    return 0, replace(bracket, lo=Fraction(a, d), hi=Fraction(b, d))

@@ -183,7 +183,12 @@ def _deliver(
 
 
 def _scaled_target(alpha: list[Fraction], c: Fraction) -> list[Fraction]:
-    return [v * c**j for j, v in enumerate(alpha, start=1)]
+    # alpha_j c^j, each built and normalised once from its integer parts
+    m, d = c.numerator, c.denominator
+    return [
+        Fraction(v.numerator * m**j, v.denominator * d**j)
+        for j, v in enumerate(alpha, start=1)
+    ]
 
 
 def _diagnose_scaled(n: int, r: int, alpha: Sequence[Fraction]) -> str:

@@ -2,11 +2,13 @@ import json
 import os
 import subprocess
 import sys
+import time
 
 import pytest
 
 import sapcert
 from sapcert.cli import main
+from sapcert.family import MAX_N
 
 EX22_SGN = "2 2\n+-\n+-\n"
 EX22_MAT = "2 2\n1 -1\n1 -1\n"
@@ -142,6 +144,27 @@ def test_sampling_arguments_out_of_range_are_usage_errors(capsys, argv, message)
     assert code == 64
     assert out == ""
     assert message in err
+    assert err.count("\n") == 1 and "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("nilpotent", "--n", "1000000", "--r", "2"),
+        ("jacobian", "--n", "1000000", "--r", "500000"),
+        ("realize", "--n", "1000000", "--r", "2", "--monic", "1,2"),
+        ("msap", "--n", "1000000", "--r", "999999"),
+        ("sweep", "--n-max", "1000000"),
+        ("nilpotent", "--n", "161", "--r", "2"),
+    ],
+)
+def test_order_over_max_n_is_a_prompt_usage_error(capsys, argv):
+    t0 = time.perf_counter()
+    code, out, err = run(capsys, *argv)
+    assert time.perf_counter() - t0 < 1.0
+    assert code == 64
+    assert out == ""
+    assert f"MAX_N={MAX_N}" in err
     assert err.count("\n") == 1 and "Traceback" not in err
 
 

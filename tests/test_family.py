@@ -7,6 +7,7 @@ import pytest
 from sapcert.charpoly import char_coeffs, char_coeffs_oracle
 from sapcert.errors import InvalidInput
 from sapcert.family import (
+    MAX_N,
     FamilyParams,
     FamilyRealization,
     build_matrix,
@@ -24,6 +25,9 @@ def test_params_validation():
         FamilyParams(2, 3)
     with pytest.raises(InvalidInput):
         FamilyParams(3, 1)
+    FamilyParams(MAX_N, 2)
+    with pytest.raises(InvalidInput, match=f"MAX_N={MAX_N}"):
+        FamilyParams(MAX_N + 1, 2)
 
 
 def test_pattern_2_2_is_the_basic_example():

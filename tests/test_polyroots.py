@@ -1,3 +1,4 @@
+import hashlib
 import math
 import random
 from fractions import Fraction
@@ -232,9 +233,9 @@ def test_divisor_walk_tries_only_candidates_inside_a_bracket(monkeypatch):
     calls = [0]
     homogeneous = polyroots._homogeneous
 
-    def counted(ints, x):
+    def counted(ints, p, q):
         calls[0] += 1
-        return homogeneous(ints, x)
+        return homogeneous(ints, p, q)
 
     monkeypatch.setattr(polyroots, "_homogeneous", counted)
     brs = list(positive_roots(p))
@@ -253,13 +254,13 @@ def test_rational_root_is_centred_without_bisecting_to_width(monkeypatch):
     # about 50 bisections per root; a rational root is recognised on the
     # first interval that holds it alone and centred there
     calls = [0]
-    variations = polyroots.sign_variations
+    variations = polyroots.variations
 
-    def counted(chain, x):
+    def counted(chain, p, q):
         calls[0] += 1
-        return variations(chain, x)
+        return variations(chain, p, q)
 
-    monkeypatch.setattr(polyroots, "sign_variations", counted)
+    monkeypatch.setattr(polyroots, "variations", counted)
     brs = list(positive_roots(P(7, -22, 3)))
     assert [b.exact for b in brs] == [Fraction(1, 3), Fraction(7)]
     assert all(b.width <= polyroots.DEFAULT_WIDTH for b in brs)
@@ -424,16 +425,22 @@ def test_int_polynomial_call_is_exact_at_fractions():
 def test_bisections_keep_the_left_root_and_report_a_midpoint_hit():
     p = IntPolynomial.from_coeffs(_mul([-1, 4], [-2, 0, 1]))  # roots 1/4, +-sqrt 2
     chain = sturm_chain(p)
-    one, zero = Fraction(1), Fraction(0)
-    steps = bisections(chain, zero, Fraction(2))
-    assert next(steps) == (zero, one, None)  # 1/4 on the left wins over sqrt 2
-    assert next(steps) == (zero, Fraction(1, 2), None)
-    lo, hi, hit = next(steps)
+    zero = Fraction(0)
+
+    def ends(step):
+        a, b, d, hit = step
+        return Fraction(a, d), Fraction(b, d), Fraction(b, d) if hit else None
+
+    steps = bisections(chain, 0, 2, 1)  # (0, 2]
+    # (0, 1], over the doubled denominator: 1/4 on the left wins over sqrt 2
+    assert next(steps) == (0, 2, 2, False)
+    assert ends(next(steps)) == (zero, Fraction(1, 2), None)
+    lo, hi, hit = ends(next(steps))
     assert (lo, hi, hit) == (zero, Fraction(1, 4), Fraction(1, 4))
     assert count_roots(chain, lo, hi) == 1
-    steps = bisections(chain, Fraction(1, 2), Fraction(2))  # only sqrt 2 inside
-    assert next(steps) == (Fraction(5, 4), Fraction(2), None)
-    assert next(steps) == (Fraction(5, 4), Fraction(13, 8), None)
+    steps = bisections(chain, 1, 4, 2)  # (1/2, 2], only sqrt 2 inside
+    assert ends(next(steps)) == (Fraction(5, 4), Fraction(2), None)
+    assert ends(next(steps)) == (Fraction(5, 4), Fraction(13, 8), None)
 
 
 def test_refine_stops_at_an_exact_dyadic_hit():
@@ -502,3 +509,36 @@ def test_brackets_carry_their_chain():
     assert refine(irrational[0], Fraction(1, 2**40)).chain is irrational[0].chain
     _, bracket = min_positive_root(P(1, -3, 1))
     assert bracket.chain == sturm_chain(P(1, -3, 1))
+
+
+def test_positive_roots_brackets_are_pinned():
+    # (lo, hi, exact) of every bracket of 300 seeded polynomials, random
+    # coefficients or products with rational roots, at two widths, as
+    # first recorded: the subdivision tree does not depend on how its
+    # points are represented
+    rng = random.Random(4242)
+    polys = []
+    for k in range(300):
+        if k % 2:
+            coeffs = [rng.randint(-10**4, 10**4) for _ in range(rng.randint(2, 9))]
+            coeffs[-1] = coeffs[-1] or 7
+        else:
+            coeffs = [rng.choice([1, -1, 3])]
+            for _ in range(rng.randint(1, 4)):
+                coeffs = _mul(coeffs, [-rng.randint(-9, 30), rng.randint(1, 12)])
+            if rng.random() < 0.5:
+                coeffs = _mul(coeffs, [rng.randint(-50, 50), rng.randint(-9, 9), 1])
+        polys.append(IntPolynomial.from_coeffs(coeffs))
+    digest = hashlib.sha256()
+    brackets = 0
+    for width in (polyroots.DEFAULT_WIDTH, Fraction(1, 2**8)):
+        for p in polys:
+            if p.is_zero:
+                continue
+            for b in positive_roots(p, width):
+                digest.update(repr((b.lo, b.hi, b.exact)).encode())
+                brackets += 1
+    assert brackets > 300
+    assert digest.hexdigest() == (
+        "cf04f1ec81aa275307ac64fe9a31ffb6f9628a9b5b534f111e10b07950eff2a1"
+    )

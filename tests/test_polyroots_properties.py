@@ -3,7 +3,8 @@
 Inputs are products of known factors: rational roots of multiplicity 1-3
 (negative ones and roots at zero included), a pair of rational roots
 within 2^-20 of each other, irreducible quadratics (possibly repeated),
-and a common factor of up to 200 bits.
+and a common factor of up to 200 bits.  The integer-endpoint bisection
+is checked step by step against a plain Fraction bisection.
 """
 
 from collections import Counter
@@ -20,9 +21,14 @@ from sapcert.errors import NoPositiveRoot, PreconditionViolated  # noqa: E402
 from sapcert.polyroots import (  # noqa: E402
     DEFAULT_WIDTH,
     IntPolynomial,
+    RootBracket,
+    bisections,
+    cauchy_bound,
     count_roots,
     min_positive_root,
     positive_roots,
+    refine,
+    sign_at_root,
     sturm_chain,
 )
 
@@ -145,3 +151,100 @@ def test_min_positive_root_is_the_first_bracket_or_a_typed_error(case):
     assert p(b.lo) * p(b.hi) < 0
     assert count_roots(chain, Fraction(0), b.lo) == 0
     assert value == float(b.midpoint)
+
+
+def _ref_value(coeffs, x: Fraction) -> Fraction:
+    acc = Fraction(0)
+    for c in reversed(coeffs):
+        acc = acc * x + c
+    return acc
+
+
+def _ref_sign(coeffs, x: Fraction) -> int:
+    v = _ref_value(coeffs, x)
+    return (v > 0) - (v < 0)
+
+
+def _ref_variations(chain, x: Fraction) -> int:
+    signs = [s for s in (_ref_sign(f, x) for f in chain) if s]
+    return sum(a != b for a, b in zip(signs, signs[1:]))
+
+
+def _ref_bisections(chain, lo: Fraction, hi: Fraction):
+    """(lo, hi, hit) per step, with every point a normalised Fraction."""
+    v_lo = _ref_variations(chain, lo)
+    while True:
+        mid = (lo + hi) / 2
+        v_mid = _ref_variations(chain, mid)
+        if v_lo - v_mid >= 1:
+            hi, hit = mid, _ref_sign(chain[0], mid) == 0
+        else:
+            lo, v_lo, hit = mid, v_mid, False
+        yield lo, hi, hit
+
+
+def _ref_refine(chain, lo, hi, width):
+    for lo, hi, hit in _ref_bisections(chain, lo, hi):
+        if hit or hi - lo <= width:
+            return lo, hi, hi if hit else None
+
+
+def _ref_sign_at_root(q, chain, lo, hi):
+    """(sign, lo, hi, exact) as sign_at_root finds them, evaluating both ends every step."""
+    steps, q_chain = _ref_bisections(chain, lo, hi), sturm_chain(q)
+    for _ in range(200):
+        s_lo, s_hi = _ref_sign(q.coeffs, lo), _ref_sign(q.coeffs, hi)
+        if s_lo == s_hi != 0 and _ref_variations(q_chain, lo) == _ref_variations(q_chain, hi):
+            return s_lo, lo, hi, None
+        lo, hi, hit = next(steps)
+        if hit:
+            return _ref_sign(q.coeffs, hi), lo, hi, hi
+    return 0, lo, hi, None
+
+
+_coeff = st.integers(-(10**6), 10**6)
+
+
+@st.composite
+def int_poly(draw):
+    coeffs = draw(st.lists(_coeff, min_size=2, max_size=9))
+    coeffs[-1] = coeffs[-1] or draw(st.integers(1, 10**6))
+    return IntPolynomial.from_coeffs(coeffs)
+
+
+@st.composite
+def non_dyadic_interval(draw, p):
+    """(0, cauchy_bound(p)], or random ends whose denominators need not be powers of two."""
+    if draw(st.booleans()):
+        return Fraction(0), cauchy_bound(p)
+    lo = Fraction(draw(st.integers(-(10**4), 10**4)), draw(st.integers(1, 999)))
+    return lo, lo + Fraction(draw(st.integers(1, 10**4)), draw(st.integers(1, 999)))
+
+
+@_SETTINGS
+@hypothesis.given(st.data())
+def test_integer_bisection_tree_equals_the_fraction_reference(data):
+    p = data.draw(int_poly())
+    lo, hi = data.draw(non_dyadic_interval(p))
+    if p.degree < 8 and data.draw(st.booleans()):
+        # a root at a point of the bisection tree, which a step can hit
+        k = data.draw(st.integers(1, 6))
+        x = lo + (hi - lo) * Fraction(data.draw(st.integers(0, 2 ** (k - 1) - 1)) * 2 + 1, 2**k)
+        p = IntPolynomial.from_coeffs(_mul(list(p.coeffs), [-x.numerator, x.denominator]))
+    chain = sturm_chain(p)
+    ref = _ref_bisections(chain, lo, hi)
+    d = lo.denominator * hi.denominator  # a common denominator, not always the least
+    steps = bisections(chain, lo.numerator * hi.denominator, hi.numerator * lo.denominator, d)
+    for _ in range(60):
+        a, b, d, hit = next(steps)
+        assert (Fraction(a, d), Fraction(b, d), hit) == next(ref)
+
+    bracket = RootBracket(lo=lo, hi=hi, poly=p)
+    width = data.draw(st.sampled_from([Fraction(1, 2**20), Fraction(1, 10**6), Fraction(3, 7**9)]))
+    got = refine(bracket, width)
+    want = (lo, hi, None) if hi - lo <= width else _ref_refine(chain, lo, hi, width)
+    assert (got.lo, got.hi, got.exact) == want
+
+    q = data.draw(int_poly())
+    sign, proof = sign_at_root(q, bracket)
+    assert (sign, proof.lo, proof.hi, proof.exact) == _ref_sign_at_root(q, chain, lo, hi)
