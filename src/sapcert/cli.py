@@ -168,14 +168,13 @@ def _target_from_args(args) -> CoeffVector:
         raise InvalidInput(f"expected {n} eigenvalues, got {len(eigs)}")
     remaining = list(eigs)
     for z in eigs:
-        if abs(z.imag) <= 1e-12:
+        if abs(z.imag) <= 1e-12 or z not in remaining:
             continue
-        if z not in remaining:
-            continue
-        conj = min(remaining, key=lambda w: abs(w - z.conjugate()))
-        if abs(conj - z.conjugate()) > 1e-9 * max(1.0, abs(z)):
-            raise InvalidInput(f"spectrum is not self-conjugate near {z}")
+        # the partner is another eigenvalue, never z itself
         remaining.remove(z)
+        conj = min(remaining, key=lambda w: abs(w - z.conjugate()), default=None)
+        if conj is None or abs(conj - z.conjugate()) > 1e-9 * max(1.0, abs(z)):
+            raise InvalidInput(f"spectrum is not self-conjugate near {z}")
         remaining.remove(conj)
     monic = np.atleast_1d(np.poly(np.array(eigs)))[1:]
     if np.max(np.abs(monic.imag)) > 1e-9 * max(1.0, float(np.max(np.abs(monic)))):

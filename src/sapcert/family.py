@@ -25,8 +25,9 @@ from .polyroots import IntPolynomial
 
 
 # largest order accepted: the nilpotent certificate, which every command
-# but njverify builds, is slowest at r = 2 and takes about 5 s there at
-# n = 160 (0.2 s at r = n/2 and r = n - 1) and about 130 s at n = 320
+# but njverify builds, is slowest at r = 2; `sapcert nilpotent` takes about
+# 3.5 s there at n = 160 (0.2 s at r = n/2 and r = n - 1) and the
+# certificate alone about 75 s at n = 320, on a 2-vCPU Xeon
 MAX_N = 160
 
 

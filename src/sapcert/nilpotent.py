@@ -10,9 +10,12 @@ closed by h(t) = a_{n-1}(t) - t a_{n-r}(t) = 0.  This is the elimination
 that realizes every target (:func:`sapcert.family.eliminate`) taken at the
 zero target, whose closing polynomial is -h.  The smallest positive root
 of h keeps every a_j strictly positive, which is certified here with
-exact rational brackets on integer polynomials rather than assumed.
-The whole proof for one (n, r) is built in one pass and memoized once;
-the public functions read that one certificate.
+exact rational brackets on integer polynomials rather than assumed, by
+the Intermediate Value Theorem instead of an explicit check: every a_j
+starts at a_j(0) = 1, and one chain of separation points proves both the
+order of the smallest roots and that no a_j has a root up to h's
+bracket.  The whole proof for one (n, r) is built in one pass and
+memoized once; the public functions read that one certificate.
 """
 
 from __future__ import annotations
@@ -28,7 +31,6 @@ from .polyroots import (
     IntPolynomial,
     RootBracket,
     bisections,
-    count_roots,
     min_positive_root,
     sturm_chain,
     variations,
@@ -49,15 +51,17 @@ class NilpotentCertificate:
 
     ``a0`` holds the realized first-column values a_1..a_{n-1}; ``t_h`` is
     the feedback entry (the isolated smallest positive root of the closing
-    polynomial, kept with its exact bracket).  ``a0_margins`` are the
-    smaller endpoint values of each a_j; what is certified is that each
-    a_j is positive at both ends of the bracket and has no root inside,
-    so it is positive on the whole bracket.  A margin is not a lower
-    bound: a_j may dip below both endpoint values inside the bracket.
-    ``residual`` is the
-    largest characteristic-coefficient magnitude of the emitted double
-    matrix (mode "double") or of the exact rational construction at the
-    bracket midpoint (mode "extended").
+    polynomial, kept with its exact bracket).  What is certified is that
+    every a_j is positive on the whole bracket: a_j(0) = 1 and a_j has no
+    root in (0, s_j], where s_j is the separation point of the root-order
+    link from a_j (:func:`verify_min_chain`) and lies at or above the
+    bracket.  ``chain_verified`` records that proof and is true on every
+    returned certificate.  ``a0_margins`` are min(a_j(lo), a_j(hi)),
+    plain evaluations at the bracket ends; a margin is not a lower bound,
+    a_j may dip below both endpoint values inside the bracket.
+    ``residual`` is the largest characteristic-coefficient magnitude of
+    the emitted double matrix (mode "double") or of the exact rational
+    construction at the bracket midpoint (mode "extended").
     """
 
     params: FamilyParams
@@ -99,60 +103,43 @@ def recurrence_polys(p: FamilyParams) -> tuple[tuple[IntPolynomial, ...], IntPol
     return tuple(a), IntPolynomial(()).subtract(g)
 
 
-def _root_below(prev_chain, q_chain) -> bool:
-    """Prove that q's smallest positive root lies below prev's, both in (0, 1].
+def _root_below(prev_chain, q: IntPolynomial) -> Fraction | None:
+    """A separation point of q's smallest positive root below prev's, both in (0, 1].
 
     Bisects prev's chain on (0, 1], always keeping prev's smallest root
-    in (lo, hi], until the dyadic lo has count(prev, (0, lo]) = 0 and
-    count(q, (0, lo]) >= 1: then t_q <= lo < t_prev.  False when prev has
-    no root in (0, 1] or the guard runs out first (equal or reversed
+    in (lo, hi], and returns the first dyadic lo it moved to with
+    q(lo) < 0.  prev has no root in (0, lo] by the bisection invariant,
+    and q(0) > 0, so by the Intermediate Value Theorem q has a root in
+    (0, lo): t_q < lo < t_prev.  None when q(0) <= 0, when prev has no
+    root in (0, 1] or when the guard runs out first (equal or reversed
     roots never separate).
     """
-    if variations(prev_chain, 0, 1) == variations(prev_chain, 1, 1):
-        return False
-    q_zero = variations(q_chain, 0, 1)
+    if q(0) <= 0 or variations(prev_chain, 0, 1) == variations(prev_chain, 1, 1):
+        return None
     a = 0  # lo = a/d
     for new_a, _, d, _ in islice(bisections(prev_chain, 0, 1, 1), _SEPARATION_STEPS):
-        if new_a != 2 * a and q_zero - variations(q_chain, new_a, d) >= 1:
-            return True
+        if new_a != 2 * a and q(s := Fraction(new_a, d)) < 0:
+            return s
         a = new_a
-    return False
+    return None
 
 
 def verify_min_chain(p: FamilyParams) -> bool:
-    """Certify the strict order of the smallest positive roots.
+    """Certify the strict order of the smallest positive roots: True, or raise.
 
     t_h < t_{n-1} < ... < t_{r+1} < t_r = 1, where t_q is the smallest
     positive root of q (at r = n the chain is t_h = 1).  Each link
-    (prev, q) is a separation certificate: a dyadic s with
-    count(prev, (0, s]) = 0 and count(q, (0, s]) >= 1 by Sturm count, so
-    t_q <= s < t_prev; the roots themselves are never refined.  Read
-    through the Intermediate Value Theorem: every a_j starts at
-    a_j(0) = 1 and has no root in (0, t_h], so it is positive on
-    [0, t_h], which is what the nilpotent point needs.  The verdict is
-    part of the memoized certificate of (n, r), so this raises
-    :class:`CertificationFailed` too if a first-column value is not
-    certifiably positive on h's bracket (which no valid (n, r) has shown).
+    (prev, q) is a separation point s (:func:`_root_below`): prev has no
+    root in (0, s] by Sturm count, and q(0) = 1 > 0 > q(s) gives q a root
+    in (0, s) by the Intermediate Value Theorem, so t_q < s < t_prev; the
+    roots themselves are never refined.  The same links prove what the
+    nilpotent point needs: every a_j starts at a_j(0) = 1 and has no root
+    in (0, s_j], and s_r > ... > s_{n-1} >= bracket.hi of h, so every a_j
+    is positive on h's bracket.  The verdict is part of the memoized
+    certificate of (n, r), which raises :class:`CertificationFailed` when
+    a link or the bracket bound fails.
     """
     return _certify(p).chain_verified
-
-
-def _certify_positive_on_bracket(q: IntPolynomial, chain, bracket: RootBracket) -> float:
-    """Certify that ``q`` is positive on the bracket, or raise.
-
-    Positive at both endpoints and root-free inside (by the Sturm count
-    of ``chain``, the chain of ``q``) implies positive throughout.
-    Returns the smaller endpoint value, which is not a lower bound of
-    ``q`` over the bracket: a positive, root-free ``q`` may still dip
-    below both endpoint values inside.
-    """
-    lo_val = q(bracket.lo)
-    hi_val = q(bracket.hi)
-    if lo_val <= 0 or hi_val <= 0:
-        raise CertificationFailed("first-column value not positive at bracket endpoint")
-    if count_roots(chain, bracket.lo, bracket.hi) != 0:
-        raise CertificationFailed("first-column value changes sign inside bracket")
-    return float(min(lo_val, hi_val))
 
 
 # the one memo of the module: one pass per (n, r) builds every Sturm
@@ -161,23 +148,28 @@ def _certify_positive_on_bracket(q: IntPolynomial, chain, bracket: RootBracket) 
 def _certify(p: FamilyParams) -> NilpotentCertificate:
     """The double-mode certificate of ``p``, its residual not yet checked.
 
-    Isolates h's smallest positive root, certifies every a_j positive on
-    its bracket, and proves the root order from the same chains.
+    Isolates h's smallest positive root and runs the separation links
+    (a_r, a_{r+1}), ..., (a_{n-1}, h); the last separation point bounds
+    h's bracket, which proves every a_j positive on it.
     """
-    n, r = p.n, p.r
+    r = p.r
     a_polys, h = recurrence_polys(p)
-    chains = [sturm_chain(q) if q.degree >= 1 else (q.coeffs,) for q in a_polys]
     t_float, bracket = min_positive_root(h, width=_CERT_WIDTH)
-    t_mid = bracket.midpoint
-    margins = tuple(
-        _certify_positive_on_bracket(a_polys[j], chains[j], bracket) for j in range(1, n)
-    )
-    a0 = tuple(float(a_polys[j](t_mid)) for j in range(1, n))
     # a_r(t) = 1 - t, root exactly 1; at r = n that polynomial is h itself
-    order = chains[r:] + [bracket.sturm()]
-    chain_verified = (a_polys + (h,))[r].coeffs == (1, -1) and all(
-        _root_below(prev, q) for prev, q in zip(order, order[1:])
-    )
+    order = a_polys[r:] + (h,)
+    if order[0].coeffs != (1, -1):
+        raise CertificationFailed(f"a_{r} is not 1 - t")
+    s = None  # at r = n no link runs: every a_j is the constant 1
+    for j, (prev, q) in enumerate(zip(order, order[1:]), start=r):
+        s = _root_below(sturm_chain(prev), q)
+        if s is None:
+            raise CertificationFailed(f"no separation point below the smallest root of a_{j}")
+    # a_1..a_{r-1} are the constant 1, a_r..a_{n-1} are root-free on (0, s]
+    if s is not None and bracket.hi > s:
+        raise CertificationFailed("h's bracket reaches past the last separation point")
+    t_mid = bracket.midpoint
+    margins = tuple(float(min(q(bracket.lo), q(bracket.hi))) for q in a_polys[1:])
+    a0 = tuple(float(q(t_mid)) for q in a_polys[1:])
     reali = FamilyRealization(params=p, a=a0, b=t_float)
     return NilpotentCertificate(
         params=p,
@@ -185,7 +177,7 @@ def _certify(p: FamilyParams) -> NilpotentCertificate:
         bracket=bracket,
         a0=a0,
         residual=max(abs(v) for v in coeff_map(reali)),
-        chain_verified=chain_verified,
+        chain_verified=True,
         a0_margins=margins,
     )
 
@@ -197,8 +189,9 @@ def nilpotent_realization(
 
     The smallest positive root of h is isolated (at r = n, h = 1 - t and
     the root is exactly 1), every a_j is certified positive on the
-    bracket, and the coefficient residual of the emitted realization is
-    checked against RESIDUAL_TOL_PER_N * n.  In "extended" mode the
+    bracket through the root-order links, and the coefficient residual
+    of the emitted realization is checked against
+    RESIDUAL_TOL_PER_N * n.  In "extended" mode the
     residual is that of the exact rational construction at the bracket
     midpoint: the recurrence makes every coefficient but the last vanish
     identically, so it is |h(t_mid)|.

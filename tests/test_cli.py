@@ -198,10 +198,21 @@ def test_realize_complex_eigs(capsys):
     assert (1.0, 2.0) in pairs and (1.0, -2.0) in pairs
 
 
-def test_realize_non_conjugate_spectrum_rejected(capsys):
-    code, _, err = run(capsys, "realize", "--n", "3", "--r", "2", "--eigs", "1+2i,3,4")
+@pytest.mark.parametrize(
+    "n, eigs",
+    [
+        ("3", "1+2i,3,4"),
+        # |Im z| above the real-axis cut but within the pairing tolerance:
+        # z must not be taken as its own conjugate partner
+        ("2", "1+1e-11i,2"),
+        ("3", "1+1e-11i,2,3"),
+    ],
+)
+def test_realize_non_conjugate_spectrum_rejected(capsys, n, eigs):
+    code, _, err = run(capsys, "realize", "--n", n, "--r", "2", "--eigs", eigs)
     assert code == 64
     assert "self-conjugate" in err
+    assert "Traceback" not in err
 
 
 def test_realize_wrong_count(capsys):

@@ -6,7 +6,8 @@ from fractions import Fraction
 import pytest
 
 from sapcert.charpoly import char_coeffs, char_coeffs_oracle, spectrum
-from sapcert.family import FamilyParams, build_matrix, build_pattern, coeff_map
+from sapcert.errors import CertificationFailed
+from sapcert.family import MAX_N, FamilyParams, build_matrix, build_pattern, coeff_map
 import sapcert.nilpotent as nilpotent
 from sapcert.nilpotent import (
     _root_below,
@@ -72,17 +73,73 @@ def test_verify_min_chain_sweep(n):
         assert verify_min_chain(FamilyParams(n, r))
 
 
+def _poly(*ascending):
+    return IntPolynomial.from_coeffs(ascending)
+
+
 def _chain(*ascending):
-    return sturm_chain(IntPolynomial.from_coeffs(ascending))
+    return sturm_chain(_poly(*ascending))
 
 
 def test_separation_accepts_order_and_rejects_reversed_or_equal_roots():
-    assert _root_below(_chain(1, -1), _chain(1, -2))  # 1/2 < 1
-    assert _root_below(_chain(1, -3, 1), _chain(1, -4, 3))  # 1/3 < (3 - sqrt 5)/2
-    assert _root_below(_chain(1, -4, 3), _chain(1, -3, 1)) is False  # reversed
-    assert _root_below(_chain(1, -2), _chain(1, -1)) is False  # out of order
-    assert _root_below(_chain(1, -2), _chain(1, -2)) is False  # equal minimal roots
-    assert _root_below(_chain(1, 0, 1), _chain(1, -2)) is False  # prev has no root
+    s = _root_below(_chain(1, -1), _poly(1, -2))  # 1/2 < 1
+    assert s is not None and Fraction(1, 2) < s < 1
+    s = _root_below(_chain(1, -3, 1), _poly(1, -4, 3))  # 1/3 < (3 - sqrt 5)/2
+    assert s is not None and Fraction(1, 3) < s < (3 - math.sqrt(5)) / 2
+    assert _root_below(_chain(1, -4, 3), _poly(1, -3, 1)) is None  # reversed
+    assert _root_below(_chain(1, -2), _poly(1, -1)) is None  # out of order
+    assert _root_below(_chain(1, -2), _poly(1, -2)) is None  # equal minimal roots
+    assert _root_below(_chain(1, 0, 1), _poly(1, -2)) is None  # prev has no root
+    assert _root_below(_chain(1, -1), _poly(-1, 1)) is None  # q(0) < 0: q < 0 on (0, 1), no root
+
+
+def test_separation_point_is_the_first_moved_dyadic_lo_where_q_is_negative():
+    # prev = 1 - t moves lo to 1/2, where q = 1 - 2t is 0, then to 3/4
+    assert _root_below(_chain(1, -1), _poly(1, -2)) == Fraction(3, 4)
+
+
+@pytest.fixture
+def cold_certificates():
+    nilpotent._certify.cache_clear()
+    yield
+    nilpotent._certify.cache_clear()
+
+
+def test_certificate_raises_when_a_link_is_not_separated(monkeypatch, cold_certificates):
+    monkeypatch.setattr(nilpotent, "_root_below", lambda prev_chain, q: None)
+    for call in (nilpotent_realization, verify_min_chain):
+        with pytest.raises(CertificationFailed, match="no separation point"):
+            call(FamilyParams(6, 2))
+
+
+@pytest.mark.parametrize("n, r", [(6, 2), (9, 4), (5, 4)])
+def test_certificate_raises_when_the_last_separation_point_is_below_the_bracket(
+    monkeypatch, cold_certificates, n, r
+):
+    p = FamilyParams(n, r)
+    bracket = nilpotent_realization(p).bracket
+    _, h = recurrence_polys(p)
+    real = nilpotent._root_below
+
+    def last_link_at(s):
+        return lambda prev_chain, q: s if q == h else real(prev_chain, q)
+
+    nilpotent._certify.cache_clear()
+    monkeypatch.setattr(nilpotent, "_root_below", last_link_at(bracket.hi))
+    assert nilpotent_realization(p).bracket == bracket  # s = bracket.hi still bounds it
+    nilpotent._certify.cache_clear()
+    monkeypatch.setattr(nilpotent, "_root_below", last_link_at(bracket.hi - Fraction(1, 2**80)))
+    for call in (nilpotent_realization, verify_min_chain):
+        with pytest.raises(CertificationFailed, match="last separation point"):
+            call(p)
+
+
+@pytest.mark.parametrize("r", [2, MAX_N // 2, MAX_N - 1])
+def test_certificate_at_max_n(r):
+    cert = nilpotent_realization(FamilyParams(MAX_N, r))
+    assert cert.chain_verified
+    assert all(m > 0 for m in cert.a0_margins)
+    assert cert.bracket.width <= Fraction(1, 2**70)
 
 
 def test_verify_min_chain_every_r_at_n_80():
