@@ -26,8 +26,8 @@ from .polyroots import IntPolynomial
 
 # largest order accepted: the nilpotent certificate, which every command
 # but njverify builds, is slowest at r = 2; `sapcert nilpotent` takes about
-# 3.5 s there at n = 160 (0.2 s at r = n/2 and r = n - 1) and the
-# certificate alone about 75 s at n = 320, on a 2-vCPU Xeon
+# 1.3 s there at n = 160 (0.3 s, mostly start-up, at r = n/2 and r = n - 1)
+# and the certificate alone about 37 s at n = 320, on a 2-vCPU Xeon
 MAX_N = 160
 
 

@@ -14,8 +14,11 @@ exact rational brackets on integer polynomials rather than assumed, by
 the Intermediate Value Theorem instead of an explicit check: every a_j
 starts at a_j(0) = 1, and one chain of separation points proves both the
 order of the smallest roots and that no a_j has a root up to h's
-bracket.  The whole proof for one (n, r) is built in one pass and
-memoized once; the public functions read that one certificate.
+bracket.  A separation point is found by signs alone and proved by one
+Descartes test of a_j, Sturm count as fallback, so no a_j needs a Sturm
+chain; h's is built once, to isolate its root.  The whole proof for one
+(n, r) is built in one pass and memoized once; the public functions read
+that one certificate.
 """
 
 from __future__ import annotations
@@ -30,8 +33,10 @@ from .family import FamilyParams, FamilyRealization, coeff_map, eliminate
 from .polyroots import (
     IntPolynomial,
     RootBracket,
+    _homogeneous,
     bisections,
     min_positive_root,
+    positive_up_to,
     sturm_chain,
     variations,
 )
@@ -103,25 +108,59 @@ def recurrence_polys(p: FamilyParams) -> tuple[tuple[IntPolynomial, ...], IntPol
     return tuple(a), IntPolynomial(()).subtract(g)
 
 
-def _root_below(prev_chain, q: IntPolynomial) -> Fraction | None:
-    """A separation point of q's smallest positive root below prev's, both in (0, 1].
+def _sturm_root_below(prev: IntPolynomial, q: IntPolynomial) -> Fraction | None:
+    """:func:`_root_below` by Sturm count: the reference walk and the fallback.
 
     Bisects prev's chain on (0, 1], always keeping prev's smallest root
     in (lo, hi], and returns the first dyadic lo it moved to with
-    q(lo) < 0.  prev has no root in (0, lo] by the bisection invariant,
-    and q(0) > 0, so by the Intermediate Value Theorem q has a root in
-    (0, lo): t_q < lo < t_prev.  None when q(0) <= 0, when prev has no
-    root in (0, 1] or when the guard runs out first (equal or reversed
-    roots never separate).
+    q(lo) < 0.  prev has no root in (0, lo] by the bisection invariant.
+    None when q(0) <= 0, when prev has no root in (0, 1] or when the
+    guard runs out first (equal or reversed roots never separate).
     """
-    if q(0) <= 0 or variations(prev_chain, 0, 1) == variations(prev_chain, 1, 1):
+    chain = sturm_chain(prev)
+    if q(0) <= 0 or variations(chain, 0, 1) == variations(chain, 1, 1):
         return None
     a = 0  # lo = a/d
-    for new_a, _, d, _ in islice(bisections(prev_chain, 0, 1, 1), _SEPARATION_STEPS):
+    for new_a, _, d, _ in islice(bisections(chain, 0, 1, 1), _SEPARATION_STEPS):
         if new_a != 2 * a and q(s := Fraction(new_a, d)) < 0:
             return s
         a = new_a
     return None
+
+
+def _root_below(prev: IntPolynomial, q: IntPolynomial, bound: Fraction) -> Fraction | None:
+    """A separation point s of q's smallest positive root below prev's, both in (0, 1].
+
+    ``bound`` lies at or above prev's smallest root: the previous link's
+    s, where prev < 0, or 1 for a_r = 1 - t.  The walk halves (0, 1] as
+    :func:`_sturm_root_below` does but decides each step by prev's sign:
+    a midpoint at or past ``bound`` goes left unevaluated, prev(m) <= 0
+    goes left (prev(0) > 0, so prev has a root in (0, m] by the
+    Intermediate Value Theorem), any other goes right.  s is the first
+    lo it moved to with q(s) < 0, and prev has no root in (0, s] by
+    Descartes' rule (:func:`positive_up_to`).  Every lo moved to lies in
+    (0, s], so every step was the Sturm walk's and s is its dyadic.
+    q(0) > 0 gives q a root in (0, s): t_q < s < t_prev.  The Sturm walk
+    is the fallback when the Descartes test fails, prev(0) <= 0,
+    prev(bound) > 0 or the guard runs out; None as there.
+    """
+    if q(0) <= 0:
+        return None
+    if prev(0) > 0 and prev(bound) <= 0:
+        pc, qc = prev.coeffs, q.coeffs
+        bn, bd = bound.numerator, bound.denominator
+        a, b, d = 0, 1, 1  # (a/d, b/d]
+        for _ in range(_SEPARATION_STEPS):
+            m, d = a + b, 2 * d
+            if m * bd >= bn * d or _homogeneous(pc, m, d) <= 0:
+                a, b = 2 * a, m
+            else:
+                a, b = m, 2 * b
+                if _homogeneous(qc, m, d) < 0:
+                    if positive_up_to(prev, m, d):
+                        return Fraction(m, d)
+                    break
+    return _sturm_root_below(prev, q)
 
 
 def verify_min_chain(p: FamilyParams) -> bool:
@@ -130,20 +169,28 @@ def verify_min_chain(p: FamilyParams) -> bool:
     t_h < t_{n-1} < ... < t_{r+1} < t_r = 1, where t_q is the smallest
     positive root of q (at r = n the chain is t_h = 1).  Each link
     (prev, q) is a separation point s (:func:`_root_below`): prev has no
-    root in (0, s] by Sturm count, and q(0) = 1 > 0 > q(s) gives q a root
-    in (0, s) by the Intermediate Value Theorem, so t_q < s < t_prev; the
-    roots themselves are never refined.  The same links prove what the
-    nilpotent point needs: every a_j starts at a_j(0) = 1 and has no root
-    in (0, s_j], and s_r > ... > s_{n-1} >= bracket.hi of h, so every a_j
-    is positive on h's bracket.  The verdict is part of the memoized
-    certificate of (n, r), which raises :class:`CertificationFailed` when
-    a link or the bracket bound fails.
+    root in (0, s] by Descartes' rule, Sturm count as fallback, and
+    q(0) = 1 > 0 > q(s) gives q a root in (0, s) by the Intermediate
+    Value Theorem, so t_q < s < t_prev; the roots themselves are never
+    refined.  The same links prove what the nilpotent point needs: every
+    a_j starts at a_j(0) = 1 and has no root in (0, s_j], and
+    s_r > ... > s_{n-1} >= bracket.hi of h, so every a_j is positive on
+    h's bracket.  The verdict is part of the memoized certificate of
+    (n, r), which raises :class:`CertificationFailed` when a link or the
+    bracket bound fails.
     """
     return _certify(p).chain_verified
 
 
-# the one memo of the module: one pass per (n, r) builds every Sturm
-# chain it needs as locals, so no chain outlives the certificate
+def _values(polys, x: Fraction) -> tuple[float, ...]:
+    # float(q(x)) for each q: int / int true division rounds correctly, as
+    # float(Fraction) does, so the reduced Fraction is never built
+    p, d = x.numerator, x.denominator
+    return tuple(_homogeneous(q.coeffs, p, d) / d**q.degree for q in polys)
+
+
+# the one memo of the module: one pass per (n, r); an a_j chain is built
+# only by a link's Sturm fallback, as a local, so none outlives the pass
 @functools.lru_cache(maxsize=None)
 def _certify(p: FamilyParams) -> NilpotentCertificate:
     """The double-mode certificate of ``p``, its residual not yet checked.
@@ -159,17 +206,18 @@ def _certify(p: FamilyParams) -> NilpotentCertificate:
     order = a_polys[r:] + (h,)
     if order[0].coeffs != (1, -1):
         raise CertificationFailed(f"a_{r} is not 1 - t")
-    s = None  # at r = n no link runs: every a_j is the constant 1
+    s = Fraction(1)  # the root of a_r, the first link's bound
     for j, (prev, q) in enumerate(zip(order, order[1:]), start=r):
-        s = _root_below(sturm_chain(prev), q)
+        s = _root_below(prev, q, s)
         if s is None:
             raise CertificationFailed(f"no separation point below the smallest root of a_{j}")
-    # a_1..a_{r-1} are the constant 1, a_r..a_{n-1} are root-free on (0, s]
-    if s is not None and bracket.hi > s:
+    # a_1..a_{r-1} are the constant 1, a_r..a_{n-1} are root-free on (0, s];
+    # at r = n no link runs and every a_j is the constant 1
+    if r < p.n and bracket.hi > s:
         raise CertificationFailed("h's bracket reaches past the last separation point")
-    t_mid = bracket.midpoint
-    margins = tuple(float(min(q(bracket.lo), q(bracket.hi))) for q in a_polys[1:])
-    a0 = tuple(float(q(t_mid)) for q in a_polys[1:])
+    lo, hi = _values(a_polys[1:], bracket.lo), _values(a_polys[1:], bracket.hi)
+    margins = tuple(map(min, lo, hi))
+    a0 = _values(a_polys[1:], bracket.midpoint)
     reali = FamilyRealization(params=p, a=a0, b=t_float)
     return NilpotentCertificate(
         params=p,

@@ -15,7 +15,14 @@ root is recognised and centred on the first interval that holds it
 alone.  Isolation stops at the width the caller asks for and a bracket
 is narrowed only on demand (:func:`refine`, :func:`sign_at_root`) by
 one certified bisection sequence (:func:`bisections`), with the chain
-built once and carried by the bracket.
+built once and carried by the bracket.  Once an interval holds one root
+across which the polynomial changes sign, its sign at each midpoint
+picks the half that the count would pick, so the bisection walks the
+same tree at one evaluation per step.
+
+:func:`positive_up_to` proves a polynomial root-free on (0, s] by
+Descartes' rule of signs, from one integer Taylor shift and no chain;
+the nilpotent certificate proves its separation points with it.
 
 Every polynomial in the package is an :class:`IntPolynomial`.  Signs and
 values at a rational point p/q are evaluated homogeneously, as
@@ -30,6 +37,7 @@ from __future__ import annotations
 from bisect import bisect_right
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
+from itertools import islice
 from math import ceil, gcd, isqrt, lcm
 from typing import Iterator
 
@@ -260,17 +268,34 @@ def bisections(chain, a: int, b: int, d: int) -> Iterator[tuple[int, int, int, b
     kept ends over the doubled denominator as (a, b, d), with True when
     the midpoint is a root of ``chain[0]`` (it is then the kept hi).  The
     lo end moved exactly when the new a is not twice the one before.  The
-    sign variations at the kept lo are carried along, so a step evaluates
-    the chain at the midpoint only.
+    sign variations at both ends are carried along, so a counting step
+    evaluates the chain at the midpoint only.  Once the interval holds one
+    root and ``chain[0]`` is nonzero at lo and of the other sign or zero at
+    hi, ``chain[0]`` changes sign at that root alone, so its sign at the
+    midpoint picks the half the count would pick: from there a step
+    evaluates ``chain[0]`` only.
     """
-    v_lo = variations(chain, a, d)
+    f = chain[0]
+    v_lo, v_hi = variations(chain, a, d), variations(chain, b, d)
     while True:
+        if v_lo - v_hi == 1:
+            s_lo = _sign(_homogeneous(f, a, d))
+            if s_lo and _sign(_homogeneous(f, b, d)) != s_lo:
+                break
         m, d = a + b, 2 * d
         v_mid = variations(chain, m, d)
         if v_lo - v_mid >= 1:
-            a, b, hit = 2 * a, m, _homogeneous(chain[0], m, d) == 0
+            a, b, v_hi, hit = 2 * a, m, v_mid, _homogeneous(f, m, d) == 0
         else:
             a, b, v_lo, hit = m, 2 * b, v_mid, False
+        yield a, b, d, hit
+    while True:
+        m, d = a + b, 2 * d
+        s_mid = _sign(_homogeneous(f, m, d))
+        if s_mid == s_lo:
+            a, b, hit = m, 2 * b, False
+        else:
+            a, b, hit = 2 * a, m, s_mid == 0
         yield a, b, d, hit
 
 
@@ -290,6 +315,28 @@ def refine(bracket: RootBracket, width: Fraction) -> RootBracket:
             return RootBracket(
                 lo=Fraction(a, d), hi=hi, poly=bracket.poly, exact=hi if hit else None, chain=chain
             )
+
+
+def positive_up_to(p: IntPolynomial, a: int, d: int) -> bool:
+    """True when Descartes' rule of signs proves p > 0 on [0, a/d], for a, d > 0.
+
+    With s = a/d, t = s/(1 + x) maps x in [0, inf) onto (0, s], and for p
+    of degree k the numerator d^k (1 + x)^k p(t) is sum c_i a^i d^(k-i)
+    (1 + x)^(k-i): one integer Taylor shift by 1.  When every one of its
+    coefficients is positive it has no sign variation, hence no root
+    x >= 0, and is positive there; its leading coefficient is c_0 d^k,
+    so p(0) > 0 as well.  False proves nothing.
+    """
+    cs = p.coeffs
+    k = len(cs) - 1
+    # ascending in y = 1 + x
+    shifted = [cs[k - j] * a ** (k - j) * d**j for j in range(k + 1)]
+    for i in range(k):
+        for j in range(k - 1, i - 1, -1):
+            shifted[j] += shifted[j + 1]
+        if shifted[i] <= 0:  # final from here on
+            return False
+    return k >= 0 and shifted[k] > 0
 
 
 def cauchy_bound(p: IntPolynomial) -> Fraction:
@@ -394,8 +441,9 @@ def positive_roots(p: IntPolynomial, width: Fraction = DEFAULT_WIDTH) -> Iterato
     den the leading coefficient (both at most 1e9), are looked for once,
     on the first interval that holds the root alone; one found there, or a
     midpoint that hits a root, is reported as ``exact`` and centred at once
-    in a bracket that holds no other root.  Each bracket lies right of the
-    one before.
+    in a bracket that holds no other root.  A one-root interval is
+    narrowed by :func:`bisections`, on the same tree.  Each bracket lies
+    right of the one before.
     """
     if p.is_zero:
         raise InvalidInput("cannot isolate roots of the zero polynomial")
@@ -428,18 +476,25 @@ def positive_roots(p: IntPolynomial, width: Fraction = DEFAULT_WIDTH) -> Iterato
                     candidates = (_divisors(c0), _divisors(lead)) if small else ([], [])
                 exact = _rational_root(poly.coeffs, a, b, d, *candidates)
                 searched = True
-            if exact is not None or narrow:
-                lo, hi = Fraction(a, d), Fraction(b, d)
-                if exact is not None:
-                    # centred on the cell that bisecting on to ``width`` ends
-                    # in, after the fewest halvings k with 2^k >= cells
-                    cells = ceil((hi - lo) / width)
-                    step = (hi - lo) / 2 ** (cells - 1).bit_length()
-                    delta = min(width / 2, (exact - lo) % step or step)
-                    lo, hi = _centred(poly, chain, exact, delta)
-                fn, fd = hi.numerator, hi.denominator
-                yield RootBracket(lo=lo, hi=hi, poly=poly, exact=exact, chain=chain)
-                continue
+            if exact is None and not narrow:
+                # the subtree of a one-root interval is the path bisections takes
+                for a, b, d, _ in islice(bisections(chain, a, b, d), _MAX_BISECTIONS):
+                    if (b - a) * wd <= wn * d:
+                        break
+                else:
+                    raise PreconditionViolated("root isolation did not converge")
+                exact = Fraction(b, d) if _homogeneous(poly.coeffs, b, d) == 0 else None
+            lo, hi = Fraction(a, d), Fraction(b, d)
+            if exact is not None:
+                # centred on the cell that bisecting on to ``width`` ends
+                # in, after the fewest halvings k with 2^k >= cells
+                cells = ceil((hi - lo) / width)
+                step = (hi - lo) / 2 ** (cells - 1).bit_length()
+                delta = min(width / 2, (exact - lo) % step or step)
+                lo, hi = _centred(poly, chain, exact, delta)
+            fn, fd = hi.numerator, hi.denominator
+            yield RootBracket(lo=lo, hi=hi, poly=poly, exact=exact, chain=chain)
+            continue
         m, d = a + b, 2 * d
         v_mid = variations(chain, m, d)
         pending += [(m, 2 * b, d, v_mid, v_hi, searched), (2 * a, m, d, v_lo, v_mid, searched)]
@@ -502,7 +557,8 @@ def sign_at_root(q: IntPolynomial, bracket: RootBracket) -> tuple[int, RootBrack
                 q_chain = sturm_chain(q)
             if variations(q_chain, a, d) == variations(q_chain, b, d):
                 return s_lo, replace(bracket, lo=Fraction(a, d), hi=Fraction(b, d))
-        # count-based refinement works for any root multiplicity
+        # bisections counts until a sign change marks the root, so any
+        # root multiplicity works
         if steps is None:
             steps = bisections(bracket.sturm(), a, b, d)
         prev_a = a

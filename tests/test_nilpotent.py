@@ -11,12 +11,13 @@ from sapcert.family import MAX_N, FamilyParams, build_matrix, build_pattern, coe
 import sapcert.nilpotent as nilpotent
 from sapcert.nilpotent import (
     _root_below,
+    _sturm_root_below,
     nilpotent_realization,
     recurrence_polys,
     verify_min_chain,
 )
 from sapcert.patterns import member_of_class
-from sapcert.polyroots import IntPolynomial, min_positive_root, sturm_chain
+from sapcert.polyroots import IntPolynomial, min_positive_root, positive_up_to
 
 
 def test_recurrence_3_2():
@@ -77,25 +78,73 @@ def _poly(*ascending):
     return IntPolynomial.from_coeffs(ascending)
 
 
-def _chain(*ascending):
-    return sturm_chain(_poly(*ascending))
-
-
 def test_separation_accepts_order_and_rejects_reversed_or_equal_roots():
-    s = _root_below(_chain(1, -1), _poly(1, -2))  # 1/2 < 1
+    one = Fraction(1)
+    s = _root_below(_poly(1, -1), _poly(1, -2), one)  # 1/2 < 1
     assert s is not None and Fraction(1, 2) < s < 1
-    s = _root_below(_chain(1, -3, 1), _poly(1, -4, 3))  # 1/3 < (3 - sqrt 5)/2
+    s = _root_below(_poly(1, -3, 1), _poly(1, -4, 3), one)  # 1/3 < (3 - sqrt 5)/2
     assert s is not None and Fraction(1, 3) < s < (3 - math.sqrt(5)) / 2
-    assert _root_below(_chain(1, -4, 3), _poly(1, -3, 1)) is None  # reversed
-    assert _root_below(_chain(1, -2), _poly(1, -1)) is None  # out of order
-    assert _root_below(_chain(1, -2), _poly(1, -2)) is None  # equal minimal roots
-    assert _root_below(_chain(1, 0, 1), _poly(1, -2)) is None  # prev has no root
-    assert _root_below(_chain(1, -1), _poly(-1, 1)) is None  # q(0) < 0: q < 0 on (0, 1), no root
+    assert _root_below(_poly(1, -4, 3), _poly(1, -3, 1), one) is None  # reversed
+    assert _root_below(_poly(1, -2), _poly(1, -1), one) is None  # out of order
+    assert _root_below(_poly(1, -2), _poly(1, -2), one) is None  # equal minimal roots
+    assert _root_below(_poly(1, 0, 1), _poly(1, -2), one) is None  # prev has no root
+    assert _root_below(_poly(1, -1), _poly(-1, 1), one) is None  # q(0) < 0: q < 0 on (0, 1), no root
 
 
 def test_separation_point_is_the_first_moved_dyadic_lo_where_q_is_negative():
     # prev = 1 - t moves lo to 1/2, where q = 1 - 2t is 0, then to 3/4
-    assert _root_below(_chain(1, -1), _poly(1, -2)) == Fraction(3, 4)
+    assert _root_below(_poly(1, -1), _poly(1, -2), Fraction(1)) == Fraction(3, 4)
+
+
+def test_a_bound_below_the_root_of_prev_is_not_trusted():
+    # prev = 1 - t is positive at 1/2: going left there unevaluated would
+    # end at 3/8, not at the Sturm walk's 1/2
+    prev, q = _poly(1, -1), _poly(1, -4)
+    assert _root_below(prev, q, Fraction(1, 2)) == _sturm_root_below(prev, q) == Fraction(1, 2)
+
+
+@pytest.fixture
+def counted_chains(monkeypatch):
+    built = []
+    real = nilpotent.sturm_chain
+
+    def counted(p):
+        built.append(p)
+        return real(p)
+
+    monkeypatch.setattr(nilpotent, "sturm_chain", counted)
+    return built
+
+
+def test_sign_walk_returns_the_sturm_walk_point_and_builds_no_chain(counted_chains):
+    links = 0
+    for n in range(2, 41):
+        for r in range(2, n + 1):
+            a_polys, h = recurrence_polys(FamilyParams(n, r))
+            order = a_polys[r:] + (h,)
+            s = Fraction(1)
+            for prev, q in zip(order, order[1:]):
+                got = _root_below(prev, q, s)
+                assert not counted_chains
+                s = _sturm_root_below(prev, q)
+                assert s is not None and got == s
+                del counted_chains[:]
+                links += 1
+    assert links == 9880  # n - r links for each (n, r)
+
+
+def test_a_complex_pair_near_the_interval_takes_the_sturm_fallback(counted_chains):
+    # prev = (9 - 10t)(400t^2 - 240t + 37) has roots 9/10 and 3/10 +- i/20;
+    # q = 4 - 5t has its root at 4/5
+    prev, q = _poly(333, -2530, 6000, -4000), _poly(4, -5)
+    # the quadratic factor's minimum, 1 at t = 3/10, times 9 - 10t
+    assert prev(Fraction(9, 10)) == 0 and prev(Fraction(3, 10)) == 6
+    s = _sturm_root_below(prev, q)
+    assert s is not None and Fraction(4, 5) < s < Fraction(9, 10)
+    assert not positive_up_to(prev, s.numerator, s.denominator)
+    del counted_chains[:]
+    assert _root_below(prev, q, Fraction(1)) == s
+    assert counted_chains == [prev]
 
 
 @pytest.fixture
@@ -106,7 +155,7 @@ def cold_certificates():
 
 
 def test_certificate_raises_when_a_link_is_not_separated(monkeypatch, cold_certificates):
-    monkeypatch.setattr(nilpotent, "_root_below", lambda prev_chain, q: None)
+    monkeypatch.setattr(nilpotent, "_root_below", lambda prev, q, bound: None)
     for call in (nilpotent_realization, verify_min_chain):
         with pytest.raises(CertificationFailed, match="no separation point"):
             call(FamilyParams(6, 2))
@@ -122,7 +171,7 @@ def test_certificate_raises_when_the_last_separation_point_is_below_the_bracket(
     real = nilpotent._root_below
 
     def last_link_at(s):
-        return lambda prev_chain, q: s if q == h else real(prev_chain, q)
+        return lambda prev, q, bound: s if q == h else real(prev, q, bound)
 
     nilpotent._certify.cache_clear()
     monkeypatch.setattr(nilpotent, "_root_below", last_link_at(bracket.hi))

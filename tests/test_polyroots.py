@@ -8,6 +8,8 @@ import pytest
 
 from sapcert import polyroots
 from sapcert.errors import InvalidInput, NoPositiveRoot, PreconditionViolated
+from sapcert.family import FamilyParams
+from sapcert.nilpotent import recurrence_polys
 from sapcert.polyroots import (
     IntPolynomial,
     RootBracket,
@@ -265,6 +267,51 @@ def test_rational_root_is_centred_without_bisecting_to_width(monkeypatch):
     assert [b.exact for b in brs] == [Fraction(1, 3), Fraction(7)]
     assert all(b.width <= polyroots.DEFAULT_WIDTH for b in brs)
     assert calls[0] < 20
+
+
+def test_one_root_intervals_are_halved_by_sign(monkeypatch):
+    # h of (80, 2) at the certificate's width 2^-70: the chain is counted
+    # only until h's smallest root is alone, p's sign halves the rest (a
+    # count at every halving takes 127 calls)
+    calls = [0]
+    variations = polyroots.variations
+
+    def counted(chain, p, q):
+        calls[0] += 1
+        return variations(chain, p, q)
+
+    _, h = recurrence_polys(FamilyParams(80, 2))
+    monkeypatch.setattr(polyroots, "variations", counted)
+    _, bracket = min_positive_root(h, width=Fraction(1, 2**70))
+    assert bracket.width <= Fraction(1, 2**70)
+    assert calls[0] <= 70
+
+
+def test_an_interval_that_starts_at_a_root_is_bisected_by_count():
+    # (2t - 1)(t - 1)(2t - 3) on (0, 4]: the midpoints 1 and 1/2 are roots,
+    # so (1/2, 1] and (1, 2] hold one root each and start at a root
+    p = P(-3, 11, -12, 4)
+    assert cauchy_bound(p) == 4
+    brs = list(positive_roots(p, Fraction(1, 2**8)))
+    assert [(b.lo, b.hi, b.exact) for b in brs] == [
+        (Fraction(255, 512), Fraction(257, 512), Fraction(1, 2)),
+        (Fraction(511, 512), Fraction(513, 512), Fraction(1)),
+        (Fraction(767, 512), Fraction(769, 512), Fraction(3, 2)),
+    ]
+    assert [b.exact for b in positive_roots(p)] == [Fraction(1, 2), Fraction(1), Fraction(3, 2)]
+    # (1/2, 5/4] holds the one root 1, but p is 0 at lo: no sign to follow
+    steps = bisections(sturm_chain(p), 2, 5, 4)
+    for _ in range(40):
+        a, b, d, _ = next(steps)
+        assert Fraction(a, d) < 1 <= Fraction(b, d)
+
+
+def test_a_root_of_even_multiplicity_is_bisected_by_count():
+    # (t - 1)^2 (t + 2) keeps its sign across 1 on (0, 3]
+    steps = bisections(sturm_chain(P(2, -3, 0, 1)), 0, 3, 1)
+    for _ in range(40):
+        a, b, d, _ = next(steps)
+        assert Fraction(a, d) < 1 <= Fraction(b, d)
 
 
 def test_isolate_positive_roots_known():

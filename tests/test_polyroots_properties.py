@@ -4,7 +4,8 @@ Inputs are products of known factors: rational roots of multiplicity 1-3
 (negative ones and roots at zero included), a pair of rational roots
 within 2^-20 of each other, irreducible quadratics (possibly repeated),
 and a common factor of up to 200 bits.  The integer-endpoint bisection
-is checked step by step against a plain Fraction bisection.
+is checked step by step against a plain Fraction bisection, and every
+root-free claim of the Descartes test against the Sturm count.
 """
 
 from collections import Counter
@@ -27,6 +28,7 @@ from sapcert.polyroots import (  # noqa: E402
     count_roots,
     min_positive_root,
     positive_roots,
+    positive_up_to,
     refine,
     sign_at_root,
     sturm_chain,
@@ -200,6 +202,19 @@ def _ref_sign_at_root(q, chain, lo, hi):
         if hit:
             return _ref_sign(q.coeffs, hi), lo, hi, hi
     return 0, lo, hi, None
+
+
+@_SETTINGS
+@hypothesis.given(factored(zero_roots=False), st.integers(1, 2**12), st.integers(0, 12))
+def test_descartes_root_free_claims_hold(case, a, k):
+    coeffs, _ = case
+    p = IntPolynomial.from_coeffs(coeffs)
+    s = Fraction(a, 2**k)
+    proved = positive_up_to(p, a, 2**k)
+    hypothesis.event(f"(0, s] proved root-free: {proved}")
+    if proved:
+        assert count_roots(sturm_chain(p), Fraction(0), s) == 0
+        assert p(s) > 0
 
 
 _coeff = st.integers(-(10**6), 10**6)
