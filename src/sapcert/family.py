@@ -24,10 +24,12 @@ from .patterns import Sign, SignPattern
 from .polyroots import IntPolynomial
 
 
-# largest order accepted: the nilpotent certificate, which every command
+# largest order accepted.  The nilpotent certificate, which every command
 # but njverify builds, is slowest at r = 2; `sapcert nilpotent` takes about
-# 1.3 s there at n = 160 (0.3 s, mostly start-up, at r = n/2 and r = n - 1)
-# and the certificate alone about 37 s at n = 320, on a 2-vCPU Xeon
+# 0.35 s there at n = 160, mostly start-up, as at r = n/2 and r = n - 1,
+# and the certificate alone 0.35 s at n = 240 and 0.8 s at n = 320, on a
+# 2-vCPU Xeon.  `realize` is what keeps the order here: at n = 160, r = 2 a
+# random target runs past 120 s isolating its closing polynomial's roots
 MAX_N = 160
 
 

@@ -16,9 +16,14 @@ starts at a_j(0) = 1, and one chain of separation points proves both the
 order of the smallest roots and that no a_j has a root up to h's
 bracket.  A separation point is found by signs alone and proved by one
 Descartes test of a_j, Sturm count as fallback, so no a_j needs a Sturm
-chain; h's is built once, to isolate its root.  The whole proof for one
-(n, r) is built in one pass and memoized once; the public functions read
-that one certificate.
+chain.  Nor does h: one more Descartes test proves that h has one simple
+root below the last separation point, and h's signs bracket it on the
+tree that root isolation walks; a rational root, which isolation
+recognises and centres, or a failed test takes isolation by Sturm
+count.  The values of every a_j at a point come from the recurrence in
+integers, one step each.  The whole proof for one (n, r) is built in
+one pass and memoized once; the public functions read that one
+certificate.
 """
 
 from __future__ import annotations
@@ -35,7 +40,9 @@ from .polyroots import (
     RootBracket,
     _homogeneous,
     bisections,
+    cauchy_bound,
     min_positive_root,
+    one_root_up_to,
     positive_up_to,
     sturm_chain,
     variations,
@@ -142,13 +149,15 @@ def _root_below(prev: IntPolynomial, q: IntPolynomial, bound: Fraction) -> Fract
     (0, s], so every step was the Sturm walk's and s is its dyadic.
     q(0) > 0 gives q a root in (0, s): t_q < s < t_prev.  The Sturm walk
     is the fallback when the Descartes test fails, prev(0) <= 0,
-    prev(bound) > 0 or the guard runs out; None as there.
+    prev(bound) > 0 or the guard runs out; None as there.  prev(0) and
+    q(0) are the constant coefficients, and prev(bound) is signed by the
+    integer kernel, so no Fraction is built.
     """
-    if q(0) <= 0:
+    pc, qc = prev.coeffs, q.coeffs
+    if not qc or qc[0] <= 0:
         return None
-    if prev(0) > 0 and prev(bound) <= 0:
-        pc, qc = prev.coeffs, q.coeffs
-        bn, bd = bound.numerator, bound.denominator
+    bn, bd = bound.numerator, bound.denominator
+    if pc and pc[0] > 0 and _homogeneous(pc, bn, bd) <= 0:
         a, b, d = 0, 1, 1  # (a/d, b/d]
         for _ in range(_SEPARATION_STEPS):
             m, d = a + b, 2 * d
@@ -182,26 +191,78 @@ def verify_min_chain(p: FamilyParams) -> bool:
     return _certify(p).chain_verified
 
 
-def _values(polys, x: Fraction) -> tuple[float, ...]:
-    # float(q(x)) for each q: int / int true division rounds correctly, as
-    # float(Fraction) does, so the reduced Fraction is never built
-    p, d = x.numerator, x.denominator
-    return tuple(_homogeneous(q.coeffs, p, d) / d**q.degree for q in polys)
+def _recurrence_at(p: FamilyParams, x: Fraction) -> list[float]:
+    """a_1(x), ..., a_{n-1}(x) and a_n(x) = h(x) as floats, from the recurrence in integers.
+
+    At x = u/v, C_j = v^(j//r) a_j(x) (a_j has degree j//r) satisfies
+    C_j = v^[r | j] C_{j-1} - u C_{j-r} with C_0 = ... = C_{r-1} = 1, so
+    every value takes one step; C_j / v^(j//r) is an int / int true
+    division, which rounds correctly, as float(a_j(x)) does.
+    """
+    n, r = p.n, p.r
+    u, v = x.numerator, x.denominator
+    c = [1] * r
+    for j in range(r, n + 1):
+        c.append((c[-1] * v if j % r == 0 else c[-1]) - u * c[j - r])
+    vpow = [v**k for k in range(n // r + 1)]
+    return [c[j] / vpow[j // r] for j in range(1, n + 1)]
 
 
-# the one memo of the module: one pass per (n, r); an a_j chain is built
-# only by a link's Sturm fallback, as a local, so none outlives the pass
+def _h_bracket(h: IntPolynomial, s: Fraction) -> RootBracket:
+    """The bracket of h's smallest positive root that min_positive_root(h, _CERT_WIDTH) gives.
+
+    ``s`` is the last link's separation point.  When h(0) = 1, as for
+    every closing polynomial, and one Descartes test
+    (:func:`one_root_up_to`) proves that h has one root t_h in (0, s),
+    simple, then h > 0 on (0, t_h) and h < 0 on (t_h, s], so h(m) < 0
+    exactly when t_h < m for m in (0, s].  The walk halves
+    (0, cauchy_bound(h)] as :func:`positive_roots` does: a midpoint at or
+    past s goes left unevaluated, any other by h's sign, down to the
+    first node no wider than ``_CERT_WIDTH``.  That node holds t_h and,
+    when it lies in (0, s], no other root, so it is the bracket
+    positive_roots ends in, whichever path reaches it; its poly is h,
+    square-free for every supported (n, r).  A rational t_h is
+    recognised and centred there, so it takes min_positive_root, as do
+    a failed test, a midpoint that is a root and a node past s.
+    """
+    cs = h.coeffs
+    sn, sd = s.numerator, s.denominator
+    if cs[:1] == (1,) and one_root_up_to(h, sn, sd):
+        wn, wd = _CERT_WIDTH.numerator, _CERT_WIDTH.denominator
+        bound = cauchy_bound(h)
+        a, b, d = 0, bound.numerator, bound.denominator  # (a/d, b/d]
+        while (b - a) * wd > wn * d:
+            m, d = a + b, 2 * d
+            if m * sd >= sn * d or (v := _homogeneous(cs, m, d)) < 0:
+                a, b = 2 * a, m
+            elif v > 0:
+                a, b = m, 2 * b
+            else:
+                break
+        else:
+            # t_h lies in (a/d, b/d); a rational root of h is some 1/k, as h(0) = 1
+            if a and b * sd <= sn * d:
+                ks = range(d // b + 1, (d - 1) // a + 1)
+                if len(ks) < 5 and all(_homogeneous(cs, 1, k) for k in ks):
+                    return RootBracket(lo=Fraction(a, d), hi=Fraction(b, d), poly=h)
+    return min_positive_root(h, width=_CERT_WIDTH)[1]
+
+
+# the one memo of the module: one pass per (n, r); a chain is built only
+# by a link's Sturm fallback or h's min_positive_root fallback, as a
+# local, so none outlives the pass
 @functools.lru_cache(maxsize=None)
 def _certify(p: FamilyParams) -> NilpotentCertificate:
     """The double-mode certificate of ``p``, its residual not yet checked.
 
-    Isolates h's smallest positive root and runs the separation links
-    (a_r, a_{r+1}), ..., (a_{n-1}, h); the last separation point bounds
-    h's bracket, which proves every a_j positive on it.
+    Runs the separation links (a_r, a_{r+1}), ..., (a_{n-1}, h), then
+    brackets h's smallest positive root below the last separation point
+    (:func:`_h_bracket`), which bounds the bracket and so proves every a_j
+    positive on it.  a0 and the margins are the recurrence's values at
+    the bracket's midpoint and ends (:func:`_recurrence_at`).
     """
     r = p.r
     a_polys, h = recurrence_polys(p)
-    t_float, bracket = min_positive_root(h, width=_CERT_WIDTH)
     # a_r(t) = 1 - t, root exactly 1; at r = n that polynomial is h itself
     order = a_polys[r:] + (h,)
     if order[0].coeffs != (1, -1):
@@ -211,17 +272,18 @@ def _certify(p: FamilyParams) -> NilpotentCertificate:
         s = _root_below(prev, q, s)
         if s is None:
             raise CertificationFailed(f"no separation point below the smallest root of a_{j}")
+    bracket = _h_bracket(h, s)
     # a_1..a_{r-1} are the constant 1, a_r..a_{n-1} are root-free on (0, s];
     # at r = n no link runs and every a_j is the constant 1
     if r < p.n and bracket.hi > s:
         raise CertificationFailed("h's bracket reaches past the last separation point")
-    lo, hi = _values(a_polys[1:], bracket.lo), _values(a_polys[1:], bracket.hi)
+    lo, hi = _recurrence_at(p, bracket.lo)[:-1], _recurrence_at(p, bracket.hi)[:-1]
     margins = tuple(map(min, lo, hi))
-    a0 = _values(a_polys[1:], bracket.midpoint)
-    reali = FamilyRealization(params=p, a=a0, b=t_float)
+    a0 = tuple(_recurrence_at(p, bracket.midpoint)[:-1])
+    reali = FamilyRealization(params=p, a=a0, b=bracket.as_float())
     return NilpotentCertificate(
         params=p,
-        t_h=t_float,
+        t_h=reali.b,
         bracket=bracket,
         a0=a0,
         residual=max(abs(v) for v in coeff_map(reali)),
@@ -242,16 +304,14 @@ def nilpotent_realization(
     RESIDUAL_TOL_PER_N * n.  In "extended" mode the
     residual is that of the exact rational construction at the bracket
     midpoint: the recurrence makes every coefficient but the last vanish
-    identically, so it is |h(t_mid)|.
+    identically, so it is |h(t_mid)|, the recurrence's last value there.
     """
     if precision not in ("double", "extended"):
         raise PreconditionViolated(f"unknown precision mode {precision!r}")
     cert = _certify(p)
     if precision == "extended":
-        _, h = recurrence_polys(p)
-        cert = replace(
-            cert, residual=abs(float(h(cert.bracket.midpoint))), precision_mode="extended"
-        )
+        h_mid = _recurrence_at(p, cert.bracket.midpoint)[-1]
+        cert = replace(cert, residual=abs(h_mid), precision_mode="extended")
     limit = RESIDUAL_TOL_PER_N * p.n
     if cert.residual > limit:
         raise CertificationFailed(

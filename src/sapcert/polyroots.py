@@ -23,6 +23,9 @@ same tree at one evaluation per step.
 :func:`positive_up_to` proves a polynomial root-free on (0, s] by
 Descartes' rule of signs, from one integer Taylor shift and no chain;
 the nilpotent certificate proves its separation points with it.
+:func:`one_root_up_to`, on the same shift, proves one simple root in
+(0, s), which lets the certificate bracket its closing polynomial's
+root by sign.
 
 Every polynomial in the package is an :class:`IntPolynomial`.  Signs and
 values at a rational point p/q are evaluated homogeneously, as
@@ -317,26 +320,58 @@ def refine(bracket: RootBracket, width: Fraction) -> RootBracket:
             )
 
 
-def positive_up_to(p: IntPolynomial, a: int, d: int) -> bool:
-    """True when Descartes' rule of signs proves p > 0 on [0, a/d], for a, d > 0.
+def _shifted_variations(cs: tuple[int, ...], a: int, d: int, limit: int) -> int:
+    """Sign variations of the Descartes transform of ``cs`` on (0, a/d], for a, d > 0.
 
     With s = a/d, t = s/(1 + x) maps x in [0, inf) onto (0, s], and for p
     of degree k the numerator d^k (1 + x)^k p(t) is sum c_i a^i d^(k-i)
-    (1 + x)^(k-i): one integer Taylor shift by 1.  When every one of its
-    coefficients is positive it has no sign variation, hence no root
-    x >= 0, and is positive there; its leading coefficient is c_0 d^k,
-    so p(0) > 0 as well.  False proves nothing.
+    (1 + x)^(k-i): one integer Taylor shift by 1.  Its constant term is
+    d^k p(s) and its leading coefficient c_0 d^k.  By Descartes' rule of
+    signs the variations bound, and match in parity, its roots x > 0,
+    which are p's roots in (0, s) with their multiplicities.  A zero
+    constant term (p(s) = 0) proves nothing and counts as ``limit`` + 1,
+    as does every count past ``limit``, where the shift stops.
     """
-    cs = p.coeffs
     k = len(cs) - 1
     # ascending in y = 1 + x
     shifted = [cs[k - j] * a ** (k - j) * d**j for j in range(k + 1)]
-    for i in range(k):
+    v, last = 0, 0
+    for i in range(k + 1):
         for j in range(k - 1, i - 1, -1):
             shifted[j] += shifted[j + 1]
-        if shifted[i] <= 0:  # final from here on
-            return False
-    return k >= 0 and shifted[k] > 0
+        c = shifted[i]  # final from here on
+        if c:
+            if last and (c < 0) != (last < 0):
+                v += 1
+                if v > limit:
+                    break
+            last = c
+        elif not i:
+            return limit + 1
+    return v
+
+
+def positive_up_to(p: IntPolynomial, a: int, d: int) -> bool:
+    """True when Descartes' rule of signs proves p > 0 on [0, a/d], for a, d > 0.
+
+    p(0) > 0 and no sign variation of the transform
+    (:func:`_shifted_variations`): its constant term d^k p(s) is then
+    positive and no coefficient negative, so p has no root in (0, s].
+    False proves nothing.
+    """
+    return bool(p.coeffs) and p.coeffs[0] > 0 and _shifted_variations(p.coeffs, a, d, 0) == 0
+
+
+def one_root_up_to(p: IntPolynomial, a: int, d: int) -> bool:
+    """True when Descartes' rule of signs proves p has one simple root in (0, a/d).
+
+    p(0) nonzero and one sign variation of the transform
+    (:func:`_shifted_variations`): p has exactly one root in (0, s),
+    counted with multiplicity, so it is simple, p(s) is nonzero, and
+    p(0) and p(s) have opposite signs (the transform's end coefficients
+    are d^k p(0) and d^k p(s)).  False proves nothing.
+    """
+    return bool(p.coeffs) and p.coeffs[0] != 0 and _shifted_variations(p.coeffs, a, d, 1) == 1
 
 
 def cauchy_bound(p: IntPolynomial) -> Fraction:

@@ -6,18 +6,22 @@ from fractions import Fraction
 import pytest
 
 from sapcert.charpoly import char_coeffs, char_coeffs_oracle, spectrum
-from sapcert.errors import CertificationFailed
+from sapcert.errors import CertificationFailed, PreconditionViolated
 from sapcert.family import MAX_N, FamilyParams, build_matrix, build_pattern, coeff_map
 import sapcert.nilpotent as nilpotent
 from sapcert.nilpotent import (
+    _CERT_WIDTH,
+    _h_bracket,
+    _recurrence_at,
     _root_below,
     _sturm_root_below,
     nilpotent_realization,
     recurrence_polys,
     verify_min_chain,
 )
+import sapcert.polyroots as polyroots
 from sapcert.patterns import member_of_class
-from sapcert.polyroots import IntPolynomial, min_positive_root, positive_up_to
+from sapcert.polyroots import IntPolynomial, _homogeneous, min_positive_root, positive_up_to
 
 
 def test_recurrence_3_2():
@@ -113,6 +117,7 @@ def counted_chains(monkeypatch):
         return real(p)
 
     monkeypatch.setattr(nilpotent, "sturm_chain", counted)
+    monkeypatch.setattr(polyroots, "sturm_chain", counted)
     return built
 
 
@@ -145,6 +150,124 @@ def test_a_complex_pair_near_the_interval_takes_the_sturm_fallback(counted_chain
     del counted_chains[:]
     assert _root_below(prev, q, Fraction(1)) == s
     assert counted_chains == [prev]
+
+
+def _last_separation_point(a_polys, h, r):
+    order = a_polys[r:] + (h,)
+    s = Fraction(1)
+    for prev, q in zip(order, order[1:]):
+        s = _root_below(prev, q, s)
+    return s
+
+
+def test_h_bracket_is_the_min_positive_root_bracket():
+    exact = set()
+    for n in range(2, 41):
+        for r in range(2, n + 1):
+            a_polys, h = recurrence_polys(FamilyParams(n, r))
+            got = _h_bracket(h, _last_separation_point(a_polys, h, r))
+            want = min_positive_root(h, width=_CERT_WIDTH)[1]
+            # RootBracket equality compares lo, hi, poly and exact
+            assert got == want, (n, r)
+            if got.exact is not None:
+                exact.add((n, r))
+    assert {(3, 2), (5, 2), (5, 3), (40, 40)} <= exact
+
+
+def test_certificate_builds_no_chain_when_t_h_is_irrational(counted_chains):
+    irrational = 0
+    for n in range(2, 41):
+        for r in range(2, n + 1):
+            nilpotent._certify.cache_clear()
+            del counted_chains[:]
+            cert = nilpotent._certify(FamilyParams(n, r))
+            if cert.bracket.exact is None:
+                assert not counted_chains, (n, r)
+                irrational += 1
+    nilpotent._certify.cache_clear()
+    assert irrational == 352  # of the 780 pairs
+
+
+_TWO_ROOTS = _poly(1, -5, 5)  # roots (5 -+ sqrt 5)/10, about 0.2764 and 0.7236
+
+
+@pytest.mark.parametrize(
+    "h, s, exact",
+    [
+        (_TWO_ROOTS, Fraction(1), None),  # two roots in (0, s]: the one-root test fails
+        (_poly(1, -2, 1, -2), Fraction(1), Fraction(1, 2)),  # (1 - 2t)(1 + t^2): a midpoint hits 1/2
+        (_poly(1, -3, 1, -3), Fraction(1), Fraction(1, 3)),  # (1 - 3t)(1 + t^2): the root 1/3
+        (_poly(2, -3), Fraction(1), Fraction(2, 3)),  # h(0) = 2: a rational root need not be 1/k
+    ],
+)
+def test_h_bracket_falls_back_to_min_positive_root(counted_chains, h, s, exact):
+    got = _h_bracket(h, s)
+    assert counted_chains  # min_positive_root built h's chain
+    assert got == min_positive_root(h, width=_CERT_WIDTH)[1] and got.exact == exact
+
+
+def test_h_bracket_needs_h_positive_at_zero():
+    # -(1 - 3t + t^2) has one root in (0, 1), but its signs are the other way round
+    with pytest.raises(PreconditionViolated, match="p\\(0\\) > 0"):
+        _h_bracket(_poly(-1, 3, -1), Fraction(1))
+
+
+def test_h_bracket_past_s_falls_back_and_a_root_just_past_s_does_not(counted_chains):
+    h = _TWO_ROOTS
+    want = min_positive_root(h, width=_CERT_WIDTH)[1]
+    del counted_chains[:]
+    # the second root lies just past s: the one-root test still holds, no chain
+    assert Fraction(7236, 10**4) < (5 + math.sqrt(5)) / 10 < Fraction(7237, 10**4)
+    assert _h_bracket(h, Fraction(7236, 10**4)) == want and not counted_chains
+    # s inside the bracket: the walk's node reaches past s
+    s = want.hi - Fraction(1, 2**80)
+    assert h(s) < 0 < h(want.lo)
+    assert _h_bracket(h, s) == want and counted_chains
+
+
+def test_recurrence_values_are_the_rounded_polynomial_values():
+    for n in range(2, 41):
+        for r in range(2, n + 1):
+            p = FamilyParams(n, r)
+            a_polys, h = recurrence_polys(p)
+            bracket = nilpotent_realization(p).bracket
+            for x in (bracket.lo, bracket.hi, bracket.midpoint):
+                u, v = x.numerator, x.denominator
+                want = [_homogeneous(q.coeffs, u, v) / v**q.degree for q in a_polys[1:] + (h,)]
+                assert _recurrence_at(p, x) == want, (n, r, x)
+
+
+def _coprime_mod(f, g, prime):
+    # Euclid over GF(prime) on ascending residue lists without trailing zeros
+    while g:
+        inv, f = pow(g[-1], -1, prime), list(f)
+        while len(f) >= len(g):
+            c, off = f[-1] * inv % prime, len(f) - len(g)
+            for i, x in enumerate(g):
+                f[off + i] = (f[off + i] - c * x) % prime
+            while f and not f[-1]:
+                f.pop()
+        f, g = g, f
+    return len(f) == 1
+
+
+def test_h_is_square_free_for_every_supported_order():
+    # a square factor g^2 of h stays one of h mod a prime that keeps h's
+    # degree, and g then divides h' too; so a unit gcd(h, h') mod the
+    # prime proves h square-free, and the bracket's poly is h itself
+    prime = 2**61 - 1
+    for r in range(2, MAX_N + 1):
+        a_polys, h = recurrence_polys(FamilyParams(MAX_N, r))
+        for n in range(r, MAX_N + 1):
+            cs = (a_polys + (h,))[n].coeffs  # h of (n, r) is a_n of the recurrence
+            if n <= 20:
+                assert cs == recurrence_polys(FamilyParams(n, r))[1].coeffs
+            f = [c % prime for c in cs]
+            assert f[-1], (n, r)
+            df = [i * c % prime for i, c in enumerate(cs)][1:]
+            while df and not df[-1]:
+                df.pop()
+            assert _coprime_mod(f, df, prime), (n, r)
 
 
 @pytest.fixture

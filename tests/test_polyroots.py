@@ -17,7 +17,9 @@ from sapcert.polyroots import (
     cauchy_bound,
     count_roots,
     min_positive_root,
+    one_root_up_to,
     positive_roots,
+    positive_up_to,
     refine,
     sign_at_root,
     sign_variations,
@@ -312,6 +314,20 @@ def test_a_root_of_even_multiplicity_is_bisected_by_count():
     for _ in range(40):
         a, b, d, _ = next(steps)
         assert Fraction(a, d) < 1 <= Fraction(b, d)
+
+
+def test_descartes_tests_on_zero_one_and_two_roots():
+    # one Taylor-shift kernel: zero variations prove p > 0 on [0, s], one
+    # variation proves one simple root in (0, s) and a sign change
+    assert positive_up_to(P(1, -2), 1, 4) and not positive_up_to(P(1, -2), 1, 1)
+    assert one_root_up_to(P(1, -3, 1), 1, 1)  # root (3 - sqrt 5)/2 only
+    assert not one_root_up_to(P(1, -3, 1), 1, 4)  # no root up to 1/4
+    assert not one_root_up_to(P(1, -5, 5), 1, 1)  # two roots in (0, 1)
+    # t(1 - 2t) has one variation on (0, 1], but p(0) = 0: no sign change
+    assert not one_root_up_to(P(0, 1, -2), 1, 1)
+    # (1 - 2t)(1 - t) is zero at s = 1: the constant term proves nothing
+    assert not one_root_up_to(P(1, -3, 2), 1, 1)
+    assert not positive_up_to(P(1, -1), 1, 1)
 
 
 def test_isolate_positive_roots_known():

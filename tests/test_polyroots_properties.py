@@ -27,6 +27,7 @@ from sapcert.polyroots import (  # noqa: E402
     cauchy_bound,
     count_roots,
     min_positive_root,
+    one_root_up_to,
     positive_roots,
     positive_up_to,
     refine,
@@ -215,6 +216,22 @@ def test_descartes_root_free_claims_hold(case, a, k):
     if proved:
         assert count_roots(sturm_chain(p), Fraction(0), s) == 0
         assert p(s) > 0
+
+
+@_SETTINGS
+@hypothesis.given(factored(zero_roots=False), st.integers(1, 2**12), st.integers(0, 12))
+def test_descartes_one_root_claims_hold(case, a, k):
+    coeffs, _ = case
+    p = IntPolynomial.from_coeffs(coeffs)
+    s = Fraction(a, 2**k)
+    proved = one_root_up_to(p, a, 2**k)
+    hypothesis.event(f"one root in (0, s] proved: {proved}")
+    if proved:
+        assert count_roots(sturm_chain(p), Fraction(0), s) == 1
+        assert p(0) * p(s) < 0
+        # counted with multiplicity: the root is simple
+        inside = [m for root, m in _positive_roots_of(coeffs) if root <= _rational(s)]
+        assert inside == [1]
 
 
 _coeff = st.integers(-(10**6), 10**6)
