@@ -15,15 +15,14 @@ the Intermediate Value Theorem instead of an explicit check: every a_j
 starts at a_j(0) = 1, and one chain of separation points proves both the
 order of the smallest roots and that no a_j has a root up to h's
 bracket.  A separation point is found by signs alone and proved by one
-Descartes test of a_j, Sturm count as fallback, so no a_j needs a Sturm
-chain.  Nor does h: one more Descartes test proves that h has one simple
-root below the last separation point, and h's signs bracket it on the
-tree that root isolation walks; a rational root, which isolation
-recognises and centres, or a failed test takes isolation by Sturm
-count.  The values of every a_j at a point come from the recurrence in
-integers, one step each.  The whole proof for one (n, r) is built in
-one pass and memoized once; the public functions read that one
-certificate.
+Descartes test of a_j, so no a_j needs a Sturm chain.  Nor does h: one
+more Descartes test proves that h has one simple root below the last
+separation point, and h's signs bracket it on the tree that root
+isolation walks, a rational root centred as isolation centres it.  A
+failed test raises :class:`CertificationFailed`.  The values of every
+a_j at a point come from the recurrence in integers, one step each.  The
+whole proof for one (n, r) is built in one pass and memoized once; the
+public functions read that one certificate.
 """
 
 from __future__ import annotations
@@ -31,7 +30,6 @@ from __future__ import annotations
 import functools
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from itertools import islice
 
 from .errors import CertificationFailed, PreconditionViolated
 from .family import FamilyParams, FamilyRealization, coeff_map, eliminate
@@ -39,13 +37,9 @@ from .polyroots import (
     IntPolynomial,
     RootBracket,
     _homogeneous,
-    bisections,
     cauchy_bound,
-    min_positive_root,
     one_root_up_to,
     positive_up_to,
-    sturm_chain,
-    variations,
 )
 
 RESIDUAL_TOL_PER_N = 1e-10
@@ -115,61 +109,36 @@ def recurrence_polys(p: FamilyParams) -> tuple[tuple[IntPolynomial, ...], IntPol
     return tuple(a), IntPolynomial(()).subtract(g)
 
 
-def _sturm_root_below(prev: IntPolynomial, q: IntPolynomial) -> Fraction | None:
-    """:func:`_root_below` by Sturm count: the reference walk and the fallback.
-
-    Bisects prev's chain on (0, 1], always keeping prev's smallest root
-    in (lo, hi], and returns the first dyadic lo it moved to with
-    q(lo) < 0.  prev has no root in (0, lo] by the bisection invariant.
-    None when q(0) <= 0, when prev has no root in (0, 1] or when the
-    guard runs out first (equal or reversed roots never separate).
-    """
-    chain = sturm_chain(prev)
-    if q(0) <= 0 or variations(chain, 0, 1) == variations(chain, 1, 1):
-        return None
-    a = 0  # lo = a/d
-    for new_a, _, d, _ in islice(bisections(chain, 0, 1, 1), _SEPARATION_STEPS):
-        if new_a != 2 * a and q(s := Fraction(new_a, d)) < 0:
-            return s
-        a = new_a
-    return None
-
-
 def _root_below(prev: IntPolynomial, q: IntPolynomial, bound: Fraction) -> Fraction | None:
     """A separation point s of q's smallest positive root below prev's, both in (0, 1].
 
-    ``bound`` lies at or above prev's smallest root: the previous link's
-    s, where prev < 0, or 1 for a_r = 1 - t.  The walk halves (0, 1] as
-    :func:`_sturm_root_below` does but decides each step by prev's sign:
-    a midpoint at or past ``bound`` goes left unevaluated, prev(m) <= 0
-    goes left (prev(0) > 0, so prev has a root in (0, m] by the
-    Intermediate Value Theorem), any other goes right.  s is the first
-    lo it moved to with q(s) < 0, and prev has no root in (0, s] by
-    Descartes' rule (:func:`positive_up_to`).  Every lo moved to lies in
-    (0, s], so every step was the Sturm walk's and s is its dyadic.
-    q(0) > 0 gives q a root in (0, s): t_q < s < t_prev.  The Sturm walk
-    is the fallback when the Descartes test fails, prev(0) <= 0,
-    prev(bound) > 0 or the guard runs out; None as there.  prev(0) and
-    q(0) are the constant coefficients, and prev(bound) is signed by the
-    integer kernel, so no Fraction is built.
+    ``bound`` is a point where prev <= 0, so at or above prev's smallest
+    root: the previous link's s, or 2 for a_r = 1 - t.  The walk halves
+    (0, 1] and decides each step by prev's sign: a midpoint at or past
+    ``bound`` goes left unevaluated, prev(m) <= 0 goes left (prev(0) > 0,
+    so prev has a root in (0, m] by the Intermediate Value Theorem), any
+    other goes right.  s is the first lo it moved to with q(s) < 0, and
+    prev has no root in (0, s] by Descartes' rule (:func:`positive_up_to`).
+    q(0) > 0 gives q a root in (0, s): t_q < s < t_prev.  None when
+    q(0) <= 0, prev(0) <= 0, prev(bound) > 0, the Descartes test fails or
+    ``_SEPARATION_STEPS`` halvings find no s (equal or reversed roots
+    never separate).  prev(0) and q(0) are the constant coefficients, and
+    prev(bound) is signed by the integer kernel, so no Fraction is built.
     """
     pc, qc = prev.coeffs, q.coeffs
-    if not qc or qc[0] <= 0:
-        return None
     bn, bd = bound.numerator, bound.denominator
-    if pc and pc[0] > 0 and _homogeneous(pc, bn, bd) <= 0:
-        a, b, d = 0, 1, 1  # (a/d, b/d]
-        for _ in range(_SEPARATION_STEPS):
-            m, d = a + b, 2 * d
-            if m * bd >= bn * d or _homogeneous(pc, m, d) <= 0:
-                a, b = 2 * a, m
-            else:
-                a, b = m, 2 * b
-                if _homogeneous(qc, m, d) < 0:
-                    if positive_up_to(prev, m, d):
-                        return Fraction(m, d)
-                    break
-    return _sturm_root_below(prev, q)
+    if not qc or qc[0] <= 0 or not pc or pc[0] <= 0 or _homogeneous(pc, bn, bd) > 0:
+        return None
+    a, b, d = 0, 1, 1  # (a/d, b/d]
+    for _ in range(_SEPARATION_STEPS):
+        m, d = a + b, 2 * d
+        if m * bd >= bn * d or _homogeneous(pc, m, d) <= 0:
+            a, b = 2 * a, m
+        else:
+            a, b = m, 2 * b
+            if _homogeneous(qc, m, d) < 0:
+                return Fraction(m, d) if positive_up_to(prev, m, d) else None
+    return None
 
 
 def verify_min_chain(p: FamilyParams) -> bool:
@@ -178,15 +147,14 @@ def verify_min_chain(p: FamilyParams) -> bool:
     t_h < t_{n-1} < ... < t_{r+1} < t_r = 1, where t_q is the smallest
     positive root of q (at r = n the chain is t_h = 1).  Each link
     (prev, q) is a separation point s (:func:`_root_below`): prev has no
-    root in (0, s] by Descartes' rule, Sturm count as fallback, and
-    q(0) = 1 > 0 > q(s) gives q a root in (0, s) by the Intermediate
-    Value Theorem, so t_q < s < t_prev; the roots themselves are never
-    refined.  The same links prove what the nilpotent point needs: every
-    a_j starts at a_j(0) = 1 and has no root in (0, s_j], and
-    s_r > ... > s_{n-1} >= bracket.hi of h, so every a_j is positive on
-    h's bracket.  The verdict is part of the memoized certificate of
-    (n, r), which raises :class:`CertificationFailed` when a link or the
-    bracket bound fails.
+    root in (0, s] by Descartes' rule, and q(0) = 1 > 0 > q(s) gives q a
+    root in (0, s) by the Intermediate Value Theorem, so t_q < s < t_prev;
+    the roots themselves are never refined.  The same links prove what
+    the nilpotent point needs: every a_j starts at a_j(0) = 1 and has no
+    root in (0, s_j], and s_r > ... > s_{n-1} >= bracket.hi of h, so
+    every a_j is positive on h's bracket.  The verdict is part of the
+    memoized certificate of (n, r), which raises
+    :class:`CertificationFailed` when a link or h's bracket fails.
     """
     return _certify(p).chain_verified
 
@@ -209,48 +177,53 @@ def _recurrence_at(p: FamilyParams, x: Fraction) -> list[float]:
 
 
 def _h_bracket(h: IntPolynomial, s: Fraction) -> RootBracket:
-    """The bracket of h's smallest positive root that min_positive_root(h, _CERT_WIDTH) gives.
+    """h's smallest positive root t_h, bracketed as min_positive_root(h, _CERT_WIDTH) brackets it.
 
-    ``s`` is the last link's separation point.  When h(0) = 1, as for
-    every closing polynomial, and one Descartes test
-    (:func:`one_root_up_to`) proves that h has one root t_h in (0, s),
-    simple, then h > 0 on (0, t_h) and h < 0 on (t_h, s], so h(m) < 0
-    exactly when t_h < m for m in (0, s].  The walk halves
-    (0, cauchy_bound(h)] as :func:`positive_roots` does: a midpoint at or
-    past s goes left unevaluated, any other by h's sign, down to the
-    first node no wider than ``_CERT_WIDTH``.  That node holds t_h and,
-    when it lies in (0, s], no other root, so it is the bracket
-    positive_roots ends in, whichever path reaches it; its poly is h,
-    square-free for every supported (n, r).  A rational t_h is
-    recognised and centred there, so it takes min_positive_root, as do
-    a failed test, a midpoint that is a root and a node past s.
+    ``s`` is the last link's separation point.  h(0) = 1, as for every
+    closing polynomial, and one Descartes test (:func:`one_root_up_to`)
+    proves one simple root t_h in (0, s); so for m in (0, s], h(m) <= 0
+    exactly when t_h <= m.  The walk halves (0, cauchy_bound(h)] as
+    :func:`positive_roots` does, a midpoint at or past s going left
+    unevaluated and any other by h's sign, down to the first node
+    (lo, hi] no wider than ``_CERT_WIDTH``.  As h(0) = 1, a rational t_h
+    is some 1/k in (lo, hi], hi itself when a midpoint hit it; it is
+    centred as positive_roots centres it, at exact +- min(_CERT_WIDTH / 2,
+    exact - lo), exact's offset in this node.  With its hi at most s the
+    bracket holds t_h alone, so it is positive_roots' first bracket, whose
+    rational search (end coefficients up to 1e9) finds every rational t_h
+    for n <= MAX_N; its poly is h, square-free for every supported
+    (n, r).  Raises :class:`CertificationFailed` when h(0) != 1, the test
+    fails, the node leaves more than four k to try, or the bracket
+    reaches past s.
     """
     cs = h.coeffs
     sn, sd = s.numerator, s.denominator
-    if cs[:1] == (1,) and one_root_up_to(h, sn, sd):
-        wn, wd = _CERT_WIDTH.numerator, _CERT_WIDTH.denominator
-        bound = cauchy_bound(h)
-        a, b, d = 0, bound.numerator, bound.denominator  # (a/d, b/d]
-        while (b - a) * wd > wn * d:
-            m, d = a + b, 2 * d
-            if m * sd >= sn * d or (v := _homogeneous(cs, m, d)) < 0:
-                a, b = 2 * a, m
-            elif v > 0:
-                a, b = m, 2 * b
-            else:
-                break
+    if cs[:1] != (1,) or not one_root_up_to(h, sn, sd):
+        raise CertificationFailed(f"no one-root proof for h on (0, {s})")
+    wn, wd = _CERT_WIDTH.numerator, _CERT_WIDTH.denominator
+    bound = cauchy_bound(h)
+    a, b, d = 0, bound.numerator, bound.denominator  # (a/d, b/d]
+    while (b - a) * wd > wn * d:
+        m, d = a + b, 2 * d
+        if m * sd >= sn * d or _homogeneous(cs, m, d) <= 0:
+            a, b = 2 * a, m
         else:
-            # t_h lies in (a/d, b/d); a rational root of h is some 1/k, as h(0) = 1
-            if a and b * sd <= sn * d:
-                ks = range(d // b + 1, (d - 1) // a + 1)
-                if len(ks) < 5 and all(_homogeneous(cs, 1, k) for k in ks):
-                    return RootBracket(lo=Fraction(a, d), hi=Fraction(b, d), poly=h)
-    return min_positive_root(h, width=_CERT_WIDTH)[1]
+            a, b = m, 2 * b
+    lo, hi = Fraction(a, d), Fraction(b, d)
+    # a rational root of h is some 1/k, as h(0) = 1, here with d/b <= k < d/a
+    if not a or (d - 1) // a - (d - 1) // b > 4:
+        raise CertificationFailed("too many rational candidates for h's root")
+    ks = range((d - 1) // b + 1, (d - 1) // a + 1)
+    exact = next((Fraction(1, k) for k in ks if not _homogeneous(cs, 1, k)), None)
+    if exact is not None:
+        delta = min(_CERT_WIDTH / 2, exact - lo)
+        lo, hi = exact - delta, exact + delta
+    if hi > s:
+        raise CertificationFailed("h's bracket reaches past the last separation point")
+    return RootBracket(lo=lo, hi=hi, poly=h, exact=exact)
 
 
-# the one memo of the module: one pass per (n, r); a chain is built only
-# by a link's Sturm fallback or h's min_positive_root fallback, as a
-# local, so none outlives the pass
+# the one memo of the module: one pass per (n, r), and no Sturm chain
 @functools.lru_cache(maxsize=None)
 def _certify(p: FamilyParams) -> NilpotentCertificate:
     """The double-mode certificate of ``p``, its residual not yet checked.
@@ -267,16 +240,14 @@ def _certify(p: FamilyParams) -> NilpotentCertificate:
     order = a_polys[r:] + (h,)
     if order[0].coeffs != (1, -1):
         raise CertificationFailed(f"a_{r} is not 1 - t")
-    s = Fraction(1)  # the root of a_r, the first link's bound
+    s = Fraction(2)  # a_r(2) < 0: the first link's bound
     for j, (prev, q) in enumerate(zip(order, order[1:]), start=r):
         s = _root_below(prev, q, s)
         if s is None:
             raise CertificationFailed(f"no separation point below the smallest root of a_{j}")
+    # a_1..a_{r-1} are the constant 1, a_r..a_{n-1} are root-free on (0, s],
+    # which holds the bracket; at r = n no link runs and s stays 2
     bracket = _h_bracket(h, s)
-    # a_1..a_{r-1} are the constant 1, a_r..a_{n-1} are root-free on (0, s];
-    # at r = n no link runs and every a_j is the constant 1
-    if r < p.n and bracket.hi > s:
-        raise CertificationFailed("h's bracket reaches past the last separation point")
     lo, hi = _recurrence_at(p, bracket.lo)[:-1], _recurrence_at(p, bracket.hi)[:-1]
     margins = tuple(map(min, lo, hi))
     a0 = tuple(_recurrence_at(p, bracket.midpoint)[:-1])

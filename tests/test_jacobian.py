@@ -21,7 +21,7 @@ from sapcert.jacobian import (
     jacobian_matrix,
     nj_verify,
 )
-from sapcert.nilpotent import nilpotent_realization
+from sapcert.nilpotent import nilpotent_realization, recurrence_polys
 from sapcert.patterns import SignPattern
 
 
@@ -107,6 +107,28 @@ def test_jacobian_positive_on_certificates():
             assert abs(report.det_lu - report.det_blocks) <= 1e-8 * max(
                 1.0, abs(report.det_lu)
             )
+
+
+def _both_routes_are_minus_h_prime(n, r):
+    # det J = -h'(t) along the elimination curve of the zero target, so at
+    # the certificate both routes give -h' at the bracket midpoint
+    cert = nilpotent_realization(FamilyParams(n, r))
+    report = jacobian_det(cert.realization())
+    h_prime = float(recurrence_polys(FamilyParams(n, r))[1].derivative()(cert.bracket.midpoint))
+    assert h_prime < 0, (n, r)
+    for det in (report.det_lu, report.det_blocks):
+        assert abs(det + h_prime) <= 1e-10 * abs(h_prime), (n, r, det, h_prime)
+
+
+def test_det_j_is_minus_h_prime_at_t_h():
+    for n in range(2, 41):
+        for r in range(2, n + 1):
+            _both_routes_are_minus_h_prime(n, r)
+
+
+def test_det_j_is_minus_h_prime_at_t_h_for_every_r_at_n_80():
+    for r in range(2, 81):
+        _both_routes_are_minus_h_prime(80, r)
 
 
 def test_block_reading_matches_assembled_jacobian():

@@ -6,7 +6,7 @@ from fractions import Fraction
 import pytest
 
 from sapcert.charpoly import char_coeffs, char_coeffs_oracle, spectrum
-from sapcert.errors import CertificationFailed, PreconditionViolated
+from sapcert.errors import CertificationFailed
 from sapcert.family import MAX_N, FamilyParams, build_matrix, build_pattern, coeff_map
 import sapcert.nilpotent as nilpotent
 from sapcert.nilpotent import (
@@ -14,14 +14,20 @@ from sapcert.nilpotent import (
     _h_bracket,
     _recurrence_at,
     _root_below,
-    _sturm_root_below,
     nilpotent_realization,
     recurrence_polys,
     verify_min_chain,
 )
 import sapcert.polyroots as polyroots
 from sapcert.patterns import member_of_class
-from sapcert.polyroots import IntPolynomial, _homogeneous, min_positive_root, positive_up_to
+from sapcert.polyroots import (
+    IntPolynomial,
+    _homogeneous,
+    count_roots,
+    min_positive_root,
+    positive_up_to,
+    sturm_chain,
+)
 
 
 def test_recurrence_3_2():
@@ -102,59 +108,40 @@ def test_separation_point_is_the_first_moved_dyadic_lo_where_q_is_negative():
 
 def test_a_bound_below_the_root_of_prev_is_not_trusted():
     # prev = 1 - t is positive at 1/2: going left there unevaluated would
-    # end at 3/8, not at the Sturm walk's 1/2
-    prev, q = _poly(1, -1), _poly(1, -4)
-    assert _root_below(prev, q, Fraction(1, 2)) == _sturm_root_below(prev, q) == Fraction(1, 2)
+    # end at 3/8, a point no proof stands behind
+    assert _root_below(_poly(1, -1), _poly(1, -4), Fraction(1, 2)) is None
 
 
 @pytest.fixture
 def counted_chains(monkeypatch):
     built = []
-    real = nilpotent.sturm_chain
+    real = polyroots.sturm_chain
 
     def counted(p):
         built.append(p)
         return real(p)
 
-    monkeypatch.setattr(nilpotent, "sturm_chain", counted)
     monkeypatch.setattr(polyroots, "sturm_chain", counted)
     return built
 
 
-def test_sign_walk_returns_the_sturm_walk_point_and_builds_no_chain(counted_chains):
-    links = 0
-    for n in range(2, 41):
-        for r in range(2, n + 1):
-            a_polys, h = recurrence_polys(FamilyParams(n, r))
-            order = a_polys[r:] + (h,)
-            s = Fraction(1)
-            for prev, q in zip(order, order[1:]):
-                got = _root_below(prev, q, s)
-                assert not counted_chains
-                s = _sturm_root_below(prev, q)
-                assert s is not None and got == s
-                del counted_chains[:]
-                links += 1
-    assert links == 9880  # n - r links for each (n, r)
-
-
-def test_a_complex_pair_near_the_interval_takes_the_sturm_fallback(counted_chains):
+def test_a_complex_pair_near_the_interval_fails_the_descartes_test(counted_chains):
     # prev = (9 - 10t)(400t^2 - 240t + 37) has roots 9/10 and 3/10 +- i/20;
     # q = 4 - 5t has its root at 4/5
     prev, q = _poly(333, -2530, 6000, -4000), _poly(4, -5)
     # the quadratic factor's minimum, 1 at t = 3/10, times 9 - 10t
     assert prev(Fraction(9, 10)) == 0 and prev(Fraction(3, 10)) == 6
-    s = _sturm_root_below(prev, q)
-    assert s is not None and Fraction(4, 5) < s < Fraction(9, 10)
-    assert not positive_up_to(prev, s.numerator, s.denominator)
-    del counted_chains[:]
-    assert _root_below(prev, q, Fraction(1)) == s
-    assert counted_chains == [prev]
+    # the walk's first point with q < 0 is 7/8: root-free for prev, but the
+    # pair near it leaves two sign variations, so no proof and no s
+    s = Fraction(7, 8)
+    assert q(s) < 0 and not positive_up_to(prev, s.numerator, s.denominator)
+    assert _root_below(prev, q, Fraction(1)) is None and not counted_chains
+    assert count_roots(sturm_chain(prev), Fraction(0), s) == 0
 
 
 def _last_separation_point(a_polys, h, r):
     order = a_polys[r:] + (h,)
-    s = Fraction(1)
+    s = Fraction(2)
     for prev, q in zip(order, order[1:]):
         s = _root_below(prev, q, s)
     return s
@@ -174,55 +161,78 @@ def test_h_bracket_is_the_min_positive_root_bracket():
     assert {(3, 2), (5, 2), (5, 3), (40, 40)} <= exact
 
 
-def test_certificate_builds_no_chain_when_t_h_is_irrational(counted_chains):
-    irrational = 0
+@pytest.fixture
+def isolations(monkeypatch):
+    called = []
+    for name in ("positive_roots", "min_positive_root"):
+        real = getattr(polyroots, name)
+
+        def counted(p, *args, real=real, name=name, **kwargs):
+            called.append((name, p))
+            return real(p, *args, **kwargs)
+
+        monkeypatch.setattr(polyroots, name, counted)
+    return called
+
+
+def test_certificate_builds_no_chain_and_isolates_no_root(counted_chains, isolations):
+    rational = 0
     for n in range(2, 41):
         for r in range(2, n + 1):
             nilpotent._certify.cache_clear()
-            del counted_chains[:]
             cert = nilpotent._certify(FamilyParams(n, r))
-            if cert.bracket.exact is None:
-                assert not counted_chains, (n, r)
-                irrational += 1
+            assert not counted_chains and not isolations, (n, r)
+            rational += cert.bracket.exact is not None
     nilpotent._certify.cache_clear()
-    assert irrational == 352  # of the 780 pairs
+    assert rational == 428  # of the 780 pairs
 
 
 _TWO_ROOTS = _poly(1, -5, 5)  # roots (5 -+ sqrt 5)/10, about 0.2764 and 0.7236
 
 
 @pytest.mark.parametrize(
-    "h, s, exact",
+    "h, exact",
     [
-        (_TWO_ROOTS, Fraction(1), None),  # two roots in (0, s]: the one-root test fails
-        (_poly(1, -2, 1, -2), Fraction(1), Fraction(1, 2)),  # (1 - 2t)(1 + t^2): a midpoint hits 1/2
-        (_poly(1, -3, 1, -3), Fraction(1), Fraction(1, 3)),  # (1 - 3t)(1 + t^2): the root 1/3
-        (_poly(2, -3), Fraction(1), Fraction(2, 3)),  # h(0) = 2: a rational root need not be 1/k
+        (_poly(1, -2, 1, -2), Fraction(1, 2)),  # (1 - 2t)(1 + t^2): a midpoint hits 1/2
+        (_poly(1, -3, 1, -3), Fraction(1, 3)),  # (1 - 3t)(1 + t^2): the root 1/3
     ],
 )
-def test_h_bracket_falls_back_to_min_positive_root(counted_chains, h, s, exact):
-    got = _h_bracket(h, s)
-    assert counted_chains  # min_positive_root built h's chain
+def test_h_bracket_centres_a_rational_root_as_isolation_does(counted_chains, h, exact):
+    got = _h_bracket(h, Fraction(1))
+    assert not counted_chains
     assert got == min_positive_root(h, width=_CERT_WIDTH)[1] and got.exact == exact
 
 
-def test_h_bracket_needs_h_positive_at_zero():
-    # -(1 - 3t + t^2) has one root in (0, 1), but its signs are the other way round
-    with pytest.raises(PreconditionViolated, match="p\\(0\\) > 0"):
-        _h_bracket(_poly(-1, 3, -1), Fraction(1))
+@pytest.mark.parametrize(
+    "h, match",
+    [
+        (_TWO_ROOTS, "no one-root proof"),  # two roots in (0, 1]: the one-root test fails
+        (_poly(2, -3), "no one-root proof"),  # h(0) = 2: a rational root need not be 1/k
+        # -(1 - 3t + t^2): one root in (0, 1), signs the other way round
+        (_poly(-1, 3, -1), "no one-root proof"),
+        # root 1/(2^75 + 1) in the first node (0, 2^-70]: every 1/k past 2^70 is in it
+        (_poly(1, -(2**75 + 1)), "too many rational candidates"),
+    ],
+)
+def test_h_bracket_raises_without_its_proof(counted_chains, h, match):
+    with pytest.raises(CertificationFailed, match=match):
+        _h_bracket(h, Fraction(1))
+    assert not counted_chains
 
 
-def test_h_bracket_past_s_falls_back_and_a_root_just_past_s_does_not(counted_chains):
+def test_h_bracket_past_s_raises_and_a_root_just_past_s_does_not(counted_chains):
     h = _TWO_ROOTS
     want = min_positive_root(h, width=_CERT_WIDTH)[1]
     del counted_chains[:]
-    # the second root lies just past s: the one-root test still holds, no chain
+    # the second root lies just past s: the one-root test still holds
     assert Fraction(7236, 10**4) < (5 + math.sqrt(5)) / 10 < Fraction(7237, 10**4)
-    assert _h_bracket(h, Fraction(7236, 10**4)) == want and not counted_chains
+    assert _h_bracket(h, Fraction(7236, 10**4)) == want
     # s inside the bracket: the walk's node reaches past s
     s = want.hi - Fraction(1, 2**80)
     assert h(s) < 0 < h(want.lo)
-    assert _h_bracket(h, s) == want and counted_chains
+    with pytest.raises(CertificationFailed, match="reaches past the last separation point"):
+        _h_bracket(h, s)
+    assert not counted_chains
 
 
 def test_recurrence_values_are_the_rounded_polynomial_values():
@@ -284,6 +294,24 @@ def test_certificate_raises_when_a_link_is_not_separated(monkeypatch, cold_certi
             call(FamilyParams(6, 2))
 
 
+@pytest.mark.parametrize(
+    "test, r, match",
+    [
+        ("positive_up_to", 2, "no separation point"),
+        ("one_root_up_to", 2, "no one-root proof"),
+        ("one_root_up_to", 6, "no one-root proof"),  # r = n: h = 1 - t and s = 2
+    ],
+)
+def test_certificate_raises_when_a_descartes_test_fails(
+    monkeypatch, cold_certificates, test, r, match
+):
+    # a test that proves nothing ends the certificate
+    monkeypatch.setattr(nilpotent, test, lambda p, a, d: False)
+    for call in (nilpotent_realization, verify_min_chain):
+        with pytest.raises(CertificationFailed, match=match):
+            call(FamilyParams(6, r))
+
+
 @pytest.mark.parametrize("n, r", [(6, 2), (9, 4), (5, 4)])
 def test_certificate_raises_when_the_last_separation_point_is_below_the_bracket(
     monkeypatch, cold_certificates, n, r
@@ -319,22 +347,12 @@ def test_verify_min_chain_every_r_at_n_80():
         assert verify_min_chain(FamilyParams(80, r))
 
 
-def test_nilpotent_realization_isolates_no_root_but_h(monkeypatch):
-    # the root order is proved by separation: no a_j root is ever bisected
-    nilpotent._certify.cache_clear()
-    n = 40
-    closing = {recurrence_polys(FamilyParams(n, r))[1] for r in range(2, n)}
-    real = nilpotent.min_positive_root
-
-    def only_h(p, *args, **kwargs):
-        if p not in closing:
-            raise AssertionError(f"min_positive_root called on {p.coeffs[:4]}...")
-        return real(p, *args, **kwargs)
-
-    monkeypatch.setattr(nilpotent, "min_positive_root", only_h)
-    for r in range(2, n):
-        cert = nilpotent_realization(FamilyParams(n, r))
-        assert cert.chain_verified
+def test_nilpotent_realization_isolates_no_root(isolations, cold_certificates):
+    # the root order is proved by separation and h's root by its signs:
+    # positive_roots never runs, for a_j or for h, rational t_h included
+    for r in range(2, 81):
+        assert nilpotent_realization(FamilyParams(80, r)).chain_verified
+    assert not isolations
 
 
 def test_cert_2_2_is_the_basic_nilpotent_example():
