@@ -128,6 +128,37 @@ def coeff_values_batch(
     return out.T
 
 
+def _next_column(prev, low, const: int) -> tuple[int, ...]:
+    # prev - b low + const, ascending, without trailing zeros
+    cs = list(prev) or [0]
+    if len(cs) <= len(low):
+        cs += [0] * (len(low) + 1 - len(cs))
+    for i, c in enumerate(low, start=1):
+        cs[i] -= c
+    cs[0] += const
+    while cs and not cs[-1]:
+        cs.pop()
+    return tuple(cs)
+
+
+def eliminate_integers(
+    n: int, r: int, scale: int, steps: Sequence[int]
+) -> tuple[list[tuple[int, ...]], tuple[int, ...] | None]:
+    """:func:`eliminate` on integers: the target given as D = ``scale`` and D alpha_j.
+
+    ``scale`` is any positive common denominator of the target and
+    ``steps[j - 1]`` = D alpha_j.  Returns ([a'_0, a'_1, ...], g') as
+    ascending coefficient tuples, without trailing zeros; g' is None when
+    a constant a'_j with j < r is not positive.
+    """
+    a = [(scale,)]
+    for j in range(1, n):
+        a.append(_next_column(a[j - 1], a[j - r] if j >= r else (), steps[j - 1]))
+        if j < r and (not a[j] or a[j][0] <= 0):  # the constant a'_j
+            return a, None
+    return a, tuple(-c for c in _next_column(a[n - 1], a[n - r], steps[n - 1]))
+
+
 def eliminate(
     n: int, r: int, alpha: Sequence[Fraction | int]
 ) -> tuple[int, list[IntPolynomial], IntPolynomial | None]:
@@ -144,14 +175,9 @@ def eliminate(
     realize the target.  The constants a_1..a_{r-1} come first; when one
     of them is not positive the elimination stops there and g' is None.
     At alpha = 0 this is the nilpotent recurrence, closed by h = -g'.
+    The recurrence runs in :func:`eliminate_integers`.
     """
     scale = lcm(*(v.denominator for v in alpha))
     steps = [v.numerator * (scale // v.denominator) for v in alpha]  # D alpha_j
-    a = [IntPolynomial((scale,))]
-    for j in range(1, n):
-        prev = a[j - 1] if j < r else a[j - 1].subtract(a[j - r].shift_up())
-        a.append(prev.plus(steps[j - 1]))
-        if j < r and sum(a[j].coeffs) <= 0:  # the constant a'_j
-            return scale, a, None
-    g = a[n - r].shift_up().subtract(a[n - 1]).plus(-steps[n - 1])
-    return scale, a, g
+    a, g = eliminate_integers(n, r, scale, steps)
+    return scale, [IntPolynomial(cs) for cs in a], None if g is None else IntPolynomial(g)

@@ -32,7 +32,7 @@ from dataclasses import dataclass, replace
 from fractions import Fraction
 
 from .errors import CertificationFailed, PreconditionViolated
-from .family import FamilyParams, FamilyRealization, coeff_map, eliminate
+from .family import FamilyParams, FamilyRealization, coeff_map, eliminate_integers
 from .polyroots import (
     IntPolynomial,
     RootBracket,
@@ -105,8 +105,8 @@ def recurrence_polys(p: FamilyParams) -> tuple[tuple[IntPolynomial, ...], IntPol
     Defined for every 2 <= r <= n; at r = n every a_j is the constant 1
     and h(t) = 1 - t.
     """
-    _, a, g = eliminate(p.n, p.r, (0,) * p.n)
-    return tuple(a), IntPolynomial(()).subtract(g)
+    a, g = eliminate_integers(p.n, p.r, 1, (0,) * p.n)
+    return tuple(IntPolynomial(cs) for cs in a), IntPolynomial(tuple(-c for c in g))
 
 
 def _root_below(prev: IntPolynomial, q: IntPolynomial, bound: Fraction) -> Fraction | None:

@@ -1,7 +1,8 @@
 """Exact integer polynomials and certified positive-root brackets.
 
-Roots are located by Sturm-sequence counting, so every bracket comes with
-a proof that it contains exactly one root, and brackets from
+Sturm counts isolate, Descartes' rule of signs proves signs.  Roots are
+located by Sturm-sequence counting, so every bracket comes with a proof
+that it contains exactly one root, and brackets from
 :func:`min_positive_root` with a proof that no smaller positive root
 exists.  Grid scanning can miss close root pairs; counting cannot.
 
@@ -20,12 +21,15 @@ across which the polynomial changes sign, its sign at each midpoint
 picks the half that the count would pick, so the bisection walks the
 same tree at one evaluation per step.
 
-:func:`positive_up_to` proves a polynomial root-free on (0, s] by
-Descartes' rule of signs, from one integer Taylor shift and no chain;
-the nilpotent certificate proves its separation points with it.
-:func:`one_root_up_to`, on the same shift, proves one simple root in
-(0, s), which lets the certificate bracket its closing polynomial's
-root by sign.
+Signs are proved without a chain of the polynomial in question, by one
+Descartes kernel (:func:`_shifted_variations`): the variations of the
+polynomial mapped from an interval (a/d, b/d) onto (0, inf), by integer
+Taylor shifts, bound its roots there.  :func:`sign_at_root` proves a
+sign at a bracketed root by zero variations on the bracket, bisecting
+on the bracket's own tree while the test fails; :func:`positive_up_to`
+proves a polynomial root-free on (0, s], and :func:`one_root_up_to` one
+simple root in (0, s), which is how the nilpotent certificate proves its
+separation points and brackets its closing polynomial's root by sign.
 
 Every polynomial in the package is an :class:`IntPolynomial`.  Signs and
 values at a rational point p/q are evaluated homogeneously, as
@@ -101,26 +105,6 @@ class IntPolynomial:
             i * c for i, c in enumerate(self.coeffs) if i > 0
         )
 
-    def subtract(self, other: "IntPolynomial") -> "IntPolynomial":
-        n = max(len(self.coeffs), len(other.coeffs))
-        a = list(self.coeffs) + [0] * (n - len(self.coeffs))
-        for i, c in enumerate(other.coeffs):
-            a[i] -= c
-        return IntPolynomial.from_coeffs(a)
-
-    def shift_up(self) -> "IntPolynomial":
-        """Multiply by the variable."""
-        if self.is_zero:
-            return self
-        return IntPolynomial((0,) + self.coeffs)
-
-    def plus(self, c: int) -> "IntPolynomial":
-        """Add the integer constant ``c``."""
-        if not c:
-            return self
-        head = self.coeffs[0] if self.coeffs else 0
-        return IntPolynomial.from_coeffs((head + c,) + self.coeffs[1:])
-
 
 @dataclass(frozen=True)
 class RootBracket:
@@ -129,12 +113,15 @@ class RootBracket:
     The Sturm count of ``poly`` on (lo, hi] is one; ``poly`` from
     :func:`positive_roots` is square-free, so it changes sign across the
     bracket, and the count on (0, lo] is zero when produced by
-    :func:`min_positive_root`.  ``exact`` is set when the root is a known
-    rational, which lies strictly inside (lo, hi) in every bracket from
-    :func:`positive_roots`; :func:`refine` stops at a bisection midpoint
-    that hits the root and keeps it as ``hi``.  ``chain`` is the Sturm
-    chain of ``poly``, built at most once (:meth:`sturm`) and passed on to
-    refined brackets.
+    :func:`min_positive_root`.  :func:`refine` and :func:`sign_at_root`
+    hand back brackets on the bisection tree of the one they start from,
+    so those hold the same root alone; a sign proof's bracket carries,
+    besides, the Descartes proof of each sign shown on it.  ``exact`` is
+    set when the root is a known rational, which lies strictly inside
+    (lo, hi) in every bracket from :func:`positive_roots`; :func:`refine`
+    stops at a bisection midpoint that hits the root and keeps it as
+    ``hi``.  ``chain`` is the Sturm chain of ``poly``, built at most once
+    (:meth:`sturm`) and passed on to narrowed brackets.
     """
 
     lo: Fraction
@@ -320,21 +307,31 @@ def refine(bracket: RootBracket, width: Fraction) -> RootBracket:
             )
 
 
-def _shifted_variations(cs: tuple[int, ...], a: int, d: int, limit: int) -> int:
-    """Sign variations of the Descartes transform of ``cs`` on (0, a/d], for a, d > 0.
+def _shifted_variations(cs: tuple[int, ...], a: int, b: int, d: int, limit: int) -> int:
+    """Sign variations of the Descartes transform of ``cs`` on (a/d, b/d), for a < b, d > 0.
 
-    With s = a/d, t = s/(1 + x) maps x in [0, inf) onto (0, s], and for p
-    of degree k the numerator d^k (1 + x)^k p(t) is sum c_i a^i d^(k-i)
-    (1 + x)^(k-i): one integer Taylor shift by 1.  Its constant term is
-    d^k p(s) and its leading coefficient c_0 d^k.  By Descartes' rule of
-    signs the variations bound, and match in parity, its roots x > 0,
-    which are p's roots in (0, s) with their multiplicities.  A zero
-    constant term (p(s) = 0) proves nothing and counts as ``limit`` + 1,
-    as does every count past ``limit``, where the shift stops.
+    For p of degree k, P(y) = d^k p((a + (b - a) y) / d) maps y in (0, 1)
+    onto the interval: a Taylor shift of sum c_i d^(k-i) z^i by a, skipped
+    at a = 0, then a scale by b - a.  y = 1/(1 + x) maps x in (0, inf)
+    onto (0, 1), and the numerator (1 + x)^k P(1/(1 + x)) =
+    sum P_i (1 + x)^(k-i) is one more integer Taylor shift, by 1.  Its
+    constant term is d^k p(b/d) and its leading coefficient d^k p(a/d).  By
+    Descartes' rule of signs the variations bound, and match in parity,
+    its roots x > 0, which are p's roots in (a/d, b/d) with their
+    multiplicities.  A zero constant term (p(b/d) = 0) proves nothing and
+    counts as ``limit`` + 1, as does every count past ``limit``, where the
+    shift stops.
     """
     k = len(cs) - 1
-    # ascending in y = 1 + x
-    shifted = [cs[k - j] * a ** (k - j) * d**j for j in range(k + 1)]
+    # d^k p((a + z)/d), ascending in z
+    shifted = [c * d ** (k - i) for i, c in enumerate(cs)]
+    if a:
+        for i in range(k):
+            for j in range(k - 1, i - 1, -1):
+                shifted[j] += a * shifted[j + 1]
+    # P_i with z = (b - a) y, descending: ascending in 1 + x
+    w = b - a
+    shifted = [c * w**i for i, c in enumerate(shifted)][::-1]
     v, last = 0, 0
     for i in range(k + 1):
         for j in range(k - 1, i - 1, -1):
@@ -359,7 +356,7 @@ def positive_up_to(p: IntPolynomial, a: int, d: int) -> bool:
     positive and no coefficient negative, so p has no root in (0, s].
     False proves nothing.
     """
-    return bool(p.coeffs) and p.coeffs[0] > 0 and _shifted_variations(p.coeffs, a, d, 0) == 0
+    return bool(p.coeffs) and p.coeffs[0] > 0 and _shifted_variations(p.coeffs, 0, a, d, 0) == 0
 
 
 def one_root_up_to(p: IntPolynomial, a: int, d: int) -> bool:
@@ -371,7 +368,7 @@ def one_root_up_to(p: IntPolynomial, a: int, d: int) -> bool:
     p(0) and p(s) have opposite signs (the transform's end coefficients
     are d^k p(0) and d^k p(s)).  False proves nothing.
     """
-    return bool(p.coeffs) and p.coeffs[0] != 0 and _shifted_variations(p.coeffs, a, d, 1) == 1
+    return bool(p.coeffs) and p.coeffs[0] != 0 and _shifted_variations(p.coeffs, 0, a, d, 1) == 1
 
 
 def cauchy_bound(p: IntPolynomial) -> Fraction:
@@ -564,6 +561,77 @@ def min_positive_root(
     return bracket.as_float(), bracket
 
 
+class _SignWalk:
+    """Sign proofs at the root of one bracket, on the tree that :func:`refine` walks.
+
+    The bracket's ends are kept as integer numerators a, b over one
+    denominator d.  Each :meth:`sign` proves the sign of one polynomial at
+    the root and leaves the ends where its proof held, so the next proof
+    starts there and every proof holds on the final bracket.  A proof is
+    the same nonzero sign at both ends and no sign variation of the
+    Descartes transform on (a/d, b/d) (:func:`_shifted_variations`): then
+    the polynomial has no root on the closed bracket.  No Sturm chain of
+    the polynomial is built; the bracket's own chain drives
+    :func:`bisections` when a test fails.  A root that is ``exact``, given
+    or hit by a midpoint, proves each sign by evaluation there.
+    """
+
+    def __init__(self, bracket: RootBracket):
+        self._bracket = bracket
+        self._steps = None
+        if bracket.exact is not None:
+            self._root = (bracket.exact.numerator, bracket.exact.denominator)
+        else:
+            self._root = None
+            self.a, self.b, self.d = _over_common(bracket.lo, bracket.hi)
+
+    def sign(self, q) -> int:
+        """The sign of ``q`` (ascending integer coefficients) at the root, 0 if unproved.
+
+        0 when the sign could not be separated from zero within
+        ``_MAX_SIGN_REFINE`` bisection steps, which includes a root the
+        bracket polynomial shares with ``q``.
+        """
+        if self._root is not None:
+            return _sign(_homogeneous(q, *self._root))
+        a, b, d = self.a, self.b, self.d
+        s_lo, s_hi = _sign(_homogeneous(q, a, d)), _sign(_homogeneous(q, b, d))
+        sign = 0
+        for _ in range(_MAX_SIGN_REFINE):
+            if s_lo == s_hi != 0 and _shifted_variations(q, a, b, d, 0) == 0:
+                sign = s_lo
+                break
+            # bisections counts until a sign change marks the root, so any
+            # root multiplicity works
+            if self._steps is None:
+                self._steps = bisections(self._bracket.sturm(), a, b, d)
+            prev_a = a
+            a, b, d, hit = next(self._steps)
+            if hit:
+                self._root = (b, d)
+                sign = _sign(_homogeneous(q, b, d))
+                break
+            # q's sign is evaluated at the moved end only
+            if a != 2 * prev_a:
+                s_lo = _sign(_homogeneous(q, a, d))
+            else:
+                s_hi = _sign(_homogeneous(q, b, d))
+        self.a, self.b, self.d = a, b, d
+        return sign
+
+    def bracket(self) -> RootBracket:
+        """The bracket where the last proof held: every proof holds on all of it."""
+        if self._bracket.exact is not None:
+            return self._bracket
+        hi = Fraction(self.b, self.d)
+        return replace(
+            self._bracket,
+            lo=Fraction(self.a, self.d),
+            hi=hi,
+            exact=None if self._root is None else hi,
+        )
+
+
 def sign_at_root(q: IntPolynomial, bracket: RootBracket) -> tuple[int, RootBracket]:
     """Certified sign of ``q`` at the root enclosed by ``bracket``, with its proof bracket.
 
@@ -573,39 +641,13 @@ def sign_at_root(q: IntPolynomial, bracket: RootBracket) -> tuple[int, RootBrack
     root of ``q``).  The bracket's own chain drives the bisection
     (:func:`bisections`), so the bracket handed back lies on the path that
     :func:`refine` takes from ``bracket`` and encloses the same root.  For
-    a nonzero sign it is the proof: ``q`` has that sign at both ends and
-    no root between them, so the sign holds at every point of it, and a
-    later :func:`refine` or ``sign_at_root`` started from it stays inside.
-    A bracket whose root is ``exact`` (given, or hit by a midpoint) proves
+    a nonzero sign it is the proof: ``q`` has that sign at both ends and,
+    by Descartes' rule of signs, no root between them, so the sign holds
+    at every point of it, and a later :func:`refine` or ``sign_at_root``
+    started from it stays inside.  No Sturm chain of ``q`` is built.  A
+    bracket whose root is ``exact`` (given, or hit by a midpoint) proves
     the sign by evaluation there.  For sign 0 it is where the search
     stopped.
     """
-    if bracket.exact is not None:
-        v = q(bracket.exact)
-        return (v > 0) - (v < 0), bracket
-    a, b, d = _over_common(bracket.lo, bracket.hi)
-    s_lo, s_hi = _sign(_homogeneous(q.coeffs, a, d)), _sign(_homogeneous(q.coeffs, b, d))
-    q_chain = steps = None
-    for _ in range(_MAX_SIGN_REFINE):
-        if s_lo == s_hi and s_lo != 0:
-            if q_chain is None:
-                q_chain = sturm_chain(q)
-            if variations(q_chain, a, d) == variations(q_chain, b, d):
-                return s_lo, replace(bracket, lo=Fraction(a, d), hi=Fraction(b, d))
-        # bisections counts until a sign change marks the root, so any
-        # root multiplicity works
-        if steps is None:
-            steps = bisections(bracket.sturm(), a, b, d)
-        prev_a = a
-        a, b, d, hit = next(steps)
-        if hit:
-            hi = Fraction(b, d)
-            return _sign(_homogeneous(q.coeffs, b, d)), replace(
-                bracket, lo=Fraction(a, d), hi=hi, exact=hi
-            )
-        # q's sign is evaluated at the moved end only
-        if a != 2 * prev_a:
-            s_lo = _sign(_homogeneous(q.coeffs, a, d))
-        else:
-            s_hi = _sign(_homogeneous(q.coeffs, b, d))
-    return 0, replace(bracket, lo=Fraction(a, d), hi=Fraction(b, d))
+    walk = _SignWalk(bracket)
+    return walk.sign(q.coeffs), walk.bracket()

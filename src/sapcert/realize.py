@@ -1,11 +1,14 @@
 """Constructive realization of target characteristic polynomials.
 
 Within the normalized family structure the coefficient equations eliminate
-forward (:func:`sapcert.family.eliminate`): once the target's denominators
-are cleared (floats are dyadic rationals), each first-column value becomes
-an integer polynomial in the feedback entry b, and the last equation
-closes the system as a scalar integer polynomial g(b).  Certified root
-isolation then either finds an admissible positive root or proves there is
+forward (:func:`sapcert.family.eliminate_integers`): once the target's
+denominators are cleared (floats and ladder scales are dyadic, so one
+power of two clears them), each first-column value becomes an integer
+polynomial in the feedback entry b, and the last equation closes the
+system as a scalar integer polynomial g(b).  Each scale is solved on
+integers: Sturm counts isolate the positive roots of g, and Descartes'
+rule of signs proves the sign of every a_j at a root, so no a_j needs a
+Sturm chain.  Either an admissible positive root is found or there is
 none at the current scale; values at the root are exact rationals.  A
 scale is judged on coarse brackets and sign proofs alone: the one bracket
 refined to full width is that of the delivered scale, in
@@ -35,11 +38,11 @@ from .family import (
     FamilyRealization,
     build_matrix,
     build_pattern,
-    eliminate,
+    eliminate_integers,
 )
 from .nilpotent import nilpotent_realization
 from .patterns import Sign, member_of_class
-from .polyroots import IntPolynomial, RootBracket, positive_roots, refine, sign_at_root
+from .polyroots import IntPolynomial, RootBracket, _SignWalk, positive_roots, refine
 
 RESIDUAL_RTOL = 1e-8
 _LADDER_MAX_HALVINGS = 40
@@ -92,23 +95,29 @@ class _ScaledSolution:
     bracket: RootBracket
 
 
-def _solve_scaled(n: int, r: int, alpha: Sequence[Fraction]) -> _ScaledSolution | None:
-    """Admissible root of the coefficient equations, or None.
+def _solve_scaled(
+    n: int, r: int, alpha: Sequence[Fraction], c: Fraction
+) -> _ScaledSolution | None:
+    """Admissible root of the coefficient equations at scale ``c``, or None.
 
-    Eliminates a_1..a_{n-1} as polynomials in b, takes the positive roots
-    of the closing polynomial coarsely and in increasing order, and stops
-    at the first at which a_r..a_{n-1} are certifiably positive; no root
-    past it is isolated.  Each a_j's sign proof starts from the bracket on
-    which the one before it was proved, so the bracket returned lies inside
-    every proof: a_r..a_{n-1} are positive on all of it, and the constants
-    a_1..a_{r-1} are positive or :func:`eliminate` would have stopped.
-    Nothing is refined here; :func:`_deliver` refines the bracket of the
-    delivered scale only.
+    Eliminates a_1..a_{n-1} as integer polynomials in b
+    (:func:`eliminate_integers` on :func:`_scaled_target`), takes the
+    positive roots of the closing polynomial coarsely and in increasing
+    order, and stops at the first at which a_r..a_{n-1} are certifiably
+    positive; no root past it is isolated.  The sign proofs of one root
+    share one walk (:class:`sapcert.polyroots._SignWalk`): each a_j's proof
+    starts on the integer ends where the one before it held, so the
+    bracket returned lies inside every proof: a_r..a_{n-1} are positive on
+    all of it, and the constants a_1..a_{r-1} are positive or the
+    elimination would have stopped.  Nothing is refined here;
+    :func:`_deliver` refines the bracket of the delivered scale only.
     """
-    scale, a_polys, g = eliminate(n, r, alpha)
-    if g is None:
+    scale, steps = _scaled_target(alpha, c)
+    a, g_coeffs = eliminate_integers(n, r, scale, steps)
+    if g_coeffs is None:
         return None
 
+    g = IntPolynomial(g_coeffs)
     if g.is_zero:
         # every b solves the closing equation; probe b = 1
         candidates: Iterable[RootBracket] = [
@@ -118,12 +127,11 @@ def _solve_scaled(n: int, r: int, alpha: Sequence[Fraction]) -> _ScaledSolution 
         candidates = positive_roots(g, width=_ISOLATE_WIDTH)
 
     for bracket in candidates:
-        for q in a_polys[r:]:
-            sign, bracket = sign_at_root(q, bracket)
-            if sign != 1:
-                break
-        else:
-            return _ScaledSolution(scale=scale, a_polys=a_polys, bracket=bracket)
+        walk = _SignWalk(bracket)
+        if all(walk.sign(q) == 1 for q in a[r:]):
+            return _ScaledSolution(
+                scale=scale, a_polys=[IntPolynomial(q) for q in a], bracket=walk.bracket()
+            )
     return None
 
 
@@ -182,21 +190,35 @@ def _deliver(
     )
 
 
-def _scaled_target(alpha: list[Fraction], c: Fraction) -> list[Fraction]:
-    # alpha_j c^j, each built and normalised once from its integer parts
-    m, d = c.numerator, c.denominator
-    return [
-        Fraction(v.numerator * m**j, v.denominator * d**j)
-        for j, v in enumerate(alpha, start=1)
+def _scaled_target(alpha: Sequence[Fraction], c: Fraction) -> tuple[int, list[int]]:
+    """(D, [D alpha_j c^j]) in integers: the target at scale c over one denominator.
+
+    For alpha_j = N_j / d_j and c = m/q, D is the lcm of the products
+    d_j q^j and D alpha_j c^j = N_j m^j (D / (d_j q^j)); no Fraction is
+    normalised.  Floats and ladder scales are dyadic, so for d_j = 2^e_j
+    and q = 2^E, D = 2^max_j(e_j + E j).  As N_j m^j / (d_j q^j) is not
+    reduced, D can exceed the least common denominator; any positive
+    common multiple gives a_j(b) = a'_j(b) / D exactly and changes no sign
+    and no primitive part.
+    """
+    m, q = c.numerator, c.denominator
+    dens = [v.denominator * q**j for j, v in enumerate(alpha, start=1)]
+    scale = math.lcm(*dens)
+    return scale, [
+        v.numerator * m**j * (scale // den)
+        for j, (v, den) in enumerate(zip(alpha, dens), start=1)
     ]
 
 
-def _diagnose_scaled(n: int, r: int, alpha: Sequence[Fraction]) -> str:
+def _diagnose_scaled(n: int, r: int, alpha: Sequence[Fraction], c: Fraction) -> str:
     """Failure diagnostics for one scale: closing-poly signs, root verdicts."""
-    scale, a_polys, g = eliminate(n, r, alpha)
-    if g is None:
+    scale, steps = _scaled_target(alpha, c)
+    a, g_coeffs = eliminate_integers(n, r, scale, steps)
+    a_polys = [IntPolynomial(cs) for cs in a]
+    if g_coeffs is None:
         j = len(a_polys) - 1
         return f"column value {j} is {a_polys[j](0) / scale:.3e} <= 0 before any root"
+    g = IntPolynomial(g_coeffs)
     g_signs = "".join("+" if v > 0 else "-" if v < 0 else "0" for v in g.coeffs)
     if g.is_zero or g.degree < 1:
         return f"closing polynomial degenerate (coefficient signs {g_signs})"
@@ -227,8 +249,10 @@ def realize(p: FamilyParams, target: CoeffVector) -> RealizationResult:
 
     Tries the unscaled system first, then descends the scaling ladder by
     halving; the first admissible scale is refined upward because the
-    delivered accuracy degrades with c^{-n}.  Every scale is solved once
-    and the last admissible one is delivered.  Raises RealizationFailed
+    delivered accuracy degrades with c^{-n}.  Every scale is solved once,
+    in integers (:func:`_solve_scaled`: Sturm counts isolate the roots of
+    the closing polynomial, Descartes tests prove the a_j positive), and
+    the last admissible one is delivered.  Raises RealizationFailed
     with the attained diagnostics if the ladder bottoms out, and
     InvalidInput for a target of the wrong length or with a non-finite
     coefficient.
@@ -238,26 +262,26 @@ def realize(p: FamilyParams, target: CoeffVector) -> RealizationResult:
     alpha = [Fraction(v) for v in target.values]
 
     c = Fraction(1)
-    sol = _solve_scaled(n, r, alpha)
+    sol = _solve_scaled(n, r, alpha, c)
     if sol is not None:
         return _deliver(p, target, c, sol)
 
     for _ in range(_LADDER_MAX_HALVINGS):
         c = c / 2
-        sol = _solve_scaled(n, r, _scaled_target(alpha, c))
+        sol = _solve_scaled(n, r, alpha, c)
         if sol is not None:
             break
     else:
         raise RealizationFailed(
             f"no admissible solution for any scale down to 2^-{_LADDER_MAX_HALVINGS}; "
-            f"at the last scale: {_diagnose_scaled(n, r, _scaled_target(alpha, c))}"
+            f"at the last scale: {_diagnose_scaled(n, r, alpha, c)}"
         )
 
     # refine the scale upward: largest admissible c in (c, 2c), dyadically
     lo, hi = c, 2 * c
     for _ in range(_LADDER_REFINE_STEPS):
         mid = (lo + hi) / 2
-        trial = _solve_scaled(n, r, _scaled_target(alpha, mid))
+        trial = _solve_scaled(n, r, alpha, mid)
         if trial is not None:
             lo, sol = mid, trial
         else:

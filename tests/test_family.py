@@ -220,14 +220,25 @@ def test_eliminate_at_zero_is_the_nilpotent_recurrence():
     from sapcert.nilpotent import recurrence_polys
     from sapcert.polyroots import IntPolynomial
 
+    def minus_t_times(p, q):
+        # p - t q on ascending integer lists, trailing zeros dropped
+        out = p + [0] * max(0, len(q) + 1 - len(p))
+        for i, c in enumerate(q):
+            out[i + 1] -= c
+        while out and out[-1] == 0:
+            out.pop()
+        return out
+
     for n in range(3, 41):
         for r in range(2, n):
             scale, a_polys, g = eliminate(n, r, [0] * n)
             # reference: a_0 = ... = a_{r-1} = 1, a_j = a_{j-1} - t a_{j-r}
-            ref = [IntPolynomial((1,))] * r
+            ref = [[1]] * r
             for j in range(r, n):
-                ref.append(ref[j - 1].subtract(ref[j - r].shift_up()))
-            h = ref[n - 1].subtract(ref[n - r].shift_up())
-            assert scale == 1 and a_polys == ref
-            assert IntPolynomial(()).subtract(g) == h
-            assert recurrence_polys(FamilyParams(n, r)) == (tuple(ref), h)
+                ref.append(minus_t_times(ref[j - 1], ref[j - r]))
+            h = minus_t_times(ref[n - 1], ref[n - r])
+            ref_polys = [IntPolynomial(tuple(cs)) for cs in ref]
+            assert scale == 1 and a_polys == ref_polys
+            assert [-c for c in g.coeffs] == h
+            want = (tuple(ref_polys), IntPolynomial(tuple(h)))
+            assert recurrence_polys(FamilyParams(n, r)) == want

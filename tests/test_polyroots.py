@@ -43,14 +43,6 @@ def test_int_polynomial_basics():
         IntPolynomial((1, 0))
 
 
-def test_subtract_and_shift():
-    a = P(1, 2)
-    b = P(0, 1, 5)
-    assert a.subtract(b).coeffs == (1, 1, -5)
-    assert a.shift_up().coeffs == (0, 1, 2)
-    assert a.subtract(a).is_zero
-
-
 def _brute_sturm(p):
     # plain Fraction remainder chain, no primitive scaling: the oracle
     chain = [[Fraction(c) for c in p.coeffs]]
@@ -393,6 +385,20 @@ def test_sign_at_root_proof_bracket_lies_on_the_refine_path():
     # a second sign proof started from the first one stays inside it
     sign2, proof2 = sign_at_root(P(-3819, 10000), proof)
     assert sign2 == 1 and proof.lo <= proof2.lo < proof2.hi <= proof.hi
+
+
+def test_sign_at_root_bisects_until_descartes_proves_the_sign():
+    # q = -1 - t^2 has no real root, so q's Sturm count would prove its sign
+    # on (-1, 2] at once; its roots +-i lie near that interval, so Descartes'
+    # test counts two variations there, and the proof moves on down the
+    # bisection of p = t^2 - 2 until the test holds
+    p, q = P(-2, 0, 1), P(-1, 0, -1)
+    bracket = RootBracket(lo=Fraction(-1), hi=Fraction(2), poly=p)
+    assert polyroots._shifted_variations(q.coeffs, -1, 2, 1, 2) == 2
+    sign, proof = sign_at_root(q, bracket)
+    assert sign == -1 and (proof.lo, proof.hi, proof.exact) == (Fraction(1, 2), Fraction(2), None)
+    assert refine(bracket, Fraction(3, 2)) == proof
+    assert polyroots._shifted_variations(q.coeffs, 1, 4, 2, 2) == 0
 
 
 def test_family_recurrence_polys_have_certifiable_roots():

@@ -23,6 +23,7 @@ from sapcert.polyroots import (  # noqa: E402
     DEFAULT_WIDTH,
     IntPolynomial,
     RootBracket,
+    _shifted_variations,
     bisections,
     cauchy_bound,
     count_roots,
@@ -277,6 +278,91 @@ def test_integer_bisection_tree_equals_the_fraction_reference(data):
     want = (lo, hi, None) if hi - lo <= width else _ref_refine(chain, lo, hi, width)
     assert (got.lo, got.hi, got.exact) == want
 
+    # Descartes' test proves no more than the Sturm count of q, so the
+    # proof ends on the reference's path, at its bracket or deeper inside
     q = data.draw(int_poly())
     sign, proof = sign_at_root(q, bracket)
-    assert (sign, proof.lo, proof.hi, proof.exact) == _ref_sign_at_root(q, chain, lo, hi)
+    ref_sign, ref_lo, ref_hi, ref_exact = _ref_sign_at_root(q, chain, lo, hi)
+    assert sign == ref_sign
+    assert ref_lo <= proof.lo < proof.hi <= ref_hi
+    assert _on_path(chain, lo, hi, proof)
+    deeper = (proof.lo, proof.hi) != (ref_lo, ref_hi)
+    hypothesis.event(f"proof deeper than the Sturm reference: {deeper}")
+    if sign and proof.exact is None:
+        # q has the sign at both ends and, by an independent count, no root between
+        q_chain = sturm_chain(q)
+        assert _ref_sign(q.coeffs, proof.lo) == _ref_sign(q.coeffs, proof.hi) == sign
+        assert _ref_variations(q_chain, proof.lo) == _ref_variations(q_chain, proof.hi)
+    elif sign:
+        # a midpoint hit the root, at or past the reference's stop
+        assert proof.exact == proof.hi and _ref_sign(q.coeffs, proof.exact) == sign
+    if ref_exact is not None:
+        assert (proof.lo, proof.hi, proof.exact) == (ref_lo, ref_hi, ref_exact)
+
+
+def _on_path(chain, lo, hi, bracket) -> bool:
+    """True when ``bracket`` is (lo, hi] or a node of the reference bisection from it."""
+    node = (lo, hi, None)
+    steps = _ref_bisections(chain, lo, hi)
+    for _ in range(400):
+        if (bracket.lo, bracket.hi, bracket.exact) == node:
+            return True
+        if node[2] is not None:
+            return False
+        step_lo, step_hi, hit = next(steps)
+        node = (step_lo, step_hi, step_hi if hit else None)
+    return False
+
+
+def _old_shifted_variations(cs, a, d, limit):
+    """The (0, a/d] kernel as it stood before it took a lower end: the reference at lo = 0."""
+    k = len(cs) - 1
+    shifted = [cs[k - j] * a ** (k - j) * d**j for j in range(k + 1)]
+    v, last = 0, 0
+    for i in range(k + 1):
+        for j in range(k - 1, i - 1, -1):
+            shifted[j] += shifted[j + 1]
+        c = shifted[i]
+        if c:
+            if last and (c < 0) != (last < 0):
+                v += 1
+                if v > limit:
+                    break
+            last = c
+        elif not i:
+            return limit + 1
+    return v
+
+
+@_SETTINGS
+@hypothesis.given(
+    int_poly(),
+    st.one_of(st.just(0), st.integers(-(10**3), 10**3)),
+    st.integers(1, 10**3),
+    st.one_of(st.integers(1, 999), st.integers(0, 20).map(lambda k: 2**k)),
+)
+def test_descartes_variations_bound_the_roots_on_any_interval(p, a, width, d):
+    b = a + width
+    lo, hi = Fraction(a, d), Fraction(b, d)
+    k = p.degree
+    v = _shifted_variations(p.coeffs, a, b, d, k)
+    for limit in (0, 1):
+        assert _shifted_variations(p.coeffs, a, b, d, limit) == min(v, limit + 1)
+    if a == 0:
+        for limit in (0, 1, k):
+            assert _shifted_variations(p.coeffs, a, b, d, limit) == _old_shifted_variations(
+                p.coeffs, b, d, limit
+            )
+    if p(hi) == 0:
+        assert v == k + 1
+        return
+    chain = sturm_chain(p)
+    if p(lo) != 0:
+        count = count_roots(chain, lo, hi)  # the open interval, as p(hi) != 0
+        assert v >= count
+        if len(chain[-1]) == 1:  # square-free: distinct roots are all the roots
+            assert v % 2 == count % 2
+    if v == 0:
+        # no root on the open interval by the independent Sturm count
+        assert p(lo) == 0 or count_roots(chain, lo, hi) == 0
+    hypothesis.event(f"variations {min(v, 3)}; lo {'< 0' if a < 0 else '= 0' if a == 0 else '> 0'}")
