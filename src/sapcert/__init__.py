@@ -24,7 +24,6 @@ from .errors import (
     ConvergenceError,
     DimensionError,
     InvalidInput,
-    NoPositiveRoot,
     PreconditionViolated,
     RealizationFailed,
     SapcertError,
@@ -73,7 +72,7 @@ from .patterns import (
     one_entry_subpatterns,
     sign_of,
 )
-from .polyroots import IntPolynomial, RootBracket, min_positive_root
+from .polyroots import IntPolynomial, RootBracket
 from .realize import (
     NewtonResult,
     RealizationResult,

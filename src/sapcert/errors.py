@@ -17,10 +17,6 @@ class SizeLimitExceeded(SapcertError):
     """A brute-force routine was asked for a size it refuses to handle."""
 
 
-class NoPositiveRoot(SapcertError):
-    """The polynomial has no root on the positive half-axis."""
-
-
 class PreconditionViolated(SapcertError):
     """A documented precondition does not hold for the given input."""
 

@@ -12,8 +12,6 @@ the structure of the characteristic coefficients.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
-from math import lcm
 from typing import Sequence
 
 import numpy as np
@@ -21,7 +19,6 @@ import numpy as np
 from .charpoly import CoeffVector
 from .errors import InvalidInput
 from .patterns import Sign, SignPattern
-from .polyroots import IntPolynomial
 
 
 # largest order accepted.  The nilpotent certificate, which every command
@@ -29,7 +26,7 @@ from .polyroots import IntPolynomial
 # 0.35 s there at n = 160, mostly start-up, as at r = n/2 and r = n - 1,
 # and the certificate alone 0.35 s at n = 240 and 0.8 s at n = 320, on a
 # 2-vCPU Xeon.  `realize` is what keeps the order here: at n = 160, r = 2 a
-# random target runs past 120 s isolating its closing polynomial's roots
+# random target runs past 300 s solving its closing polynomials
 MAX_N = 160
 
 
@@ -144,12 +141,21 @@ def _next_column(prev, low, const: int) -> tuple[int, ...]:
 def eliminate_integers(
     n: int, r: int, scale: int, steps: Sequence[int]
 ) -> tuple[list[tuple[int, ...]], tuple[int, ...] | None]:
-    """:func:`eliminate` on integers: the target given as D = ``scale`` and D alpha_j.
+    """The coefficient equations for a target solved forward in b, on integers.
 
-    ``scale`` is any positive common denominator of the target and
-    ``steps[j - 1]`` = D alpha_j.  Returns ([a'_0, a'_1, ...], g') as
-    ascending coefficient tuples, without trailing zeros; g' is None when
-    a constant a'_j with j < r is not positive.
+    The target alpha is given as D = ``scale``, any positive common
+    denominator, and ``steps[j - 1]`` = D alpha_j.  Every a'_j and g' is
+    then an integer polynomial, with a_j(b) = a'_j(b) / D:
+
+        a'_0 = D,   a'_j = a'_{j-1} - b a'_{j-r} + D alpha_j,
+
+    with a'_{j-r} read as 0 for j < r.  The closing polynomial
+    g'(b) = b a'_{n-r} - a'_{n-1} - D alpha_n vanishes at the b that
+    realize the target.  Returns ([a'_0, a'_1, ...], g') as ascending
+    coefficient tuples, without trailing zeros.  The constants
+    a'_1..a'_{r-1} come first; when one of them is not positive the
+    elimination stops there and g' is None.  At alpha = 0 and D = 1 this
+    is the nilpotent recurrence, closed by h = -g'.
     """
     a = [(scale,)]
     for j in range(1, n):
@@ -158,26 +164,3 @@ def eliminate_integers(
             return a, None
     return a, tuple(-c for c in _next_column(a[n - 1], a[n - r], steps[n - 1]))
 
-
-def eliminate(
-    n: int, r: int, alpha: Sequence[Fraction | int]
-) -> tuple[int, list[IntPolynomial], IntPolynomial | None]:
-    """The coefficient equations for the exact target ``alpha`` solved forward in b.
-
-    Returns (D, [a'_0, a'_1, ...], g'), scaled by D, the lcm of the
-    denominators of ``alpha``, so that every a'_j and g' is an integer
-    polynomial and a_j(b) = a'_j(b) / D:
-
-        a'_0 = D,   a'_j = a'_{j-1} - b a'_{j-r} + D alpha_j,
-
-    with a'_{j-r} read as 0 for j < r.  The closing polynomial
-    g'(b) = b a'_{n-r} - a'_{n-1} - D alpha_n vanishes at the b that
-    realize the target.  The constants a_1..a_{r-1} come first; when one
-    of them is not positive the elimination stops there and g' is None.
-    At alpha = 0 this is the nilpotent recurrence, closed by h = -g'.
-    The recurrence runs in :func:`eliminate_integers`.
-    """
-    scale = lcm(*(v.denominator for v in alpha))
-    steps = [v.numerator * (scale // v.denominator) for v in alpha]  # D alpha_j
-    a, g = eliminate_integers(n, r, scale, steps)
-    return scale, [IntPolynomial(cs) for cs in a], None if g is None else IntPolynomial(g)

@@ -7,22 +7,22 @@ recurrence
     a_j(t) = a_{j-1}(t) - t a_{j-r}(t),    a_0 = ... = a_{r-1} = 1,
 
 closed by h(t) = a_{n-1}(t) - t a_{n-r}(t) = 0.  This is the elimination
-that realizes every target (:func:`sapcert.family.eliminate`) taken at the
-zero target, whose closing polynomial is -h.  The smallest positive root
-of h keeps every a_j strictly positive, which is certified here with
-exact rational brackets on integer polynomials rather than assumed, by
-the Intermediate Value Theorem instead of an explicit check: every a_j
-starts at a_j(0) = 1, and one chain of separation points proves both the
-order of the smallest roots and that no a_j has a root up to h's
-bracket.  A separation point is found by signs alone and proved by one
-Descartes test of a_j, so no a_j needs a Sturm chain.  Nor does h: one
-more Descartes test proves that h has one simple root below the last
-separation point, and h's signs bracket it on the tree that root
-isolation walks, a rational root centred as isolation centres it.  A
-failed test raises :class:`CertificationFailed`.  The values of every
-a_j at a point come from the recurrence in integers, one step each.  The
-whole proof for one (n, r) is built in one pass and memoized once; the
-public functions read that one certificate.
+that realizes every target (:func:`sapcert.family.eliminate_integers`)
+taken at the zero target, whose closing polynomial is -h.  The smallest
+positive root of h keeps every a_j strictly positive, which is certified
+here with exact rational brackets on integer polynomials rather than
+assumed, by the Intermediate Value Theorem instead of an explicit check:
+every a_j starts at a_j(0) = 1, and one chain of separation points
+proves both the order of the smallest roots and that no a_j has a root
+up to h's bracket.  A separation point is found by signs alone and
+proved by one Descartes test of a_j.  One more Descartes test proves
+that h has one simple root below the last separation point, and h's
+signs bracket it on the tree that root isolation walks, a rational root
+centred as isolation centres it.  A failed test raises
+:class:`CertificationFailed`.  The values of every a_j at a point come
+from the recurrence in integers, one step each.  The whole proof for one
+(n, r) is built in one pass and memoized once; the public functions read
+that one certificate.
 """
 
 from __future__ import annotations
@@ -177,7 +177,7 @@ def _recurrence_at(p: FamilyParams, x: Fraction) -> list[float]:
 
 
 def _h_bracket(h: IntPolynomial, s: Fraction) -> RootBracket:
-    """h's smallest positive root t_h, bracketed as min_positive_root(h, _CERT_WIDTH) brackets it.
+    """h's smallest positive root t_h, bracketed as the first of positive_roots(h, _CERT_WIDTH).
 
     ``s`` is the last link's separation point.  h(0) = 1, as for every
     closing polynomial, and one Descartes test (:func:`one_root_up_to`)
@@ -223,7 +223,7 @@ def _h_bracket(h: IntPolynomial, s: Fraction) -> RootBracket:
     return RootBracket(lo=lo, hi=hi, poly=h, exact=exact)
 
 
-# the one memo of the module: one pass per (n, r), and no Sturm chain
+# the one memo of the module: one pass per (n, r)
 @functools.lru_cache(maxsize=None)
 def _certify(p: FamilyParams) -> NilpotentCertificate:
     """The double-mode certificate of ``p``, its residual not yet checked.

@@ -1,35 +1,30 @@
 """Exact integer polynomials and certified positive-root brackets.
 
-Sturm counts isolate, Descartes' rule of signs proves signs.  Roots are
-located by Sturm-sequence counting, so every bracket comes with a proof
-that it contains exactly one root, and brackets from
-:func:`min_positive_root` with a proof that no smaller positive root
-exists.  Grid scanning can miss close root pairs; counting cannot.
+One Descartes kernel (:func:`_shifted_variations`) isolates, refines and
+proves: the sign variations of the polynomial mapped from an interval
+(a/d, b/d) onto (0, inf), by integer Taylor shifts, bound its roots
+there and match their number in parity (Descartes' rule of signs).  No
+variation proves the interval root-free and one proves one simple root
+in it.  Grid scanning can miss close root pairs; the variations cannot.
 
-The Sturm chain is a fraction-free remainder sequence: each
-pseudo-remainder is scaled by a positive factor, which keeps its signs,
-and divided by its content.  :func:`positive_roots` is the one isolation
-routine: a lazy, leftmost-first subdivision on the square-free part of
-the polynomial that yields one-root brackets in increasing order, so a
-caller that needs only the first admissible root stops there; a rational
-root is recognised and centred on the first interval that holds it
-alone.  Isolation stops at the width the caller asks for and a bracket
-is narrowed only on demand (:func:`refine`, :func:`sign_at_root`) by
-one certified bisection sequence (:func:`bisections`), with the chain
-built once and carried by the bracket.  Once an interval holds one root
-across which the polynomial changes sign, its sign at each midpoint
-picks the half that the count would pick, so the bisection walks the
-same tree at one evaluation per step.
+:func:`positive_roots` is the one isolation routine: a lazy,
+leftmost-first dyadic subdivision on the square-free part of the
+polynomial that drops an interval with no variation, halves one with
+more, and yields one-root brackets in increasing order, so a caller that
+needs only the first admissible root stops there; a rational root is
+recognised and centred on the first interval that holds it alone.
+Across the one root of such an interval the polynomial changes sign, so
+its sign at each midpoint picks the half that holds the root, at one
+evaluation per step (:func:`bisections`).  Isolation stops at the width
+the caller asks for and a bracket is narrowed only on demand
+(:func:`refine`, :func:`sign_at_root`) by the same bisection.
 
-Signs are proved without a chain of the polynomial in question, by one
-Descartes kernel (:func:`_shifted_variations`): the variations of the
-polynomial mapped from an interval (a/d, b/d) onto (0, inf), by integer
-Taylor shifts, bound its roots there.  :func:`sign_at_root` proves a
-sign at a bracketed root by zero variations on the bracket, bisecting
-on the bracket's own tree while the test fails; :func:`positive_up_to`
-proves a polynomial root-free on (0, s], and :func:`one_root_up_to` one
-simple root in (0, s), which is how the nilpotent certificate proves its
-separation points and brackets its closing polynomial's root by sign.
+:func:`sign_at_root` proves a sign at a bracketed root by zero
+variations on the bracket, bisecting on the bracket's own tree while the
+test fails; :func:`positive_up_to` proves a polynomial root-free on
+(0, s], and :func:`one_root_up_to` one simple root in (0, s), which is
+how the nilpotent certificate proves its separation points and brackets
+its closing polynomial's root by sign.
 
 Every polynomial in the package is an :class:`IntPolynomial`.  Signs and
 values at a rational point p/q are evaluated homogeneously, as
@@ -42,13 +37,13 @@ Fractions are built only for the brackets handed back.
 from __future__ import annotations
 
 from bisect import bisect_right
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from itertools import islice
 from math import ceil, gcd, isqrt, lcm
 from typing import Iterator
 
-from .errors import InvalidInput, NoPositiveRoot, PreconditionViolated
+from .errors import InvalidInput, PreconditionViolated
 
 DEFAULT_WIDTH = Fraction(1, 10**14)
 
@@ -110,32 +105,25 @@ class IntPolynomial:
 class RootBracket:
     """Certified enclosure of a single positive root.
 
-    The Sturm count of ``poly`` on (lo, hi] is one; ``poly`` from
-    :func:`positive_roots` is square-free, so it changes sign across the
-    bracket, and the count on (0, lo] is zero when produced by
-    :func:`min_positive_root`.  :func:`refine` and :func:`sign_at_root`
-    hand back brackets on the bisection tree of the one they start from,
-    so those hold the same root alone; a sign proof's bracket carries,
-    besides, the Descartes proof of each sign shown on it.  ``exact`` is
-    set when the root is a known rational, which lies strictly inside
-    (lo, hi) in every bracket from :func:`positive_roots`; :func:`refine`
-    stops at a bisection midpoint that hits the root and keeps it as
-    ``hi``.  ``chain`` is the Sturm chain of ``poly``, built at most once
-    (:meth:`sturm`) and passed on to narrowed brackets.
+    ``poly`` has one root in (lo, hi].  Unless the root is ``exact``,
+    ``poly`` is nonzero at both ends, of opposite signs, so the root is
+    where it changes sign; :func:`refine` and :func:`sign_at_root` raise
+    :class:`PreconditionViolated` on a bracket that breaks this.  Brackets
+    from :func:`positive_roots` hold a simple root of a square-free
+    ``poly``, proved by one sign variation.  :func:`refine` and
+    :func:`sign_at_root` hand back brackets on the bisection tree of the
+    one they start from, so those hold the same root alone; a sign
+    proof's bracket carries, besides, the Descartes proof of each sign
+    shown on it.  ``exact`` is set when the root is a known rational,
+    which lies strictly inside (lo, hi) in every bracket from
+    :func:`positive_roots`; :func:`refine` stops at a bisection midpoint
+    that hits the root and keeps it as ``hi``.
     """
 
     lo: Fraction
     hi: Fraction
     poly: IntPolynomial
     exact: Fraction | None = None
-    chain: tuple[tuple[int, ...], ...] | None = field(
-        default=None, repr=False, compare=False
-    )
-
-    def sturm(self) -> tuple[tuple[int, ...], ...]:
-        if self.chain is None:
-            object.__setattr__(self, "chain", sturm_chain(self.poly))
-        return self.chain
 
     @property
     def midpoint(self) -> Fraction:
@@ -162,10 +150,6 @@ def _homogeneous(ints, p: int, q: int) -> int:
 
 def _sign(v: int) -> int:
     return (v > 0) - (v < 0)
-
-
-def _sign_at(ints: tuple[int, ...], x: Fraction) -> int:
-    return _sign(_homogeneous(ints, x.numerator, x.denominator))
 
 
 def _content_free(ints: list[int]) -> tuple[int, ...]:
@@ -200,88 +184,43 @@ def _positive_remainder(num: list[int], den: tuple[int, ...]) -> list[int]:
     return rem
 
 
-def sturm_chain(p: IntPolynomial) -> tuple[tuple[int, ...], ...]:
-    """Sturm sequence of ``p``: p, p', then the negated remainders, each primitive.
-
-    The remainders come from integer pseudo-division (no Fraction
-    arithmetic) and are equal, member by member, to the primitive parts
-    of the classical rational remainder sequence.  The chain runs down to
-    gcd(p, p'), so root counts are of distinct roots and remain valid for
-    non-square-free input.
-    """
-    if p.is_zero:
-        raise InvalidInput("Sturm chain of the zero polynomial")
-    chain = [tuple(p.coeffs)]
-    d = p.derivative()
-    if not d.is_zero:
-        chain.append(tuple(d.coeffs))
-        while True:
-            rem = _positive_remainder(chain[-2], chain[-1])
-            if not rem:
-                break
-            chain.append(_content_free([-c for c in rem]))
-    return tuple(chain)
-
-
-def variations(chain, p: int, q: int) -> int:
-    """Sign variations of the Sturm chain ``chain`` at p/q, for integers p and q > 0."""
-    v, prev = 0, 0
-    for f in chain:
-        s = _homogeneous(f, p, q)
-        if s:
-            if prev and (s < 0) != (prev < 0):
-                v += 1
-            prev = s
-    return v
-
-
-def sign_variations(chain, x: Fraction) -> int:
-    return variations(chain, x.numerator, x.denominator)
-
-
-def count_roots(chain, a: Fraction, b: Fraction) -> int:
-    """Distinct roots in (a, b] for a < b; ``a`` must not be a root."""
-    return sign_variations(chain, a) - sign_variations(chain, b)
-
-
 def _over_common(lo: Fraction, hi: Fraction) -> tuple[int, int, int]:
     # (a, b, d) with lo = a/d and hi = b/d
     d = lcm(lo.denominator, hi.denominator)
     return lo.numerator * (d // lo.denominator), hi.numerator * (d // hi.denominator), d
 
 
-def bisections(chain, a: int, b: int, d: int) -> Iterator[tuple[int, int, int, bool]]:
+def _sign_change(bracket: RootBracket) -> tuple[int, int, int]:
+    """(a, b, d) with (lo, hi) = (a/d, b/d) for a bracket whose ``poly`` changes sign across it.
+
+    Raises :class:`PreconditionViolated` when ``poly`` is zero at an end
+    or has the same sign at both: no sign picks a half then.
+    """
+    a, b, d = _over_common(bracket.lo, bracket.hi)
+    cs = bracket.poly.coeffs
+    if _sign(_homogeneous(cs, a, d)) * _sign(_homogeneous(cs, b, d)) >= 0:
+        raise PreconditionViolated(
+            f"bracket polynomial does not change sign across ({bracket.lo}, {bracket.hi})"
+        )
+    return a, b, d
+
+
+def bisections(p: IntPolynomial, a: int, b: int, d: int) -> Iterator[tuple[int, int, int, bool]]:
     """Certified bisection steps on (a/d, b/d], d > 0, one per item, without end.
 
-    Each step halves the interval at (a + b)/2d, keeps the left half when
-    its Sturm count is at least one, else the right half, and yields the
-    kept ends over the doubled denominator as (a, b, d), with True when
-    the midpoint is a root of ``chain[0]`` (it is then the kept hi).  The
-    lo end moved exactly when the new a is not twice the one before.  The
-    sign variations at both ends are carried along, so a counting step
-    evaluates the chain at the midpoint only.  Once the interval holds one
-    root and ``chain[0]`` is nonzero at lo and of the other sign or zero at
-    hi, ``chain[0]`` changes sign at that root alone, so its sign at the
-    midpoint picks the half the count would pick: from there a step
-    evaluates ``chain[0]`` only.
+    ``p`` is nonzero at a/d and has one root in (a/d, b/d], across which
+    it changes sign: p(b/d) is zero or of the other sign.  Each step
+    halves the interval at (a + b)/2d and keeps the left half when p's
+    sign there differs from its sign at a/d, else the right half, and
+    yields the kept ends over the doubled denominator as (a, b, d), with
+    True when the midpoint is the root (it is then the kept hi).  The lo
+    end moved exactly when the new a is not twice the one before.
     """
-    f = chain[0]
-    v_lo, v_hi = variations(chain, a, d), variations(chain, b, d)
-    while True:
-        if v_lo - v_hi == 1:
-            s_lo = _sign(_homogeneous(f, a, d))
-            if s_lo and _sign(_homogeneous(f, b, d)) != s_lo:
-                break
-        m, d = a + b, 2 * d
-        v_mid = variations(chain, m, d)
-        if v_lo - v_mid >= 1:
-            a, b, v_hi, hit = 2 * a, m, v_mid, _homogeneous(f, m, d) == 0
-        else:
-            a, b, v_lo, hit = m, 2 * b, v_mid, False
-        yield a, b, d, hit
+    cs = p.coeffs
+    s_lo = _sign(_homogeneous(cs, a, d))
     while True:
         m, d = a + b, 2 * d
-        s_mid = _sign(_homogeneous(f, m, d))
+        s_mid = _sign(_homogeneous(cs, m, d))
         if s_mid == s_lo:
             a, b, hit = m, 2 * b, False
         else:
@@ -294,20 +233,24 @@ def refine(bracket: RootBracket, width: Fraction) -> RootBracket:
 
     Stops early when a midpoint is the root, which is then reported as
     ``exact``; brackets that are exact or narrow enough come back as is.
+    Raises :class:`PreconditionViolated` for a bracket that is not exact
+    and across which its polynomial does not change sign.
     """
-    if bracket.exact is not None or bracket.width <= width:
+    if bracket.exact is not None:
         return bracket
-    chain = bracket.sturm()
+    a, b, d = _sign_change(bracket)
+    if bracket.width <= width:
+        return bracket
     wn, wd = width.numerator, width.denominator
-    for a, b, d, hit in bisections(chain, *_over_common(bracket.lo, bracket.hi)):
+    for a, b, d, hit in bisections(bracket.poly, a, b, d):
         if hit or (b - a) * wd <= wn * d:
             hi = Fraction(b, d)
-            return RootBracket(
-                lo=Fraction(a, d), hi=hi, poly=bracket.poly, exact=hi if hit else None, chain=chain
-            )
+            return replace(bracket, lo=Fraction(a, d), hi=hi, exact=hi if hit else None)
 
 
-def _shifted_variations(cs: tuple[int, ...], a: int, b: int, d: int, limit: int) -> int:
+def _shifted_variations(
+    cs: tuple[int, ...], a: int, b: int, d: int, limit: int, hi_root: bool = False
+) -> int:
     """Sign variations of the Descartes transform of ``cs`` on (a/d, b/d), for a < b, d > 0.
 
     For p of degree k, P(y) = d^k p((a + (b - a) y) / d) maps y in (0, 1)
@@ -320,7 +263,9 @@ def _shifted_variations(cs: tuple[int, ...], a: int, b: int, d: int, limit: int)
     its roots x > 0, which are p's roots in (a/d, b/d) with their
     multiplicities.  A zero constant term (p(b/d) = 0) proves nothing and
     counts as ``limit`` + 1, as does every count past ``limit``, where the
-    shift stops.
+    shift stops; with ``hi_root``, when the caller knows the root at b/d,
+    the term is divided out instead, and the count still bounds the roots
+    in the open interval.
     """
     k = len(cs) - 1
     # d^k p((a + z)/d), ascending in z
@@ -343,7 +288,7 @@ def _shifted_variations(cs: tuple[int, ...], a: int, b: int, d: int, limit: int)
                 if v > limit:
                     break
             last = c
-        elif not i:
+        elif not i and not hi_root:
             return limit + 1
     return v
 
@@ -403,20 +348,20 @@ def _exact_quotient(num: tuple[int, ...], den: tuple[int, ...]) -> tuple[int, ..
     return tuple(out)
 
 
-def _square_free(ints: tuple[int, ...]) -> tuple[IntPolynomial, tuple[tuple[int, ...], ...]]:
-    """The primitive ``ints`` divided by gcd(p, p'), with its Sturm chain.
+def _square_free(ints: tuple[int, ...]) -> IntPolynomial:
+    """The primitive ``ints`` divided by gcd(p, p').
 
-    At a repeated root every member of the chain of p vanishes, so a
-    subdivision midpoint that hits one loses count; the square-free part
-    has the same distinct roots and no such points.
+    The gcd is the last member of the remainder sequence of p and p'
+    (:func:`_positive_remainder`), each remainder made primitive.  A
+    repeated root counts more than once in Descartes' rule, so no interval
+    around it shows one variation; the square-free part has the same
+    distinct roots, each simple.
     """
-    poly = IntPolynomial(ints)
-    chain = sturm_chain(poly)
-    g = _content_free(chain[-1])
-    if len(g) == 1:
-        return poly, chain
-    poly = IntPolynomial(_exact_quotient(ints, g))
-    return poly, sturm_chain(poly)
+    num, den = ints, tuple(i * c for i, c in enumerate(ints) if i)
+    while rem := _positive_remainder(num, den):
+        num, den = den, _content_free(rem)
+    g = _content_free(den)
+    return IntPolynomial(ints if len(g) == 1 else _exact_quotient(ints, g))
 
 
 def _rational_root(ints, a: int, b: int, d: int, nums: list[int], dens: list[int]):
@@ -443,22 +388,22 @@ def _rational_root(ints, a: int, b: int, d: int, nums: list[int], dens: list[int
     return None
 
 
-def _centred(poly: IntPolynomial, chain, exact: Fraction, delta: Fraction):
+def _centred(poly: IntPolynomial, exact: Fraction, delta: Fraction):
     """(exact - delta, exact + delta) around the root ``exact`` of ``poly``.
 
     ``delta`` is halved until 0 < lo, neither end is a root of ``poly``
-    and ``chain`` counts one root, the centre, on (lo, hi].
+    and one sign variation (:func:`_shifted_variations`) proves the centre
+    the one root in (lo, hi).
     """
-    lo, hi = exact - delta, exact + delta
-    while (
-        lo <= 0
-        or _sign_at(poly.coeffs, lo) == 0
-        or _sign_at(poly.coeffs, hi) == 0
-        or count_roots(chain, lo, hi) != 1
-    ):
-        delta /= 2
+    cs = poly.coeffs
+    while True:
         lo, hi = exact - delta, exact + delta
-    return lo, hi
+        if lo > 0:
+            a, b, d = _over_common(lo, hi)
+            # a root at hi fails the variation test itself
+            if _homogeneous(cs, a, d) and _shifted_variations(cs, a, b, d, 1) == 1:
+                return lo, hi
+        delta /= 2
 
 
 def positive_roots(p: IntPolynomial, width: Fraction = DEFAULT_WIDTH) -> Iterator[RootBracket]:
@@ -466,16 +411,20 @@ def positive_roots(p: IntPolynomial, width: Fraction = DEFAULT_WIDTH) -> Iterato
 
     Works on the primitive part of ``p`` with its roots at zero divided
     out, and on the square-free part of that when gcd(p, p') is not
-    constant.  A leftmost-first Sturm subdivision of (0, cauchy_bound(p)]
-    yields each bracket as soon as it holds one root and is at most
-    ``width`` wide; isolate coarsely and :func:`refine` only the brackets
-    that are used.  Rational roots num/den, num dividing the constant and
-    den the leading coefficient (both at most 1e9), are looked for once,
-    on the first interval that holds the root alone; one found there, or a
-    midpoint that hits a root, is reported as ``exact`` and centred at once
-    in a bracket that holds no other root.  A one-root interval is
-    narrowed by :func:`bisections`, on the same tree.  Each bracket lies
-    right of the one before.
+    constant.  A leftmost-first subdivision of (0, cauchy_bound(p)] judges
+    each interval by its sign variations (:func:`_shifted_variations`):
+    none drops it, more than one halves it, and one proves one simple
+    root in it, which :func:`bisections` narrows on the same tree until
+    the bracket is at most ``width`` wide; isolate coarsely and
+    :func:`refine` only the brackets that are used.  A midpoint that hits
+    a root ends the interval to its left, which then holds that root and
+    at most as many more as the variations with the root divided out.
+    Rational roots num/den, num dividing the constant and den the leading
+    coefficient (both at most 1e9), are looked for once, on the first
+    interval that holds the root alone; one found there, or a midpoint
+    that hits a root, is reported as ``exact`` and centred at once in a
+    bracket that holds no other root.  Each bracket lies right of the one
+    before.
     """
     if p.is_zero:
         raise InvalidInput("cannot isolate roots of the zero polynomial")
@@ -483,39 +432,36 @@ def positive_roots(p: IntPolynomial, width: Fraction = DEFAULT_WIDTH) -> Iterato
     work = _content_free(p.coeffs[lowest:])
     if len(work) < 2:
         return
-    poly, chain = _square_free(work)
+    poly = _square_free(work)
+    cs = poly.coeffs
     candidates = None  # sorted divisors of poly(0) and lead, on the first search
     bound = cauchy_bound(p)
-    b, d = bound.numerator, bound.denominator
     wn, wd = width.numerator, width.denominator
-    # (a, b, d, v_lo, v_hi, searched) for the interval (a/d, b/d]; searched:
-    # an enclosing interval with one root held no rational root
-    pending = [(0, b, d, variations(chain, 0, d), variations(chain, b, d), False)]
+    # (a, b, d, hit) for the interval (a/d, b/d]; hit: b/d is a root
+    pending = [(0, bound.numerator, bound.denominator, False)]
     fn, fd = 0, 1  # floor, the hi of the last bracket; a centred one can reach past its parent
     for _ in range(_MAX_BISECTIONS * len(work)):
         if not pending:
             return
-        a, b, d, v_lo, v_hi, searched = pending.pop()
-        if v_lo == v_hi:
-            continue
-        narrow = (b - a) * wd <= wn * d
-        if v_lo - v_hi == 1 and a * fd >= fn * d:
-            exact = Fraction(b, d) if narrow and _homogeneous(poly.coeffs, b, d) == 0 else None
-            if exact is None and not searched:
+        a, b, d, hit = pending.pop()
+        # a bound on the roots in (a/d, b/d), capped at 2
+        v = _shifted_variations(cs, a, b, d, 1, hit)
+        if v + hit == 1 and a * fd >= fn * d:
+            exact = Fraction(b, d) if hit else None
+            if exact is None:
                 if candidates is None:
-                    c0, lead = abs(poly.coeffs[0]), abs(poly.coeffs[-1])
+                    c0, lead = abs(cs[0]), abs(cs[-1])
                     small = c0 <= _RATROOT_COEFF_LIMIT and lead <= _RATROOT_COEFF_LIMIT
                     candidates = (_divisors(c0), _divisors(lead)) if small else ([], [])
-                exact = _rational_root(poly.coeffs, a, b, d, *candidates)
-                searched = True
-            if exact is None and not narrow:
+                exact = _rational_root(cs, a, b, d, *candidates)
+            if exact is None and (b - a) * wd > wn * d:
                 # the subtree of a one-root interval is the path bisections takes
-                for a, b, d, _ in islice(bisections(chain, a, b, d), _MAX_BISECTIONS):
-                    if (b - a) * wd <= wn * d:
+                for a, b, d, hit in islice(bisections(poly, a, b, d), _MAX_BISECTIONS):
+                    if hit or (b - a) * wd <= wn * d:
                         break
                 else:
                     raise PreconditionViolated("root isolation did not converge")
-                exact = Fraction(b, d) if _homogeneous(poly.coeffs, b, d) == 0 else None
+                exact = Fraction(b, d) if hit else None
             lo, hi = Fraction(a, d), Fraction(b, d)
             if exact is not None:
                 # centred on the cell that bisecting on to ``width`` ends
@@ -523,42 +469,13 @@ def positive_roots(p: IntPolynomial, width: Fraction = DEFAULT_WIDTH) -> Iterato
                 cells = ceil((hi - lo) / width)
                 step = (hi - lo) / 2 ** (cells - 1).bit_length()
                 delta = min(width / 2, (exact - lo) % step or step)
-                lo, hi = _centred(poly, chain, exact, delta)
+                lo, hi = _centred(poly, exact, delta)
             fn, fd = hi.numerator, hi.denominator
-            yield RootBracket(lo=lo, hi=hi, poly=poly, exact=exact, chain=chain)
-            continue
-        m, d = a + b, 2 * d
-        v_mid = variations(chain, m, d)
-        pending += [(m, 2 * b, d, v_mid, v_hi, searched), (2 * a, m, d, v_lo, v_mid, searched)]
+            yield RootBracket(lo=lo, hi=hi, poly=poly, exact=exact)
+        elif v + hit:
+            m, d = a + b, 2 * d
+            pending += [(m, 2 * b, d, hit), (2 * a, m, d, _homogeneous(cs, m, d) == 0)]
     raise PreconditionViolated("root isolation did not converge")
-
-
-def min_positive_root(
-    p: IntPolynomial, width: Fraction = DEFAULT_WIDTH
-) -> tuple[float, RootBracket]:
-    """Smallest positive root of ``p``, certified: the first of :func:`positive_roots`.
-
-    Requires p(0) > 0.  The returned bracket (lo, hi) has width at most
-    ``width``, contains exactly one root by Sturm count, shows a sign
-    change of ``p`` across its endpoints, and carries a zero count on
-    (0, lo].  Known rational roots are reported exactly.
-    """
-    if p.is_zero or p.degree < 1:
-        raise NoPositiveRoot("constant polynomial has no positive root")
-    if p(0) <= 0:
-        raise PreconditionViolated("min_positive_root requires p(0) > 0")
-    bracket = next(positive_roots(p, width), None)
-    if bracket is None:
-        raise NoPositiveRoot("no root on the positive half-axis")
-    s_lo, s_hi = _sign_at(p.coeffs, bracket.lo), _sign_at(p.coeffs, bracket.hi)
-    if s_lo == 0 or s_hi == 0 or s_lo == s_hi:
-        raise PreconditionViolated(
-            "smallest positive root admits no sign-change bracket "
-            "(even multiplicity); cannot certify by bisection"
-        )
-    if count_roots(bracket.sturm(), Fraction(0), bracket.lo) != 0:
-        raise PreconditionViolated("a smaller positive root slipped below the bracket")
-    return bracket.as_float(), bracket
 
 
 class _SignWalk:
@@ -570,10 +487,11 @@ class _SignWalk:
     starts there and every proof holds on the final bracket.  A proof is
     the same nonzero sign at both ends and no sign variation of the
     Descartes transform on (a/d, b/d) (:func:`_shifted_variations`): then
-    the polynomial has no root on the closed bracket.  No Sturm chain of
-    the polynomial is built; the bracket's own chain drives
-    :func:`bisections` when a test fails.  A root that is ``exact``, given
-    or hit by a midpoint, proves each sign by evaluation there.
+    the polynomial has no root on the closed bracket.  When a test fails,
+    the bracket polynomial's sign drives :func:`bisections` on.  A root
+    that is ``exact``, given or hit by a midpoint, proves each sign by
+    evaluation there.  A bracket that is not exact must show a sign change
+    of its polynomial (:class:`PreconditionViolated` otherwise).
     """
 
     def __init__(self, bracket: RootBracket):
@@ -583,7 +501,7 @@ class _SignWalk:
             self._root = (bracket.exact.numerator, bracket.exact.denominator)
         else:
             self._root = None
-            self.a, self.b, self.d = _over_common(bracket.lo, bracket.hi)
+            self.a, self.b, self.d = _sign_change(bracket)
 
     def sign(self, q) -> int:
         """The sign of ``q`` (ascending integer coefficients) at the root, 0 if unproved.
@@ -601,10 +519,8 @@ class _SignWalk:
             if s_lo == s_hi != 0 and _shifted_variations(q, a, b, d, 0) == 0:
                 sign = s_lo
                 break
-            # bisections counts until a sign change marks the root, so any
-            # root multiplicity works
             if self._steps is None:
-                self._steps = bisections(self._bracket.sturm(), a, b, d)
+                self._steps = bisections(self._bracket.poly, a, b, d)
             prev_a = a
             a, b, d, hit = next(self._steps)
             if hit:
@@ -638,16 +554,17 @@ def sign_at_root(q: IntPolynomial, bracket: RootBracket) -> tuple[int, RootBrack
     Returns +1/-1 when provable, 0 when the sign could not be separated
     from zero within ``_MAX_SIGN_REFINE`` bisection steps of the bracket
     (including the case that the root of the bracket polynomial is also a
-    root of ``q``).  The bracket's own chain drives the bisection
+    root of ``q``).  The bracket polynomial's sign drives the bisection
     (:func:`bisections`), so the bracket handed back lies on the path that
     :func:`refine` takes from ``bracket`` and encloses the same root.  For
     a nonzero sign it is the proof: ``q`` has that sign at both ends and,
     by Descartes' rule of signs, no root between them, so the sign holds
     at every point of it, and a later :func:`refine` or ``sign_at_root``
-    started from it stays inside.  No Sturm chain of ``q`` is built.  A
-    bracket whose root is ``exact`` (given, or hit by a midpoint) proves
-    the sign by evaluation there.  For sign 0 it is where the search
-    stopped.
+    started from it stays inside.  A bracket whose root is ``exact``
+    (given, or hit by a midpoint) proves the sign by evaluation there.
+    For sign 0 it is where the search stopped.  Raises
+    :class:`PreconditionViolated` for a bracket that is not exact and
+    across which its polynomial does not change sign.
     """
     walk = _SignWalk(bracket)
     return walk.sign(q.coeffs), walk.bracket()

@@ -6,13 +6,13 @@ denominators are cleared (floats and ladder scales are dyadic, so one
 power of two clears them), each first-column value becomes an integer
 polynomial in the feedback entry b, and the last equation closes the
 system as a scalar integer polynomial g(b).  Each scale is solved on
-integers: Sturm counts isolate the positive roots of g, and Descartes'
-rule of signs proves the sign of every a_j at a root, so no a_j needs a
-Sturm chain.  Either an admissible positive root is found or there is
-none at the current scale; values at the root are exact rationals.  A
-scale is judged on coarse brackets and sign proofs alone: the one bracket
-refined to full width is that of the delivered scale, in
-:func:`_deliver`, once per call.
+integers by one Descartes kernel: Descartes' rule of signs isolates the
+positive roots of g and proves the sign of every a_j at a root.  Either
+an admissible positive root is found or there is none at the current
+scale; values at the root are exact rationals.  A scale is judged on
+coarse brackets and sign proofs alone: the one bracket refined to full
+width is that of the delivered scale, in :func:`_deliver`, once per
+call.
 
 Targets with no admissible root are handled by the scaling fallback: the
 coefficients c^j * v_j of the scaled matrix c*A are realized instead and
@@ -101,9 +101,9 @@ def _solve_scaled(
     """Admissible root of the coefficient equations at scale ``c``, or None.
 
     Eliminates a_1..a_{n-1} as integer polynomials in b
-    (:func:`eliminate_integers` on :func:`_scaled_target`), takes the
-    positive roots of the closing polynomial coarsely and in increasing
-    order, and stops at the first at which a_r..a_{n-1} are certifiably
+    (:func:`eliminate_integers` on :func:`_scaled_target`), isolates the
+    positive roots of the closing polynomial by Descartes subdivision
+    (:func:`positive_roots`), coarsely and in increasing order, and stops at the first at which a_r..a_{n-1} are certifiably
     positive; no root past it is isolated.  The sign proofs of one root
     share one walk (:class:`sapcert.polyroots._SignWalk`): each a_j's proof
     starts on the integer ends where the one before it held, so the
@@ -250,8 +250,8 @@ def realize(p: FamilyParams, target: CoeffVector) -> RealizationResult:
     Tries the unscaled system first, then descends the scaling ladder by
     halving; the first admissible scale is refined upward because the
     delivered accuracy degrades with c^{-n}.  Every scale is solved once,
-    in integers (:func:`_solve_scaled`: Sturm counts isolate the roots of
-    the closing polynomial, Descartes tests prove the a_j positive), and
+    in integers (:func:`_solve_scaled`: Descartes tests isolate the roots
+    of the closing polynomial and prove the a_j positive), and
     the last admissible one is delivered.  Raises RealizationFailed
     with the attained diagnostics if the ladder bottoms out, and
     InvalidInput for a target of the wrong length or with a non-finite

@@ -14,9 +14,11 @@ from sapcert.family import (
     build_pattern,
     coeff_map,
     coeff_values_batch,
-    eliminate,
+    eliminate_integers,
 )
 from sapcert.patterns import Sign, member_of_class, nonzero_count
+from sapcert.polyroots import IntPolynomial
+from sapcert.realize import _scaled_target
 
 
 def test_params_validation():
@@ -202,6 +204,13 @@ def _closed_form_target(n, r, a, b):
     return alpha + [b * full[n - r] - full[n - 1]]
 
 
+def _eliminate(n, r, alpha):
+    # the pair realize runs at the unscaled target: (D, [a'_j], g') as polynomials
+    scale, steps = _scaled_target(alpha, Fraction(1))
+    a, g = eliminate_integers(n, r, scale, steps)
+    return scale, [IntPolynomial(cs) for cs in a], None if g is None else IntPolynomial(g)
+
+
 def test_eliminate_round_trips_exact_realizations():
     rnd = random.Random(18)
     for n, r in [(3, 2), (4, 2), (5, 3), (6, 2), (7, 5), (8, 3), (10, 9), (12, 4)]:
@@ -209,7 +218,7 @@ def test_eliminate_round_trips_exact_realizations():
             a = [Fraction(rnd.randint(1, 400), rnd.choice([1, 3, 8, 35])) for _ in range(n - 1)]
             b = Fraction(rnd.randint(1, 90), rnd.choice([1, 7, 16]))
             alpha = _closed_form_target(n, r, a, b)
-            scale, a_polys, g = eliminate(n, r, alpha)
+            scale, a_polys, g = _eliminate(n, r, alpha)
             assert scale > 0 and all((v * scale).denominator == 1 for v in alpha)
             assert len(a_polys) == n and a_polys[0].coeffs == (scale,)
             assert [q(b) / scale for q in a_polys[1:]] == a
@@ -218,7 +227,6 @@ def test_eliminate_round_trips_exact_realizations():
 
 def test_eliminate_at_zero_is_the_nilpotent_recurrence():
     from sapcert.nilpotent import recurrence_polys
-    from sapcert.polyroots import IntPolynomial
 
     def minus_t_times(p, q):
         # p - t q on ascending integer lists, trailing zeros dropped
@@ -231,7 +239,7 @@ def test_eliminate_at_zero_is_the_nilpotent_recurrence():
 
     for n in range(3, 41):
         for r in range(2, n):
-            scale, a_polys, g = eliminate(n, r, [0] * n)
+            scale, a_polys, g = _eliminate(n, r, [0] * n)
             # reference: a_0 = ... = a_{r-1} = 1, a_j = a_{j-1} - t a_{j-r}
             ref = [[1]] * r
             for j in range(r, n):

@@ -20,14 +20,7 @@ from sapcert.nilpotent import (
 )
 import sapcert.polyroots as polyroots
 from sapcert.patterns import member_of_class
-from sapcert.polyroots import (
-    IntPolynomial,
-    _homogeneous,
-    count_roots,
-    min_positive_root,
-    positive_up_to,
-    sturm_chain,
-)
+from sapcert.polyroots import IntPolynomial, _homogeneous, positive_roots, positive_up_to
 
 
 def test_recurrence_3_2():
@@ -74,7 +67,7 @@ def test_verify_min_chain_anchors():
     assert verify_min_chain(FamilyParams(3, 2))
     assert verify_min_chain(FamilyParams(4, 2))
     # closed forms for (4,2): 0.382 < 0.5 < 1
-    _, hb = min_positive_root(recurrence_polys(FamilyParams(4, 2))[1])
+    hb = next(positive_roots(recurrence_polys(FamilyParams(4, 2))[1]))
     assert float(hb.midpoint) == pytest.approx((3 - math.sqrt(5)) / 2, abs=1e-13)
 
 
@@ -112,20 +105,7 @@ def test_a_bound_below_the_root_of_prev_is_not_trusted():
     assert _root_below(_poly(1, -1), _poly(1, -4), Fraction(1, 2)) is None
 
 
-@pytest.fixture
-def counted_chains(monkeypatch):
-    built = []
-    real = polyroots.sturm_chain
-
-    def counted(p):
-        built.append(p)
-        return real(p)
-
-    monkeypatch.setattr(polyroots, "sturm_chain", counted)
-    return built
-
-
-def test_a_complex_pair_near_the_interval_fails_the_descartes_test(counted_chains):
+def test_a_complex_pair_near_the_interval_fails_the_descartes_test():
     # prev = (9 - 10t)(400t^2 - 240t + 37) has roots 9/10 and 3/10 +- i/20;
     # q = 4 - 5t has its root at 4/5
     prev, q = _poly(333, -2530, 6000, -4000), _poly(4, -5)
@@ -135,8 +115,8 @@ def test_a_complex_pair_near_the_interval_fails_the_descartes_test(counted_chain
     # pair near it leaves two sign variations, so no proof and no s
     s = Fraction(7, 8)
     assert q(s) < 0 and not positive_up_to(prev, s.numerator, s.denominator)
-    assert _root_below(prev, q, Fraction(1)) is None and not counted_chains
-    assert count_roots(sturm_chain(prev), Fraction(0), s) == 0
+    assert _root_below(prev, q, Fraction(1)) is None
+    assert [b.exact for b in positive_roots(prev)] == [Fraction(9, 10)]
 
 
 def _last_separation_point(a_polys, h, r):
@@ -153,7 +133,7 @@ def test_h_bracket_is_the_min_positive_root_bracket():
         for r in range(2, n + 1):
             a_polys, h = recurrence_polys(FamilyParams(n, r))
             got = _h_bracket(h, _last_separation_point(a_polys, h, r))
-            want = min_positive_root(h, width=_CERT_WIDTH)[1]
+            want = next(positive_roots(h, width=_CERT_WIDTH))
             # RootBracket equality compares lo, hi, poly and exact
             assert got == want, (n, r)
             if got.exact is not None:
@@ -164,24 +144,23 @@ def test_h_bracket_is_the_min_positive_root_bracket():
 @pytest.fixture
 def isolations(monkeypatch):
     called = []
-    for name in ("positive_roots", "min_positive_root"):
-        real = getattr(polyroots, name)
+    real = polyroots.positive_roots
 
-        def counted(p, *args, real=real, name=name, **kwargs):
-            called.append((name, p))
-            return real(p, *args, **kwargs)
+    def counted(p, *args, **kwargs):
+        called.append(p)
+        return real(p, *args, **kwargs)
 
-        monkeypatch.setattr(polyroots, name, counted)
+    monkeypatch.setattr(polyroots, "positive_roots", counted)
     return called
 
 
-def test_certificate_builds_no_chain_and_isolates_no_root(counted_chains, isolations):
+def test_certificate_builds_no_chain_and_isolates_no_root(isolations):
     rational = 0
     for n in range(2, 41):
         for r in range(2, n + 1):
             nilpotent._certify.cache_clear()
             cert = nilpotent._certify(FamilyParams(n, r))
-            assert not counted_chains and not isolations, (n, r)
+            assert not isolations, (n, r)
             rational += cert.bracket.exact is not None
     nilpotent._certify.cache_clear()
     assert rational == 428  # of the 780 pairs
@@ -197,10 +176,9 @@ _TWO_ROOTS = _poly(1, -5, 5)  # roots (5 -+ sqrt 5)/10, about 0.2764 and 0.7236
         (_poly(1, -3, 1, -3), Fraction(1, 3)),  # (1 - 3t)(1 + t^2): the root 1/3
     ],
 )
-def test_h_bracket_centres_a_rational_root_as_isolation_does(counted_chains, h, exact):
+def test_h_bracket_centres_a_rational_root_as_isolation_does(h, exact):
     got = _h_bracket(h, Fraction(1))
-    assert not counted_chains
-    assert got == min_positive_root(h, width=_CERT_WIDTH)[1] and got.exact == exact
+    assert got == next(positive_roots(h, width=_CERT_WIDTH)) and got.exact == exact
 
 
 @pytest.mark.parametrize(
@@ -214,16 +192,14 @@ def test_h_bracket_centres_a_rational_root_as_isolation_does(counted_chains, h, 
         (_poly(1, -(2**75 + 1)), "too many rational candidates"),
     ],
 )
-def test_h_bracket_raises_without_its_proof(counted_chains, h, match):
+def test_h_bracket_raises_without_its_proof(h, match):
     with pytest.raises(CertificationFailed, match=match):
         _h_bracket(h, Fraction(1))
-    assert not counted_chains
 
 
-def test_h_bracket_past_s_raises_and_a_root_just_past_s_does_not(counted_chains):
+def test_h_bracket_past_s_raises_and_a_root_just_past_s_does_not():
     h = _TWO_ROOTS
-    want = min_positive_root(h, width=_CERT_WIDTH)[1]
-    del counted_chains[:]
+    want = next(positive_roots(h, width=_CERT_WIDTH))
     # the second root lies just past s: the one-root test still holds
     assert Fraction(7236, 10**4) < (5 + math.sqrt(5)) / 10 < Fraction(7237, 10**4)
     assert _h_bracket(h, Fraction(7236, 10**4)) == want
@@ -232,7 +208,6 @@ def test_h_bracket_past_s_raises_and_a_root_just_past_s_does_not(counted_chains)
     assert h(s) < 0 < h(want.lo)
     with pytest.raises(CertificationFailed, match="reaches past the last separation point"):
         _h_bracket(h, s)
-    assert not counted_chains
 
 
 def test_recurrence_values_are_the_rounded_polynomial_values():

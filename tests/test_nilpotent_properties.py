@@ -1,11 +1,11 @@
-"""Property tests for the nilpotent certificate's two sign walks, with Sturm counts as the oracle.
+"""Property tests for the nilpotent certificate's two sign walks, with sympy's root count as the oracle.
 
 :func:`_root_below` and :func:`_h_bracket` prove what they return by
-Descartes' rule alone.  Whatever they return is checked here by Sturm
+Descartes' rule alone.  Whatever they return is checked here by sympy's
 count, on the recurrence's own links and on products of known factors:
 a separation point s has q(s) < 0 and no root of prev in (0, s]; h's
 bracket holds one root, h changes sign across it, no root lies below it,
-and it is the bracket that min_positive_root gives.
+and it is the first bracket that positive_roots gives.
 """
 
 from fractions import Fraction
@@ -13,6 +13,7 @@ from fractions import Fraction
 import pytest
 
 hypothesis = pytest.importorskip("hypothesis")
+sympy = pytest.importorskip("sympy")
 st = hypothesis.strategies
 
 from sapcert.errors import CertificationFailed  # noqa: E402
@@ -24,12 +25,13 @@ from sapcert.nilpotent import (  # noqa: E402
     recurrence_polys,
 )
 import sapcert.polyroots as polyroots  # noqa: E402
-from sapcert.polyroots import IntPolynomial, count_roots, min_positive_root, sturm_chain  # noqa: E402
+from sapcert.polyroots import IntPolynomial  # noqa: E402
 
 _SETTINGS = hypothesis.settings(
     max_examples=200, deadline=None, derandomize=True, database=None
 )
 _ZERO = Fraction(0)
+_X = sympy.Symbol("x")
 
 
 def _mul(a, b):
@@ -67,18 +69,24 @@ def products(draw, unit=False):
 _points = st.builds(Fraction, st.integers(1, 2**12), st.integers(1, 2**11)).filter(lambda x: x <= 2)
 
 
+def _count_roots(p, lo: Fraction, hi: Fraction) -> int:
+    """Distinct roots of ``p`` in (lo, hi), counted by sympy; neither end may be a root."""
+    assert p(lo) != 0 and p(hi) != 0
+    ends = (sympy.Rational(x.numerator, x.denominator) for x in (lo, hi))
+    return sympy.Poly(p.coeffs[::-1], _X).count_roots(*ends)
+
+
 def _check_separation(prev, q, s):
     assert 0 < s <= 1 and q(s) < 0
-    assert count_roots(sturm_chain(prev), _ZERO, s) == 0
+    assert _count_roots(prev, _ZERO, s) == 0
 
 
 def _check_h_bracket(h, s, got):
     assert 0 < got.lo < got.hi <= s and got.poly == h
-    chain = sturm_chain(h)
-    assert count_roots(chain, got.lo, got.hi) == 1
     assert h(got.lo) * h(got.hi) < 0
-    assert count_roots(chain, _ZERO, got.lo) == 0
-    want = min_positive_root(h, width=_CERT_WIDTH)[1]
+    assert _count_roots(h, got.lo, got.hi) == 1
+    assert _count_roots(h, _ZERO, got.lo) == 0
+    want = next(polyroots.positive_roots(h, width=_CERT_WIDTH))
     assert (got.lo, got.hi, got.exact) == (want.lo, want.hi, want.exact)
 
 

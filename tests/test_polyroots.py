@@ -7,28 +7,33 @@ import numpy as np
 import pytest
 
 from sapcert import polyroots
-from sapcert.errors import InvalidInput, NoPositiveRoot, PreconditionViolated
+from sapcert.errors import InvalidInput, PreconditionViolated
 from sapcert.family import FamilyParams
 from sapcert.nilpotent import recurrence_polys
 from sapcert.polyroots import (
     IntPolynomial,
     RootBracket,
+    _shifted_variations,
     bisections,
     cauchy_bound,
-    count_roots,
-    min_positive_root,
     one_root_up_to,
     positive_roots,
     positive_up_to,
     refine,
     sign_at_root,
-    sign_variations,
-    sturm_chain,
 )
 
 
 def P(*ascending):
     return IntPolynomial.from_coeffs(ascending)
+
+
+def _count_roots(p, lo, hi):
+    """Distinct roots of ``p`` in (lo, hi), counted by sympy; neither end may be a root."""
+    sympy = pytest.importorskip("sympy")
+    assert p(lo) != 0 and p(hi) != 0
+    lo, hi = (sympy.Rational(x.numerator, x.denominator) for x in (Fraction(lo), Fraction(hi)))
+    return sympy.Poly(p.coeffs[::-1], sympy.Symbol("x")).count_roots(lo, hi)
 
 
 def test_int_polynomial_basics():
@@ -43,76 +48,31 @@ def test_int_polynomial_basics():
         IntPolynomial((1, 0))
 
 
-def _brute_sturm(p):
-    # plain Fraction remainder chain, no primitive scaling: the oracle
-    chain = [[Fraction(c) for c in p.coeffs]]
-    d = [Fraction(i * c) for i, c in enumerate(p.coeffs)][1:]
-    if any(d):
-        chain.append(d)
-        while True:
-            rem = list(chain[-2])
-            div = chain[-1]
-            while len(rem) >= len(div):
-                q = rem[-1] / div[-1]
-                off = len(rem) - len(div)
-                for i in range(len(div)):
-                    rem[i + off] -= q * div[i]
-                rem.pop()
-                while rem and rem[-1] == 0:
-                    rem.pop()
-            if not rem:
-                break
-            chain.append([-c for c in rem])
-    return chain
-
-
-def _brute_variations(chain, x):
-    signs = []
-    for f in chain:
-        v = sum(c * x**i for i, c in enumerate(f))
-        if v != 0:
-            signs.append(1 if v > 0 else -1)
-    return sum(1 for a, b in zip(signs, signs[1:]) if a != b)
-
-
-def test_sturm_chain_matches_fraction_oracle():
-    rng = np.random.default_rng(21)
-    for _ in range(40):
-        deg = int(rng.integers(1, 7))
-        coeffs = [int(c) for c in rng.integers(-9, 10, deg + 1)]
-        if coeffs[-1] == 0:
-            coeffs[-1] = 1
-        p = P(*coeffs)
-        chain = sturm_chain(p)
-        oracle = _brute_sturm(p)
-        for x in (Fraction(0), Fraction(1, 3), Fraction(7, 2), Fraction(-2)):
-            assert sign_variations(chain, x) == _brute_variations(oracle, x)
-
-
 def test_count_roots_known_factorizations():
-    # (3t-1)(2t-1)(t-2): roots 1/3, 1/2, 2
-    p = P(-2, 11, -17, 6)
-    chain = sturm_chain(p)
-    assert count_roots(chain, Fraction(0), Fraction(1)) == 2
-    assert count_roots(chain, Fraction(0), Fraction(3)) == 3
-    assert count_roots(chain, Fraction(1), Fraction(3)) == 1
-    assert count_roots(chain, Fraction(3), Fraction(9)) == 0
+    # (3t-1)(2t-1)(t-2): roots 1/3, 1/2, 2; the Descartes kernel's
+    # variations on (a/d, b/d) count them exactly here
+    cs = P(-2, 11, -17, 6).coeffs
+    assert _shifted_variations(cs, 0, 1, 1, 3) == 2
+    assert _shifted_variations(cs, 0, 3, 1, 3) == 3
+    assert _shifted_variations(cs, 1, 3, 1, 3) == 1
+    assert _shifted_variations(cs, 3, 9, 1, 3) == 0
 
 
 def test_count_roots_handles_multiplicity():
-    # (t-1)^2 (t+2) = t^3 - 3t + 2: distinct roots 1 (double), -2
+    # (t-1)^2 (t+2) = t^3 - 3t + 2: distinct roots 1 (double), -2.  The
+    # variations count the double root twice, so isolation works on the
+    # square-free part and brackets the root once
     p = P(2, -3, 0, 1)
-    chain = sturm_chain(p)
-    assert count_roots(chain, Fraction(0), Fraction(2)) == 1
-    assert count_roots(chain, Fraction(-3), Fraction(0)) == 1
+    assert _shifted_variations(p.coeffs, 0, 2, 1, 3) == 2
+    assert _shifted_variations(p.coeffs, -3, 0, 1, 3) == 1
+    assert [b.exact for b in positive_roots(p)] == [Fraction(1)]
 
 
 def test_cauchy_bound_contains_roots():
     p = P(-2, 11, -17, 6)
     B = cauchy_bound(p)
     assert B > 2  # largest root is 2
-    chain = sturm_chain(p)
-    assert count_roots(chain, Fraction(0), B) == 3
+    assert _count_roots(p, Fraction(0), B) == 3
 
 
 def test_positive_rational_roots():
@@ -122,31 +82,30 @@ def test_positive_rational_roots():
 
 
 def test_min_positive_root_linear():
-    value, bracket = min_positive_root(P(1, -2))  # 1 - 2t
-    assert value == 0.5
+    bracket = next(positive_roots(P(1, -2)))  # 1 - 2t
+    assert bracket.as_float() == 0.5
     assert bracket.exact == Fraction(1, 2)
     assert bracket.lo < Fraction(1, 2) < bracket.hi
 
 
 def test_min_positive_root_unit():
-    value, bracket = min_positive_root(P(1, -1))  # 1 - t
-    assert value == 1.0
+    bracket = next(positive_roots(P(1, -1)))  # 1 - t
+    assert bracket.as_float() == 1.0
     assert bracket.exact == 1
 
 
 def test_min_positive_root_quadratic_closed_form():
     # t^2 - 3t + 1: smallest positive root (3 - sqrt 5)/2
-    value, bracket = min_positive_root(P(1, -3, 1))
+    bracket = next(positive_roots(P(1, -3, 1)))
     expect = (3 - math.sqrt(5)) / 2
-    assert value == pytest.approx(expect, abs=1e-13)
+    assert bracket.as_float() == pytest.approx(expect, abs=1e-13)
     assert bracket.exact is None
     assert bracket.width <= Fraction(1, 10**14)
     # certification invariants, re-checked by direct evaluation
     p = P(1, -3, 1)
     assert p(bracket.lo) * p(bracket.hi) < 0
-    chain = sturm_chain(p)
-    assert count_roots(chain, Fraction(0), bracket.lo) == 0
-    assert count_roots(chain, bracket.lo, bracket.hi) == 1
+    assert _count_roots(p, Fraction(0), bracket.lo) == 0
+    assert _count_roots(p, bracket.lo, bracket.hi) == 1
 
 
 def test_min_positive_root_skips_cluster():
@@ -162,29 +121,9 @@ def test_min_positive_root_skips_cluster():
     p = IntPolynomial.from_coeffs(coeffs)
     if p(0) < 0:
         p = IntPolynomial.from_coeffs([-c for c in p.coeffs])
-    value, bracket = min_positive_root(p)
-    assert value == pytest.approx(0.1, abs=1e-13)
+    bracket = next(positive_roots(p))
+    assert bracket.as_float() == pytest.approx(0.1, abs=1e-13)
     assert bracket.exact == Fraction(1, 10)
-
-
-def test_min_positive_root_errors():
-    with pytest.raises(NoPositiveRoot):
-        min_positive_root(P(1, 0, 1))  # 1 + t^2
-    with pytest.raises(NoPositiveRoot):
-        min_positive_root(P(1, 1))  # root -1
-    with pytest.raises(PreconditionViolated):
-        min_positive_root(P(-1, 2))  # p(0) < 0
-    with pytest.raises(PreconditionViolated):
-        min_positive_root(P(0, 1))  # p(0) = 0
-
-
-def test_min_positive_root_even_multiplicity_rejected():
-    # (1 - 2t)^2: smallest positive root has no sign change; so has
-    # -(t - 1)^2 (t - 15), where bisection from (0, 32] hits the double
-    # root 1 as a midpoint and every member of the chain of p vanishes
-    for p in (P(1, -4, 4), P(15, -31, 17, -1)):
-        with pytest.raises(PreconditionViolated, match="even multiplicity"):
-            min_positive_root(p)
 
 
 @pytest.mark.parametrize(
@@ -204,9 +143,8 @@ def test_positive_roots_of_repeated_factors(factors, exact):
     assert [b.exact for b in brs] == exact
     if exact[-1] is None:
         assert brs[-1].lo ** 2 < 2 < brs[-1].hi ** 2
-    chain = sturm_chain(p)
     for b in brs:
-        assert count_roots(chain, b.lo, b.hi) == 1
+        assert _count_roots(p, b.lo, b.hi) == 1
         assert b.lo < b.midpoint < b.hi
 
 
@@ -250,13 +188,13 @@ def test_rational_root_is_centred_without_bisecting_to_width(monkeypatch):
     # about 50 bisections per root; a rational root is recognised on the
     # first interval that holds it alone and centred there
     calls = [0]
-    variations = polyroots.variations
+    variations = polyroots._shifted_variations
 
-    def counted(chain, p, q):
+    def counted(*args):
         calls[0] += 1
-        return variations(chain, p, q)
+        return variations(*args)
 
-    monkeypatch.setattr(polyroots, "variations", counted)
+    monkeypatch.setattr(polyroots, "_shifted_variations", counted)
     brs = list(positive_roots(P(7, -22, 3)))
     assert [b.exact for b in brs] == [Fraction(1, 3), Fraction(7)]
     assert all(b.width <= polyroots.DEFAULT_WIDTH for b in brs)
@@ -264,26 +202,27 @@ def test_rational_root_is_centred_without_bisecting_to_width(monkeypatch):
 
 
 def test_one_root_intervals_are_halved_by_sign(monkeypatch):
-    # h of (80, 2) at the certificate's width 2^-70: the chain is counted
+    # h of (80, 2) at the certificate's width 2^-70: Descartes tests run
     # only until h's smallest root is alone, p's sign halves the rest (a
-    # count at every halving takes 127 calls)
+    # test at every halving takes over 130 calls)
     calls = [0]
-    variations = polyroots.variations
+    variations = polyroots._shifted_variations
 
-    def counted(chain, p, q):
+    def counted(*args):
         calls[0] += 1
-        return variations(chain, p, q)
+        return variations(*args)
 
     _, h = recurrence_polys(FamilyParams(80, 2))
-    monkeypatch.setattr(polyroots, "variations", counted)
-    _, bracket = min_positive_root(h, width=Fraction(1, 2**70))
+    monkeypatch.setattr(polyroots, "_shifted_variations", counted)
+    bracket = next(positive_roots(h, width=Fraction(1, 2**70)))
     assert bracket.width <= Fraction(1, 2**70)
     assert calls[0] <= 70
 
 
 def test_an_interval_that_starts_at_a_root_is_bisected_by_count():
     # (2t - 1)(t - 1)(2t - 3) on (0, 4]: the midpoints 1 and 1/2 are roots,
-    # so (1/2, 1] and (1, 2] hold one root each and start at a root
+    # so (1/2, 1] and (1, 2] hold one root each and start at a root, and
+    # (0, 1/2] and (1/2, 1] end at one
     p = P(-3, 11, -12, 4)
     assert cauchy_bound(p) == 4
     brs = list(positive_roots(p, Fraction(1, 2**8)))
@@ -294,18 +233,20 @@ def test_an_interval_that_starts_at_a_root_is_bisected_by_count():
     ]
     assert [b.exact for b in positive_roots(p)] == [Fraction(1, 2), Fraction(1), Fraction(3, 2)]
     # (1/2, 5/4] holds the one root 1, but p is 0 at lo: no sign to follow
-    steps = bisections(sturm_chain(p), 2, 5, 4)
-    for _ in range(40):
-        a, b, d, _ = next(steps)
-        assert Fraction(a, d) < 1 <= Fraction(b, d)
+    bracket = RootBracket(lo=Fraction(1, 2), hi=Fraction(5, 4), poly=p)
+    with pytest.raises(PreconditionViolated, match="does not change sign"):
+        refine(bracket, Fraction(1, 2**40))
+    with pytest.raises(PreconditionViolated, match="does not change sign"):
+        sign_at_root(P(1), bracket)
 
 
 def test_a_root_of_even_multiplicity_is_bisected_by_count():
-    # (t - 1)^2 (t + 2) keeps its sign across 1 on (0, 3]
-    steps = bisections(sturm_chain(P(2, -3, 0, 1)), 0, 3, 1)
-    for _ in range(40):
-        a, b, d, _ = next(steps)
-        assert Fraction(a, d) < 1 <= Fraction(b, d)
+    # (t - 1)^2 (t + 2) keeps its sign across 1 on (0, 3]: no sign to follow
+    bracket = RootBracket(lo=Fraction(0), hi=Fraction(3), poly=P(2, -3, 0, 1))
+    with pytest.raises(PreconditionViolated, match="does not change sign"):
+        refine(bracket, Fraction(1, 2**40))
+    with pytest.raises(PreconditionViolated, match="does not change sign"):
+        sign_at_root(P(1), bracket)
 
 
 def test_descartes_tests_on_zero_one_and_two_roots():
@@ -348,7 +289,7 @@ def test_isolate_handles_zero_roots_and_negatives():
 
 def test_sign_at_root_certified():
     p = P(1, -3, 1)  # root (3-sqrt5)/2 ~ 0.382
-    _, bracket = min_positive_root(p)
+    bracket = next(positive_roots(p))
     q_pos = P(1, -2)  # 1 - 2t > 0 at 0.382
     q_neg = P(-1, 3)  # 3t - 1 > 0 at 0.382 -> sign +
     assert sign_at_root(q_pos, bracket)[0] == 1
@@ -359,7 +300,7 @@ def test_sign_at_root_certified():
 
 
 def test_sign_at_root_exact_bracket():
-    _, bracket = min_positive_root(P(1, -2))
+    bracket = next(positive_roots(P(1, -2)))
     assert bracket.exact == Fraction(1, 2)
     assert sign_at_root(P(-1, 2), bracket) == (0, bracket)  # 2t-1 vanishes at 1/2
     assert sign_at_root(P(1, 2), bracket) == (1, bracket)
@@ -374,11 +315,11 @@ def test_sign_at_root_proof_bracket_lies_on_the_refine_path():
     sign, proof = sign_at_root(q, bracket)
     assert sign == 1
     assert bracket.lo <= proof.lo < proof.hi <= bracket.hi
-    assert proof.width < Fraction(1, 1000) and proof.chain is bracket.chain
+    assert proof.width < Fraction(1, 1000) and proof.poly == bracket.poly
     # root-free for q with q > 0 at both ends, and still the root of p
     assert q(proof.lo) > 0 and q(proof.hi) > 0
-    assert count_roots(sturm_chain(q), proof.lo, proof.hi) == 0
-    assert count_roots(proof.sturm(), proof.lo, proof.hi) == 1
+    assert _count_roots(q, proof.lo, proof.hi) == 0
+    assert _count_roots(proof.poly, proof.lo, proof.hi) == 1
     # continuing from the proof bracket ends where refining the original does
     width = Fraction(1, 2**40)
     assert refine(proof, width) == refine(bracket, width)
@@ -388,10 +329,10 @@ def test_sign_at_root_proof_bracket_lies_on_the_refine_path():
 
 
 def test_sign_at_root_bisects_until_descartes_proves_the_sign():
-    # q = -1 - t^2 has no real root, so q's Sturm count would prove its sign
-    # on (-1, 2] at once; its roots +-i lie near that interval, so Descartes'
-    # test counts two variations there, and the proof moves on down the
-    # bisection of p = t^2 - 2 until the test holds
+    # q = -1 - t^2 has no real root, so it has one sign on (-1, 2]; its
+    # roots +-i lie near that interval, so Descartes' test counts two
+    # variations there, and the proof moves on down the bisection of
+    # p = t^2 - 2 until the test holds
     p, q = P(-2, 0, 1), P(-1, 0, -1)
     bracket = RootBracket(lo=Fraction(-1), hi=Fraction(2), poly=p)
     assert polyroots._shifted_variations(q.coeffs, -1, 2, 1, 2) == 2
@@ -403,9 +344,9 @@ def test_sign_at_root_bisects_until_descartes_proves_the_sign():
 
 def test_family_recurrence_polys_have_certifiable_roots():
     # h for (5,2) is 3t^2 - 4t + 1 = (3t-1)(t-1): min root exactly 1/3
-    value, bracket = min_positive_root(P(1, -4, 3))
+    bracket = next(positive_roots(P(1, -4, 3)))
     assert bracket.exact == Fraction(1, 3)
-    assert value == 1 / 3
+    assert bracket.as_float() == 1 / 3
 
 
 def _mul(a, b):
@@ -414,66 +355,6 @@ def _mul(a, b):
         for j, y in enumerate(b):
             out[i + j] += x * y
     return out
-
-
-def _fraction_sturm_reference(p):
-    # p, p', then each negated Fraction remainder scaled to a primitive
-    # integer polynomial (positive denominator lcm, positive content)
-    chain = [tuple(p.coeffs)]
-    d = [i * c for i, c in enumerate(p.coeffs)][1:]
-    if not any(d):
-        return tuple(chain)
-    chain.append(tuple(d))
-    prev = [Fraction(c) for c in p.coeffs]
-    curr = [Fraction(c) for c in d]
-    while True:
-        rem = list(prev)
-        while len(rem) >= len(curr):
-            k = rem[-1] / curr[-1]
-            off = len(rem) - len(curr)
-            for i in range(len(curr)):
-                rem[i + off] -= k * curr[i]
-            rem.pop()
-            while rem and rem[-1] == 0:
-                rem.pop()
-        if not rem:
-            return tuple(chain)
-        neg = [-c for c in rem]
-        den = math.lcm(*(c.denominator for c in neg))
-        ints = [int(c * den) for c in neg]
-        g = math.gcd(*ints)
-        chain.append(tuple(c // g for c in ints))
-        prev, curr = curr, neg
-
-
-def _chain_test_polys():
-    rng = np.random.default_rng(404)
-    polys = []
-    for _ in range(60):
-        deg = int(rng.integers(1, 10))
-        coeffs = [int(c) for c in rng.integers(-30, 31, deg + 1)]
-        coeffs[-1] = coeffs[-1] or 7
-        polys.append(coeffs)
-    for _ in range(20):  # repeated roots
-        p = [int(rng.integers(1, 5))]
-        for _ in range(int(rng.integers(1, 4))):
-            factor = [int(rng.integers(-6, 7)), int(rng.integers(1, 6))]
-            for _ in range(int(rng.integers(1, 4))):
-                p = _mul(p, factor)
-        polys.append(p)
-    rnd = random.Random(404)
-    for _ in range(15):  # 200-bit coefficients
-        deg = rnd.randint(1, 7)
-        polys.append([rnd.getrandbits(200) - 2**199 for _ in range(deg)] + [rnd.getrandbits(200) | 1])
-    return polys
-
-
-def test_sturm_chain_bitwise_equal_to_fraction_reference():
-    for coeffs in _chain_test_polys():
-        p = IntPolynomial.from_coeffs(coeffs)
-        chain = sturm_chain(p)
-        assert chain == _fraction_sturm_reference(p)
-        assert all(type(c) is int for member in chain for c in member)
 
 
 def test_int_polynomial_call_is_exact_at_fractions():
@@ -493,21 +374,18 @@ def test_int_polynomial_call_is_exact_at_fractions():
 
 def test_bisections_keep_the_left_root_and_report_a_midpoint_hit():
     p = IntPolynomial.from_coeffs(_mul([-1, 4], [-2, 0, 1]))  # roots 1/4, +-sqrt 2
-    chain = sturm_chain(p)
     zero = Fraction(0)
 
     def ends(step):
         a, b, d, hit = step
         return Fraction(a, d), Fraction(b, d), Fraction(b, d) if hit else None
 
-    steps = bisections(chain, 0, 2, 1)  # (0, 2]
-    # (0, 1], over the doubled denominator: 1/4 on the left wins over sqrt 2
-    assert next(steps) == (0, 2, 2, False)
-    assert ends(next(steps)) == (zero, Fraction(1, 2), None)
+    steps = bisections(p, 0, 2, 2)  # (0, 1], p changes sign at 1/4 alone
+    # (0, 1/2], over the doubled denominator: p(1/2) < 0 < p(0)
+    assert next(steps) == (0, 2, 4, False)
     lo, hi, hit = ends(next(steps))
     assert (lo, hi, hit) == (zero, Fraction(1, 4), Fraction(1, 4))
-    assert count_roots(chain, lo, hi) == 1
-    steps = bisections(chain, 1, 4, 2)  # (1/2, 2], only sqrt 2 inside
+    steps = bisections(p, 1, 4, 2)  # (1/2, 2], only sqrt 2 inside
     assert ends(next(steps)) == (Fraction(5, 4), Fraction(2), None)
     assert ends(next(steps)) == (Fraction(5, 4), Fraction(13, 8), None)
 
@@ -541,8 +419,8 @@ def test_coarse_isolation_then_refinement_equals_fine_isolation():
             b.exact or (b.lo, b.hi) for b in fine
         ]
         for b in coarse:
-            # one root by the chain of the bracket's own polynomial
-            assert count_roots(b.sturm(), b.lo, b.hi) == 1
+            # one root of the bracket's own polynomial
+            assert _count_roots(b.poly, b.lo, b.hi) == 1
             assert b.width <= coarse_w
             if b.exact is None:
                 assert b.poly(b.lo) * b.poly(b.hi) < 0
@@ -566,18 +444,7 @@ def test_rational_root_brackets_exclude_every_other_root():
     assert [b.exact for b in brs] == [Fraction(1, 2), Fraction(2, 3), None]
     assert [b.exact for b in brs2] == [Fraction(1, 4), None]
     for b in brs + brs2:
-        assert 0 < b.lo and count_roots(b.sturm(), b.lo, b.hi) == 1
-        assert b.poly(b.lo) != 0 and b.poly(b.hi) != 0
-
-
-def test_brackets_carry_their_chain():
-    p = P(2, -4, -1, 2)
-    brs = list(positive_roots(p, width=Fraction(1, 4)))
-    irrational = [b for b in brs if b.exact is None]
-    assert irrational and irrational[0].chain == sturm_chain(irrational[0].poly)
-    assert refine(irrational[0], Fraction(1, 2**40)).chain is irrational[0].chain
-    _, bracket = min_positive_root(P(1, -3, 1))
-    assert bracket.chain == sturm_chain(P(1, -3, 1))
+        assert 0 < b.lo and _count_roots(b.poly, b.lo, b.hi) == 1
 
 
 def test_positive_roots_brackets_are_pinned():

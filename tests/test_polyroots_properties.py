@@ -1,11 +1,11 @@
-"""Property tests for positive_roots and min_positive_root, with sympy as the oracle.
+"""Property tests for positive_roots and the Descartes kernel, with sympy as the oracle.
 
 Inputs are products of known factors: rational roots of multiplicity 1-3
 (negative ones and roots at zero included), a pair of rational roots
 within 2^-20 of each other, irreducible quadratics (possibly repeated),
 and a common factor of up to 200 bits.  The integer-endpoint bisection
-is checked step by step against a plain Fraction bisection, and every
-root-free claim of the Descartes test against the Sturm count.
+is checked step by step against a plain Fraction bisection by sign, and
+every root count claimed by the Descartes test against sympy's count.
 """
 
 from collections import Counter
@@ -18,7 +18,7 @@ hypothesis = pytest.importorskip("hypothesis")
 sympy = pytest.importorskip("sympy")
 st = hypothesis.strategies
 
-from sapcert.errors import NoPositiveRoot, PreconditionViolated  # noqa: E402
+from sapcert.errors import PreconditionViolated  # noqa: E402
 from sapcert.polyroots import (  # noqa: E402
     DEFAULT_WIDTH,
     IntPolynomial,
@@ -26,14 +26,11 @@ from sapcert.polyroots import (  # noqa: E402
     _shifted_variations,
     bisections,
     cauchy_bound,
-    count_roots,
-    min_positive_root,
     one_root_up_to,
     positive_roots,
     positive_up_to,
     refine,
     sign_at_root,
-    sturm_chain,
 )
 
 _LIMIT = 10**9  # end coefficients up to which rational roots are recognised
@@ -93,13 +90,18 @@ def _rational(q: Fraction):
     return sympy.Rational(q.numerator, q.denominator)
 
 
-def _check_bracket(b, root, chain, width):
-    assert count_roots(chain, b.lo, b.hi) == 1
-    assert count_roots(b.sturm(), b.lo, b.hi) == 1
+def _count_roots(p, lo: Fraction, hi: Fraction) -> int:
+    """Distinct roots of ``p`` in (lo, hi), counted by sympy; neither end may be a root."""
+    assert p(lo) != 0 and p(hi) != 0
+    return sympy.Poly(p.coeffs[::-1], _X).count_roots(_rational(lo), _rational(hi))
+
+
+def _check_bracket(b, root, p, width):
+    # a root at an end is reported as exact and centred, never left there
+    assert _count_roots(p, b.lo, b.hi) == 1
+    assert _count_roots(b.poly, b.lo, b.hi) == 1
     assert 0 < b.hi - b.lo <= width
     assert _rational(b.lo) < root <= _rational(b.hi)
-    # a root at an end is reported as exact and centred, never left there
-    assert b.poly(b.lo) != 0 and b.poly(b.hi) != 0
     if b.exact is not None:
         assert b.lo < b.exact < b.hi and _rational(b.exact) == root
 
@@ -115,9 +117,8 @@ def test_positive_roots_match_sympy(case, width):
     brs = list(positive_roots(p, width))
     roots = _positive_roots_of(coeffs)
     assert len(brs) == len(roots)
-    chain = sturm_chain(p)
     for b, (root, _) in zip(brs, roots):
-        _check_bracket(b, root, chain, width)
+        _check_bracket(b, root, p, width)
     for left, right in zip(brs, brs[1:]):
         assert left.hi <= right.lo
     rational = [Fraction(-f[0], f[1]) for f in factors if len(f) == 2 and -f[0] * f[1] > 0]
@@ -138,23 +139,21 @@ def test_min_positive_root_is_the_first_bracket_or_a_typed_error(case):
         coeffs = [-c for c in coeffs]
     p = IntPolynomial.from_coeffs(coeffs)
     roots = _positive_roots_of(coeffs)
-    if p.degree < 1 or not roots:
-        with pytest.raises(NoPositiveRoot):
-            min_positive_root(p)
+    b = next(positive_roots(p), None)
+    if not roots:
+        assert b is None
         return
     root, mult = roots[0]
+    _check_bracket(b, root, p, DEFAULT_WIDTH)
+    assert _count_roots(p, Fraction(0), b.lo) == 0
+    # on p itself, not its square-free part, the bracket shows a sign
+    # change exactly when the root's multiplicity is odd
+    on_p = RootBracket(lo=b.lo, hi=b.hi, poly=p)
     if mult % 2 == 0:
-        with pytest.raises(PreconditionViolated, match="even multiplicity"):
-            min_positive_root(p)
+        with pytest.raises(PreconditionViolated, match="does not change sign"):
+            refine(on_p, DEFAULT_WIDTH)
         return
-    value, b = min_positive_root(p)
-    first = next(positive_roots(p))
-    assert (b.lo, b.hi, b.exact) == (first.lo, first.hi, first.exact)
-    chain = sturm_chain(p)
-    _check_bracket(b, root, chain, DEFAULT_WIDTH)
-    assert p(b.lo) * p(b.hi) < 0
-    assert count_roots(chain, Fraction(0), b.lo) == 0
-    assert value == float(b.midpoint)
+    assert p(b.lo) * p(b.hi) < 0 and refine(on_p, DEFAULT_WIDTH) == on_p
 
 
 def _ref_value(coeffs, x: Fraction) -> Fraction:
@@ -169,36 +168,31 @@ def _ref_sign(coeffs, x: Fraction) -> int:
     return (v > 0) - (v < 0)
 
 
-def _ref_variations(chain, x: Fraction) -> int:
-    signs = [s for s in (_ref_sign(f, x) for f in chain) if s]
-    return sum(a != b for a, b in zip(signs, signs[1:]))
-
-
-def _ref_bisections(chain, lo: Fraction, hi: Fraction):
-    """(lo, hi, hit) per step, with every point a normalised Fraction."""
-    v_lo = _ref_variations(chain, lo)
+def _ref_bisections(coeffs, lo: Fraction, hi: Fraction):
+    """(lo, hi, hit) per step of bisection by sign, with every point a normalised Fraction."""
+    s_lo = _ref_sign(coeffs, lo)
     while True:
         mid = (lo + hi) / 2
-        v_mid = _ref_variations(chain, mid)
-        if v_lo - v_mid >= 1:
-            hi, hit = mid, _ref_sign(chain[0], mid) == 0
+        s_mid = _ref_sign(coeffs, mid)
+        if s_mid == s_lo:
+            lo, hit = mid, False
         else:
-            lo, v_lo, hit = mid, v_mid, False
+            hi, hit = mid, s_mid == 0
         yield lo, hi, hit
 
 
-def _ref_refine(chain, lo, hi, width):
-    for lo, hi, hit in _ref_bisections(chain, lo, hi):
+def _ref_refine(coeffs, lo, hi, width):
+    for lo, hi, hit in _ref_bisections(coeffs, lo, hi):
         if hit or hi - lo <= width:
             return lo, hi, hi if hit else None
 
 
-def _ref_sign_at_root(q, chain, lo, hi):
-    """(sign, lo, hi, exact) as sign_at_root finds them, evaluating both ends every step."""
-    steps, q_chain = _ref_bisections(chain, lo, hi), sturm_chain(q)
+def _ref_sign_at_root(q, coeffs, lo, hi):
+    """(sign, lo, hi, exact) as sign_at_root finds them, with sympy's count for Descartes' test."""
+    steps = _ref_bisections(coeffs, lo, hi)
     for _ in range(200):
         s_lo, s_hi = _ref_sign(q.coeffs, lo), _ref_sign(q.coeffs, hi)
-        if s_lo == s_hi != 0 and _ref_variations(q_chain, lo) == _ref_variations(q_chain, hi):
+        if s_lo == s_hi != 0 and _count_roots(q, lo, hi) == 0:
             return s_lo, lo, hi, None
         lo, hi, hit = next(steps)
         if hit:
@@ -215,8 +209,8 @@ def test_descartes_root_free_claims_hold(case, a, k):
     proved = positive_up_to(p, a, 2**k)
     hypothesis.event(f"(0, s] proved root-free: {proved}")
     if proved:
-        assert count_roots(sturm_chain(p), Fraction(0), s) == 0
         assert p(s) > 0
+        assert _count_roots(p, Fraction(0), s) == 0
 
 
 @_SETTINGS
@@ -228,8 +222,8 @@ def test_descartes_one_root_claims_hold(case, a, k):
     proved = one_root_up_to(p, a, 2**k)
     hypothesis.event(f"one root in (0, s] proved: {proved}")
     if proved:
-        assert count_roots(sturm_chain(p), Fraction(0), s) == 1
         assert p(0) * p(s) < 0
+        assert _count_roots(p, Fraction(0), s) == 1
         # counted with multiplicity: the root is simple
         inside = [m for root, m in _positive_roots_of(coeffs) if root <= _rational(s)]
         assert inside == [1]
@@ -264,35 +258,41 @@ def test_integer_bisection_tree_equals_the_fraction_reference(data):
         k = data.draw(st.integers(1, 6))
         x = lo + (hi - lo) * Fraction(data.draw(st.integers(0, 2 ** (k - 1) - 1)) * 2 + 1, 2**k)
         p = IntPolynomial.from_coeffs(_mul(list(p.coeffs), [-x.numerator, x.denominator]))
-    chain = sturm_chain(p)
-    ref = _ref_bisections(chain, lo, hi)
+    bracket = RootBracket(lo=lo, hi=hi, poly=p)
+    width = data.draw(st.sampled_from([Fraction(1, 2**20), Fraction(1, 10**6), Fraction(3, 7**9)]))
+    q = data.draw(int_poly())
+    if _ref_sign(p.coeffs, lo) * _ref_sign(p.coeffs, hi) >= 0:
+        hypothesis.event("no sign change across the bracket")
+        # no sign to follow: a typed error, whatever the width or q
+        with pytest.raises(PreconditionViolated, match="does not change sign"):
+            refine(bracket, width)
+        with pytest.raises(PreconditionViolated, match="does not change sign"):
+            sign_at_root(q, bracket)
+        return
+    ref = _ref_bisections(p.coeffs, lo, hi)
     d = lo.denominator * hi.denominator  # a common denominator, not always the least
-    steps = bisections(chain, lo.numerator * hi.denominator, hi.numerator * lo.denominator, d)
+    steps = bisections(p, lo.numerator * hi.denominator, hi.numerator * lo.denominator, d)
     for _ in range(60):
         a, b, d, hit = next(steps)
         assert (Fraction(a, d), Fraction(b, d), hit) == next(ref)
 
-    bracket = RootBracket(lo=lo, hi=hi, poly=p)
-    width = data.draw(st.sampled_from([Fraction(1, 2**20), Fraction(1, 10**6), Fraction(3, 7**9)]))
     got = refine(bracket, width)
-    want = (lo, hi, None) if hi - lo <= width else _ref_refine(chain, lo, hi, width)
+    want = (lo, hi, None) if hi - lo <= width else _ref_refine(p.coeffs, lo, hi, width)
     assert (got.lo, got.hi, got.exact) == want
 
-    # Descartes' test proves no more than the Sturm count of q, so the
-    # proof ends on the reference's path, at its bracket or deeper inside
-    q = data.draw(int_poly())
+    # Descartes' test proves no more than an exact count of q's roots, so
+    # the proof ends on the reference's path, at its bracket or deeper inside
     sign, proof = sign_at_root(q, bracket)
-    ref_sign, ref_lo, ref_hi, ref_exact = _ref_sign_at_root(q, chain, lo, hi)
+    ref_sign, ref_lo, ref_hi, ref_exact = _ref_sign_at_root(q, p.coeffs, lo, hi)
     assert sign == ref_sign
     assert ref_lo <= proof.lo < proof.hi <= ref_hi
-    assert _on_path(chain, lo, hi, proof)
+    assert _on_path(p.coeffs, lo, hi, proof)
     deeper = (proof.lo, proof.hi) != (ref_lo, ref_hi)
-    hypothesis.event(f"proof deeper than the Sturm reference: {deeper}")
+    hypothesis.event(f"proof deeper than the exact-count reference: {deeper}")
     if sign and proof.exact is None:
         # q has the sign at both ends and, by an independent count, no root between
-        q_chain = sturm_chain(q)
         assert _ref_sign(q.coeffs, proof.lo) == _ref_sign(q.coeffs, proof.hi) == sign
-        assert _ref_variations(q_chain, proof.lo) == _ref_variations(q_chain, proof.hi)
+        assert _count_roots(q, proof.lo, proof.hi) == 0
     elif sign:
         # a midpoint hit the root, at or past the reference's stop
         assert proof.exact == proof.hi and _ref_sign(q.coeffs, proof.exact) == sign
@@ -300,10 +300,10 @@ def test_integer_bisection_tree_equals_the_fraction_reference(data):
         assert (proof.lo, proof.hi, proof.exact) == (ref_lo, ref_hi, ref_exact)
 
 
-def _on_path(chain, lo, hi, bracket) -> bool:
+def _on_path(coeffs, lo, hi, bracket) -> bool:
     """True when ``bracket`` is (lo, hi] or a node of the reference bisection from it."""
     node = (lo, hi, None)
-    steps = _ref_bisections(chain, lo, hi)
+    steps = _ref_bisections(coeffs, lo, hi)
     for _ in range(400):
         if (bracket.lo, bracket.hi, bracket.exact) == node:
             return True
@@ -356,13 +356,33 @@ def test_descartes_variations_bound_the_roots_on_any_interval(p, a, width, d):
     if p(hi) == 0:
         assert v == k + 1
         return
-    chain = sturm_chain(p)
     if p(lo) != 0:
-        count = count_roots(chain, lo, hi)  # the open interval, as p(hi) != 0
+        count = _count_roots(p, lo, hi)
         assert v >= count
-        if len(chain[-1]) == 1:  # square-free: distinct roots are all the roots
+        poly = sympy.Poly(p.coeffs[::-1], _X)
+        if poly.gcd(poly.diff(_X)).degree() == 0:  # square-free: distinct roots are all the roots
             assert v % 2 == count % 2
-    if v == 0:
-        # no root on the open interval by the independent Sturm count
-        assert p(lo) == 0 or count_roots(chain, lo, hi) == 0
+        # v = 0: no root on the open interval by the independent count
+        assert v or count == 0
     hypothesis.event(f"variations {min(v, 3)}; lo {'< 0' if a < 0 else '= 0' if a == 0 else '> 0'}")
+
+
+@_SETTINGS
+@hypothesis.given(
+    int_poly(),
+    st.integers(-(10**3), 10**3),
+    st.integers(1, 10**3),
+    st.one_of(st.integers(1, 999), st.integers(0, 20).map(lambda k: 2**k)),
+)
+def test_a_root_at_hi_divides_out_of_the_variations(p, a, width, d):
+    # the transform is multiplicative, and that of d t - b on (a/d, b/d) is
+    # -(b - a) x, so with the root at hi divided out the variations of
+    # p (d t - b) are those of p
+    b = a + width
+    hypothesis.assume(p(Fraction(b, d)) != 0)
+    with_root = _mul(list(p.coeffs), [-b, d])
+    k = len(with_root) - 1
+    assert _shifted_variations(tuple(with_root), a, b, d, k) == k + 1
+    assert _shifted_variations(tuple(with_root), a, b, d, k, True) == _shifted_variations(
+        p.coeffs, a, b, d, k
+    )

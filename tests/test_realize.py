@@ -199,44 +199,6 @@ def test_realize_refines_once_per_target(monkeypatch):
     assert ladder > 0
 
 
-def test_realize_builds_sturm_chains_of_closing_polynomials_only(monkeypatch):
-    # the sign proofs of a_j are Descartes tests: every Sturm chain built
-    # during realize is of a factor of the closing polynomial g just formed
-    from sapcert import polyroots
-
-    closing = []
-    eliminate = realize_module.eliminate_integers
-
-    def spy(n, r, scale, steps):
-        a, g = eliminate(n, r, scale, steps)
-        closing.append(g)
-        return a, g
-
-    chained = []
-    sturm_chain = polyroots.sturm_chain
-
-    def counted(p):
-        chained.append((p, closing[-1]))
-        return sturm_chain(p)
-
-    monkeypatch.setattr(realize_module, "eliminate_integers", spy)
-    monkeypatch.setattr(polyroots, "sturm_chain", counted)
-    rng = np.random.default_rng(48)
-    ladder = 0
-    for n in range(3, 9):
-        for r in range(2, n + 1):
-            for _ in range(3):
-                try:
-                    res = realize(FamilyParams(n, r), CoeffVector(tuple(rng.uniform(-5.0, 5.0, n))))
-                except RealizationFailed:
-                    continue
-                ladder += res.scaling_c < 1.0
-    assert ladder > 0 and len(chained) > 0
-    for p, g in chained:
-        assert g and p.degree >= 1
-        assert polyroots._positive_remainder(list(g), p.coeffs) == []
-
-
 def test_realize_failure_on_the_ladder_refines_nothing(monkeypatch):
     calls = _count_refines(monkeypatch)
     # the exact solution needs a scale below the ladder's floor of 2^-40
@@ -381,11 +343,12 @@ def test_superpattern_rejects_nonzero_extra_position():
 def test_diagnostics_share_the_elimination_of_the_solver():
     from fractions import Fraction as F
 
-    from sapcert.family import eliminate
-    from sapcert.realize import _diagnose_scaled
+    from sapcert.family import eliminate_integers
+    from sapcert.realize import _diagnose_scaled, _scaled_target
 
-    scale, a_polys, g = eliminate(4, 3, [F(-2), F(1), F(1), F(1)])
-    assert g is None and scale == 1 and a_polys[-1].coeffs == (-1,)
+    scale, steps = _scaled_target([F(-2), F(1), F(1), F(1)], F(1))
+    a, g = eliminate_integers(4, 3, scale, steps)
+    assert g is None and scale == 1 and a[-1] == (-1,)
     assert _diagnose_scaled(4, 3, [F(-2), F(1), F(1), F(1)], F(1)) == (
         "column value 1 is -1.000e+00 <= 0 before any root"
     )
