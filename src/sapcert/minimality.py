@@ -6,26 +6,27 @@ blocks, or pins the sign of one characteristic coefficient over the whole
 class.  Both obstructions survive further deletions, so they rule out
 every subpattern at once.
 
-For the family, ``fixed_sign_obstruction`` is the one table of fixed-sign
-claims: it reads the coefficient and its sign straight from the deleted
-position, off the closed-form coefficient map, where they are sums of
-strictly positive terms; a seeded sampling confirmation is run on top.
-All family confirmations, the deletion of the (n, n) corner included,
-evaluate that closed form on the whole sample at once; no matrix is
-formed.  For arbitrary user patterns only the sampling detector is
-available: it runs one stacked Faddeev-LeVerrier pass over all samples,
-and its verdicts are evidence, never proofs.
-
-``verify_msap`` and ``obstruction_scan`` are one deletion scan with two
-detectors.  The scan checks the sampling arguments once, asks the
-detector about every one-entry deletion and clears the verdict for an
-unobstructed deletion or a failed sampling confirmation.
+For the family both obstructions are read from the deleted position alone.
+``fixed_sign_obstruction`` is the one table of fixed-sign claims: it reads
+the coefficient and its sign off the closed-form coefficient map, where
+they are sums of strictly positive terms.  A deleted superdiagonal entry
+splits the digraph at a place fixed by the position, n and r, so its
+partition into strongly connected components is written down directly.
+``family_deletions`` walks the family's 2n nonzero positions with these
+two rules; it builds no subpattern, runs no graph search and draws no
+samples.  Only ``verify_msap`` samples: it confirms each fixed-sign claim
+on seeded random parameters, through the closed-form coefficient map on
+the whole sample at once.  For arbitrary user patterns
+``obstruction_scan`` runs the generic detectors on each one-entry
+subpattern: the strongly connected components, the entry count and a
+sampled fixed-sign search, one stacked Faddeev-LeVerrier pass over all
+samples, whose verdicts are evidence, never proofs.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Optional
+from typing import Optional
 
 import numpy as np
 
@@ -177,6 +178,52 @@ def fixed_sign_obstruction(
     )
 
 
+def _split_obstruction(p: FamilyParams, k: int) -> Obstruction:
+    # Deleting superdiagonal (k, k+1), 1-based, leaves 1..k reaching only
+    # themselves, and k+1..n cycling only through the feedback arc
+    # n -> f = n-r+1 when f > k.  The partition lists the components in
+    # the order Tarjan's search from vertex 1 pops them, as
+    # ``reducibility_obstruction`` does: [1..k] holds the positive (1, 1)
+    # entry, and the next block holds the negative corner (n, n).
+    n, f = p.n, p.n - p.r + 1
+    top = n
+    partition = [list(range(1, k + 1))]
+    if f > k:
+        partition.append(list(range(f, n + 1)))
+        top = f - 1
+    partition += [[v] for v in range(top, k, -1)]
+    return Obstruction(
+        kind=REDUCIBLE_FIXED_TRACE,
+        detail={
+            "partition": partition,
+            "fixed_trace_blocks": [
+                {"block": 0, "trace_sign": "+"},
+                {"block": 1, "trace_sign": "-"},
+            ],
+        },
+    )
+
+
+def family_deletions(
+    p: FamilyParams,
+) -> tuple[tuple[tuple[int, int], Obstruction], ...]:
+    """The obstruction of every one-entry deletion of the family pattern.
+
+    Walks the 2n nonzero positions (0-based) in row-major order and reads
+    each obstruction from the position: ``fixed_sign_obstruction`` for the
+    first column, the feedback entry and the corner, the fixed-trace split
+    for a superdiagonal entry.  Equal to what the generic detectors find
+    on each subpattern; builds no subpattern and draws no samples.
+    """
+    n, r = p.n, p.r
+    rows = []
+    for i in range(n):
+        for j in (0, i + 1) if i < n - 1 else (n - r, n - 1):
+            obs = fixed_sign_obstruction(p, (i, j))
+            rows.append(((i, j), obs or _split_obstruction(p, j)))
+    return tuple(rows)
+
+
 def _sample_parameters(
     rng: np.random.Generator, m: int, count: int
 ) -> np.ndarray:
@@ -184,7 +231,13 @@ def _sample_parameters(
     return 10.0 ** rng.uniform(-2.0, 1.0, size=(m, count))
 
 
-def _check_sampling(samples: int, seed: int, values_per_sample: int) -> None:
+def check_sampling(samples: int, seed: int, values_per_sample: int) -> None:
+    """Raise InvalidInput unless ``samples`` and ``seed`` are usable.
+
+    Rejects ``samples < 1``, a negative ``seed``, and a sample count whose
+    largest sampled array, ``samples`` times ``values_per_sample`` values,
+    exceeds ``SAMPLE_VALUE_BUDGET``.
+    """
     # zero samples would confirm every sign claim vacuously
     if samples < 1:
         raise InvalidInput(f"need at least one sample, got {samples}")
@@ -216,7 +269,7 @@ def confirm_fixed_sign(
     ``sign`` other than "+" and "-".
     """
     n, r = p.n, p.r
-    _check_sampling(samples, seed, n)
+    check_sampling(samples, seed, n)
     if not 1 <= index <= n:
         raise InvalidInput(f"coefficient index {index} outside 1..{n}")
     if sign not in ("+", "-"):
@@ -244,57 +297,38 @@ def confirm_fixed_sign(
     return bool(np.all(col < 0.0))
 
 
-def _scan(
-    S: SignPattern,
-    detect: Callable[[tuple[int, int], SignPattern], Optional[Obstruction]],
-    samples: int,
-    seed: int,
-    params: Optional[FamilyParams] = None,
-) -> MsapReport:
-    # the family is sampled in closed form, n coefficients per sample; any
-    # other pattern as a stack of n x n matrices
-    n = S.n_rows
-    _check_sampling(samples, seed, n if params is not None else n * n)
-    rows = []
-    verdict = True
-    for pos, sub in one_entry_subpatterns(S):
-        obs = detect(pos, sub)
-        if obs is None or obs.detail.get("sample_confirmed") is False:
-            verdict = False
-        rows.append((pos, obs))
-    return MsapReport(
-        pattern=S,
-        per_deletion=tuple(rows),
-        verdict=verdict,
-        seed=seed,
-        samples=samples,
-        params=params,
-    )
-
-
 def verify_msap(
     p: FamilyParams, samples: int = DEFAULT_SAMPLES, seed: int = 0
 ) -> MsapReport:
     """Obstruction scan over every one-entry deletion of the family pattern.
 
-    The verdict is True iff each deletion is obstructed; fixed-sign claims
-    are additionally confirmed on seeded samples and a failed confirmation
-    (which would indicate a bug, not a property of the pattern) clears the
-    verdict.  The family's claim is tried before the structural rules.
-    Raises InvalidInput for ``samples < 1``, a negative ``seed`` or a
-    sample count over the sampling budget.
+    The obstructions are those of ``family_deletions``, read in closed form
+    from each position, so every deletion is obstructed.  This is the only
+    family scan that samples: each fixed-sign claim is confirmed on seeded
+    samples, and a failed confirmation (which would indicate a bug, not a
+    property of the pattern) clears the verdict.  Raises InvalidInput for
+    ``samples < 1``, a negative ``seed`` or a sample count over the
+    sampling budget.
     """
-
-    def detect(pos, sub):
-        obs = fixed_sign_obstruction(p, pos)
-        if obs is None:
-            return reducibility_obstruction(sub) or entry_count_obstruction(sub)
-        index, sign = obs.detail["index"], obs.detail["sign"]
-        confirmed = confirm_fixed_sign(p, pos, index, sign, samples, seed)
-        detail = {**obs.detail, "sample_confirmed": confirmed, "samples": samples}
-        return Obstruction(kind=obs.kind, detail=detail)
-
-    return _scan(build_pattern(p), detect, samples, seed, p)
+    check_sampling(samples, seed, p.n)
+    rows = []
+    verdict = True
+    for pos, obs in family_deletions(p):
+        if obs.kind == FIXED_SIGN_COEFF:
+            index, sign = obs.detail["index"], obs.detail["sign"]
+            confirmed = confirm_fixed_sign(p, pos, index, sign, samples, seed)
+            verdict = verdict and confirmed
+            detail = {**obs.detail, "sample_confirmed": confirmed, "samples": samples}
+            obs = Obstruction(kind=obs.kind, detail=detail)
+        rows.append((pos, obs))
+    return MsapReport(
+        pattern=build_pattern(p),
+        per_deletion=tuple(rows),
+        verdict=verdict,
+        seed=seed,
+        samples=samples,
+        params=p,
+    )
 
 
 def obstruction_scan(
@@ -312,18 +346,24 @@ def obstruction_scan(
     """
     if not S.is_square:
         raise InvalidInput("pattern must be square")
+    # any pattern other than the family is sampled as a stack of n x n matrices
+    check_sampling(samples, seed, S.n_rows * S.n_rows)
     rng = None
-
-    def detect(pos, sub):
-        nonlocal rng
+    rows = []
+    for pos, sub in one_entry_subpatterns(S):
         obs = reducibility_obstruction(sub) or entry_count_obstruction(sub)
         if obs is None:
             # one generator across deletions, made once the seed is checked
             rng = rng or np.random.default_rng(seed)
             obs = _sampled_fixed_sign(sub, rng, samples)
-        return obs
-
-    return _scan(S, detect, samples, seed)
+        rows.append((pos, obs))
+    return MsapReport(
+        pattern=S,
+        per_deletion=tuple(rows),
+        verdict=all(obs is not None for _, obs in rows),
+        seed=seed,
+        samples=samples,
+    )
 
 
 def _sampled_fixed_sign(

@@ -7,6 +7,7 @@ import time
 import pytest
 
 import sapcert
+from sapcert import minimality
 from sapcert.cli import main
 from sapcert.family import MAX_N
 
@@ -137,10 +138,14 @@ def test_sample_count_below_one_is_usage_error(capsys, argv):
         (("sweep", "--n-max", "3", "--seed", "-5"), "seed must be non-negative"),
         (("msap", "--n", "3", "--r", "2", "--samples", "3000000000"), "sampling budget"),
         (("sweep", "--n-max", "3", "--samples", "100000000000"), "sampling budget"),
+        # within the budget at orders 3 and 4, over it only at n = 5
+        (("sweep", "--n-max", "5", "--samples", "8000000"), "8000000 samples of 5 values"),
     ],
 )
 def test_sampling_arguments_out_of_range_are_usage_errors(capsys, argv, message):
+    t0 = time.perf_counter()
     code, out, err = run(capsys, *argv)
+    assert time.perf_counter() - t0 < 1.0
     assert code == 64
     assert out == ""
     assert message in err
@@ -348,6 +353,20 @@ def test_sweep_json_rows(capsys):
     rows = json.loads(out)
     assert [(row["n"], row["r"]) for row in rows] == [(3, 2), (4, 2), (4, 3)]
     assert all(row["msap_verdict"] for row in rows)
+
+
+def test_sweep_draws_no_samples(capsys, monkeypatch):
+    argv = ("--format", "csv", "sweep", "--n-max", "8")
+    _, expected, _ = run(capsys, *argv)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("sweep drew samples")
+
+    monkeypatch.setattr(minimality, "_sample_parameters", refuse)
+    monkeypatch.setattr(minimality, "confirm_fixed_sign", refuse)
+    code, out, _ = run(capsys, *argv)
+    assert code == 0
+    assert out == expected
 
 
 def test_text_format(capsys):

@@ -14,6 +14,7 @@ from sapcert.minimality import (
     TOO_FEW_ENTRIES,
     confirm_fixed_sign,
     entry_count_obstruction,
+    family_deletions,
     fixed_sign_obstruction,
     obstruction_scan,
     reducibility_obstruction,
@@ -64,6 +65,24 @@ def test_reducibility_all_superdiagonal_deletions(n):
             sub = base.with_entry(i, i + 1, Sign.ZERO)
             obs = reducibility_obstruction(sub)
             assert obs is not None, (n, r, i)
+
+
+@pytest.mark.parametrize("n", range(2, 41))
+def test_family_deletions_equal_the_generic_detectors(n):
+    # the closed form must reproduce the generic detectors' obstruction,
+    # partition order included, at every position of every order
+    for r in range(2, n + 1):
+        p = FamilyParams(n, r)
+        base = build_pattern(p)
+        rows = family_deletions(p)
+        assert [pos for pos, _ in rows] == list(base.nonzero_positions())
+        for (i, j), obs in rows:
+            if j == i + 1:
+                sub = base.with_entry(i, j, Sign.ZERO)
+                want = reducibility_obstruction(sub) or entry_count_obstruction(sub)
+            else:
+                want = fixed_sign_obstruction(p, (i, j))
+            assert obs == want, (n, r, (i, j))
 
 
 def _sample_alpha_of_deleted(p, deleted, samples=1000, seed=123):
