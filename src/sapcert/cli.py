@@ -23,7 +23,7 @@ from .errors import (
 )
 from .family import FamilyParams
 from .jacobian import SAP_CERTIFIED, jacobian_det, nj_verify
-from .minimality import check_sampling, family_deletions, verify_msap
+from .minimality import check_sampling, family_verdict, verify_msap
 from .nilpotent import nilpotent_realization
 from .patterns import SignPattern
 from .realize import realize
@@ -283,7 +283,7 @@ def cmd_sweep(args) -> int:
             params = FamilyParams(n, r)
             cert = nilpotent_realization(params, precision=args.precision)
             report = jacobian_det(cert.realization())
-            msap_verdict = all(obs is not None for _, obs in family_deletions(params))
+            msap_verdict = family_verdict(params)
             rows.append(
                 {
                     "n": n,

@@ -14,9 +14,10 @@ splits the digraph at a place fixed by the position, n and r, so its
 partition into strongly connected components is written down directly.
 ``family_deletions`` walks the family's 2n nonzero positions with these
 two rules; it builds no subpattern, runs no graph search and draws no
-samples.  Only ``verify_msap`` samples: it confirms each fixed-sign claim
-on seeded random parameters, through the closed-form coefficient map on
-the whole sample at once.  For arbitrary user patterns
+samples, and ``family_verdict`` walks them for the verdict alone.  Only
+``verify_msap`` samples: it confirms each fixed-sign claim on seeded
+random parameters, through the closed-form coefficient map on the whole
+sample at once.  For arbitrary user patterns
 ``obstruction_scan`` runs the generic detectors on each one-entry
 subpattern: the strongly connected components, the entry count and a
 sampled fixed-sign search, one stacked Faddeev-LeVerrier pass over all
@@ -155,6 +156,21 @@ def fixed_sign_obstruction(
     similarity preserve coefficient signs).  Superdiagonal deletions are
     not of this kind and return None.
     """
+    claim = _fixed_sign_claim(p, deleted)
+    if claim is None:
+        return None
+    index, sign = claim
+    return Obstruction(
+        kind=FIXED_SIGN_COEFF,
+        detail={"index": index, "sign": sign, "certified": True},
+    )
+
+
+def _fixed_sign_claim(
+    p: FamilyParams, deleted: tuple[int, int]
+) -> Optional[tuple[int, str]]:
+    # (coefficient index, sign) of ``fixed_sign_obstruction``, None for a
+    # superdiagonal entry; InvalidInput for a zero position
     n, r = p.n, p.r
     i, j = deleted
     if (i, j) == (n - 1, n - 1):
@@ -172,10 +188,7 @@ def fixed_sign_obstruction(
         index, sign = (1, "-") if i == 0 else (i + 2, "+")
     else:
         raise InvalidInput(f"{deleted} is not a nonzero position of the pattern")
-    return Obstruction(
-        kind=FIXED_SIGN_COEFF,
-        detail={"index": index, "sign": sign, "certified": True},
-    )
+    return index, sign
 
 
 def _split_obstruction(p: FamilyParams, k: int) -> Obstruction:
@@ -204,6 +217,16 @@ def _split_obstruction(p: FamilyParams, k: int) -> Obstruction:
     )
 
 
+def _family_positions(p: FamilyParams):
+    # the 2n nonzero positions of the family pattern, 0-based, row-major
+    n, r = p.n, p.r
+    for i in range(n - 1):
+        yield (i, 0)
+        yield (i, i + 1)
+    yield (n - 1, n - r)
+    yield (n - 1, n - 1)
+
+
 def family_deletions(
     p: FamilyParams,
 ) -> tuple[tuple[tuple[int, int], Obstruction], ...]:
@@ -215,13 +238,25 @@ def family_deletions(
     for a superdiagonal entry.  Equal to what the generic detectors find
     on each subpattern; builds no subpattern and draws no samples.
     """
-    n, r = p.n, p.r
-    rows = []
-    for i in range(n):
-        for j in (0, i + 1) if i < n - 1 else (n - r, n - 1):
-            obs = fixed_sign_obstruction(p, (i, j))
-            rows.append(((i, j), obs or _split_obstruction(p, j)))
-    return tuple(rows)
+    return tuple(
+        (pos, fixed_sign_obstruction(p, pos) or _split_obstruction(p, pos[1]))
+        for pos in _family_positions(p)
+    )
+
+
+def family_verdict(p: FamilyParams) -> bool:
+    """True iff every one-entry deletion of the family pattern is obstructed.
+
+    The verdict of ``family_deletions`` without its detail: walks the same
+    2n positions and asks each only for a fixed-sign claim or a
+    superdiagonal place, whose deletion always splits off a positive-trace
+    and a negative-trace block.  Builds no partition and no detail dict,
+    so it costs O(n) where ``family_deletions`` builds O(n^2) lists.
+    """
+    return all(
+        j == i + 1 or _fixed_sign_claim(p, (i, j)) is not None
+        for i, j in _family_positions(p)
+    )
 
 
 def _sample_parameters(

@@ -12,6 +12,7 @@ to 1-based at the boundary.
 from __future__ import annotations
 
 import enum
+import functools
 import math
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence
@@ -29,6 +30,9 @@ class Sign(enum.Enum):
 
     def __repr__(self):
         return f"Sign({self.value!r})"
+
+
+_SIGN_VALUE = {Sign.PLUS: 1, Sign.MINUS: -1, Sign.ZERO: 0}
 
 
 def sign_of(x: float) -> Sign:
@@ -87,6 +91,13 @@ class SignPattern:
     def is_square(self) -> bool:
         return self.n_rows == self.n_cols
 
+    @functools.cached_property
+    def _sign_grid(self) -> np.ndarray:
+        # +1, -1, 0 per entry; int8 keeps a cached grid small
+        return np.array(
+            [[_SIGN_VALUE[s] for s in row] for row in self.entries], dtype=np.int8
+        )
+
     def __getitem__(self, pos: tuple[int, int]) -> Sign:
         i, j = pos
         return self.entries[i][j]
@@ -142,38 +153,33 @@ def _check_same_shape(A: np.ndarray, S: SignPattern):
 
 
 def member_of_class(A, S: SignPattern) -> bool:
-    """True iff the entrywise signs of ``A`` equal the pattern exactly."""
+    """True iff the entrywise signs of ``A`` equal the pattern exactly.
+
+    One comparison of ``np.sign(A)`` with the pattern's sign grid: -0.0
+    counts as ZERO and a subnormal keeps its sign, as with
+    :func:`sign_of`.  Raises InvalidInput for a non-finite entry and
+    DimensionError for a shape other than the pattern's.
+    """
     M = as_matrix(A)
     _check_same_shape(M, S)
-    for i in range(S.n_rows):
-        for j in range(S.n_cols):
-            if sign_of(M[i, j]) is not S.entries[i][j]:
-                return False
-    return True
+    return np.array_equal(np.sign(M), S._sign_grid)
 
 
 def member_of_class_tol(A, S: SignPattern, eps: float = 1e-12) -> bool:
     """Tolerance-aware membership check for iterative-solver output.
 
     Nonzero positions must exceed ``eps`` in magnitude with the required
-    sign; zero positions must not exceed ``eps``.
+    sign; zero positions must not exceed ``eps``.  The same one comparison
+    as :func:`member_of_class`, with entries of magnitude at most ``eps``
+    counted as zero.  Raises InvalidInput for a non-finite entry or an
+    ``eps`` that is negative or NaN, and DimensionError for a shape other
+    than the pattern's.
     """
     M = as_matrix(A)
     _check_same_shape(M, S)
-    for i in range(S.n_rows):
-        for j in range(S.n_cols):
-            s = S.entries[i][j]
-            v = M[i, j]
-            if s is Sign.ZERO:
-                if abs(v) > eps:
-                    return False
-            elif s is Sign.PLUS:
-                if v <= eps:
-                    return False
-            else:
-                if v >= -eps:
-                    return False
-    return True
+    if not eps >= 0.0:
+        raise InvalidInput(f"tolerance must be non-negative, got {eps!r}")
+    return np.array_equal(np.sign(M) * (np.abs(M) > eps), S._sign_grid)
 
 
 def is_superpattern(U: SignPattern, S: SignPattern) -> bool:

@@ -31,7 +31,7 @@ from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
-from .charpoly import CoeffVector, char_coeffs
+from .charpoly import CoeffVector, char_coeffs, char_coeffs_batch
 from .errors import ConvergenceError, InvalidInput, RealizationFailed
 from .family import (
     FamilyParams,
@@ -351,6 +351,49 @@ def newton_solve(
     )
 
 
+def _superpattern_matrix(
+    p: FamilyParams, extra: Sequence[tuple[int, int, Sign]], x: np.ndarray, eps: float
+) -> np.ndarray:
+    """The family matrix at Newton's x = (a_1..a_{n-1}, b), extra entries at +-eps."""
+    M = build_matrix(FamilyRealization(params=p, a=tuple(x[:-1]), b=float(x[-1])))
+    for (i, j, s) in extra:
+        M[i, j] = eps if s is Sign.PLUS else -eps
+    return M
+
+
+def _newton_jacobian(
+    p: FamilyParams,
+    extra: Sequence[tuple[int, int, Sign]],
+    x: np.ndarray,
+    eps: float,
+    scaled_alpha: np.ndarray,
+) -> np.ndarray:
+    """Central-difference Jacobian of F(x) = v(M(x)) - scaled_alpha.
+
+    Column k is (F(x + h_k e_k) - F(x - h_k e_k)) / (2 h_k) with
+    h_k = 1e-6 max(1, |x_k|).  The 2n perturbed matrices, x_k +- h_k
+    written at coordinate k's position ((k, 0) for a_{k+1}, (n-1, n-r) for
+    b), go through one stacked Faddeev-LeVerrier pass, whose rows equal
+    :func:`char_coeffs` bit for bit.  Raises InvalidInput, as
+    :class:`FamilyRealization` does, when some x_k - h_k is not positive.
+    """
+    n, r = p.n, p.r
+    h = 1e-6 * np.maximum(1.0, np.abs(x))
+    lower = x - h
+    if np.any(lower <= 0.0):
+        raise InvalidInput("realization parameters must be strictly positive")
+    rows = np.arange(n)
+    cols = np.zeros(n, dtype=int)
+    cols[-1] = n - r
+    stack = np.repeat(_superpattern_matrix(p, extra, x, eps)[None], 2 * n, axis=0)
+    stack[rows, rows, cols] = x + h
+    stack[n + rows, rows, cols] = lower
+    # the target comes off each row before the difference, as F(up) - F(dn)
+    # took it; differencing the raw coefficients would round otherwise
+    F = char_coeffs_batch(stack) - scaled_alpha
+    return (F[:n] - F[n:]).T / (2 * h)
+
+
 def realize_superpattern(
     p: FamilyParams,
     extra: Sequence[tuple[int, int, Sign]],
@@ -363,6 +406,15 @@ def realize_superpattern(
     Newton seeded at the nilpotent certificate, under the same scaling
     fallback as :func:`realize`.  Eps backs off geometrically when Newton
     stalls.  Targets are checked as in :func:`realize`.
+
+    Newton's Jacobian is taken by central differences, all 2n perturbed
+    matrices in one stacked Faddeev-LeVerrier pass
+    (:func:`_newton_jacobian`); its rows equal the one-matrix coefficients
+    bit for bit, so the iterates are those of a per-column loop.  A
+    difference step that would take a parameter to zero or below raises
+    InvalidInput ("realization parameters must be strictly positive"):
+    a known fault of this iteration, which gives up on such targets
+    rather than shortening the step.
     """
     n, r = p.n, p.r
     _check_target(n, target)
@@ -386,28 +438,13 @@ def realize_superpattern(
     alpha = np.array([float(v) for v in target.values])
     mask = np.ones(n, dtype=bool)
 
-    def matrix_at(x: np.ndarray, eps: float) -> np.ndarray:
-        M = build_matrix(
-            FamilyRealization(params=p, a=tuple(x[:-1]), b=float(x[-1]))
-        )
-        for (i, j, s) in extra:
-            M[i, j] = eps if s is Sign.PLUS else -eps
-        return M
-
     def run_newton(scaled_alpha: np.ndarray, eps: float) -> NewtonResult:
         def F(x):
-            return np.array(char_coeffs(matrix_at(x, eps)).values) - scaled_alpha
+            M = _superpattern_matrix(p, extra, x, eps)
+            return np.array(char_coeffs(M).values) - scaled_alpha
 
         def J(x):
-            out = np.zeros((n, n))
-            for k in range(n):
-                h = 1e-6 * max(1.0, abs(x[k]))
-                up = x.copy()
-                up[k] += h
-                dn = x.copy()
-                dn[k] -= h
-                out[:, k] = (F(up) - F(dn)) / (2 * h)
-            return out
+            return _newton_jacobian(p, extra, x, eps, scaled_alpha)
 
         ftol = 2e-13 * max(1.0, float(np.max(np.abs(scaled_alpha))))
         return newton_solve(F, J, x0, tol=ftol, max_iter=60, positive_mask=mask)
@@ -425,7 +462,7 @@ def realize_superpattern(
                 eps /= 4.0
                 continue
             x = res.x
-            sol_matrix = matrix_at(x, eps) / fc
+            sol_matrix = _superpattern_matrix(p, extra, x, eps) / fc
             got = char_coeffs(sol_matrix)
             residual = max(abs(g - t) for g, t in zip(got.values, alpha))
             if residual <= limit:

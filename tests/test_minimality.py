@@ -15,6 +15,7 @@ from sapcert.minimality import (
     confirm_fixed_sign,
     entry_count_obstruction,
     family_deletions,
+    family_verdict,
     fixed_sign_obstruction,
     obstruction_scan,
     reducibility_obstruction,
@@ -83,6 +84,19 @@ def test_family_deletions_equal_the_generic_detectors(n):
             else:
                 want = fixed_sign_obstruction(p, (i, j))
             assert obs == want, (n, r, (i, j))
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 7, 12, 40, 160])
+def test_family_verdict_is_the_verdict_of_family_deletions(n, monkeypatch):
+    for r in range(2, n + 1):
+        assert all(obs is not None for _, obs in family_deletions(FamilyParams(n, r)))
+
+    def no_partition(*args):
+        raise AssertionError("the verdict walk built a partition")
+
+    monkeypatch.setattr(minimality, "_split_obstruction", no_partition)
+    for r in range(2, n + 1):
+        assert family_verdict(FamilyParams(n, r)) is True
 
 
 def _sample_alpha_of_deleted(p, deleted, samples=1000, seed=123):

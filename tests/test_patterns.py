@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sapcert.errors import DimensionError, InvalidInput
 from sapcert.family import FamilyParams, build_pattern
@@ -69,6 +71,90 @@ def test_member_of_class_tol():
     pat = SignPattern.from_rows(["+0", "+-"])
     assert member_of_class_tol([[1, 5e-13], [1, -1]], pat)
     assert not member_of_class_tol([[1, 1e-6], [1, -1]], pat)
+
+
+def _reference_member(M, S):
+    # the entrywise loop that the one-comparison form replaced
+    M = np.asarray(M, dtype=float)
+    return all(
+        sign_of(M[i, j]) is S.entries[i][j]
+        for i in range(S.n_rows)
+        for j in range(S.n_cols)
+    )
+
+
+def _reference_member_tol(M, S, eps):
+    M = np.asarray(M, dtype=float)
+    for i in range(S.n_rows):
+        for j in range(S.n_cols):
+            s, v = S.entries[i][j], M[i, j]
+            if s is Sign.ZERO and abs(v) > eps:
+                return False
+            if s is Sign.PLUS and v <= eps:
+                return False
+            if s is Sign.MINUS and v >= -eps:
+                return False
+    return True
+
+
+_EDGE_VALUES = [0.0, -0.0, 5e-324, -5e-324, 2.2e-308, -2.2e-308, 1e308, -1e308, 1e-12, -1e-12]
+_ENTRY = st.one_of(st.sampled_from(_EDGE_VALUES), st.floats(allow_nan=False, allow_infinity=False))
+
+
+@st.composite
+def _matrix_and_pattern(draw):
+    rows, cols = draw(st.integers(1, 5)), draw(st.integers(1, 5))
+    M = np.array(draw(st.lists(_ENTRY, min_size=rows * cols, max_size=rows * cols)))
+    M = M.reshape(rows, cols)
+    if draw(st.booleans()):
+        # the pattern of M itself, so that most draws are members
+        grid = [[sign_of(v) for v in row] for row in M]
+    else:
+        grid = [[draw(st.sampled_from(list(Sign))) for _ in range(cols)] for _ in range(rows)]
+    if draw(st.booleans()):
+        i, j = draw(st.integers(0, rows - 1)), draw(st.integers(0, cols - 1))
+        grid[i][j] = draw(st.sampled_from(list(Sign)))
+    return M, SignPattern.from_rows(grid)
+
+
+_MEMBER_SETTINGS = settings(max_examples=300, deadline=None, derandomize=True, database=None)
+
+
+@_MEMBER_SETTINGS
+@given(_matrix_and_pattern())
+def test_member_of_class_equals_entrywise_sign_of(case):
+    M, S = case
+    assert member_of_class(M, S) is _reference_member(M, S)
+
+
+@_MEMBER_SETTINGS
+@given(
+    _matrix_and_pattern(),
+    st.one_of(
+        st.sampled_from([0.0, 5e-324, 1e-12, 1e308, float("inf")]),
+        st.floats(0.0, 1e3),
+    ),
+)
+def test_member_of_class_tol_equals_entrywise_reference(case, eps):
+    M, S = case
+    assert member_of_class_tol(M, S, eps) is _reference_member_tol(M, S, eps)
+
+
+@pytest.mark.parametrize("check", [member_of_class, member_of_class_tol])
+def test_membership_errors(check):
+    for bad in (float("nan"), float("inf"), float("-inf")):
+        with pytest.raises(InvalidInput):
+            check([[1.0, -1.0], [bad, -1.0]], S22)
+    with pytest.raises(DimensionError):
+        check(np.ones((2, 3)), S22)
+    with pytest.raises(DimensionError):
+        check([[1.0, -1.0]], S22)
+
+
+@pytest.mark.parametrize("eps", [-1e-12, float("nan")])
+def test_member_of_class_tol_rejects_a_negative_or_nan_tolerance(eps):
+    with pytest.raises(InvalidInput):
+        member_of_class_tol([[1.0, -1.0], [1.0, -1.0]], S22, eps)
 
 
 def test_is_superpattern():

@@ -4,10 +4,12 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sapcert.charpoly import CoeffVector, char_coeffs, char_coeffs_oracle, spectrum
 from sapcert.errors import ConvergenceError, InvalidInput, RealizationFailed
-from sapcert.family import FamilyParams, build_pattern
+from sapcert.family import FamilyParams, FamilyRealization, build_matrix, build_pattern
 from sapcert.nilpotent import nilpotent_realization
 from sapcert.patterns import Sign, is_superpattern, member_of_class, member_of_class_tol
 from sapcert.realize import newton_solve, realize, realize_superpattern
@@ -338,6 +340,69 @@ def test_superpattern_rejects_nonzero_extra_position():
         realize_superpattern(p, [(2, 2, Sign.MINUS)], CoeffVector((0.0, 0.0, 0.0)))
     with pytest.raises(InvalidInput):
         realize_superpattern(p, [(0, 2, Sign.ZERO)], CoeffVector((0.0, 0.0, 0.0)))
+
+
+def _reference_newton_jacobian(p, extra, x, eps, scaled_alpha):
+    # the per-column central-difference loop that the stacked pass replaced
+    n = p.n
+
+    def matrix_at(y):
+        M = build_matrix(FamilyRealization(params=p, a=tuple(y[:-1]), b=float(y[-1])))
+        for (i, j, s) in extra:
+            M[i, j] = eps if s is Sign.PLUS else -eps
+        return M
+
+    def F(y):
+        return np.array(char_coeffs(matrix_at(y)).values) - scaled_alpha
+
+    out = np.zeros((n, n))
+    for k in range(n):
+        h = 1e-6 * max(1.0, abs(x[k]))
+        up = x.copy()
+        up[k] += h
+        dn = x.copy()
+        dn[k] -= h
+        out[:, k] = (F(up) - F(dn)) / (2 * h)
+    return out
+
+
+@st.composite
+def _newton_point(draw, tiny=False):
+    n = draw(st.integers(3, 8))
+    p = FamilyParams(n, draw(st.integers(2, n)))
+    pattern = build_pattern(p)
+    zeros = [(i, j) for i in range(n) for j in range(n) if pattern[i, j] is Sign.ZERO]
+    positions = draw(st.lists(st.sampled_from(zeros), min_size=1, max_size=2, unique=True))
+    extra = [(i, j, draw(st.sampled_from([Sign.PLUS, Sign.MINUS]))) for i, j in positions]
+    x = np.array(draw(st.lists(st.floats(1e-5, 1e4), min_size=n, max_size=n)))
+    if tiny:
+        # a coordinate at or below its difference step h = 1e-6
+        x[draw(st.integers(0, n - 1))] = draw(st.floats(5e-324, 1e-6))
+    eps = draw(st.floats(1e-8, 1.0))
+    scaled_alpha = np.array(draw(st.lists(st.floats(-10.0, 10.0), min_size=n, max_size=n)))
+    return p, extra, x, eps, scaled_alpha
+
+
+_NEWTON_SETTINGS = settings(max_examples=150, deadline=None, derandomize=True, database=None)
+
+
+@_NEWTON_SETTINGS
+@given(_newton_point())
+def test_stacked_newton_jacobian_equals_per_column_loop_bitwise(point):
+    want = _reference_newton_jacobian(*point)
+    got = realize_module._newton_jacobian(*point)
+    assert np.array_equal(got, want)
+
+
+@_NEWTON_SETTINGS
+@given(_newton_point(tiny=True))
+def test_stacked_newton_jacobian_raises_the_loop_error_on_a_tiny_coordinate(point):
+    with pytest.raises(InvalidInput) as want:
+        _reference_newton_jacobian(*point)
+    with pytest.raises(InvalidInput) as got:
+        realize_module._newton_jacobian(*point)
+    assert str(got.value) == str(want.value)
+    assert str(got.value) == "realization parameters must be strictly positive"
 
 
 def test_diagnostics_share_the_elimination_of_the_solver():
