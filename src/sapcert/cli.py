@@ -2,12 +2,14 @@
 
 Commands: nilpotent, jacobian, realize, msap, njverify, sweep.  All matrix
 indices in files, flags, and output are 1-based.  Exit codes: 0 success,
-2 certification failure, 64 usage error, 65 data error.
+2 certification failure, 64 usage error, 65 data error, 74 stdout closed
+before the output was written.
 """
 
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 from pathlib import Path
 
@@ -33,6 +35,7 @@ EXIT_OK = 0
 EXIT_CERTIFICATION = 2
 EXIT_USAGE = 64
 EXIT_DATA = 65
+EXIT_IOERR = 74
 
 
 class _Parser(argparse.ArgumentParser):
@@ -298,7 +301,6 @@ def cmd_sweep(args) -> int:
                 }
             )
             all_ok = all_ok and cert.chain_verified and report.positive and msap_verdict
-    rows.sort(key=lambda row: (row["n"], row["r"]))
     if args.fmt == "json":
         print(json_dumps(rows))
     elif args.fmt == "text":
@@ -345,7 +347,9 @@ def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(_merge_dashed_values(list(argv)))
     try:
-        return _COMMANDS[args.command](args)
+        code = _COMMANDS[args.command](args)
+        sys.stdout.flush()  # a closed stdout shows here rather than at exit
+        return code
     except InvalidInput as exc:
         print(f"sapcert: {exc}", file=sys.stderr)
         return EXIT_USAGE
@@ -355,6 +359,12 @@ def main(argv=None) -> int:
     except SapcertError as exc:
         print(f"sapcert: {exc}", file=sys.stderr)
         return EXIT_DATA
+    except BrokenPipeError:
+        # the reader went away; fd 1 goes to /dev/null so the flush at exit cannot fail again
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return EXIT_IOERR
 
 
 def console_main():

@@ -14,15 +14,13 @@ here with exact rational brackets on integer polynomials rather than
 assumed, by the Intermediate Value Theorem instead of an explicit check:
 every a_j starts at a_j(0) = 1, and one chain of separation points
 proves both the order of the smallest roots and that no a_j has a root
-up to h's bracket.  A separation point is found by signs alone and
-proved by one Descartes test of a_j.  One more Descartes test proves
-that h has one simple root below the last separation point, and h's
-signs bracket it on the tree that root isolation walks, a rational root
-centred as isolation centres it.  A failed test raises
-:class:`CertificationFailed`.  The values of every a_j at a point come
-from the recurrence in integers, one step each.  The whole proof for one
-(n, r) is built in one pass and memoized once; the public functions read
-that one certificate.
+up to h's bracket.  Each separation point and h's bracket are found by
+signs on the walk of :func:`sapcert.polyroots.bisections`, below a bound
+the chain supplies, and proved by one Descartes test each; a failed test
+raises :class:`CertificationFailed`.  The values of every a_j at a point
+come from the recurrence in integers, one step each.  The whole proof
+for one (n, r) is built in one pass and memoized once; the public
+functions read that one certificate.
 """
 
 from __future__ import annotations
@@ -30,13 +28,16 @@ from __future__ import annotations
 import functools
 from dataclasses import dataclass, replace
 from fractions import Fraction
+from itertools import islice
 
 from .errors import CertificationFailed, PreconditionViolated
 from .family import FamilyParams, FamilyRealization, coeff_map, eliminate_integers
 from .polyroots import (
     IntPolynomial,
     RootBracket,
+    _cell_delta,
     _homogeneous,
+    bisections,
     cauchy_bound,
     one_root_up_to,
     positive_up_to,
@@ -112,32 +113,24 @@ def recurrence_polys(p: FamilyParams) -> tuple[tuple[IntPolynomial, ...], IntPol
 def _root_below(prev: IntPolynomial, q: IntPolynomial, bound: Fraction) -> Fraction | None:
     """A separation point s of q's smallest positive root below prev's, both in (0, 1].
 
-    ``bound`` is a point where prev <= 0, so at or above prev's smallest
-    root: the previous link's s, or 2 for a_r = 1 - t.  The walk halves
-    (0, 1] and decides each step by prev's sign: a midpoint at or past
-    ``bound`` goes left unevaluated, prev(m) <= 0 goes left (prev(0) > 0,
-    so prev has a root in (0, m] by the Intermediate Value Theorem), any
-    other goes right.  s is the first lo it moved to with q(s) < 0, and
-    prev has no root in (0, s] by Descartes' rule (:func:`positive_up_to`).
-    q(0) > 0 gives q a root in (0, s): t_q < s < t_prev.  None when
-    q(0) <= 0, prev(0) <= 0, prev(bound) > 0, the Descartes test fails or
+    ``bound`` is a point where prev <= 0, the previous link's s or 2 for
+    a_r = 1 - t, and caps the walk of :func:`bisections` on (0, 1] by
+    prev's sign.  s is the first lo it moved to with q(s) < 0, and prev has
+    no root in (0, s] by Descartes' rule (:func:`positive_up_to`).  q(0) > 0
+    gives q a root in (0, s): t_q < s < t_prev.  None when q(0) <= 0,
+    prev(0) <= 0, prev(bound) > 0, the Descartes test fails or
     ``_SEPARATION_STEPS`` halvings find no s (equal or reversed roots
-    never separate).  prev(0) and q(0) are the constant coefficients, and
-    prev(bound) is signed by the integer kernel, so no Fraction is built.
+    never separate).
     """
     pc, qc = prev.coeffs, q.coeffs
     bn, bd = bound.numerator, bound.denominator
     if not qc or qc[0] <= 0 or not pc or pc[0] <= 0 or _homogeneous(pc, bn, bd) > 0:
         return None
-    a, b, d = 0, 1, 1  # (a/d, b/d]
-    for _ in range(_SEPARATION_STEPS):
-        m, d = a + b, 2 * d
-        if m * bd >= bn * d or _homogeneous(pc, m, d) <= 0:
-            a, b = 2 * a, m
-        else:
-            a, b = m, 2 * b
-            if _homogeneous(qc, m, d) < 0:
-                return Fraction(m, d) if positive_up_to(prev, m, d) else None
+    last_a = 0
+    for a, _, d, _ in islice(bisections(prev, 0, 1, 1, below=bound), _SEPARATION_STEPS):
+        if a != 2 * last_a and _homogeneous(qc, a, d) < 0:
+            return Fraction(a, d) if positive_up_to(prev, a, d) else None
+        last_a = a
     return None
 
 
@@ -181,34 +174,25 @@ def _h_bracket(h: IntPolynomial, s: Fraction) -> RootBracket:
 
     ``s`` is the last link's separation point.  h(0) = 1, as for every
     closing polynomial, and one Descartes test (:func:`one_root_up_to`)
-    proves one simple root t_h in (0, s); so for m in (0, s], h(m) <= 0
-    exactly when t_h <= m.  The walk halves (0, cauchy_bound(h)] as
-    :func:`positive_roots` does, a midpoint at or past s going left
-    unevaluated and any other by h's sign, down to the first node
-    (lo, hi] no wider than ``_CERT_WIDTH``.  As h(0) = 1, a rational t_h
-    is some 1/k in (lo, hi], hi itself when a midpoint hit it; it is
-    centred as positive_roots centres it, at exact +- min(_CERT_WIDTH / 2,
-    exact - lo), exact's offset in this node.  With its hi at most s the
-    bracket holds t_h alone, so it is positive_roots' first bracket, whose
-    rational search (end coefficients up to 1e9) finds every rational t_h
-    for n <= MAX_N; its poly is h, square-free for every supported
-    (n, r).  Raises :class:`CertificationFailed` when h(0) != 1, the test
-    fails, the node leaves more than four k to try, or the bracket
-    reaches past s.
+    proves one simple root t_h in (0, s), which h's signs bracket on the
+    tree of positive_roots: :func:`bisections` of (0, cauchy_bound(h)]
+    below s, to the first node (lo, hi] no wider than ``_CERT_WIDTH``.  A
+    rational t_h is some 1/k in (lo, hi], centred as positive_roots
+    centres it (:func:`_cell_delta`).  With its hi at most s the bracket
+    holds t_h alone, so it is positive_roots' first bracket, whose
+    rational search finds every rational t_h for n <= MAX_N; its poly is
+    h, square-free for every supported (n, r).  Raises
+    :class:`CertificationFailed` when h(0) != 1, the test fails, the node
+    leaves more than four k to try, or the bracket reaches past s.
     """
     cs = h.coeffs
-    sn, sd = s.numerator, s.denominator
-    if cs[:1] != (1,) or not one_root_up_to(h, sn, sd):
+    if cs[:1] != (1,) or not one_root_up_to(h, s.numerator, s.denominator):
         raise CertificationFailed(f"no one-root proof for h on (0, {s})")
     wn, wd = _CERT_WIDTH.numerator, _CERT_WIDTH.denominator
     bound = cauchy_bound(h)
-    a, b, d = 0, bound.numerator, bound.denominator  # (a/d, b/d]
-    while (b - a) * wd > wn * d:
-        m, d = a + b, 2 * d
-        if m * sd >= sn * d or _homogeneous(cs, m, d) <= 0:
-            a, b = 2 * a, m
-        else:
-            a, b = m, 2 * b
+    for a, b, d, _ in bisections(h, 0, bound.numerator, bound.denominator, below=s):
+        if (b - a) * wd <= wn * d:
+            break
     lo, hi = Fraction(a, d), Fraction(b, d)
     # a rational root of h is some 1/k, as h(0) = 1, here with d/b <= k < d/a
     if not a or (d - 1) // a - (d - 1) // b > 4:
@@ -216,7 +200,7 @@ def _h_bracket(h: IntPolynomial, s: Fraction) -> RootBracket:
     ks = range((d - 1) // b + 1, (d - 1) // a + 1)
     exact = next((Fraction(1, k) for k in ks if not _homogeneous(cs, 1, k)), None)
     if exact is not None:
-        delta = min(_CERT_WIDTH / 2, exact - lo)
+        delta = _cell_delta(lo, hi, exact, _CERT_WIDTH)
         lo, hi = exact - delta, exact + delta
     if hi > s:
         raise CertificationFailed("h's bracket reaches past the last separation point")

@@ -12,19 +12,16 @@ leftmost-first dyadic subdivision on the square-free part of the
 polynomial that drops an interval with no variation, halves one with
 more, and yields one-root brackets in increasing order, so a caller that
 needs only the first admissible root stops there; a rational root is
-recognised and centred on the first interval that holds it alone.
-Across the one root of such an interval the polynomial changes sign, so
-its sign at each midpoint picks the half that holds the root, at one
-evaluation per step (:func:`bisections`).  Isolation stops at the width
-the caller asks for and a bracket is narrowed only on demand
-(:func:`refine`, :func:`sign_at_root`) by the same bisection.
-
-:func:`sign_at_root` proves a sign at a bracketed root by zero
-variations on the bracket, bisecting on the bracket's own tree while the
-test fails; :func:`positive_up_to` proves a polynomial root-free on
-(0, s], and :func:`one_root_up_to` one simple root in (0, s), which is
-how the nilpotent certificate proves its separation points and brackets
-its closing polynomial's root by sign.
+recognised and centred (:func:`_cell_delta`) on the first interval that
+holds it alone.  :func:`bisections` is the one loop that halves an
+interval by a polynomial's sign: across the one root of an interval the
+sign at each midpoint picks the half that holds the root, at one
+evaluation per step.  Isolation and :func:`refine` narrow by it to the
+width asked for (:func:`_narrowed`); :func:`sign_at_root` walks it while
+its Descartes proof of a sign fails, and the nilpotent certificate walks
+it below a bound of its own.  :func:`positive_up_to` and
+:func:`one_root_up_to` prove a polynomial root-free, or with one simple
+root, on (0, s].
 
 Every polynomial in the package is an :class:`IntPolynomial`.  Signs and
 values at a rational point p/q are evaluated homogeneously, as
@@ -205,27 +202,43 @@ def _sign_change(bracket: RootBracket) -> tuple[int, int, int]:
     return a, b, d
 
 
-def bisections(p: IntPolynomial, a: int, b: int, d: int) -> Iterator[tuple[int, int, int, bool]]:
+def bisections(
+    p: IntPolynomial, a: int, b: int, d: int, below: Fraction | None = None
+) -> Iterator[tuple[int, int, int, bool]]:
     """Certified bisection steps on (a/d, b/d], d > 0, one per item, without end.
 
-    ``p`` is nonzero at a/d and has one root in (a/d, b/d], across which
-    it changes sign: p(b/d) is zero or of the other sign.  Each step
-    halves the interval at (a + b)/2d and keeps the left half when p's
-    sign there differs from its sign at a/d, else the right half, and
-    yields the kept ends over the doubled denominator as (a, b, d), with
-    True when the midpoint is the root (it is then the kept hi).  The lo
-    end moved exactly when the new a is not twice the one before.
+    ``p`` is nonzero at a/d.  Each step halves the interval at (a + b)/2d
+    and keeps the left half when p's sign there differs from its sign at
+    a/d, else the right half, and yields the kept ends over the doubled
+    denominator as (a, b, d), with True when the midpoint is a root of p
+    (it is then the kept hi).  A midpoint at or past ``below`` keeps the
+    left half unevaluated.  When p has one root in (a/d, b/d], and below
+    ``below`` if given, across which it changes sign, every kept interval
+    holds it.  The lo end moved exactly when the new a is not twice the
+    one before.
     """
     cs = p.coeffs
-    s_lo = _sign(_homogeneous(cs, a, d))
+    lo_positive = _homogeneous(cs, a, d) > 0
+    if below is not None:
+        bn, bd = below.numerator, below.denominator
     while True:
         m, d = a + b, 2 * d
-        s_mid = _sign(_homogeneous(cs, m, d))
-        if s_mid == s_lo:
+        if below is not None and m * bd >= bn * d:
+            a, b, hit = 2 * a, m, False
+        elif (v := _homogeneous(cs, m, d)) and (v > 0) == lo_positive:
             a, b, hit = m, 2 * b, False
         else:
-            a, b, hit = 2 * a, m, s_mid == 0
+            a, b, hit = 2 * a, m, not v
         yield a, b, d, hit
+
+
+def _narrowed(poly: IntPolynomial, a: int, b: int, d: int, width: Fraction):
+    # the first step of bisections that hits the root or is at most width wide
+    wn, wd = width.numerator, width.denominator
+    for a, b, d, hit in islice(bisections(poly, a, b, d), _MAX_BISECTIONS):
+        if hit or (b - a) * wd <= wn * d:
+            return a, b, d, hit
+    raise PreconditionViolated("root isolation did not converge")
 
 
 def refine(bracket: RootBracket, width: Fraction) -> RootBracket:
@@ -241,11 +254,9 @@ def refine(bracket: RootBracket, width: Fraction) -> RootBracket:
     a, b, d = _sign_change(bracket)
     if bracket.width <= width:
         return bracket
-    wn, wd = width.numerator, width.denominator
-    for a, b, d, hit in bisections(bracket.poly, a, b, d):
-        if hit or (b - a) * wd <= wn * d:
-            hi = Fraction(b, d)
-            return replace(bracket, lo=Fraction(a, d), hi=hi, exact=hi if hit else None)
+    a, b, d, hit = _narrowed(bracket.poly, a, b, d, width)
+    hi = Fraction(b, d)
+    return replace(bracket, lo=Fraction(a, d), hi=hi, exact=hi if hit else None)
 
 
 def _shifted_variations(
@@ -388,6 +399,18 @@ def _rational_root(ints, a: int, b: int, d: int, nums: list[int], dens: list[int
     return None
 
 
+def _cell_delta(lo: Fraction, hi: Fraction, exact: Fraction, width: Fraction) -> Fraction:
+    """Half-width of a bracket centred on the root ``exact`` in (lo, hi].
+
+    min(width / 2, exact's offset in the cell that bisecting (lo, hi] to
+    ``width`` ends in), which is min(width / 2, exact - lo) on a node no
+    wider than ``width``.
+    """
+    cells = ceil((hi - lo) / width)
+    step = (hi - lo) / 2 ** (cells - 1).bit_length()
+    return min(width / 2, (exact - lo) % step or step)
+
+
 def _centred(poly: IntPolynomial, exact: Fraction, delta: Fraction):
     """(exact - delta, exact + delta) around the root ``exact`` of ``poly``.
 
@@ -456,20 +479,11 @@ def positive_roots(p: IntPolynomial, width: Fraction = DEFAULT_WIDTH) -> Iterato
                 exact = _rational_root(cs, a, b, d, *candidates)
             if exact is None and (b - a) * wd > wn * d:
                 # the subtree of a one-root interval is the path bisections takes
-                for a, b, d, hit in islice(bisections(poly, a, b, d), _MAX_BISECTIONS):
-                    if hit or (b - a) * wd <= wn * d:
-                        break
-                else:
-                    raise PreconditionViolated("root isolation did not converge")
+                a, b, d, hit = _narrowed(poly, a, b, d, width)
                 exact = Fraction(b, d) if hit else None
             lo, hi = Fraction(a, d), Fraction(b, d)
             if exact is not None:
-                # centred on the cell that bisecting on to ``width`` ends
-                # in, after the fewest halvings k with 2^k >= cells
-                cells = ceil((hi - lo) / width)
-                step = (hi - lo) / 2 ** (cells - 1).bit_length()
-                delta = min(width / 2, (exact - lo) % step or step)
-                lo, hi = _centred(poly, exact, delta)
+                lo, hi = _centred(poly, exact, _cell_delta(lo, hi, exact, width))
             fn, fd = hi.numerator, hi.denominator
             yield RootBracket(lo=lo, hi=hi, poly=poly, exact=exact)
         elif v + hit:

@@ -61,8 +61,9 @@ def _write(obj, parts: list[str]):
 def split_grid_text(text: str, noun: str) -> tuple[int, list[str]]:
     """Header and rows of the ``.sgn`` and ``.mat`` formats.
 
-    Checks the 'n m' header and that n rows follow; returns m and the n
-    row lines.  ``noun`` names the file kind in the error messages.
+    Checks the 'n m' header and that exactly n rows follow, trailing
+    blank lines aside; returns m and the n row lines.  ``noun`` names the
+    file kind in the error messages.
     """
     lines = text.splitlines()
     if not lines:
@@ -76,9 +77,12 @@ def split_grid_text(text: str, noun: str) -> tuple[int, list[str]]:
         raise InvalidInput("line 1: non-integer dimensions") from exc
     if n < 1 or m < 1:
         raise InvalidInput("line 1: dimensions must be positive")
-    if len(lines) < 1 + n:
-        raise InvalidInput(f"expected {n} {noun} rows, found {len(lines) - 1}")
-    return m, lines[1 : 1 + n]
+    rows = lines[1:]
+    while len(rows) > n and not rows[-1].strip():
+        rows.pop()
+    if len(rows) != n:
+        raise InvalidInput(f"expected {n} {noun} rows, found {len(rows)}")
+    return m, rows
 
 
 def parse_matrix_text(text: str) -> np.ndarray:

@@ -274,6 +274,47 @@ def test_njverify_parse_error_exit_65(capsys, tmp_path):
     assert "line 2" in err
 
 
+@pytest.mark.parametrize("extra, found", [("1 -1\n", 3), ("\n1 -1\n", 4)])
+def test_njverify_matrix_with_extra_rows_exit_65(capsys, tmp_path, extra, found):
+    pat = tmp_path / "ex22.sgn"
+    mat = tmp_path / "long.mat"
+    pat.write_text(EX22_SGN)
+    mat.write_text(EX22_MAT + extra + "\n \n")
+    code, out, err = run(
+        capsys,
+        "njverify",
+        "--pattern",
+        str(pat),
+        "--matrix",
+        str(mat),
+        "--positions",
+        "1,1,2,2",
+    )
+    assert code == 65
+    assert out == ""
+    assert err == f"sapcert: {mat}: expected 2 matrix rows, found {found}\n"
+
+
+def test_closed_stdout_exits_74_without_a_traceback():
+    # sweep --n-max 60 writes about 157 KB of CSV, more than a pipe buffer,
+    # so the process is still writing when the reader closes the pipe
+    src = os.path.dirname(os.path.dirname(sapcert.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    with subprocess.Popen(
+        [sys.executable, "-m", "sapcert.cli", "--format", "csv", "sweep", "--n-max", "60"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env,
+    ) as proc:
+        try:
+            assert proc.stdout.readline().startswith(b"n,r,t_h,")
+            proc.stdout.close()
+            err = proc.stderr.read()
+            code = proc.wait(timeout=120)
+        finally:
+            proc.kill()
+    assert code == 74
+    assert err == b""
+
+
 @pytest.mark.parametrize("value", ["nan", "1e999", "-inf"])
 def test_njverify_non_finite_matrix_entry_exit_65(capsys, tmp_path, value):
     pat = tmp_path / "ex22.sgn"

@@ -166,6 +166,28 @@ def test_certificate_builds_no_chain_and_isolates_no_root(isolations):
     assert rational == 428  # of the 780 pairs
 
 
+def test_certificate_walks_bisections_for_every_link_and_for_h(isolations, monkeypatch):
+    calls = []
+    real = polyroots.bisections
+
+    def counted(p, *args, **kwargs):
+        calls.append((p, kwargs.get("below")))
+        return real(p, *args, **kwargs)
+
+    monkeypatch.setattr(polyroots, "bisections", counted)
+    monkeypatch.setattr(nilpotent, "bisections", counted)
+    for n, r in [(2, 2), (3, 2), (9, 4), (12, 12), (40, 3), (80, 2)]:
+        nilpotent._certify.cache_clear()
+        calls.clear()
+        assert nilpotent_realization(FamilyParams(n, r)).chain_verified
+        a_polys, h = recurrence_polys(FamilyParams(n, r))
+        # one walk per link (a_r, a_{r+1}), ..., (a_{n-1}, h), its prev polynomial, then h's
+        assert [p for p, _ in calls] == [*a_polys[r:], h], (n, r)
+        assert None not in [below for _, below in calls]
+    nilpotent._certify.cache_clear()
+    assert not isolations
+
+
 _TWO_ROOTS = _poly(1, -5, 5)  # roots (5 -+ sqrt 5)/10, about 0.2764 and 0.7236
 
 

@@ -5,7 +5,9 @@ Inputs are products of known factors: rational roots of multiplicity 1-3
 within 2^-20 of each other, irreducible quadratics (possibly repeated),
 and a common factor of up to 200 bits.  The integer-endpoint bisection
 is checked step by step against a plain Fraction bisection by sign, and
-every root count claimed by the Descartes test against sympy's count.
+below a bound against the walk the nilpotent certificate once wrote
+inline; every root count claimed by the Descartes test against sympy's
+count.
 """
 
 from collections import Counter
@@ -23,6 +25,7 @@ from sapcert.polyroots import (  # noqa: E402
     DEFAULT_WIDTH,
     IntPolynomial,
     RootBracket,
+    _homogeneous,
     _shifted_variations,
     bisections,
     cauchy_bound,
@@ -386,3 +389,42 @@ def test_a_root_at_hi_divides_out_of_the_variations(p, a, width, d):
     assert _shifted_variations(tuple(with_root), a, b, d, k, True) == _shifted_variations(
         p.coeffs, a, b, d, k
     )
+
+
+def _ref_walk_below(cs, a, b, d, bn, bd):
+    """The nilpotent certificate's inline walk before it used bisections, for p(a/d) > 0.
+
+    A midpoint at or past bn/bd, or where p <= 0, keeps the left half
+    unevaluated; any other keeps the right half.  Yields (a, b, d, hit),
+    hit when p is zero at an evaluated midpoint.
+    """
+    while True:
+        m, d = a + b, 2 * d
+        capped = m * bd >= bn * d
+        v = None if capped else _homogeneous(cs, m, d)
+        if capped or v <= 0:
+            a, b = 2 * a, m
+        else:
+            a, b = m, 2 * b
+        yield a, b, d, v == 0
+
+
+@_SETTINGS
+@hypothesis.given(
+    int_poly(), st.integers(-50, 50), st.integers(1, 50), st.integers(1, 20), st.data()
+)
+def test_bisections_below_a_bound_step_as_the_inline_walk(p, a, width, d, data):
+    s_lo = (_homogeneous(p.coeffs, a, d) > 0) - (_homogeneous(p.coeffs, a, d) < 0)
+    hypothesis.assume(s_lo != 0)
+    lo, hi = Fraction(a, d), Fraction(a + width, d)
+    # any bound, or a point of the bisection tree, which a midpoint meets
+    k = data.draw(st.integers(1, 8))
+    tree = lo + (hi - lo) * Fraction(data.draw(st.integers(1, 2**k - 1)), 2**k)
+    anywhere = st.fractions(-10, 10, max_denominator=99)
+    below = data.draw(st.sampled_from([tree, tree - Fraction(1, 10**6)]) | anywhere)
+    # the inline walk assumed p > 0 at the lo end; -p takes the same steps
+    ref_cs = tuple(s_lo * c for c in p.coeffs)
+    steps = bisections(p, a, a + width, d, below=below)
+    ref = _ref_walk_below(ref_cs, a, a + width, d, below.numerator, below.denominator)
+    for _ in range(40):
+        assert next(steps) == next(ref)

@@ -37,6 +37,8 @@ def test_matrix_text_round_trip():
     M = np.array([[1.0, -0.5], [1 / 3, 2.0]])
     back = parse_matrix_text(format_matrix_text(M))
     assert np.array_equal(M, back)
+    # trailing blank lines are no rows
+    assert np.array_equal(M, parse_matrix_text(format_matrix_text(M) + "\n \n"))
 
 
 def test_matrix_parse_diagnostics():
@@ -58,6 +60,7 @@ def test_matrix_parse_diagnostics():
         ("2 x\n", "line 1: non-integer dimensions"),
         ("0 2\n", "line 1: dimensions must be positive"),
         ("2 2\n+-\n", "expected 2 {} rows, found 1"),
+        ("2 2\n+-\n-+\n+-\n\n", "expected 2 {} rows, found 3"),
     ],
 )
 def test_grid_header_messages_shared_by_both_formats(text, message):
