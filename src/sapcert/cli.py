@@ -9,6 +9,7 @@ before the output was written.
 from __future__ import annotations
 
 import argparse
+import functools
 import os
 import sys
 from pathlib import Path
@@ -65,7 +66,9 @@ def _add_globals(p, suppress=False):
     )
 
 
+@functools.cache
 def _build_parser() -> _Parser:
+    # built on the first call of main and reused: parsing leaves it unchanged
     parser = _Parser(prog="sapcert", description=__doc__)
     parser.add_argument("--version", action="version", version=f"sapcert {__version__}")
     _add_globals(parser)

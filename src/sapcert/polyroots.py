@@ -13,15 +13,19 @@ polynomial that drops an interval with no variation, halves one with
 more, and yields one-root brackets in increasing order, so a caller that
 needs only the first admissible root stops there; a rational root is
 recognised and centred (:func:`_cell_delta`) on the first interval that
-holds it alone.  :func:`bisections` is the one loop that halves an
-interval by a polynomial's sign: across the one root of an interval the
-sign at each midpoint picks the half that holds the root, at one
-evaluation per step.  Isolation and :func:`refine` narrow by it to the
-width asked for (:func:`_narrowed`); :func:`sign_at_root` walks it while
-its Descartes proof of a sign fails, and the nilpotent certificate walks
-it below a bound of its own.  :func:`positive_up_to` and
-:func:`one_root_up_to` prove a polynomial root-free, or with one simple
-root, on (0, s].
+holds it alone.  The square-free part is proved by gcd(p, p') modulo the
+prime 2^61 - 1 when that gcd is constant, and taken by the exact
+remainder sequence only otherwise (:func:`_square_free`).
+:func:`bisections` is the one loop that halves an interval by a
+polynomial's sign: across the one root of an interval the sign at each
+midpoint picks the half that holds the root, at one evaluation per step.
+Isolation and :func:`refine` narrow by it to the width asked for
+(:func:`_narrowed`); :func:`sign_at_root` walks it while its Descartes
+proof of a sign fails, so a caller that proves signs on the one-root
+intervals as isolation finds them (:func:`_isolated`) narrows each only
+as far as its proofs need.  The nilpotent certificate walks it below a
+bound of its own.  :func:`positive_up_to` and :func:`one_root_up_to`
+prove a polynomial root-free, or with one simple root, on (0, s].
 
 Every polynomial in the package is an :class:`IntPolynomial`.  Signs and
 values at a rational point p/q are evaluated homogeneously, as
@@ -45,9 +49,14 @@ from .errors import InvalidInput, PreconditionViolated
 DEFAULT_WIDTH = Fraction(1, 10**14)
 
 _MAX_BISECTIONS = 4000
-# bisections sign_at_root spends separating q from zero at a bracketed root
+# bisections sign_at_root spends separating q from zero at a bracketed root,
+# counted on brackets at most _LOCATED_WIDTH wide: the steps on wider ones
+# locate the root, which a one-root interval from isolation leaves to them
 _MAX_SIGN_REFINE = 200
+_LOCATED_WIDTH = Fraction(1, 2**8)
 _RATROOT_COEFF_LIMIT = 10**9
+# a Mersenne prime; gcd(p, p') modulo it proves p square-free when constant
+_PRIME = 2**61 - 1
 
 
 @dataclass(frozen=True)
@@ -276,18 +285,29 @@ def _shifted_variations(
     counts as ``limit`` + 1, as does every count past ``limit``, where the
     shift stops; with ``hi_root``, when the caller knows the root at b/d,
     the term is divided out instead, and the count still bounds the roots
-    in the open interval.
+    in the open interval.  The powers d^(k-i) and (b - a)^i are running
+    products, one multiplication per coefficient.
     """
     k = len(cs) - 1
     # d^k p((a + z)/d), ascending in z
-    shifted = [c * d ** (k - i) for i, c in enumerate(cs)]
+    shifted = list(cs)
+    if d != 1:
+        power = 1
+        for i in range(k - 1, -1, -1):
+            power *= d
+            shifted[i] *= power
     if a:
         for i in range(k):
             for j in range(k - 1, i - 1, -1):
                 shifted[j] += a * shifted[j + 1]
     # P_i with z = (b - a) y, descending: ascending in 1 + x
     w = b - a
-    shifted = [c * w**i for i, c in enumerate(shifted)][::-1]
+    if w != 1:
+        power = 1
+        for i in range(1, k + 1):
+            power *= w
+            shifted[i] *= power
+    shifted.reverse()
     v, last = 0, 0
     for i in range(k + 1):
         for j in range(k - 1, i - 1, -1):
@@ -359,14 +379,56 @@ def _exact_quotient(num: tuple[int, ...], den: tuple[int, ...]) -> tuple[int, ..
     return tuple(out)
 
 
+def _reduced(ints) -> list[int]:
+    # the coefficients modulo _PRIME, with no trailing zeros
+    out = [c % _PRIME for c in ints]
+    while out and not out[-1]:
+        out.pop()
+    return out
+
+
+def _gcd_degree_mod(f, g) -> int:
+    """The degree of gcd(f, g) modulo :data:`_PRIME`, for g nonzero modulo it."""
+    f, g = _reduced(f), _reduced(g)
+    while g:
+        inv = pow(g[-1], -1, _PRIME)
+        g = [c * inv % _PRIME for c in g]  # monic
+        # f becomes its remainder by g
+        while len(f) >= len(g):
+            q, off = f[-1], len(f) - len(g)
+            for i in range(len(g) - 1):
+                f[off + i] = (f[off + i] - q * g[i]) % _PRIME
+            f.pop()
+            while f and not f[-1]:
+                f.pop()
+        f, g = g, f
+    return len(f) - 1
+
+
 def _square_free(ints: tuple[int, ...]) -> IntPolynomial:
     """The primitive ``ints`` divided by gcd(p, p').
 
+    A repeated root counts more than once in Descartes' rule, so no
+    interval around it shows one variation; the square-free part has the
+    same distinct roots, each simple.  When :data:`_PRIME` divides neither
+    leading coefficient, gcd(p, p') is first taken modulo it: a gcd G over
+    the rationals can be taken primitive, its leading coefficient divides
+    p's, so G modulo the prime keeps its degree and divides both, and a
+    constant modular gcd proves p square-free.  Otherwise (a prime
+    dividing a leading coefficient, or roots that coincide modulo it)
+    :func:`_exact_square_free` decides.
+    """
+    if ints[-1] * (len(ints) - 1) % _PRIME:
+        if _gcd_degree_mod(ints, [i * c for i, c in enumerate(ints) if i]) == 0:
+            return IntPolynomial(ints)
+    return _exact_square_free(ints)
+
+
+def _exact_square_free(ints: tuple[int, ...]) -> IntPolynomial:
+    """The primitive ``ints`` divided by gcd(p, p'), exactly.
+
     The gcd is the last member of the remainder sequence of p and p'
-    (:func:`_positive_remainder`), each remainder made primitive.  A
-    repeated root counts more than once in Descartes' rule, so no interval
-    around it shows one variation; the square-free part has the same
-    distinct roots, each simple.
+    (:func:`_positive_remainder`), each remainder made primitive.
     """
     num, den = ints, tuple(i * c for i, c in enumerate(ints) if i)
     while rem := _positive_remainder(num, den):
@@ -449,6 +511,16 @@ def positive_roots(p: IntPolynomial, width: Fraction = DEFAULT_WIDTH) -> Iterato
     bracket that holds no other root.  Each bracket lies right of the one
     before.
     """
+    return _isolated(p, width, narrow=True)
+
+
+def _isolated(p: IntPolynomial, width: Fraction, narrow: bool) -> Iterator[RootBracket]:
+    """:func:`positive_roots`, or with ``narrow`` False its brackets before narrowing.
+
+    Unnarrowed, a bracket that is not exact is the one-root interval as
+    the subdivision found it, on the tree that :func:`bisections` walks
+    on from it; an exact root is centred to ``width`` either way.
+    """
     if p.is_zero:
         raise InvalidInput("cannot isolate roots of the zero polynomial")
     lowest = next(i for i, c in enumerate(p.coeffs) if c)  # roots at zero are not positive
@@ -477,7 +549,7 @@ def positive_roots(p: IntPolynomial, width: Fraction = DEFAULT_WIDTH) -> Iterato
                     small = c0 <= _RATROOT_COEFF_LIMIT and lead <= _RATROOT_COEFF_LIMIT
                     candidates = (_divisors(c0), _divisors(lead)) if small else ([], [])
                 exact = _rational_root(cs, a, b, d, *candidates)
-            if exact is None and (b - a) * wd > wn * d:
+            if exact is None and narrow and (b - a) * wd > wn * d:
                 # the subtree of a one-root interval is the path bisections takes
                 a, b, d, hit = _narrowed(poly, a, b, d, width)
                 exact = Fraction(b, d) if hit else None
@@ -521,18 +593,22 @@ class _SignWalk:
         """The sign of ``q`` (ascending integer coefficients) at the root, 0 if unproved.
 
         0 when the sign could not be separated from zero within
-        ``_MAX_SIGN_REFINE`` bisection steps, which includes a root the
-        bracket polynomial shares with ``q``.
+        ``_MAX_SIGN_REFINE`` bisection steps on brackets at most
+        ``_LOCATED_WIDTH`` wide, which includes a root the bracket
+        polynomial shares with ``q``.
         """
         if self._root is not None:
             return _sign(_homogeneous(q, *self._root))
         a, b, d = self.a, self.b, self.d
         s_lo, s_hi = _sign(_homogeneous(q, a, d)), _sign(_homogeneous(q, b, d))
         sign = 0
-        for _ in range(_MAX_SIGN_REFINE):
+        wn, wd = _LOCATED_WIDTH.numerator, _LOCATED_WIDTH.denominator
+        spent = 0
+        while spent < _MAX_SIGN_REFINE:
             if s_lo == s_hi != 0 and _shifted_variations(q, a, b, d, 0) == 0:
                 sign = s_lo
                 break
+            spent += (b - a) * wd <= wn * d
             if self._steps is None:
                 self._steps = bisections(self._bracket.poly, a, b, d)
             prev_a = a
@@ -566,7 +642,8 @@ def sign_at_root(q: IntPolynomial, bracket: RootBracket) -> tuple[int, RootBrack
     """Certified sign of ``q`` at the root enclosed by ``bracket``, with its proof bracket.
 
     Returns +1/-1 when provable, 0 when the sign could not be separated
-    from zero within ``_MAX_SIGN_REFINE`` bisection steps of the bracket
+    from zero within ``_MAX_SIGN_REFINE`` bisection steps of the bracket,
+    counted once it is at most ``_LOCATED_WIDTH`` wide
     (including the case that the root of the bracket polynomial is also a
     root of ``q``).  The bracket polynomial's sign drives the bisection
     (:func:`bisections`), so the bracket handed back lies on the path that

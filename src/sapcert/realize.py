@@ -10,9 +10,10 @@ integers by one Descartes kernel: Descartes' rule of signs isolates the
 positive roots of g and proves the sign of every a_j at a root.  Either
 an admissible positive root is found or there is none at the current
 scale; values at the root are exact rationals.  A scale is judged on
-coarse brackets and sign proofs alone: the one bracket refined to full
-width is that of the delivered scale, in :func:`_deliver`, once per
-call.
+the one-root intervals as isolation finds them and on sign proofs, which
+narrow each interval along its bisection tree only as far as they need;
+the one bracket refined to full width is that of the delivered scale, in
+:func:`_deliver`, once per call.
 
 Targets with no admissible root are handled by the scaling fallback: the
 coefficients c^j * v_j of the scaled matrix c*A are realized instead and
@@ -42,17 +43,19 @@ from .family import (
 )
 from .nilpotent import nilpotent_realization
 from .patterns import Sign, member_of_class
-from .polyroots import IntPolynomial, RootBracket, _SignWalk, positive_roots, refine
+from .polyroots import (
+    IntPolynomial,
+    RootBracket,
+    _isolated,
+    _SignWalk,
+    positive_roots,
+    refine,
+)
 
 RESIDUAL_RTOL = 1e-8
 _LADDER_MAX_HALVINGS = 40
 _LADDER_REFINE_STEPS = 14
 _ROOT_WIDTH = Fraction(1, 2**60)
-# candidates are isolated this coarsely and the sign proofs narrow them
-# along the same bisection tree; only the delivered scale's bracket is
-# refined to _ROOT_WIDTH, which ends in the bracket that isolating at
-# _ROOT_WIDTH would give unless a sign proof went narrower
-_ISOLATE_WIDTH = Fraction(1, 2**8)
 
 
 @dataclass(frozen=True)
@@ -86,12 +89,13 @@ class _ScaledSolution:
     """An admissible root of one scale's closing polynomial, not yet refined.
 
     ``bracket`` is the last sign proof's bracket for b (see
-    :func:`_solve_scaled`); ``scale`` and ``a_polys`` are the elimination's
-    D and a'_j, so that a_j(b) = a'_j(b) / D.
+    :func:`_solve_scaled`); ``scale`` and ``a`` are the elimination's D and
+    a'_j, the latter as ascending integer coefficient tuples, so that
+    a_j(b) = a'_j(b) / D.
     """
 
     scale: int
-    a_polys: list[IntPolynomial]
+    a: list[tuple[int, ...]]
     bracket: RootBracket
 
 
@@ -102,15 +106,19 @@ def _solve_scaled(
 
     Eliminates a_1..a_{n-1} as integer polynomials in b
     (:func:`eliminate_integers` on :func:`_scaled_target`), isolates the
-    positive roots of the closing polynomial by Descartes subdivision
-    (:func:`positive_roots`), coarsely and in increasing order, and stops at the first at which a_r..a_{n-1} are certifiably
-    positive; no root past it is isolated.  The sign proofs of one root
-    share one walk (:class:`sapcert.polyroots._SignWalk`): each a_j's proof
-    starts on the integer ends where the one before it held, so the
-    bracket returned lies inside every proof: a_r..a_{n-1} are positive on
-    all of it, and the constants a_1..a_{r-1} are positive or the
-    elimination would have stopped.  Nothing is refined here;
-    :func:`_deliver` refines the bracket of the delivered scale only.
+    positive roots of the closing polynomial by Descartes subdivision in
+    increasing order, and stops at the first at which a_r..a_{n-1} are
+    certifiably positive; no root past it is isolated.  Each one-root
+    interval goes to the sign proofs as the subdivision finds it, not
+    narrowed (:func:`sapcert.polyroots._isolated`).  The sign proofs of
+    one root share one walk (:class:`sapcert.polyroots._SignWalk`): each
+    a_j's proof starts on the integer ends where the one before it held,
+    so the bracket returned lies inside every proof: a_r..a_{n-1} are
+    positive on all of it, and the constants a_1..a_{r-1} are positive or
+    the elimination would have stopped.  Nothing is refined here;
+    :func:`_deliver` refines the bracket of the delivered scale only, on
+    the same bisection tree, so b ends where isolating at
+    ``_ROOT_WIDTH`` would put it unless a sign proof went narrower.
     """
     scale, steps = _scaled_target(alpha, c)
     a, g_coeffs = eliminate_integers(n, r, scale, steps)
@@ -124,14 +132,12 @@ def _solve_scaled(
             RootBracket(lo=Fraction(1, 2), hi=Fraction(2), poly=g, exact=Fraction(1))
         ]
     else:
-        candidates = positive_roots(g, width=_ISOLATE_WIDTH)
+        candidates = _isolated(g, _ROOT_WIDTH, narrow=False)
 
     for bracket in candidates:
         walk = _SignWalk(bracket)
         if all(walk.sign(q) == 1 for q in a[r:]):
-            return _ScaledSolution(
-                scale=scale, a_polys=[IntPolynomial(q) for q in a], bracket=walk.bracket()
-            )
+            return _ScaledSolution(scale=scale, a=a, bracket=walk.bracket())
     return None
 
 
@@ -146,7 +152,7 @@ def _deliver(
     # bisection path, so b lies in every proof bracket and b and every
     # a_j are positive exactly
     b = refine(sol.bracket, _ROOT_WIDTH).midpoint
-    a_values = tuple(sol.a_polys[j](b) / sol.scale for j in range(1, n))
+    a_values = tuple(IntPolynomial(sol.a[j])(b) / sol.scale for j in range(1, n))
     a_float = tuple(float(v) for v in a_values)
     b_float = float(b)
     if any(v <= 0.0 for v in a_float) or b_float <= 0.0:

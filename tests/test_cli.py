@@ -438,3 +438,45 @@ def test_precision_flag_round_trips(capsys):
     payload = json.loads(out)
     assert payload["t_h"] == 1 / 3
     assert payload["residual"] == 0.0  # exact rational at the exact root
+
+
+_IN_ONE_PROCESS = """
+import contextlib, io, json, sys
+from sapcert.cli import main
+
+results = []
+for argv in json.loads(sys.argv[1]):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+    results.append([out.getvalue(), err.getvalue(), code])
+print(json.dumps(results))
+"""
+
+
+def test_main_called_again_in_one_process_answers_as_separate_processes():
+    # the parser is built on the first call and reused by the next ones
+    src = os.path.dirname(os.path.dirname(sapcert.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    argvs = [
+        ["nilpotent", "--n", "3"],  # missing --r: a usage error
+        ["--version"],
+        ["--format", "csv", "sweep", "--n-max", "5"],
+    ]
+    separate = []
+    for argv in argvs:
+        proc = subprocess.run(
+            [sys.executable, "-m", "sapcert.cli", *argv],
+            capture_output=True, text=True, env=env, timeout=120,
+        )
+        separate.append([proc.stdout, proc.stderr, proc.returncode])
+    proc = subprocess.run(
+        [sys.executable, "-c", _IN_ONE_PROCESS, json.dumps(argvs)],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert [code for _, _, code in separate] == [64, 0, 0]
+    assert json.loads(proc.stdout) == separate

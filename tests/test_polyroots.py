@@ -342,6 +342,21 @@ def test_sign_at_root_bisects_until_descartes_proves_the_sign():
     assert polyroots._shifted_variations(q.coeffs, 1, 4, 2, 2) == 0
 
 
+def test_sign_at_root_counts_steps_once_the_root_is_located():
+    # p = 3t - 4 on (0, 2^300]: about 300 halvings locate its root 4/3, which
+    # the budget does not count; q = 3t - 4 - 2^-100 needs about 100 more
+    p = P(-4, 3)
+    bracket = RootBracket(lo=Fraction(0), hi=Fraction(2**300), poly=p)
+    q = P(-(4 * 2**100 + 1), 3 * 2**100)
+    sign, proof = sign_at_root(q, bracket)
+    assert sign == -1 and proof.width < Fraction(1, 2**100)
+    assert proof.lo < Fraction(4, 3) < proof.hi
+    # q sharing p's root: the budget runs out below 2^-8
+    sign, stop = sign_at_root(P(-8, 6), bracket)
+    width = stop.width / polyroots._LOCATED_WIDTH
+    assert sign == 0 and width.denominator == 2**polyroots._MAX_SIGN_REFINE
+
+
 def test_family_recurrence_polys_have_certifiable_roots():
     # h for (5,2) is 3t^2 - 4t + 1 = (3t-1)(t-1): min root exactly 1/3
     bracket = next(positive_roots(P(1, -4, 3)))
@@ -431,6 +446,24 @@ def test_coarse_isolation_then_refinement_equals_fine_isolation():
     ]
 
 
+def test_unnarrowed_isolation_then_refinement_equals_fine_isolation():
+    # realize signs on each one-root interval as the subdivision finds it
+    # and refines only the bracket it delivers: that ends where isolating
+    # at the fine width does
+    rng = np.random.default_rng(12)
+    fine_w = Fraction(1, 2**60)
+    unnarrowed = 0
+    for _ in range(40):
+        coeffs = [int(c) for c in rng.integers(-20, 21, int(rng.integers(2, 9)))]
+        coeffs[-1] = coeffs[-1] or 3
+        p = IntPolynomial.from_coeffs(coeffs)
+        fine = list(positive_roots(p, width=fine_w))
+        found = list(polyroots._isolated(p, fine_w, narrow=False))
+        assert [refine(b, fine_w) for b in found] == fine
+        unnarrowed += sum(b.width > fine_w for b in found)
+    assert unnarrowed >= 20
+
+
 def test_rational_root_brackets_exclude_every_other_root():
     # x^2 (x + 1) (2x - 1)^2 (3x - 2) (x^2 - 2): roots 0, -1, 1/2 (double),
     # 2/3 and +-sqrt 2; at width 1 the bracket 1/2 +- 1/2 would hold 2/3
@@ -478,3 +511,49 @@ def test_positive_roots_brackets_are_pinned():
     assert digest.hexdigest() == (
         "cf04f1ec81aa275307ac64fe9a31ffb6f9628a9b5b534f111e10b07950eff2a1"
     )
+
+
+def _spy_exact_square_free(monkeypatch):
+    exact = polyroots._exact_square_free
+    calls = []
+
+    def spy(ints):
+        calls.append(ints)
+        return exact(ints)
+
+    monkeypatch.setattr(polyroots, "_exact_square_free", spy)
+    return calls
+
+
+def _brackets_hold(p: tuple[int, ...], roots) -> bool:
+    brackets = list(positive_roots(IntPolynomial(p)))
+    return len(brackets) == len(roots) and all(b.lo < x <= b.hi for b, x in zip(brackets, roots))
+
+
+def test_square_free_falls_back_when_the_prime_divides_the_leading_coefficient(monkeypatch):
+    prime = polyroots._PRIME
+    calls = _spy_exact_square_free(monkeypatch)
+    simple = tuple(_mul([-1, prime], [-2, 1]))  # (P x - 1)(x - 2)
+    assert polyroots._square_free(simple) == IntPolynomial(simple)
+    double = tuple(_mul([-1, prime], [-1, prime]))  # (P x - 1)^2
+    assert polyroots._square_free(double).coeffs in ((-1, prime), (1, -prime))
+    assert calls == [simple, double]
+    assert _brackets_hold(simple, (Fraction(1, prime), 2))
+
+
+def test_square_free_falls_back_when_roots_coincide_modulo_the_prime(monkeypatch):
+    # 1 and 1 + P are distinct, so p is square-free, but p = (x - 1)^2 modulo P
+    prime = polyroots._PRIME
+    p = tuple(_mul([-1, 1], [-1 - prime, 1]))
+    assert polyroots._gcd_degree_mod(p, [i * c for i, c in enumerate(p) if i]) == 1
+    calls = _spy_exact_square_free(monkeypatch)
+    assert polyroots._square_free(p) == IntPolynomial(p)
+    assert calls == [p]
+    assert _brackets_hold(p, (1, 1 + prime))
+
+
+def test_square_free_takes_the_modular_proof_for_a_square_free_polynomial(monkeypatch):
+    calls = _spy_exact_square_free(monkeypatch)
+    p = tuple(_mul(_mul([-1, 2], [-3, 1]), [-2, 0, 1]))  # (2x - 1)(x - 3)(x^2 - 2)
+    assert polyroots._square_free(p) == IntPolynomial(p)
+    assert calls == []

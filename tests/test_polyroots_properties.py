@@ -25,8 +25,11 @@ from sapcert.polyroots import (  # noqa: E402
     DEFAULT_WIDTH,
     IntPolynomial,
     RootBracket,
+    _content_free,
+    _exact_square_free,
     _homogeneous,
     _shifted_variations,
+    _square_free,
     bisections,
     cauchy_bound,
     one_root_up_to,
@@ -428,3 +431,22 @@ def test_bisections_below_a_bound_step_as_the_inline_walk(p, a, width, d, data):
     ref = _ref_walk_below(ref_cs, a, a + width, d, below.numerator, below.denominator)
     for _ in range(40):
         assert next(steps) == next(ref)
+
+
+@_SETTINGS
+@hypothesis.given(
+    st.one_of(
+        factored(zero_roots=False).map(lambda case: case[0]),
+        int_poly().map(lambda p: list(p.coeffs)),
+    ).filter(lambda coeffs: len(coeffs) > 1)
+)
+def test_square_free_equals_the_remainder_sequence(coeffs):
+    # the modular proof, when it applies, agrees with the exact path, and
+    # both with sympy's square-free part
+    ints = _content_free(coeffs)
+    got = _square_free(ints)
+    assert got == _exact_square_free(ints)
+    want = sympy.Poly(ints[::-1], _X).sqf_part()
+    assert sympy.Poly(got.coeffs[::-1], _X) in (want, -want)
+    repeated = len(got.coeffs) < len(ints)
+    hypothesis.event("repeated factor" if repeated else "square-free")

@@ -210,13 +210,17 @@ def test_realize_failure_on_the_ladder_refines_nothing(monkeypatch):
 
 
 def test_realize_proof_bracket_narrower_than_root_width(monkeypatch):
-    # with a root width of 1/4 every isolated bracket, and so every sign
-    # proof's bracket, is already narrower: refine hands it back as is.  At
-    # every delivered scale b and all a_j must still be exactly positive,
-    # and realize must return them or fail with a typed error
+    # the sign proofs start on the one-root intervals that isolation finds,
+    # at most 13.7 wide on these targets; with a root width of 16 every
+    # proof's bracket is already narrower, so refine hands it back as is.
+    # At every delivered scale b and all a_j must still be exactly
+    # positive, and realize must return them or fail with a typed error
     from fractions import Fraction
 
-    monkeypatch.setattr(realize_module, "_ROOT_WIDTH", Fraction(1, 4))
+    from sapcert.polyroots import IntPolynomial
+
+    width = Fraction(16)
+    monkeypatch.setattr(realize_module, "_ROOT_WIDTH", width)
     calls = _count_refines(monkeypatch)
     delivered = []
     deliver = realize_module._deliver
@@ -240,9 +244,9 @@ def test_realize_proof_bracket_narrower_than_root_width(monkeypatch):
     assert len(delivered) == len(calls) == targets
     for sol, (bracket, out) in zip(delivered, calls):
         assert bracket is sol.bracket and out is bracket
-        assert bracket.exact is not None or bracket.width <= Fraction(1, 4)
+        assert bracket.exact is not None or bracket.width <= width
         b = out.midpoint
-        assert b > 0 and all(q(b) > 0 for q in sol.a_polys)
+        assert b > 0 and all(IntPolynomial(q)(b) > 0 for q in sol.a)
 
 
 def test_newton_solve_scalar_one_step():
