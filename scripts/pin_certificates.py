@@ -20,7 +20,7 @@ import sys
 from sapcert.family import MAX_N, FamilyParams
 from sapcert.nilpotent import nilpotent_realization
 
-PINNED = "88d6e9eb4fee553d3209c0f3ab502247e4ba73c9394a8ff045ffcd64f676e8b6"
+PINNED = "4c31bc4de4ddf6fed3da639d5a14a6c377a5488654962556c73e08fc493e8f48"
 
 
 def certificate_digest() -> str:

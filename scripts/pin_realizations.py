@@ -25,7 +25,7 @@ from sapcert.errors import SapcertError
 from sapcert.family import FamilyParams
 from sapcert.realize import realize
 
-PINNED = "132cc10c3d2a7db8f1a0c9e9f8552833f902bcbbff1867f6b6eb9bf88846b868"
+PINNED = "b66689cb63b5990ef23583f8285f6dc708907a112f17b971c9504dcf58226145"
 
 # (n, r, number of targets): every r up to n = 10, then a few r at n = 20, 30
 CASES = [(n, r, 6) for n in range(3, 11) for r in range(2, n + 1)] + [

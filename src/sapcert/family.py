@@ -22,12 +22,11 @@ from .patterns import Sign, SignPattern
 
 
 # largest order accepted.  The nilpotent certificate, which every command
-# but njverify builds, is slowest at r = 2; `sapcert nilpotent` takes about
-# 0.35 s there at n = 160, mostly start-up, as at r = n/2 and r = n - 1,
-# and the certificate alone 0.35 s at n = 240 and 0.8 s at n = 320, on a
-# 2-vCPU Xeon.  `realize` is what keeps the order here: at n = 160, r = 2 a
-# random target runs past 300 s solving its closing polynomials
-MAX_N = 160
+# but njverify builds, is slowest at r = 2: about 0.5 s at n = 320, and
+# less at r = n/2 and r = n - 1, on a 2-vCPU Xeon.  `realize` on a random
+# target at r = 2 returns its typed result in about 3 s at n = 160 and
+# 20 s at n = 320, most of it in the sign proofs of its scales
+MAX_N = 320
 
 
 @dataclass(frozen=True)

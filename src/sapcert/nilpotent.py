@@ -14,9 +14,12 @@ here with exact rational brackets on integer polynomials rather than
 assumed, by the Intermediate Value Theorem instead of an explicit check:
 every a_j starts at a_j(0) = 1, and one chain of separation points
 proves both the order of the smallest roots and that no a_j has a root
-up to h's bracket.  Each separation point and h's bracket are found by
-signs on the walk of :func:`sapcert.polyroots.bisections`, below a bound
-the chain supplies, and proved by one Descartes test each; a failed test
+up to h's bracket.  Each separation point is found by signs on the
+dyadic walk of :func:`sapcert.polyroots.bisections`, run inline below the
+point before it, where the chain has already shown the polynomial
+negative (:func:`_separation`); h's bracket by signs on that walk down
+the tree of :func:`sapcert.polyroots.positive_roots`, which starts at the
+dyadic root bound.  Each is proved by one Descartes test; a failed test
 raises :class:`CertificationFailed`.  The values of every a_j at a point
 come from the recurrence in integers, one step each.  The whole proof
 for one (n, r) is built in one pass and memoized once; the public
@@ -28,7 +31,6 @@ from __future__ import annotations
 import functools
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from itertools import islice
 
 from .errors import CertificationFailed, PreconditionViolated
 from .family import FamilyParams, FamilyRealization, coeff_map, eliminate_integers
@@ -38,9 +40,9 @@ from .polyroots import (
     _cell_delta,
     _homogeneous,
     bisections,
-    cauchy_bound,
     one_root_up_to,
     positive_up_to,
+    root_bound,
 )
 
 RESIDUAL_TOL_PER_N = 1e-10
@@ -114,7 +116,7 @@ def _root_below(prev: IntPolynomial, q: IntPolynomial, bound: Fraction) -> Fract
     """A separation point s of q's smallest positive root below prev's, both in (0, 1].
 
     ``bound`` is a point where prev <= 0, the previous link's s or 2 for
-    a_r = 1 - t, and caps the walk of :func:`bisections` on (0, 1] by
+    a_r = 1 - t, and caps the walk of :func:`_separation` on (0, 1] by
     prev's sign.  s is the first lo it moved to with q(s) < 0, and prev has
     no root in (0, s] by Descartes' rule (:func:`positive_up_to`).  q(0) > 0
     gives q a root in (0, s): t_q < s < t_prev.  None when q(0) <= 0,
@@ -122,15 +124,34 @@ def _root_below(prev: IntPolynomial, q: IntPolynomial, bound: Fraction) -> Fract
     ``_SEPARATION_STEPS`` halvings find no s (equal or reversed roots
     never separate).
     """
-    pc, qc = prev.coeffs, q.coeffs
-    bn, bd = bound.numerator, bound.denominator
-    if not qc or qc[0] <= 0 or not pc or pc[0] <= 0 or _homogeneous(pc, bn, bd) > 0:
+    if _homogeneous(prev.coeffs, bound.numerator, bound.denominator) > 0:
         return None
-    last_a = 0
-    for a, _, d, _ in islice(bisections(prev, 0, 1, 1, below=bound), _SEPARATION_STEPS):
-        if a != 2 * last_a and _homogeneous(qc, a, d) < 0:
-            return Fraction(a, d) if positive_up_to(prev, a, d) else None
-        last_a = a
+    return _separation(prev, q, bound)
+
+
+def _separation(prev: IntPolynomial, q: IntPolynomial, bound: Fraction) -> Fraction | None:
+    """:func:`_root_below` for a ``bound`` at which prev <= 0 is already proved.
+
+    The walk is that of :func:`sapcert.polyroots.bisections` of prev on
+    (0, 1] below ``bound``: a midpoint at or past it goes left
+    unevaluated, else prev's sign there picks the half (prev(0) > 0).  It
+    runs inline, and q is evaluated only where the lo end moves.  In the
+    chain the bound is the previous link's s, where q < 0 was shown, or
+    2 for a_r = 1 - t, so prev is not evaluated there again.
+    """
+    pc, qc = prev.coeffs, q.coeffs
+    if not qc or qc[0] <= 0 or not pc or pc[0] <= 0:
+        return None
+    bn, bd = bound.numerator, bound.denominator
+    a, b, d = 0, 1, 1
+    for _ in range(_SEPARATION_STEPS):
+        m, d = a + b, 2 * d
+        if m * bd < bn * d and _homogeneous(pc, m, d) > 0:
+            if _homogeneous(qc, m, d) < 0:
+                return Fraction(m, d) if positive_up_to(prev, m, d) else None
+            a, b = m, 2 * b
+        else:
+            a, b = 2 * a, m
     return None
 
 
@@ -175,7 +196,7 @@ def _h_bracket(h: IntPolynomial, s: Fraction) -> RootBracket:
     ``s`` is the last link's separation point.  h(0) = 1, as for every
     closing polynomial, and one Descartes test (:func:`one_root_up_to`)
     proves one simple root t_h in (0, s), which h's signs bracket on the
-    tree of positive_roots: :func:`bisections` of (0, cauchy_bound(h)]
+    tree of positive_roots: :func:`bisections` of (0, root_bound(h)]
     below s, to the first node (lo, hi] no wider than ``_CERT_WIDTH``.  A
     rational t_h is some 1/k in (lo, hi], centred as positive_roots
     centres it (:func:`_cell_delta`).  With its hi at most s the bracket
@@ -189,7 +210,7 @@ def _h_bracket(h: IntPolynomial, s: Fraction) -> RootBracket:
     if cs[:1] != (1,) or not one_root_up_to(h, s.numerator, s.denominator):
         raise CertificationFailed(f"no one-root proof for h on (0, {s})")
     wn, wd = _CERT_WIDTH.numerator, _CERT_WIDTH.denominator
-    bound = cauchy_bound(h)
+    bound = root_bound(h)
     for a, b, d, _ in bisections(h, 0, bound.numerator, bound.denominator, below=s):
         if (b - a) * wd <= wn * d:
             break
@@ -212,7 +233,8 @@ def _h_bracket(h: IntPolynomial, s: Fraction) -> RootBracket:
 def _certify(p: FamilyParams) -> NilpotentCertificate:
     """The double-mode certificate of ``p``, its residual not yet checked.
 
-    Runs the separation links (a_r, a_{r+1}), ..., (a_{n-1}, h), then
+    Runs the separation links (a_r, a_{r+1}), ..., (a_{n-1}, h), each
+    walked below the point of the one before (:func:`_separation`), then
     brackets h's smallest positive root below the last separation point
     (:func:`_h_bracket`), which bounds the bracket and so proves every a_j
     positive on it.  a0 and the margins are the recurrence's values at
@@ -226,7 +248,8 @@ def _certify(p: FamilyParams) -> NilpotentCertificate:
         raise CertificationFailed(f"a_{r} is not 1 - t")
     s = Fraction(2)  # a_r(2) < 0: the first link's bound
     for j, (prev, q) in enumerate(zip(order, order[1:]), start=r):
-        s = _root_below(prev, q, s)
+        # prev(s) < 0: a_r(2) = -1, then q(s) < 0 from the link before
+        s = _separation(prev, q, s)
         if s is None:
             raise CertificationFailed(f"no separation point below the smallest root of a_{j}")
     # a_1..a_{r-1} are the constant 1, a_r..a_{n-1} are root-free on (0, s],

@@ -1,6 +1,6 @@
 """Exact integer polynomials and certified positive-root brackets.
 
-One Descartes kernel (:func:`_shifted_variations`) isolates, refines and
+One Descartes kernel (:func:`_variations`) isolates, refines and
 proves: the sign variations of the polynomial mapped from an interval
 (a/d, b/d) onto (0, inf), by integer Taylor shifts, bound its roots
 there and match their number in parity (Descartes' rule of signs).  No
@@ -13,9 +13,16 @@ polynomial that drops an interval with no variation, halves one with
 more, and yields one-root brackets in increasing order, so a caller that
 needs only the first admissible root stops there; a rational root is
 recognised and centred (:func:`_cell_delta`) on the first interval that
-holds it alone.  The square-free part is proved by gcd(p, p') modulo the
-prime 2^61 - 1 when that gcd is constant, and taken by the exact
-remainder sequence only otherwise (:func:`_square_free`).
+holds it alone.  The tree starts at (0, 2^e], a Fujiwara bound read from
+bit lengths (:func:`root_bound`), so every node's denominator is a power
+of two, and each node's interval polynomial is derived from its
+parent's in the manner of Collins and Akritas, by bit shifts and
+additions (:func:`_halved`, :func:`_shifted_by_one`); an interval that
+is not a tree node has it built from the polynomial
+(:func:`_shifted_variations`).  The square-free part is proved by
+gcd(p, p') modulo the prime 2^61 - 1 when that gcd is constant, and
+taken by the exact remainder sequence only otherwise
+(:func:`_square_free`).
 :func:`bisections` is the one loop that halves an interval by a
 polynomial's sign: across the one root of an interval the sign at each
 midpoint picks the half that holds the root, at one evaluation per step.
@@ -24,12 +31,14 @@ Isolation and :func:`refine` narrow by it to the width asked for
 proof of a sign fails, so a caller that proves signs on the one-root
 intervals as isolation finds them (:func:`_isolated`) narrows each only
 as far as its proofs need.  The nilpotent certificate walks it below a
-bound of its own.  :func:`positive_up_to` and :func:`one_root_up_to`
+bound of its own for h, and takes the same steps inline for the links of
+its chain.  :func:`positive_up_to` and :func:`one_root_up_to`
 prove a polynomial root-free, or with one simple root, on (0, s].
 
 Every polynomial in the package is an :class:`IntPolynomial`.  Signs and
 values at a rational point p/q are evaluated homogeneously, as
-q^d f(p/q), by one integer kernel that takes p and q as two integers.
+q^d f(p/q), by one integer kernel that takes p and q as two integers
+and shifts where q is a power of two.
 Bisection keeps its endpoints as integer numerators over one common
 denominator d, so the midpoint of (a/d, b/d] is (a + b)/2d with no gcd;
 Fractions are built only for the brackets handed back.
@@ -145,12 +154,19 @@ class RootBracket:
 
 def _homogeneous(ints, p: int, q: int) -> int:
     # sum c_i p^i q^(d-i) for q > 0: q^d f(p/q), in integers; p/q need not
-    # be in lowest terms, which scales the value by a positive factor only
+    # be in lowest terms, which scales the value by a positive factor only.
+    # The points of the dyadic tree have q = 2^m: the powers are shifts
     acc = 0
-    qpow = 1
+    if q & (q - 1):
+        qpow = 1
+        for c in reversed(ints):
+            acc = acc * p + c * qpow
+            qpow *= q
+        return acc
+    m, shift = q.bit_length() - 1, 0
     for c in reversed(ints):
-        acc = acc * p + c * qpow
-        qpow *= q
+        acc = acc * p + (c << shift)
+        shift += m
     return acc
 
 
@@ -268,46 +284,56 @@ def refine(bracket: RootBracket, width: Fraction) -> RootBracket:
     return replace(bracket, lo=Fraction(a, d), hi=hi, exact=hi if hit else None)
 
 
-def _shifted_variations(
-    cs: tuple[int, ...], a: int, b: int, d: int, limit: int, hi_root: bool = False
-) -> int:
-    """Sign variations of the Descartes transform of ``cs`` on (a/d, b/d), for a < b, d > 0.
+def _interval_poly(cs: tuple[int, ...], a: int, b: int, d: int) -> list[int]:
+    """P(y) = d^k p((a + (b - a) y) / d), ascending in y, for p of degree k.
 
-    For p of degree k, P(y) = d^k p((a + (b - a) y) / d) maps y in (0, 1)
-    onto the interval: a Taylor shift of sum c_i d^(k-i) z^i by a, skipped
-    at a = 0, then a scale by b - a.  y = 1/(1 + x) maps x in (0, inf)
-    onto (0, 1), and the numerator (1 + x)^k P(1/(1 + x)) =
-    sum P_i (1 + x)^(k-i) is one more integer Taylor shift, by 1.  Its
-    constant term is d^k p(b/d) and its leading coefficient d^k p(a/d).  By
-    Descartes' rule of signs the variations bound, and match in parity,
-    its roots x > 0, which are p's roots in (a/d, b/d) with their
-    multiplicities.  A zero constant term (p(b/d) = 0) proves nothing and
-    counts as ``limit`` + 1, as does every count past ``limit``, where the
-    shift stops; with ``hi_root``, when the caller knows the root at b/d,
-    the term is divided out instead, and the count still bounds the roots
-    in the open interval.  The powers d^(k-i) and (b - a)^i are running
-    products, one multiplication per coefficient.
+    It maps y in (0, 1) onto (a/d, b/d): a Taylor shift of
+    sum c_i d^(k-i) z^i by a, skipped at a = 0, then a scale by b - a.
+    The powers d^(k-i) are shifts when d is a power of two, and running
+    products, like (b - a)^i, otherwise: one multiplication per
+    coefficient.
     """
     k = len(cs) - 1
     # d^k p((a + z)/d), ascending in z
     shifted = list(cs)
-    if d != 1:
+    if d & (d - 1):
         power = 1
         for i in range(k - 1, -1, -1):
             power *= d
             shifted[i] *= power
+    elif d != 1:
+        m = d.bit_length() - 1
+        shifted = [c << (m * (k - i)) for i, c in enumerate(cs)]
     if a:
         for i in range(k):
             for j in range(k - 1, i - 1, -1):
                 shifted[j] += a * shifted[j + 1]
-    # P_i with z = (b - a) y, descending: ascending in 1 + x
     w = b - a
     if w != 1:
         power = 1
         for i in range(1, k + 1):
             power *= w
             shifted[i] *= power
-    shifted.reverse()
+    return shifted
+
+
+def _variations(P: list[int], limit: int, hi_root: bool = False) -> int:
+    """Sign variations of (1 + x)^k P(1/(1 + x)) for an interval polynomial P.
+
+    y = 1/(1 + x) maps x in (0, inf) onto (0, 1), and the numerator is
+    sum P_i (1 + x)^(k-i): P reversed, Taylor-shifted by 1, with additions
+    only.  Its constant term is P(1), a positive multiple of p at the
+    interval's hi, and its leading coefficient P(0), one of p at its lo.
+    By Descartes' rule of signs the variations bound, and match in parity,
+    its roots x > 0, which are p's roots in the open interval with their
+    multiplicities.  A zero constant term (a root at hi) proves nothing
+    and counts as ``limit`` + 1, as does every count past ``limit``, where
+    the shift stops; with ``hi_root``, when the caller knows the root at
+    hi, the term is divided out instead, and the count still bounds the
+    roots in the open interval.  P is not changed.
+    """
+    k = len(P) - 1
+    shifted = P[::-1]
     v, last = 0, 0
     for i in range(k + 1):
         for j in range(k - 1, i - 1, -1):
@@ -322,6 +348,42 @@ def _shifted_variations(
         elif not i and not hi_root:
             return limit + 1
     return v
+
+
+def _shifted_variations(
+    cs: tuple[int, ...], a: int, b: int, d: int, limit: int, hi_root: bool = False
+) -> int:
+    """Sign variations of the Descartes transform of ``cs`` on (a/d, b/d), for a < b, d > 0.
+
+    :func:`_variations` of the interval polynomial built from ``cs``
+    (:func:`_interval_poly`), for an interval that is not a node of the
+    subdivision tree; :func:`_isolated` derives each node's polynomial
+    from its parent's instead.
+    """
+    return _variations(_interval_poly(cs, a, b, d), limit, hi_root)
+
+
+def _halved(P: list[int]) -> list[int]:
+    """2^k P(y/2) over its largest power-of-two factor: the left half's polynomial.
+
+    Coefficient i is shifted left by k - i bits; the common power of two
+    is stripped, so only positive factors change.
+    """
+    k = len(P) - 1
+    strip = min((c & -c).bit_length() - 1 + k - i for i, c in enumerate(P) if c)
+    return [
+        c << (k - i - strip) if k - i >= strip else c >> (strip - k + i) for i, c in enumerate(P)
+    ]
+
+
+def _shifted_by_one(P: list[int]) -> list[int]:
+    """P(y + 1), ascending in y, by additions only: the right half's polynomial from the left's."""
+    k = len(P) - 1
+    out = list(P)
+    for i in range(k):
+        for j in range(k - 1, i - 1, -1):
+            out[j] += out[j + 1]
+    return out
 
 
 def positive_up_to(p: IntPolynomial, a: int, d: int) -> bool:
@@ -347,13 +409,23 @@ def one_root_up_to(p: IntPolynomial, a: int, d: int) -> bool:
     return bool(p.coeffs) and p.coeffs[0] != 0 and _shifted_variations(p.coeffs, 0, a, d, 1) == 1
 
 
-def cauchy_bound(p: IntPolynomial) -> Fraction:
-    """Strict upper bound on the magnitude of every root."""
+def root_bound(p: IntPolynomial) -> Fraction:
+    """A power of two strictly above the magnitude of every root.
+
+    Fujiwara's bound 2 max_i |c_{k-i}/c_k|^(1/i), read from bit lengths
+    L: |c_{k-i}/c_k| < 2^(L(c_{k-i}) - L(c_k) + 1), so every root z has
+    |z| < 2^(e + 1), where e is the largest
+    ceil((L(c_{k-i}) - L(c_k) + 1)/i) over the nonzero c_{k-i}.  Only
+    the roots of a monomial are all zero; its bound is 1.
+    """
     if p.degree < 1:
         raise InvalidInput("bound requires degree >= 1")
-    lead = abs(p.coeffs[-1])
-    rest = max((abs(c) for c in p.coeffs[:-1]), default=0)
-    return 1 + Fraction(rest, lead)
+    lead = p.coeffs[-1].bit_length()
+    e = max(
+        (-((lead - c.bit_length() - 1) // i) for i, c in enumerate(reversed(p.coeffs[:-1]), 1) if c),
+        default=-1,
+    )
+    return Fraction(2) ** (e + 1)
 
 
 def _divisors(n: int) -> list[int]:
@@ -496,8 +568,9 @@ def positive_roots(p: IntPolynomial, width: Fraction = DEFAULT_WIDTH) -> Iterato
 
     Works on the primitive part of ``p`` with its roots at zero divided
     out, and on the square-free part of that when gcd(p, p') is not
-    constant.  A leftmost-first subdivision of (0, cauchy_bound(p)] judges
-    each interval by its sign variations (:func:`_shifted_variations`):
+    constant.  A leftmost-first subdivision of (0, root_bound(p)] judges
+    each interval by its sign variations (:func:`_variations` of the
+    interval polynomial, derived from the parent's):
     none drops it, more than one halves it, and one proves one simple
     root in it, which :func:`bisections` narrows on the same tree until
     the bracket is at most ``width`` wide; isolate coarsely and
@@ -530,17 +603,22 @@ def _isolated(p: IntPolynomial, width: Fraction, narrow: bool) -> Iterator[RootB
     poly = _square_free(work)
     cs = poly.coeffs
     candidates = None  # sorted divisors of poly(0) and lead, on the first search
-    bound = cauchy_bound(p)
+    bound = root_bound(p)
     wn, wd = width.numerator, width.denominator
-    # (a, b, d, hit) for the interval (a/d, b/d]; hit: b/d is a root
-    pending = [(0, bound.numerator, bound.denominator, False)]
+    b, d = bound.as_integer_ratio()
+    # (a, b, d, hit, P, right) for the interval (a/d, b/d]; hit: b/d is a
+    # root; P: its interval polynomial up to a positive factor, or with
+    # right the left sibling's, which is shifted by 1 once the node is taken
+    pending = [(0, b, d, False, _interval_poly(cs, 0, b, d), False)]
     fn, fd = 0, 1  # floor, the hi of the last bracket; a centred one can reach past its parent
     for _ in range(_MAX_BISECTIONS * len(work)):
         if not pending:
             return
-        a, b, d, hit = pending.pop()
+        a, b, d, hit, P, right = pending.pop()
+        if right:
+            P = _shifted_by_one(P)
         # a bound on the roots in (a/d, b/d), capped at 2
-        v = _shifted_variations(cs, a, b, d, 1, hit)
+        v = _variations(P, 1, hit)
         if v + hit == 1 and a * fd >= fn * d:
             exact = Fraction(b, d) if hit else None
             if exact is None:
@@ -560,7 +638,9 @@ def _isolated(p: IntPolynomial, width: Fraction, narrow: bool) -> Iterator[RootB
             yield RootBracket(lo=lo, hi=hi, poly=poly, exact=exact)
         elif v + hit:
             m, d = a + b, 2 * d
-            pending += [(m, 2 * b, d, hit), (2 * a, m, d, _homogeneous(cs, m, d) == 0)]
+            left = _halved(P)
+            # left(1) is P at the midpoint, up to a positive factor
+            pending += [(m, 2 * b, d, hit, left, True), (2 * a, m, d, sum(left) == 0, left, False)]
     raise PreconditionViolated("root isolation did not converge")
 
 

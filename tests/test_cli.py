@@ -160,7 +160,7 @@ def test_sampling_arguments_out_of_range_are_usage_errors(capsys, argv, message)
         ("realize", "--n", "1000000", "--r", "2", "--monic", "1,2"),
         ("msap", "--n", "1000000", "--r", "999999"),
         ("sweep", "--n-max", "1000000"),
-        ("nilpotent", "--n", "161", "--r", "2"),
+        ("nilpotent", "--n", str(MAX_N + 1), "--r", "2"),
     ],
 )
 def test_order_over_max_n_is_a_prompt_usage_error(capsys, argv):

@@ -20,16 +20,16 @@ GOLDEN = [
     ('nilpotent --n 3 --r 2 --format json', 0, '0613f951065e719acef66416c76e2e7a445eaf998eb1bff72516f974f724c21e'),
     ('nilpotent --n 3 --r 2 --format csv', 0, '656ad09c0219220c4200fae3c0297991f859d936addea152b503f6750c069b52'),
     ('nilpotent --n 3 --r 2 --format text', 0, 'd2102cbb8a2997a16917795810d79344f46bbc4369b35a84e446ad937b7cdddf'),
-    ('nilpotent --n 10 --r 4 --format json', 0, 'fe3a17a6ff3a4d4d4941e2b4de46717083cf10cbc81aed53e4f0bdcda1347dea'),
+    ('nilpotent --n 10 --r 4 --format json', 0, 'e26f66b6aec8382fab5f02270b5212c245bc9df46b679354385b1d8d527f53c7'),
     ('nilpotent --n 10 --r 4 --format csv', 0, '74668b96dfcd821b93b28adc3fd0a6acde362872b88cd3997d96c86b2f1994c9'),
     ('nilpotent --n 10 --r 4 --format text', 0, '4e18eb1b04f7533d22b87dddd975ecffa4ab035257071847c5ad1ce4a9d9536e'),
-    ('nilpotent --n 25 --r 13 --format json', 0, '1dce6cc3eb32efc5a175a51e6f21d226609de68122d2f241e068c19623cf442e'),
+    ('nilpotent --n 25 --r 13 --format json', 0, 'bfc08ce3fe711ea4c9ffeb5a6f58732cc9ef35db25b48c49ae62f70c89eddf0f'),
     ('nilpotent --n 25 --r 13 --format csv', 0, '6e1b8ba9ddc20ec40bbb31789decda09eca85eb44ee497b7be91350e5d9ff402'),
     ('nilpotent --n 25 --r 13 --format text', 0, '5bd6a67dc71e4d33bdfdcac9aad40ca7479a0088b8a02bb4c9c36b8ec2a74644'),
-    ('nilpotent --n 40 --r 2 --format json', 0, '4e3fc2074c6311bcfadc84002e0655b560f5c7dc09d6c3f63487e3dfa7e0c76f'),
+    ('nilpotent --n 40 --r 2 --format json', 0, '0d4db5be6320e00f83768ec169d60ba794420dbb5d88b48ab62401b591830edb'),
     ('nilpotent --n 40 --r 2 --format csv', 0, '5da0e5306d006c3f717549899dc98cfbc8c673d3150d47471b01e93133f49641'),
     ('nilpotent --n 40 --r 2 --format text', 0, 'e4ce7e9f40aa8e8bc6438e717d16bb68fbd1d925cc6ff939394565719318b295'),
-    ('nilpotent --n 80 --r 2 --format json', 0, '2c3877b7edf3f94da78bba2878bf05f88b5b38e8c6015639dd9cffda92126e6d'),
+    ('nilpotent --n 80 --r 2 --format json', 0, '59516516d3bd83a6ff70a3dd004f006cfb92fa3a1bb44e56170af4b1e76eb803'),
     ('nilpotent --n 80 --r 2 --format csv', 0, '12a7b16f9836d409a2d3655d97be47068215a0219a2a789533293affd32ba023'),
     ('nilpotent --n 80 --r 2 --format text', 0, 'e72d880c69a44b9eef5cc71018f73810e841365cf18fd09912c8ddd4c8941c18'),
     ('nilpotent --n 80 --r 79 --format json', 0, 'c6ccc7d326a7018f4077d1a33f5bde46cb9ae1d07669cb3ee68972c82d5244a5'),
@@ -56,7 +56,7 @@ GOLDEN = [
     ('realize --n 3 --r 2 --monic -6,11,-6 --format json', 0, 'f697defe3e5eb999ee57def38680b0d1d39079e762fb42ccf0884b065129e03f'),
     ('realize --n 3 --r 2 --monic -6,11,-6 --format csv', 0, '7476553a97aa5ba6ab306e44fdc1c423767a7cc474f60b0b5e5563f8d6df9fec'),
     ('realize --n 3 --r 2 --monic -6,11,-6 --format text', 0, 'ad12bb2e9587b98936f60057b55d9f09fd630b0146a2f8438bfc108048c3b577'),
-    ('realize --n 4 --r 2 --monic 3,-2,1,5 --format json', 0, 'b0b2e5a0db0f4a3288e15eba1929058186ddd071ee6461ff1a8dc5e4dcb33548'),
+    ('realize --n 4 --r 2 --monic 3,-2,1,5 --format json', 0, 'a7513e084771169bbdf33d1214e7d352137007c0833ab86db2041ba50de7bae7'),
     ('realize --n 4 --r 2 --monic 3,-2,1,5 --format csv', 0, '1589cb7a910030f6e9889c33e277c736c549d6c93a3ab69f9b517ce4236b8d81'),
     ('realize --n 4 --r 2 --monic 3,-2,1,5 --format text', 0, '24b3e691a5ee67a3cc4eb29aad4131c534e4537f31aa765f2bed336b4c3ad13c'),
     ('realize --n 4 --r 2 --monic -3,-1,-3,1 --format json', 0, 'e146e5667b9dcf8f3a6ccb711e99757ad117855fcaf719a41866b42986c11e49'),

@@ -141,6 +141,20 @@ def test_h_bracket_is_the_min_positive_root_bracket():
     assert {(3, 2), (5, 2), (5, 3), (40, 40)} <= exact
 
 
+def test_positive_roots_rational_search_covers_every_supported_order():
+    # a rational root of h is some 1/k with k dividing h's leading
+    # coefficient (h(0) = 1); positive_roots tries every such k while that
+    # coefficient is at most 1e9, so _h_bracket's exact roots are the ones
+    # it finds.  Past 1e9 (nine pairs at n <= 320) h has no root 1/k at all
+    for r in range(2, MAX_N + 1):
+        a_polys, h = recurrence_polys(FamilyParams(MAX_N, r))
+        for n in range(r, MAX_N + 1):
+            cs = (a_polys + (h,))[n].coeffs
+            lead = abs(cs[-1])
+            if lead > polyroots._RATROOT_COEFF_LIMIT:
+                assert all(polyroots._homogeneous(cs, 1, k) for k in polyroots._divisors(lead)), (n, r)
+
+
 @pytest.fixture
 def isolations(monkeypatch):
     called = []
@@ -166,16 +180,21 @@ def test_certificate_builds_no_chain_and_isolates_no_root(isolations):
     assert rational == 428  # of the 780 pairs
 
 
-def test_certificate_walks_bisections_for_every_link_and_for_h(isolations, monkeypatch):
+def test_certificate_walks_every_link_and_then_h_below_a_bound(isolations, monkeypatch):
     calls = []
-    real = polyroots.bisections
+    real_bisections, real_separation = polyroots.bisections, nilpotent._separation
 
-    def counted(p, *args, **kwargs):
+    def counted_bisections(p, *args, **kwargs):
         calls.append((p, kwargs.get("below")))
-        return real(p, *args, **kwargs)
+        return real_bisections(p, *args, **kwargs)
 
-    monkeypatch.setattr(polyroots, "bisections", counted)
-    monkeypatch.setattr(nilpotent, "bisections", counted)
+    def counted_separation(prev, q, bound):
+        calls.append((prev, bound))
+        return real_separation(prev, q, bound)
+
+    monkeypatch.setattr(polyroots, "bisections", counted_bisections)
+    monkeypatch.setattr(nilpotent, "bisections", counted_bisections)
+    monkeypatch.setattr(nilpotent, "_separation", counted_separation)
     for n, r in [(2, 2), (3, 2), (9, 4), (12, 12), (40, 3), (80, 2)]:
         nilpotent._certify.cache_clear()
         calls.clear()
@@ -285,7 +304,7 @@ def cold_certificates():
 
 
 def test_certificate_raises_when_a_link_is_not_separated(monkeypatch, cold_certificates):
-    monkeypatch.setattr(nilpotent, "_root_below", lambda prev, q, bound: None)
+    monkeypatch.setattr(nilpotent, "_separation", lambda prev, q, bound: None)
     for call in (nilpotent_realization, verify_min_chain):
         with pytest.raises(CertificationFailed, match="no separation point"):
             call(FamilyParams(6, 2))
@@ -316,16 +335,16 @@ def test_certificate_raises_when_the_last_separation_point_is_below_the_bracket(
     p = FamilyParams(n, r)
     bracket = nilpotent_realization(p).bracket
     _, h = recurrence_polys(p)
-    real = nilpotent._root_below
+    real = nilpotent._separation
 
     def last_link_at(s):
         return lambda prev, q, bound: s if q == h else real(prev, q, bound)
 
     nilpotent._certify.cache_clear()
-    monkeypatch.setattr(nilpotent, "_root_below", last_link_at(bracket.hi))
+    monkeypatch.setattr(nilpotent, "_separation", last_link_at(bracket.hi))
     assert nilpotent_realization(p).bracket == bracket  # s = bracket.hi still bounds it
     nilpotent._certify.cache_clear()
-    monkeypatch.setattr(nilpotent, "_root_below", last_link_at(bracket.hi - Fraction(1, 2**80)))
+    monkeypatch.setattr(nilpotent, "_separation", last_link_at(bracket.hi - Fraction(1, 2**80)))
     for call in (nilpotent_realization, verify_min_chain):
         with pytest.raises(CertificationFailed, match="last separation point"):
             call(p)
@@ -464,7 +483,8 @@ def test_certificate_r_equal_n_through_the_recurrence():
 
 def test_nilpotent_layer_digest_is_pinned():
     # every certificate field, margin, residual and mode for 2 <= r <= n <= 30
-    # in both precisions, and the root-order verdict, as first recorded
+    # in both precisions, and the root-order verdict, as recorded when the
+    # Descartes tree started at the dyadic root bound
     digest = hashlib.sha256()
     for n in range(2, 31):
         for r in range(2, n + 1):
@@ -475,5 +495,5 @@ def test_nilpotent_layer_digest_is_pinned():
                 digest.update(json.dumps(fields).encode())
             digest.update(repr(verify_min_chain(p)).encode())
     assert digest.hexdigest() == (
-        "e3c44d7c2ab37b14cfc1671bd7ffae90e9f3c0dfb94f9fe5d6c24b3d8ab37f0e"
+        "f6aaaa6c3975403d4c1b1c82c3d9542c44ca991022ed41c2c192eb5ddbd17149"
     )

@@ -9,6 +9,7 @@ and it is the first bracket that positive_roots gives.
 """
 
 from fractions import Fraction
+from itertools import islice
 
 import pytest
 
@@ -16,6 +17,7 @@ hypothesis = pytest.importorskip("hypothesis")
 sympy = pytest.importorskip("sympy")
 st = hypothesis.strategies
 
+from sapcert import nilpotent  # noqa: E402
 from sapcert.errors import CertificationFailed  # noqa: E402
 from sapcert.family import FamilyParams  # noqa: E402
 from sapcert.nilpotent import (  # noqa: E402
@@ -154,3 +156,40 @@ def test_a_returned_h_bracket_holds_the_smallest_root_alone(closing):
     except CertificationFailed:
         return
     _check_h_bracket(h, s, got)
+
+
+def _root_below_by_bisections(prev, q, bound):
+    """The link as it was walked through polyroots.bisections: the reference for _root_below."""
+    pc, qc = prev.coeffs, q.coeffs
+    if not qc or qc[0] <= 0 or not pc or pc[0] <= 0 or prev(bound) > 0:
+        return None
+    last_a = 0
+    steps = polyroots.bisections(prev, 0, 1, 1, below=bound)
+    for a, _, d, _ in islice(steps, nilpotent._SEPARATION_STEPS):
+        if a != 2 * last_a and q(Fraction(a, d)) < 0:
+            return Fraction(a, d) if polyroots.positive_up_to(prev, a, d) else None
+        last_a = a
+    return None
+
+
+@_SETTINGS
+@hypothesis.given(links())
+def test_the_inline_link_walk_returns_what_the_bisections_walk_returned(link):
+    prev, q, bound = link
+    got = _root_below(prev, q, bound)
+    assert got == _root_below_by_bisections(prev, q, bound)
+    if prev(bound) <= 0:
+        assert nilpotent._separation(prev, q, bound) == got
+    hypothesis.event(f"separated: {got is not None}")
+
+
+@_SETTINGS
+@hypothesis.given(family_links())
+def test_the_chain_walk_takes_the_separation_points_of_the_bisections_walk(link):
+    # the certificate hands each link's s on as the next bound, with no
+    # evaluation of prev there; the points are those of the guarded walk
+    order, _ = link
+    s = want = Fraction(2)
+    for prev, q in zip(order, order[1:]):
+        s, want = nilpotent._separation(prev, q, s), _root_below_by_bisections(prev, q, want)
+        assert s == want and s is not None

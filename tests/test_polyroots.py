@@ -15,7 +15,7 @@ from sapcert.polyroots import (
     RootBracket,
     _shifted_variations,
     bisections,
-    cauchy_bound,
+    root_bound,
     one_root_up_to,
     positive_roots,
     positive_up_to,
@@ -68,10 +68,10 @@ def test_count_roots_handles_multiplicity():
     assert [b.exact for b in positive_roots(p)] == [Fraction(1)]
 
 
-def test_cauchy_bound_contains_roots():
+def test_root_bound_contains_roots():
     p = P(-2, 11, -17, 6)
-    B = cauchy_bound(p)
-    assert B > 2  # largest root is 2
+    B = root_bound(p)
+    assert B == 16  # largest root is 2; Fujiwara from bit lengths: 2^(3 + 1)
     assert _count_roots(p, Fraction(0), B) == 3
 
 
@@ -150,10 +150,10 @@ def test_positive_roots_of_repeated_factors(factors, exact):
 
 def test_midpoint_root_is_exact_beyond_the_divisor_limit():
     # (2x - 1)(x^2 - A) with A = 2^40 - 1 > 10^9: no rational candidate is
-    # tried, but the bound 1 + A = 2^40 makes 1/2 a subdivision midpoint
+    # tried, but the dyadic bound 2^21 makes 1/2 a subdivision midpoint
     a = 2**40 - 1
     p = IntPolynomial.from_coeffs(_mul([-1, 2], [-a, 0, 1]))
-    assert cauchy_bound(p) == 2**40
+    assert root_bound(p) == 2**21
     first, second = positive_roots(p)
     assert first.exact == Fraction(1, 2) and first.lo < first.exact < first.hi
     assert second.exact is None and second.lo ** 2 < a < second.hi ** 2
@@ -220,11 +220,11 @@ def test_one_root_intervals_are_halved_by_sign(monkeypatch):
 
 
 def test_an_interval_that_starts_at_a_root_is_bisected_by_count():
-    # (2t - 1)(t - 1)(2t - 3) on (0, 4]: the midpoints 1 and 1/2 are roots,
+    # (2t - 1)(t - 1)(2t - 3) on (0, 8]: the midpoints 1 and 1/2 are roots,
     # so (1/2, 1] and (1, 2] hold one root each and start at a root, and
     # (0, 1/2] and (1/2, 1] end at one
     p = P(-3, 11, -12, 4)
-    assert cauchy_bound(p) == 4
+    assert root_bound(p) == 8
     brs = list(positive_roots(p, Fraction(1, 2**8)))
     assert [(b.lo, b.hi, b.exact) for b in brs] == [
         (Fraction(255, 512), Fraction(257, 512), Fraction(1, 2)),
@@ -509,7 +509,7 @@ def test_positive_roots_brackets_are_pinned():
                 brackets += 1
     assert brackets > 300
     assert digest.hexdigest() == (
-        "cf04f1ec81aa275307ac64fe9a31ffb6f9628a9b5b534f111e10b07950eff2a1"
+        "ca254b5a256dc2f6f2961192f2f9df271c3010b3bf94d771a535d596671747bf"
     )
 
 

@@ -20,6 +20,7 @@ hypothesis = pytest.importorskip("hypothesis")
 sympy = pytest.importorskip("sympy")
 st = hypothesis.strategies
 
+from sapcert import polyroots  # noqa: E402
 from sapcert.errors import PreconditionViolated  # noqa: E402
 from sapcert.polyroots import (  # noqa: E402
     DEFAULT_WIDTH,
@@ -27,15 +28,19 @@ from sapcert.polyroots import (  # noqa: E402
     RootBracket,
     _content_free,
     _exact_square_free,
+    _halved,
     _homogeneous,
+    _interval_poly,
+    _shifted_by_one,
     _shifted_variations,
     _square_free,
+    _variations,
     bisections,
-    cauchy_bound,
     one_root_up_to,
     positive_roots,
     positive_up_to,
     refine,
+    root_bound,
     sign_at_root,
 )
 
@@ -247,9 +252,9 @@ def int_poly(draw):
 
 @st.composite
 def non_dyadic_interval(draw, p):
-    """(0, cauchy_bound(p)], or random ends whose denominators need not be powers of two."""
+    """(0, root_bound(p)], or random ends whose denominators need not be powers of two."""
     if draw(st.booleans()):
-        return Fraction(0), cauchy_bound(p)
+        return Fraction(0), root_bound(p)
     lo = Fraction(draw(st.integers(-(10**4), 10**4)), draw(st.integers(1, 999)))
     return lo, lo + Fraction(draw(st.integers(1, 10**4)), draw(st.integers(1, 999)))
 
@@ -450,3 +455,141 @@ def test_square_free_equals_the_remainder_sequence(coeffs):
     assert sympy.Poly(got.coeffs[::-1], _X) in (want, -want)
     repeated = len(got.coeffs) < len(ints)
     hypothesis.event("repeated factor" if repeated else "square-free")
+
+
+@st.composite
+def tree_node(draw):
+    """(p, a, b, d, path): a node of the subdivision tree of p on (0, root_bound(p)].
+
+    p is square-free and primitive, as isolation makes it.  The path
+    (True: right half) is random, or steers at a dyadic root multiplied
+    into p, which then becomes a node's hi and, one step right of that
+    node, a node's lo.
+    """
+    coeffs = list(draw(int_poly()).coeffs)
+    root = None
+    if draw(st.booleans()):
+        root = Fraction(draw(st.integers(1, 2**8)), 2 ** draw(st.integers(0, 6)))
+        coeffs = _mul(coeffs, list(_linear(root)))
+    p = _square_free(_content_free(coeffs))
+    bound = root_bound(p)
+    a, b, d = 0, bound.numerator, bound.denominator
+    path = []
+    for _ in range(draw(st.integers(0, 14))):
+        m = Fraction(a + b, 2 * d)
+        right = m < root if root is not None and Fraction(a, d) < root <= Fraction(b, d) else draw(st.booleans())
+        path.append(right)
+        m, d = a + b, 2 * d
+        a, b = (m, 2 * b) if right else (2 * a, m)
+    return p, a, b, d, path
+
+
+@_SETTINGS
+@hypothesis.given(tree_node())
+def test_a_node_polynomial_from_its_parent_counts_as_the_kernel_from_scratch(node):
+    p, a, b, d, path = node
+    bound = root_bound(p)
+    P = _interval_poly(p.coeffs, 0, bound.numerator, bound.denominator)
+    for right in path:
+        left = _halved(P)
+        P = _shifted_by_one(left) if right else left
+    # a positive multiple of the interval polynomial built from p
+    fresh = _interval_poly(p.coeffs, a, b, d)
+    j = next(i for i, c in enumerate(fresh) if c)
+    assert (P[j] > 0) == (fresh[j] > 0)
+    assert all(x * fresh[j] == y * P[j] for x, y in zip(P, fresh))
+    hit = _homogeneous(p.coeffs, b, d) == 0
+    for limit in (0, 1, 2, p.degree):
+        assert _variations(P, limit, hit) == _shifted_variations(p.coeffs, a, b, d, limit, hit)
+    hypothesis.event(f"hi is a root: {hit}; lo is a root: {_homogeneous(p.coeffs, a, d) == 0}")
+
+
+def _magnitudes(coeffs):
+    """The magnitudes of the nonzero roots of ``coeffs`` to 40 digits (sympy's nroots)."""
+    lowest = next(i for i, c in enumerate(coeffs) if c)
+    if len(coeffs) - lowest < 2:
+        return []
+    roots = sympy.Poly(coeffs[lowest:][::-1], _X).nroots(n=40, maxsteps=400)
+    return [sympy.Abs(z) for z in roots]
+
+
+@_SETTINGS
+@hypothesis.given(
+    st.lists(
+        st.one_of(
+            st.integers(-(10**6), 10**6),
+            st.integers(-(2**200), 2**200),
+            st.sampled_from([0, 1, -1]),
+        ),
+        min_size=2,
+        max_size=6,
+    ),
+    st.integers(0, 3),
+)
+# 2x^3 - 3x^2 - 3x - 3 has a root near 2.39: every ratio |c_{k-i}/c_k| is
+# 3/2, just under 2^(L(3) - L(2) + 1), so the bound needs that extra bit
+@hypothesis.example([-3, -3, -3, 2], 0)
+def test_root_bound_is_a_power_of_two_above_every_root(coeffs, zeros):
+    coeffs[-1] = coeffs[-1] or 1
+    # times x^m: roots at zero, and a monomial when the rest is zero
+    p = IntPolynomial.from_coeffs([0] * zeros + coeffs)
+    bound = root_bound(p)
+    exponent = (bound.numerator if bound >= 1 else bound.denominator).bit_length() - 1
+    assert bound == Fraction(2) ** (exponent if bound >= 1 else -exponent)
+    B = _rational(bound)
+    poly = sympy.Poly(p.coeffs[::-1], _X)
+    # exactly for the real roots: none at or past +-B
+    assert poly.eval(B) != 0 and poly.eval(-B) != 0
+    assert poly.count_roots(-B, B) == poly.count_roots()
+    assert all(m < B for m in _magnitudes(p.coeffs))
+    hypothesis.event(f"bound 2^{exponent if bound >= 1 else -exponent}")
+
+
+def _step1_positive_roots(p, width):
+    """positive_roots with every node's variations taken from p itself: the reference.
+
+    The same tree on (0, root_bound(p)], each node judged by
+    _shifted_variations(cs, a, b, d, 1, hit) and the midpoint hit found by
+    evaluating p there.
+    """
+    lowest = next(i for i, c in enumerate(p.coeffs) if c)
+    work = _content_free(p.coeffs[lowest:])
+    if len(work) < 2:
+        return
+    poly = _square_free(work)
+    cs = poly.coeffs
+    c0, lead = abs(cs[0]), abs(cs[-1])
+    small = c0 <= polyroots._RATROOT_COEFF_LIMIT and lead <= polyroots._RATROOT_COEFF_LIMIT
+    candidates = (polyroots._divisors(c0), polyroots._divisors(lead)) if small else ([], [])
+    bound = root_bound(p)
+    pending = [(0, bound.numerator, bound.denominator, False)]
+    floor = Fraction(0)
+    while pending:
+        a, b, d, hit = pending.pop()
+        v = _shifted_variations(cs, a, b, d, 1, hit)
+        if v + hit == 1 and Fraction(a, d) >= floor:
+            exact = Fraction(b, d) if hit else polyroots._rational_root(cs, a, b, d, *candidates)
+            if exact is None and Fraction(b - a, d) > width:
+                a, b, d, hit = polyroots._narrowed(poly, a, b, d, width)
+                exact = Fraction(b, d) if hit else None
+            lo, hi = Fraction(a, d), Fraction(b, d)
+            if exact is not None:
+                lo, hi = polyroots._centred(poly, exact, polyroots._cell_delta(lo, hi, exact, width))
+            floor = hi
+            yield lo, hi, exact
+        elif v + hit:
+            m, d = a + b, 2 * d
+            pending += [(m, 2 * b, d, hit), (2 * a, m, d, _homogeneous(cs, m, d) == 0)]
+
+
+@_SETTINGS
+@hypothesis.given(
+    st.one_of(factored().map(lambda case: case[0]), int_poly().map(lambda p: list(p.coeffs))),
+    st.sampled_from([Fraction(1, 16), Fraction(1, 2**30), DEFAULT_WIDTH]),
+)
+def test_positive_roots_yield_the_brackets_of_the_from_scratch_tree(coeffs, width):
+    p = IntPolynomial.from_coeffs(coeffs)
+    hypothesis.assume(not p.is_zero)
+    got = [(b.lo, b.hi, b.exact) for b in positive_roots(p, width)]
+    assert got == list(_step1_positive_roots(p, width))
+    hypothesis.event(f"brackets: {min(len(got), 3)}")

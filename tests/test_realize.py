@@ -153,7 +153,8 @@ def test_realize_spectrum_fidelity():
 def test_realize_layer_digest_is_pinned():
     # matrix bytes, scaling_c, residual, params and newton_iters of seeded
     # targets for every 2 <= r <= n, 3 <= n <= 8, most of them realized on
-    # the scaling ladder, as first recorded
+    # the scaling ladder, as recorded when the Descartes tree started at the
+    # dyadic root bound
     rng = np.random.default_rng(2000)
     digest = hashlib.sha256()
     ladder = total = 0
@@ -169,7 +170,7 @@ def test_realize_layer_digest_is_pinned():
                 digest.update(json.dumps(fields).encode())
     assert 2 * ladder > total
     assert digest.hexdigest() == (
-        "cfa70c16118af2df43d3d802b44ea441b4d3055b817d1880284b522287796132"
+        "46f6107724d8abc4df9b3d354246322e4c6fdd14dc28b0d80b6f5aa164e6c154"
     )
 
 
@@ -211,15 +212,16 @@ def test_realize_failure_on_the_ladder_refines_nothing(monkeypatch):
 
 def test_realize_proof_bracket_narrower_than_root_width(monkeypatch):
     # the sign proofs start on the one-root intervals that isolation finds,
-    # at most 13.7 wide on these targets; with a root width of 16 every
-    # proof's bracket is already narrower, so refine hands it back as is.
+    # nodes of the dyadic tree at most 32 wide on these targets; with a
+    # root width of 32 no proof's bracket is wider, so refine hands it back
+    # as is.
     # At every delivered scale b and all a_j must still be exactly
     # positive, and realize must return them or fail with a typed error
     from fractions import Fraction
 
     from sapcert.polyroots import IntPolynomial
 
-    width = Fraction(16)
+    width = Fraction(32)
     monkeypatch.setattr(realize_module, "_ROOT_WIDTH", width)
     calls = _count_refines(monkeypatch)
     delivered = []
