@@ -22,7 +22,7 @@ from .patterns import Sign, SignPattern
 
 
 # largest order accepted.  The nilpotent certificate, which every command
-# but njverify builds, is slowest at r = 2: about 0.5 s at n = 320, and
+# but njverify builds, is slowest at r = 2: 0.3-0.5 s at n = 320, and
 # less at r = n/2 and r = n - 1, on a 2-vCPU Xeon.  `realize` on a random
 # target at r = 2 returns its typed result in about 3 s at n = 160 and
 # 20 s at n = 320, most of it in the sign proofs of its scales

@@ -152,7 +152,8 @@ def test_positive_roots_rational_search_covers_every_supported_order():
             cs = (a_polys + (h,))[n].coeffs
             lead = abs(cs[-1])
             if lead > polyroots._RATROOT_COEFF_LIMIT:
-                assert all(polyroots._homogeneous(cs, 1, k) for k in polyroots._divisors(lead)), (n, r)
+                ks = polyroots._divisors(lead)
+                assert all(polyroots._homogeneous(cs, 1, k) for k in ks), (n, r)
 
 
 @pytest.fixture

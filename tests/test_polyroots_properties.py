@@ -7,7 +7,10 @@ and a common factor of up to 200 bits.  The integer-endpoint bisection
 is checked step by step against a plain Fraction bisection by sign, and
 below a bound against the walk the nilpotent certificate once wrote
 inline; every root count claimed by the Descartes test against sympy's
-count.
+count.  Each subdivision node's polynomial, derived from its parent's,
+is checked against the one built from p, the dyadic root bound against
+sympy's roots, and positive_roots against a copy of the tree that builds
+every node's transform from p.
 """
 
 from collections import Counter
@@ -476,8 +479,10 @@ def tree_node(draw):
     a, b, d = 0, bound.numerator, bound.denominator
     path = []
     for _ in range(draw(st.integers(0, 14))):
-        m = Fraction(a + b, 2 * d)
-        right = m < root if root is not None and Fraction(a, d) < root <= Fraction(b, d) else draw(st.booleans())
+        if root is not None and Fraction(a, d) < root <= Fraction(b, d):
+            right = Fraction(a + b, 2 * d) < root
+        else:
+            right = draw(st.booleans())
         path.append(right)
         m, d = a + b, 2 * d
         a, b = (m, 2 * b) if right else (2 * a, m)
@@ -574,7 +579,8 @@ def _step1_positive_roots(p, width):
                 exact = Fraction(b, d) if hit else None
             lo, hi = Fraction(a, d), Fraction(b, d)
             if exact is not None:
-                lo, hi = polyroots._centred(poly, exact, polyroots._cell_delta(lo, hi, exact, width))
+                delta = polyroots._cell_delta(lo, hi, exact, width)
+                lo, hi = polyroots._centred(poly, exact, delta)
             floor = hi
             yield lo, hi, exact
         elif v + hit:
