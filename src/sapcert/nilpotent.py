@@ -17,10 +17,12 @@ proves both the order of the smallest roots and that no a_j has a root
 up to h's bracket.  Each separation point is found by signs on the
 dyadic walk of :func:`sapcert.polyroots.bisections`, run inline below the
 point before it, where the chain has already shown the polynomial
-negative (:func:`_separation`); h's bracket by signs on that walk down
-the tree of :func:`sapcert.polyroots.positive_roots`, which starts at the
-dyadic root bound.  Each is proved by one Descartes test; a failed test
-raises :class:`CertificationFailed`.  The values of every a_j at a point
+negative (:func:`_separation`); h's bracket by the root walk of
+:mod:`sapcert.polyroots` below the last point, down the tree of
+:func:`sapcert.polyroots.positive_roots`, which starts at the dyadic
+root bound, and centred as that walk centres a rational root.  Each is
+proved by one Descartes test; a failed test raises
+:class:`CertificationFailed`.  The values of every a_j at a point
 come from the recurrence in integers, one step each.  The whole proof
 for one (n, r) is built in one pass and memoized once; the public
 functions read that one certificate.
@@ -37,9 +39,8 @@ from .family import FamilyParams, FamilyRealization, coeff_map, eliminate_intege
 from .polyroots import (
     IntPolynomial,
     RootBracket,
-    _cell_delta,
     _homogeneous,
-    bisections,
+    _Root,
     one_root_up_to,
     positive_up_to,
     root_bound,
@@ -109,7 +110,7 @@ def recurrence_polys(p: FamilyParams) -> tuple[tuple[IntPolynomial, ...], IntPol
     and h(t) = 1 - t.
     """
     a, g = eliminate_integers(p.n, p.r, 1, (0,) * p.n)
-    return tuple(IntPolynomial(cs) for cs in a), IntPolynomial(tuple(-c for c in g))
+    return tuple(map(IntPolynomial._of, a)), IntPolynomial._of(tuple(-c for c in g))
 
 
 def _root_below(prev: IntPolynomial, q: IntPolynomial, bound: Fraction) -> Fraction | None:
@@ -196,36 +197,33 @@ def _h_bracket(h: IntPolynomial, s: Fraction) -> RootBracket:
     ``s`` is the last link's separation point.  h(0) = 1, as for every
     closing polynomial, and one Descartes test (:func:`one_root_up_to`)
     proves one simple root t_h in (0, s), which h's signs bracket on the
-    tree of positive_roots: :func:`bisections` of (0, root_bound(h)]
-    below s, to the first node (lo, hi] no wider than ``_CERT_WIDTH``.  A
-    rational t_h is some 1/k in (lo, hi], centred as positive_roots
-    centres it (:func:`_cell_delta`).  With its hi at most s the bracket
-    holds t_h alone, so it is positive_roots' first bracket, whose
-    rational search finds every rational t_h for n <= MAX_N; its poly is
-    h, square-free for every supported (n, r).  Raises
-    :class:`CertificationFailed` when h(0) != 1, the test fails, the node
-    leaves more than four k to try, or the bracket reaches past s.
+    tree of positive_roots: the walk of (0, root_bound(h)] below s
+    (:class:`sapcert.polyroots._Root`), narrowed to the first node
+    (lo, hi] no wider than ``_CERT_WIDTH`` or to a midpoint that hits
+    t_h.  Otherwise a rational t_h is some 1/k in (lo, hi].  An exact t_h
+    is centred by the walk, as positive_roots centres it.  With its hi at
+    most s the bracket holds t_h alone, so it is positive_roots' first
+    bracket, whose rational search finds every rational t_h for
+    n <= MAX_N; its poly is h, square-free for every supported (n, r).
+    Raises :class:`CertificationFailed` when h(0) != 1, the test fails,
+    the node leaves more than four k to try, or the bracket reaches past s.
     """
     cs = h.coeffs
     if cs[:1] != (1,) or not one_root_up_to(h, s.numerator, s.denominator):
         raise CertificationFailed(f"no one-root proof for h on (0, {s})")
-    wn, wd = _CERT_WIDTH.numerator, _CERT_WIDTH.denominator
     bound = root_bound(h)
-    for a, b, d, _ in bisections(h, 0, bound.numerator, bound.denominator, below=s):
-        if (b - a) * wd <= wn * d:
-            break
-    lo, hi = Fraction(a, d), Fraction(b, d)
-    # a rational root of h is some 1/k, as h(0) = 1, here with d/b <= k < d/a
-    if not a or (d - 1) // a - (d - 1) // b > 4:
-        raise CertificationFailed("too many rational candidates for h's root")
-    ks = range((d - 1) // b + 1, (d - 1) // a + 1)
-    exact = next((Fraction(1, k) for k in ks if not _homogeneous(cs, 1, k)), None)
-    if exact is not None:
-        delta = _cell_delta(lo, hi, exact, _CERT_WIDTH)
-        lo, hi = exact - delta, exact + delta
-    if hi > s:
+    root = _Root(h, 0, bound.numerator, bound.denominator, below=s).narrow(_CERT_WIDTH)
+    if root.exact is None:
+        a, b, d = root.a, root.b, root.d
+        # a rational root of h is some 1/k, as h(0) = 1, here with d/b <= k < d/a
+        if not a or (d - 1) // a - (d - 1) // b > 4:
+            raise CertificationFailed("too many rational candidates for h's root")
+        ks = range((d - 1) // b + 1, (d - 1) // a + 1)
+        root.exact = next((Fraction(1, k) for k in ks if not _homogeneous(cs, 1, k)), None)
+    bracket = root.centre(_CERT_WIDTH).bracket()
+    if bracket.hi > s:
         raise CertificationFailed("h's bracket reaches past the last separation point")
-    return RootBracket(lo=lo, hi=hi, poly=h, exact=exact)
+    return bracket
 
 
 # the one memo of the module: one pass per (n, r)

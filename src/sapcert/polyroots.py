@@ -12,28 +12,31 @@ leftmost-first dyadic subdivision on the square-free part of the
 polynomial that drops an interval with no variation, halves one with
 more, and yields one-root brackets in increasing order, so a caller that
 needs only the first admissible root stops there; a rational root is
-recognised and centred (:func:`_cell_delta`) on the first interval that
-holds it alone.  The tree starts at (0, 2^e], a Fujiwara bound read from
-bit lengths (:func:`root_bound`), so every node's denominator is a power
-of two, and each node's interval polynomial is derived from its
-parent's in the manner of Collins and Akritas, by bit shifts and
-additions (:func:`_halved`, :func:`_shifted_by_one`); an interval that
-is not a tree node has it built from the polynomial
-(:func:`_shifted_variations`).  The square-free part is proved by
-gcd(p, p') modulo the prime 2^61 - 1 when that gcd is constant, and
+recognised and centred on the first interval that holds it alone.  The
+tree starts at (0, 2^e], a Fujiwara bound read from bit lengths
+(:func:`root_bound`), so every node's denominator is a power of two, and
+each node's interval polynomial is derived from its parent's in the
+manner of Collins and Akritas, by bit shifts and additions
+(:func:`_halved`, :func:`_shifted_by_one`); an interval that is not a
+tree node has it built from the polynomial (:func:`_shifted_variations`,
+also the proof of a centred bracket).  The square-free part is proved
+by gcd(p, p') modulo the prime 2^61 - 1 when that gcd is constant, and
 taken by the exact remainder sequence only otherwise
 (:func:`_square_free`).
 :func:`bisections` is the one loop that halves an interval by a
 polynomial's sign: across the one root of an interval the sign at each
 midpoint picks the half that holds the root, at one evaluation per step.
-Isolation and :func:`refine` narrow by it to the width asked for
-(:func:`_narrowed`); :func:`sign_at_root` walks it while its Descartes
-proof of a sign fails, so a caller that proves signs on the one-root
-intervals as isolation finds them (:func:`_isolated`) narrows each only
-as far as its proofs need.  The nilpotent certificate walks it below a
-bound of its own for h, and takes the same steps inline for the links of
-its chain.  :func:`positive_up_to` and :func:`one_root_up_to`
-prove a polynomial root-free, or with one simple root, on (0, s].
+One root is one walk (:class:`_Root`): the subdivision hands each
+one-root interval over as a walk (:func:`_isolated`), with the signs at
+its ends read from the node's interval polynomial, and sign proofs
+(:func:`sign_at_root`) and narrowing to a width (:func:`refine`) step on
+along its one :func:`bisections` generator, each from where the last
+stopped, so a caller that proves signs on the intervals as isolation
+finds them narrows each only as far as its proofs need.  The nilpotent
+certificate walks it below a bound of its own for h, and takes the same
+steps inline for the links of its chain.  :func:`positive_up_to` and
+:func:`one_root_up_to` prove a polynomial root-free, or with one simple
+root, on (0, s].
 
 Every polynomial in the package is an :class:`IntPolynomial`.  Signs and
 values at a rational point p/q are evaluated homogeneously, as
@@ -46,11 +49,12 @@ Fractions are built only for the brackets handed back.
 
 from __future__ import annotations
 
-from bisect import bisect_right
-from dataclasses import dataclass, replace
+from bisect import bisect_left, bisect_right
+from dataclasses import dataclass
 from fractions import Fraction
 from itertools import islice
 from math import ceil, gcd, isqrt, lcm
+from numbers import Rational
 from typing import Iterator
 
 from .errors import InvalidInput, PreconditionViolated
@@ -79,12 +83,21 @@ class IntPolynomial:
     coeffs: tuple[int, ...]
 
     def __post_init__(self):
+        if not {*map(type, self.coeffs)} <= {int}:
+            object.__setattr__(self, "coeffs", tuple(map(_integer, self.coeffs)))
         if self.coeffs and self.coeffs[-1] == 0:
             raise InvalidInput("leading coefficient must be nonzero")
 
     @classmethod
+    def _of(cls, ints: tuple[int, ...]) -> "IntPolynomial":
+        # ``ints`` already ints with no trailing zero: built without the constructor's checks
+        p = object.__new__(cls)
+        object.__setattr__(p, "coeffs", ints)
+        return p
+
+    @classmethod
     def from_coeffs(cls, coeffs) -> "IntPolynomial":
-        cs = [int(c) for c in coeffs]
+        cs = list(map(_integer, coeffs))
         while cs and cs[-1] == 0:
             cs.pop()
         return cls(tuple(cs))
@@ -152,6 +165,13 @@ class RootBracket:
         return float(self.midpoint)
 
 
+def _integer(c) -> int:
+    # an integer coefficient as an int: ints, integral Fractions and numpy integers
+    if isinstance(c, Rational) and c.denominator == 1:
+        return int(c)
+    raise InvalidInput(f"polynomial coefficient {c!r} is not an integer")
+
+
 def _homogeneous(ints, p: int, q: int) -> int:
     # sum c_i p^i q^(d-i) for q > 0: q^d f(p/q), in integers; p/q need not
     # be in lowest terms, which scales the value by a positive factor only.
@@ -212,21 +232,6 @@ def _over_common(lo: Fraction, hi: Fraction) -> tuple[int, int, int]:
     return lo.numerator * (d // lo.denominator), hi.numerator * (d // hi.denominator), d
 
 
-def _sign_change(bracket: RootBracket) -> tuple[int, int, int]:
-    """(a, b, d) with (lo, hi) = (a/d, b/d) for a bracket whose ``poly`` changes sign across it.
-
-    Raises :class:`PreconditionViolated` when ``poly`` is zero at an end
-    or has the same sign at both: no sign picks a half then.
-    """
-    a, b, d = _over_common(bracket.lo, bracket.hi)
-    cs = bracket.poly.coeffs
-    if _sign(_homogeneous(cs, a, d)) * _sign(_homogeneous(cs, b, d)) >= 0:
-        raise PreconditionViolated(
-            f"bracket polynomial does not change sign across ({bracket.lo}, {bracket.hi})"
-        )
-    return a, b, d
-
-
 def bisections(
     p: IntPolynomial, a: int, b: int, d: int, below: Fraction | None = None
 ) -> Iterator[tuple[int, int, int, bool]]:
@@ -242,8 +247,11 @@ def bisections(
     holds it.  The lo end moved exactly when the new a is not twice the
     one before.
     """
-    cs = p.coeffs
-    lo_positive = _homogeneous(cs, a, d) > 0
+    return _bisections(p.coeffs, a, b, d, _homogeneous(p.coeffs, a, d) > 0, below)
+
+
+def _bisections(cs, a: int, b: int, d: int, lo_positive: bool, below: Fraction | None = None):
+    # bisections of the polynomial cs, whose sign at a/d is positive when lo_positive
     if below is not None:
         bn, bd = below.numerator, below.denominator
     while True:
@@ -257,31 +265,16 @@ def bisections(
         yield a, b, d, hit
 
 
-def _narrowed(poly: IntPolynomial, a: int, b: int, d: int, width: Fraction):
-    # the first step of bisections that hits the root or is at most width wide
-    wn, wd = width.numerator, width.denominator
-    for a, b, d, hit in islice(bisections(poly, a, b, d), _MAX_BISECTIONS):
-        if hit or (b - a) * wd <= wn * d:
-            return a, b, d, hit
-    raise PreconditionViolated("root isolation did not converge")
-
-
 def refine(bracket: RootBracket, width: Fraction) -> RootBracket:
     """The bracket narrowed by bisection to ``width`` at most.
 
     Stops early when a midpoint is the root, which is then reported as
-    ``exact``; brackets that are exact or narrow enough come back as is.
-    Raises :class:`PreconditionViolated` for a bracket that is not exact
-    and across which its polynomial does not change sign.
+    ``exact``; brackets that are exact or narrow enough come back
+    unchanged.  Raises :class:`PreconditionViolated` for a bracket that
+    is not exact and across which its polynomial does not change sign.
     """
-    if bracket.exact is not None:
-        return bracket
-    a, b, d = _sign_change(bracket)
-    if bracket.width <= width:
-        return bracket
-    a, b, d, hit = _narrowed(bracket.poly, a, b, d, width)
-    hi = Fraction(b, d)
-    return replace(bracket, lo=Fraction(a, d), hi=hi, exact=hi if hit else None)
+    walk = _Root(bracket.poly, *_over_common(bracket.lo, bracket.hi), bracket.exact)
+    return walk.narrow(width).bracket()
 
 
 def _interval_poly(cs: tuple[int, ...], a: int, b: int, d: int) -> list[int]:
@@ -509,18 +502,18 @@ def _exact_square_free(ints: tuple[int, ...]) -> IntPolynomial:
     return IntPolynomial(ints if len(g) == 1 else _exact_quotient(ints, g))
 
 
-def _rational_root(ints, a: int, b: int, d: int, nums: list[int], dens: list[int]):
-    """The root num/den of ``ints`` in (a/d, b/d] with num in ``nums`` and den in ``dens``, or None.
+def _rational_root(ints, a: int, b: int, d: int, s_hi: int, nums: list[int], dens: list[int]):
+    """The root num/den of ``ints`` in (a/d, b/d) with num in ``nums`` and den in ``dens``, or None.
 
-    The interval holds one simple root, so the sign at a candidate tells
-    its side; for each den the sorted numerators in (a den/d, b den/d]
-    are bisected by sign, which narrows the interval for the next den.
-    Its ends are kept as (numerator, denominator) pairs.
+    The interval holds one simple root, and b/d is not a root, so the sign
+    at a candidate, against the sign ``s_hi`` at b/d, tells its side; for
+    each den the sorted numerators in (a den/d, b den/d) are bisected by
+    sign, which narrows the interval for the next den.  Its ends are kept
+    as (numerator, denominator) pairs, whose signs are known.
     """
     lo, hi = (a, d), (b, d)
-    s_hi = _sign(_homogeneous(ints, b, d))
     for den in dens:
-        i, j = bisect_right(nums, lo[0] * den // lo[1]), bisect_right(nums, hi[0] * den // hi[1])
+        i, j = bisect_right(nums, lo[0] * den // lo[1]), bisect_left(nums, -(-hi[0] * den // hi[1]))
         while i < j:
             k = (i + j) // 2
             s = _sign(_homogeneous(ints, nums[k], den))
@@ -533,34 +526,119 @@ def _rational_root(ints, a: int, b: int, d: int, nums: list[int], dens: list[int
     return None
 
 
-def _cell_delta(lo: Fraction, hi: Fraction, exact: Fraction, width: Fraction) -> Fraction:
-    """Half-width of a bracket centred on the root ``exact`` in (lo, hi].
+class _Root:
+    """One root of ``poly`` in (a/d, b/d], walked by sign on the dyadic tree.
 
-    min(width / 2, exact's offset in the cell that bisecting (lo, hi] to
-    ``width`` ends in), which is min(width / 2, exact - lo) on a node no
-    wider than ``width``.
+    The ends are integer numerators a, b over one denominator d.  Unless
+    the root is ``exact``, ``poly`` changes sign across them, and one
+    bisection generator halves them towards it: :meth:`sign` and
+    :meth:`narrow` step on along it from where the last call left the
+    ends, so each sign proof holds on every later bracket and narrowing
+    after proofs ends where narrowing alone would.  A
+    midpoint that hits the root makes it ``exact``; an exact root is not
+    walked, and :meth:`centre` puts it in the middle of a bracket that
+    holds it alone.  With ``below``, the walk is :func:`bisections` below
+    that bound, which holds the one root below it whatever the sign at
+    b/d.  Otherwise ``signs``, poly's signs at the ends as the subdivision
+    read them from a node's interval polynomial, spare their evaluation,
+    and ends that are not exact and do not differ in sign raise
+    :class:`PreconditionViolated`.
     """
-    cells = ceil((hi - lo) / width)
-    step = (hi - lo) / 2 ** (cells - 1).bit_length()
-    return min(width / 2, (exact - lo) % step or step)
 
+    def __init__(self, poly, a, b, d, exact=None, below=None, signs=None):
+        self.poly, self.a, self.b, self.d, self.exact = poly, a, b, d, exact
+        if below is not None:
+            self._steps = bisections(poly, a, b, d, below)
+        elif exact is None:
+            cs = poly.coeffs
+            s_lo, s_hi = signs or (_sign(_homogeneous(cs, a, d)), _sign(_homogeneous(cs, b, d)))
+            if s_lo * s_hi >= 0:
+                raise PreconditionViolated(
+                    "bracket polynomial does not change sign across "
+                    f"({Fraction(a, d)}, {Fraction(b, d)})"
+                )
+            self._steps = _bisections(cs, a, b, d, s_lo > 0)
 
-def _centred(poly: IntPolynomial, exact: Fraction, delta: Fraction):
-    """(exact - delta, exact + delta) around the root ``exact`` of ``poly``.
+    def sign(self, q) -> int:
+        """The sign of ``q`` (ascending integer coefficients) at the root, 0 if unproved.
 
-    ``delta`` is halved until 0 < lo, neither end is a root of ``poly``
-    and one sign variation (:func:`_shifted_variations`) proves the centre
-    the one root in (lo, hi).
-    """
-    cs = poly.coeffs
-    while True:
-        lo, hi = exact - delta, exact + delta
-        if lo > 0:
-            a, b, d = _over_common(lo, hi)
+        An exact root proves it by evaluation.  Otherwise a proof is the
+        same nonzero sign at both ends and no sign variation of the
+        Descartes transform on (a/d, b/d) (:func:`_shifted_variations`):
+        q then has no root on the closed bracket.  While a test fails the
+        walk steps on, and q is evaluated at the moved end only.  0 when
+        the sign could not be separated from zero within
+        ``_MAX_SIGN_REFINE`` steps on brackets at most ``_LOCATED_WIDTH``
+        wide, which includes a root ``poly`` shares with ``q``.
+        """
+        if self.exact is not None:
+            return _sign(_homogeneous(q, self.exact.numerator, self.exact.denominator))
+        a, b, d = self.a, self.b, self.d
+        s_lo, s_hi = _sign(_homogeneous(q, a, d)), _sign(_homogeneous(q, b, d))
+        sign = 0
+        wn, wd = _LOCATED_WIDTH.numerator, _LOCATED_WIDTH.denominator
+        spent = 0
+        while spent < _MAX_SIGN_REFINE:
+            if s_lo == s_hi != 0 and _shifted_variations(q, a, b, d, 0) == 0:
+                sign = s_lo
+                break
+            spent += (b - a) * wd <= wn * d
+            prev_a = a
+            a, b, d, hit = next(self._steps)
+            if hit:
+                self.exact = Fraction(b, d)
+                sign = _sign(_homogeneous(q, b, d))
+                break
+            if a != 2 * prev_a:
+                s_lo = _sign(_homogeneous(q, a, d))
+            else:
+                s_hi = _sign(_homogeneous(q, b, d))
+        self.a, self.b, self.d = a, b, d
+        return sign
+
+    def narrow(self, width: Fraction) -> "_Root":
+        """Step on to the first bracket at most ``width`` wide, or to a midpoint at the root."""
+        wn, wd = width.numerator, width.denominator
+        if self.exact is None and (self.b - self.a) * wd > wn * self.d:
+            for a, b, d, hit in islice(self._steps, _MAX_BISECTIONS):
+                if hit or (b - a) * wd <= wn * d:
+                    break
+            else:
+                raise PreconditionViolated("root isolation did not converge")
+            self.a, self.b, self.d = a, b, d
+            if hit:
+                self.exact = Fraction(b, d)
+        return self
+
+    def centre(self, width: Fraction) -> "_Root":
+        """An exact root in the middle of a bracket that holds it alone.
+
+        The half-width is min(width / 2, the root's offset in the cell that
+        narrowing the ends to ``width`` ends in), which is min(width / 2,
+        exact - lo) on ends no wider than ``width``.  It is halved until
+        0 < lo, neither end is a root and one sign variation
+        (:func:`_shifted_variations`) proves the centre the one root
+        between them.  A root that is not exact stays where it is.
+        """
+        exact = self.exact
+        if exact is None:
+            return self
+        lo, hi = Fraction(self.a, self.d), Fraction(self.b, self.d)
+        step = (hi - lo) / 2 ** (ceil((hi - lo) / width) - 1).bit_length()
+        delta = min(width / 2, (exact - lo) % step or step)
+        cs = self.poly.coeffs
+        while True:
+            a, b, d = _over_common(exact - delta, exact + delta)
             # a root at hi fails the variation test itself
-            if _homogeneous(cs, a, d) and _shifted_variations(cs, a, b, d, 1) == 1:
-                return lo, hi
-        delta /= 2
+            if a > 0 and _homogeneous(cs, a, d) and _shifted_variations(cs, a, b, d, 1) == 1:
+                self.a, self.b, self.d = a, b, d
+                return self
+            delta /= 2
+
+    def bracket(self) -> RootBracket:
+        """The walk's ends as a bracket: every sign proof so far holds on all of it."""
+        lo, hi = Fraction(self.a, self.d), Fraction(self.b, self.d)
+        return RootBracket(lo=lo, hi=hi, poly=self.poly, exact=self.exact)
 
 
 def positive_roots(p: IntPolynomial, width: Fraction = DEFAULT_WIDTH) -> Iterator[RootBracket]:
@@ -572,27 +650,32 @@ def positive_roots(p: IntPolynomial, width: Fraction = DEFAULT_WIDTH) -> Iterato
     each interval by its sign variations (:func:`_variations` of the
     interval polynomial, derived from the parent's):
     none drops it, more than one halves it, and one proves one simple
-    root in it, which :func:`bisections` narrows on the same tree until
-    the bracket is at most ``width`` wide; isolate coarsely and
-    :func:`refine` only the brackets that are used.  A midpoint that hits
-    a root ends the interval to its left, which then holds that root and
-    at most as many more as the variations with the root divided out.
-    Rational roots num/den, num dividing the constant and den the leading
-    coefficient (both at most 1e9), are looked for once, on the first
-    interval that holds the root alone; one found there, or a midpoint
-    that hits a root, is reported as ``exact`` and centred at once in a
-    bracket that holds no other root.  Each bracket lies right of the one
-    before.
+    root in it, whose walk (:func:`_isolated`) :func:`bisections` narrows
+    on the same tree until the bracket is at most ``width`` wide; isolate
+    coarsely and :func:`refine` only the brackets that are used.  A
+    midpoint that hits a root ends the interval to its left, which then
+    holds that root and at most as many more as the variations with the
+    root divided out.  Rational roots num/den, num dividing the constant
+    and den the leading coefficient (both at most 1e9), are looked for
+    once, on the first interval that holds the root alone; one found
+    there, or a midpoint that hits a root, is reported as ``exact`` and
+    centred at once in a bracket that holds no other root.  Each bracket
+    lies right of the one before.
     """
-    return _isolated(p, width, narrow=True)
+    for root in _isolated(p, width):
+        if root.exact is None:
+            root.narrow(width).centre(width)
+        yield root.bracket()
 
 
-def _isolated(p: IntPolynomial, width: Fraction, narrow: bool) -> Iterator[RootBracket]:
-    """:func:`positive_roots`, or with ``narrow`` False its brackets before narrowing.
+def _isolated(p: IntPolynomial, width: Fraction) -> Iterator[_Root]:
+    """The walks of :func:`positive_roots`, one per root, before narrowing.
 
-    Unnarrowed, a bracket that is not exact is the one-root interval as
-    the subdivision found it, on the tree that :func:`bisections` walks
-    on from it; an exact root is centred to ``width`` either way.
+    Each is the one-root interval as the subdivision found it, a node of
+    the tree its walk steps down, with poly's signs at its ends read from
+    the node's interval polynomial; an exact root is centred to ``width``
+    first.  The consumer may step a walk on before it asks for the next,
+    which then lies right of where this one ends.
     """
     if p.is_zero:
         raise InvalidInput("cannot isolate roots of the zero polynomial")
@@ -604,13 +687,12 @@ def _isolated(p: IntPolynomial, width: Fraction, narrow: bool) -> Iterator[RootB
     cs = poly.coeffs
     candidates = None  # sorted divisors of poly(0) and lead, on the first search
     bound = root_bound(p)
-    wn, wd = width.numerator, width.denominator
     b, d = bound.as_integer_ratio()
     # (a, b, d, hit, P, right) for the interval (a/d, b/d]; hit: b/d is a
     # root; P: its interval polynomial up to a positive factor, or with
     # right the left sibling's, which is shifted by 1 once the node is taken
     pending = [(0, b, d, False, _interval_poly(cs, 0, b, d), False)]
-    fn, fd = 0, 1  # floor, the hi of the last bracket; a centred one can reach past its parent
+    fn, fd = 0, 1  # floor, the hi of the last walk; a centred one can reach past its node
     for _ in range(_MAX_BISECTIONS * len(work)):
         if not pending:
             return
@@ -620,102 +702,24 @@ def _isolated(p: IntPolynomial, width: Fraction, narrow: bool) -> Iterator[RootB
         # a bound on the roots in (a/d, b/d), capped at 2
         v = _variations(P, 1, hit)
         if v + hit == 1 and a * fd >= fn * d:
-            exact = Fraction(b, d) if hit else None
+            exact, signs = Fraction(b, d) if hit else None, None
             if exact is None:
+                # P(0) and P(1) are positive multiples of poly at a/d and b/d
+                signs = _sign(P[0]), _sign(sum(P))
                 if candidates is None:
                     c0, lead = abs(cs[0]), abs(cs[-1])
                     small = c0 <= _RATROOT_COEFF_LIMIT and lead <= _RATROOT_COEFF_LIMIT
                     candidates = (_divisors(c0), _divisors(lead)) if small else ([], [])
-                exact = _rational_root(cs, a, b, d, *candidates)
-            if exact is None and narrow and (b - a) * wd > wn * d:
-                # the subtree of a one-root interval is the path bisections takes
-                a, b, d, hit = _narrowed(poly, a, b, d, width)
-                exact = Fraction(b, d) if hit else None
-            lo, hi = Fraction(a, d), Fraction(b, d)
-            if exact is not None:
-                lo, hi = _centred(poly, exact, _cell_delta(lo, hi, exact, width))
-            fn, fd = hi.numerator, hi.denominator
-            yield RootBracket(lo=lo, hi=hi, poly=poly, exact=exact)
+                exact = _rational_root(cs, a, b, d, signs[1], *candidates)
+            root = _Root(poly, a, b, d, exact, signs=signs).centre(width)
+            yield root
+            fn, fd = root.b, root.d
         elif v + hit:
             m, d = a + b, 2 * d
             left = _halved(P)
             # left(1) is P at the midpoint, up to a positive factor
             pending += [(m, 2 * b, d, hit, left, True), (2 * a, m, d, sum(left) == 0, left, False)]
     raise PreconditionViolated("root isolation did not converge")
-
-
-class _SignWalk:
-    """Sign proofs at the root of one bracket, on the tree that :func:`refine` walks.
-
-    The bracket's ends are kept as integer numerators a, b over one
-    denominator d.  Each :meth:`sign` proves the sign of one polynomial at
-    the root and leaves the ends where its proof held, so the next proof
-    starts there and every proof holds on the final bracket.  A proof is
-    the same nonzero sign at both ends and no sign variation of the
-    Descartes transform on (a/d, b/d) (:func:`_shifted_variations`): then
-    the polynomial has no root on the closed bracket.  When a test fails,
-    the bracket polynomial's sign drives :func:`bisections` on.  A root
-    that is ``exact``, given or hit by a midpoint, proves each sign by
-    evaluation there.  A bracket that is not exact must show a sign change
-    of its polynomial (:class:`PreconditionViolated` otherwise).
-    """
-
-    def __init__(self, bracket: RootBracket):
-        self._bracket = bracket
-        self._steps = None
-        if bracket.exact is not None:
-            self._root = (bracket.exact.numerator, bracket.exact.denominator)
-        else:
-            self._root = None
-            self.a, self.b, self.d = _sign_change(bracket)
-
-    def sign(self, q) -> int:
-        """The sign of ``q`` (ascending integer coefficients) at the root, 0 if unproved.
-
-        0 when the sign could not be separated from zero within
-        ``_MAX_SIGN_REFINE`` bisection steps on brackets at most
-        ``_LOCATED_WIDTH`` wide, which includes a root the bracket
-        polynomial shares with ``q``.
-        """
-        if self._root is not None:
-            return _sign(_homogeneous(q, *self._root))
-        a, b, d = self.a, self.b, self.d
-        s_lo, s_hi = _sign(_homogeneous(q, a, d)), _sign(_homogeneous(q, b, d))
-        sign = 0
-        wn, wd = _LOCATED_WIDTH.numerator, _LOCATED_WIDTH.denominator
-        spent = 0
-        while spent < _MAX_SIGN_REFINE:
-            if s_lo == s_hi != 0 and _shifted_variations(q, a, b, d, 0) == 0:
-                sign = s_lo
-                break
-            spent += (b - a) * wd <= wn * d
-            if self._steps is None:
-                self._steps = bisections(self._bracket.poly, a, b, d)
-            prev_a = a
-            a, b, d, hit = next(self._steps)
-            if hit:
-                self._root = (b, d)
-                sign = _sign(_homogeneous(q, b, d))
-                break
-            # q's sign is evaluated at the moved end only
-            if a != 2 * prev_a:
-                s_lo = _sign(_homogeneous(q, a, d))
-            else:
-                s_hi = _sign(_homogeneous(q, b, d))
-        self.a, self.b, self.d = a, b, d
-        return sign
-
-    def bracket(self) -> RootBracket:
-        """The bracket where the last proof held: every proof holds on all of it."""
-        if self._bracket.exact is not None:
-            return self._bracket
-        hi = Fraction(self.b, self.d)
-        return replace(
-            self._bracket,
-            lo=Fraction(self.a, self.d),
-            hi=hi,
-            exact=None if self._root is None else hi,
-        )
 
 
 def sign_at_root(q: IntPolynomial, bracket: RootBracket) -> tuple[int, RootBracket]:
@@ -737,5 +741,5 @@ def sign_at_root(q: IntPolynomial, bracket: RootBracket) -> tuple[int, RootBrack
     :class:`PreconditionViolated` for a bracket that is not exact and
     across which its polynomial does not change sign.
     """
-    walk = _SignWalk(bracket)
+    walk = _Root(bracket.poly, *_over_common(bracket.lo, bracket.hi), bracket.exact)
     return walk.sign(q.coeffs), walk.bracket()

@@ -11,8 +11,8 @@ positive roots of g and proves the sign of every a_j at a root.  Either
 an admissible positive root is found or there is none at the current
 scale; values at the root are exact rationals.  A scale is judged on
 the one-root intervals as isolation finds them and on sign proofs, which
-narrow each interval along its bisection tree only as far as they need;
-the one bracket refined to full width is that of the delivered scale, in
+walk each interval down its bisection tree only as far as they need;
+the one walk narrowed to full width is that of the delivered scale, in
 :func:`_deliver`, once per call.
 
 Targets with no admissible root are handled by the scaling fallback: the
@@ -28,7 +28,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -43,14 +43,7 @@ from .family import (
 )
 from .nilpotent import nilpotent_realization
 from .patterns import Sign, member_of_class
-from .polyroots import (
-    IntPolynomial,
-    RootBracket,
-    _isolated,
-    _SignWalk,
-    positive_roots,
-    refine,
-)
+from .polyroots import IntPolynomial, _isolated, _Root, positive_roots
 
 RESIDUAL_RTOL = 1e-8
 _LADDER_MAX_HALVINGS = 40
@@ -86,9 +79,9 @@ class RealizationResult:
 
 @dataclass(frozen=True)
 class _ScaledSolution:
-    """An admissible root of one scale's closing polynomial, not yet refined.
+    """An admissible root of one scale's closing polynomial, not yet narrowed.
 
-    ``bracket`` is the last sign proof's bracket for b (see
+    ``root`` is b's walk where the last sign proof left it (see
     :func:`_solve_scaled`); ``scale`` and ``a`` are the elimination's D and
     a'_j, the latter as ascending integer coefficient tuples, so that
     a_j(b) = a'_j(b) / D.
@@ -96,7 +89,7 @@ class _ScaledSolution:
 
     scale: int
     a: list[tuple[int, ...]]
-    bracket: RootBracket
+    root: _Root
 
 
 def _solve_scaled(
@@ -108,16 +101,15 @@ def _solve_scaled(
     (:func:`eliminate_integers` on :func:`_scaled_target`), isolates the
     positive roots of the closing polynomial by Descartes subdivision in
     increasing order, and stops at the first at which a_r..a_{n-1} are
-    certifiably positive; no root past it is isolated.  Each one-root
-    interval goes to the sign proofs as the subdivision finds it, not
-    narrowed (:func:`sapcert.polyroots._isolated`).  The sign proofs of
-    one root share one walk (:class:`sapcert.polyroots._SignWalk`): each
-    a_j's proof starts on the integer ends where the one before it held,
-    so the bracket returned lies inside every proof: a_r..a_{n-1} are
-    positive on all of it, and the constants a_1..a_{r-1} are positive or
-    the elimination would have stopped.  Nothing is refined here;
-    :func:`_deliver` refines the bracket of the delivered scale only, on
-    the same bisection tree, so b ends where isolating at
+    certifiably positive; no root past it is isolated.  Each root's walk
+    (:class:`sapcert.polyroots._Root`) goes to the sign proofs as the
+    subdivision hands it over, not narrowed
+    (:func:`sapcert.polyroots._isolated`): each a_j's proof steps on from
+    the integer ends where the one before it held, so the walk returned
+    lies inside every proof: a_r..a_{n-1} are positive on all of it, and
+    the constants a_1..a_{r-1} are positive or the elimination would have
+    stopped.  Nothing is narrowed here; :func:`_deliver` narrows the walk
+    of the delivered scale only, so b ends where isolating at
     ``_ROOT_WIDTH`` would put it unless a sign proof went narrower.
     """
     scale, steps = _scaled_target(alpha, c)
@@ -126,18 +118,11 @@ def _solve_scaled(
         return None
 
     g = IntPolynomial(g_coeffs)
-    if g.is_zero:
-        # every b solves the closing equation; probe b = 1
-        candidates: Iterable[RootBracket] = [
-            RootBracket(lo=Fraction(1, 2), hi=Fraction(2), poly=g, exact=Fraction(1))
-        ]
-    else:
-        candidates = _isolated(g, _ROOT_WIDTH, narrow=False)
-
-    for bracket in candidates:
-        walk = _SignWalk(bracket)
-        if all(walk.sign(q) == 1 for q in a[r:]):
-            return _ScaledSolution(scale=scale, a=a, bracket=walk.bracket())
+    # every b solves a zero closing equation; probe b = 1 in (1/2, 2]
+    roots = [_Root(g, 1, 4, 2, Fraction(1))] if g.is_zero else _isolated(g, _ROOT_WIDTH)
+    for root in roots:
+        if all(root.sign(q) == 1 for q in a[r:]):
+            return _ScaledSolution(scale=scale, a=a, root=root)
     return None
 
 
@@ -148,10 +133,10 @@ def _deliver(
     sol: _ScaledSolution,
 ) -> RealizationResult:
     n, r = p.n, p.r
-    # the one refinement of realize; it continues the sign proofs'
-    # bisection path, so b lies in every proof bracket and b and every
-    # a_j are positive exactly
-    b = refine(sol.bracket, _ROOT_WIDTH).midpoint
+    # the one narrowing of realize; it steps on along the sign proofs'
+    # walk, so b lies in every proof bracket and b and every a_j are
+    # positive exactly
+    b = sol.root.narrow(_ROOT_WIDTH).bracket().midpoint
     a_values = tuple(IntPolynomial(sol.a[j])(b) / sol.scale for j in range(1, n))
     a_float = tuple(float(v) for v in a_values)
     b_float = float(b)

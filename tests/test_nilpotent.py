@@ -186,7 +186,8 @@ def test_certificate_walks_every_link_and_then_h_below_a_bound(isolations, monke
     real_bisections, real_separation = polyroots.bisections, nilpotent._separation
 
     def counted_bisections(p, *args, **kwargs):
-        calls.append((p, kwargs.get("below")))
+        # below is the fifth argument, by keyword or by position
+        calls.append((p, kwargs["below"] if "below" in kwargs else (args[3:] or [None])[0]))
         return real_bisections(p, *args, **kwargs)
 
     def counted_separation(prev, q, bound):
@@ -194,7 +195,6 @@ def test_certificate_walks_every_link_and_then_h_below_a_bound(isolations, monke
         return real_separation(prev, q, bound)
 
     monkeypatch.setattr(polyroots, "bisections", counted_bisections)
-    monkeypatch.setattr(nilpotent, "bisections", counted_bisections)
     monkeypatch.setattr(nilpotent, "_separation", counted_separation)
     for n, r in [(2, 2), (3, 2), (9, 4), (12, 12), (40, 3), (80, 2)]:
         nilpotent._certify.cache_clear()

@@ -48,6 +48,22 @@ def test_int_polynomial_basics():
         IntPolynomial((1, 0))
 
 
+def test_int_polynomial_rejects_coefficients_that_are_not_integers():
+    # -1.5 + t was truncated to -1 + t, whose root 1 positive_roots then
+    # certified; built directly it failed later with a TypeError
+    rejected = ([-1.5, 1], [-2.0, 1], [Fraction(1, 3), 1], [float("nan"), 1], ["2", 1], [None, 1])
+    for coeffs in rejected:
+        with pytest.raises(InvalidInput, match="not an integer"):
+            IntPolynomial.from_coeffs(coeffs)
+        with pytest.raises(InvalidInput, match="not an integer"):
+            IntPolynomial(tuple(coeffs))
+    # integral Fractions and numpy integers are integers, stored as int
+    for coeffs in ([Fraction(-6, 3), np.int64(1)], [-2, np.int32(1)], [np.int8(-2), True]):
+        for p in (IntPolynomial.from_coeffs(coeffs), IntPolynomial(tuple(coeffs))):
+            assert p.coeffs == (-2, 1) and all(type(c) is int for c in p.coeffs)
+            assert [b.exact for b in positive_roots(p)] == [2]
+
+
 def test_count_roots_known_factorizations():
     # (3t-1)(2t-1)(t-2): roots 1/3, 1/2, 2; the Descartes kernel's
     # variations on (a/d, b/d) count them exactly here
@@ -458,7 +474,7 @@ def test_unnarrowed_isolation_then_refinement_equals_fine_isolation():
         coeffs[-1] = coeffs[-1] or 3
         p = IntPolynomial.from_coeffs(coeffs)
         fine = list(positive_roots(p, width=fine_w))
-        found = list(polyroots._isolated(p, fine_w, narrow=False))
+        found = [root.bracket() for root in polyroots._isolated(p, fine_w)]
         assert [refine(b, fine_w) for b in found] == fine
         unnarrowed += sum(b.width > fine_w for b in found)
     assert unnarrowed >= 20

@@ -15,7 +15,7 @@ every node's transform from p.
 
 from collections import Counter
 from fractions import Fraction
-from math import isqrt
+from math import ceil, isqrt, lcm
 
 import pytest
 
@@ -550,12 +550,31 @@ def test_root_bound_is_a_power_of_two_above_every_root(coeffs, zeros):
     hypothesis.event(f"bound 2^{exponent if bound >= 1 else -exponent}")
 
 
+def _ref_centred(coeffs, lo, hi, exact, width):
+    """The bracket positive_roots centres the root ``exact`` of (lo, hi] in: the reference's copy.
+
+    The half-width is min(width / 2, exact's offset in the cell that
+    bisecting (lo, hi] to ``width`` ends in), halved until 0 < lo, neither
+    end is a root and one sign variation proves one root between them.
+    """
+    step = (hi - lo) / 2 ** (ceil((hi - lo) / width) - 1).bit_length()
+    delta = min(width / 2, (exact - lo) % step or step)
+    while True:
+        lo, hi = exact - delta, exact + delta
+        d = lcm(lo.denominator, hi.denominator)
+        a, b = lo.numerator * (d // lo.denominator), hi.numerator * (d // hi.denominator)
+        if lo > 0 and _ref_sign(coeffs, lo) and _shifted_variations(coeffs, a, b, d, 1) == 1:
+            return lo, hi
+        delta /= 2
+
+
 def _step1_positive_roots(p, width):
     """positive_roots with every node's variations taken from p itself: the reference.
 
     The same tree on (0, root_bound(p)], each node judged by
     _shifted_variations(cs, a, b, d, 1, hit) and the midpoint hit found by
-    evaluating p there.
+    evaluating p there; a one-root node is narrowed by plain Fraction
+    bisection (_ref_refine) and an exact root centred by _ref_centred.
     """
     lowest = next(i for i, c in enumerate(p.coeffs) if c)
     work = _content_free(p.coeffs[lowest:])
@@ -572,15 +591,15 @@ def _step1_positive_roots(p, width):
     while pending:
         a, b, d, hit = pending.pop()
         v = _shifted_variations(cs, a, b, d, 1, hit)
-        if v + hit == 1 and Fraction(a, d) >= floor:
-            exact = Fraction(b, d) if hit else polyroots._rational_root(cs, a, b, d, *candidates)
-            if exact is None and Fraction(b - a, d) > width:
-                a, b, d, hit = polyroots._narrowed(poly, a, b, d, width)
-                exact = Fraction(b, d) if hit else None
-            lo, hi = Fraction(a, d), Fraction(b, d)
+        lo, hi = Fraction(a, d), Fraction(b, d)
+        if v + hit == 1 and lo >= floor:
+            exact = hi if hit else polyroots._rational_root(
+                cs, a, b, d, _ref_sign(cs, hi), *candidates
+            )
+            if exact is None and hi - lo > width:
+                lo, hi, exact = _ref_refine(cs, lo, hi, width)
             if exact is not None:
-                delta = polyroots._cell_delta(lo, hi, exact, width)
-                lo, hi = polyroots._centred(poly, exact, delta)
+                lo, hi = _ref_centred(cs, lo, hi, exact, width)
             floor = hi
             yield lo, hi, exact
         elif v + hit:
@@ -599,3 +618,28 @@ def test_positive_roots_yield_the_brackets_of_the_from_scratch_tree(coeffs, widt
     got = [(b.lo, b.hi, b.exact) for b in positive_roots(p, width)]
     assert got == list(_step1_positive_roots(p, width))
     hypothesis.event(f"brackets: {min(len(got), 3)}")
+
+
+@_SETTINGS
+@hypothesis.given(
+    st.one_of(factored().map(lambda case: case[0]), int_poly().map(lambda p: list(p.coeffs))),
+    int_poly(),
+    st.sampled_from([Fraction(1, 16), Fraction(1, 2**30), DEFAULT_WIDTH]),
+    st.data(),
+)
+def test_a_walk_stepped_on_after_a_sign_proof_ends_where_a_restarted_one_does(
+    coeffs, q, width, data
+):
+    # sign then narrow on one walk equals refine from sign_at_root's proof bracket
+    p = IntPolynomial.from_coeffs(coeffs)
+    hypothesis.assume(not p.is_zero)
+    roots = list(polyroots._isolated(p, width))
+    hypothesis.assume(roots)
+    root = data.draw(st.sampled_from(roots))
+    bracket = root.bracket()
+    sign = root.sign(q.coeffs)
+    want_sign, proof = sign_at_root(q, bracket)
+    assert sign == want_sign and root.bracket() == proof
+    got = root.narrow(width).bracket()
+    assert got == refine(proof, width)
+    hypothesis.event(f"exact: {bracket.exact is not None}; sign {sign}; moved: {got != bracket}")

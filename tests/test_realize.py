@@ -174,22 +174,26 @@ def test_realize_layer_digest_is_pinned():
     )
 
 
-def _count_refines(monkeypatch):
+def _count_narrowings(monkeypatch):
+    # (walk, its bracket before, its bracket after) per narrowing to _ROOT_WIDTH
     from sapcert import polyroots
 
     calls = []
+    narrow = polyroots._Root.narrow
 
-    def counted(bracket, width):
-        out = polyroots.refine(bracket, width)
-        calls.append((bracket, out))
+    def counted(root, width):
+        before = root.bracket()
+        out = narrow(root, width)
+        if width == realize_module._ROOT_WIDTH:
+            calls.append((root, before, out.bracket()))
         return out
 
-    monkeypatch.setattr(realize_module, "refine", counted)
+    monkeypatch.setattr(polyroots._Root, "narrow", counted)
     return calls
 
 
 def test_realize_refines_once_per_target(monkeypatch):
-    calls = _count_refines(monkeypatch)
+    calls = _count_narrowings(monkeypatch)
     rng = np.random.default_rng(46)
     ladder = 0
     for n in range(3, 8):
@@ -203,7 +207,7 @@ def test_realize_refines_once_per_target(monkeypatch):
 
 
 def test_realize_failure_on_the_ladder_refines_nothing(monkeypatch):
-    calls = _count_refines(monkeypatch)
+    calls = _count_narrowings(monkeypatch)
     # the exact solution needs a scale below the ladder's floor of 2^-40
     with pytest.raises(RealizationFailed, match="no admissible solution"):
         realize(FamilyParams(3, 2), CoeffVector((-1e15, 1.0, -1.0)))
@@ -213,8 +217,8 @@ def test_realize_failure_on_the_ladder_refines_nothing(monkeypatch):
 def test_realize_proof_bracket_narrower_than_root_width(monkeypatch):
     # the sign proofs start on the one-root intervals that isolation finds,
     # nodes of the dyadic tree at most 32 wide on these targets; with a
-    # root width of 32 no proof's bracket is wider, so refine hands it back
-    # as is.
+    # root width of 32 no proof's bracket is wider, so narrowing leaves the
+    # walk as it is.
     # At every delivered scale b and all a_j must still be exactly
     # positive, and realize must return them or fail with a typed error
     from fractions import Fraction
@@ -223,7 +227,7 @@ def test_realize_proof_bracket_narrower_than_root_width(monkeypatch):
 
     width = Fraction(32)
     monkeypatch.setattr(realize_module, "_ROOT_WIDTH", width)
-    calls = _count_refines(monkeypatch)
+    calls = _count_narrowings(monkeypatch)
     delivered = []
     deliver = realize_module._deliver
 
@@ -244,11 +248,44 @@ def test_realize_proof_bracket_narrower_than_root_width(monkeypatch):
                     continue
                 assert res.params.b > 0 and all(v > 0 for v in res.params.a)
     assert len(delivered) == len(calls) == targets
-    for sol, (bracket, out) in zip(delivered, calls):
-        assert bracket is sol.bracket and out is bracket
-        assert bracket.exact is not None or bracket.width <= width
-        b = out.midpoint
+    for sol, (root, before, after) in zip(delivered, calls):
+        assert root is sol.root and after == before
+        assert before.exact is not None or before.width <= width
+        b = after.midpoint
         assert b > 0 and all(IntPolynomial(q)(b) > 0 for q in sol.a)
+
+
+def test_realize_evaluates_g_at_no_end_of_an_isolated_interval(monkeypatch):
+    # isolation reads g's signs at the ends of each one-root interval from
+    # the node's interval polynomial, and the sign proofs and the delivery
+    # step on along the same walk: g is evaluated at midpoints only
+    from fractions import Fraction
+
+    from sapcert import polyroots
+
+    handed, evaluated = [], set()
+    rational_root, homogeneous = polyroots._rational_root, polyroots._homogeneous
+
+    def spied_rational_root(ints, a, b, d, *rest):
+        # called once on every one-root interval that is not a midpoint hit
+        out = rational_root(ints, a, b, d, *rest)
+        if out is None:
+            handed.append((tuple(ints), Fraction(a, d), Fraction(b, d)))
+        return out
+
+    def spied_homogeneous(ints, p, q):
+        evaluated.add((tuple(ints), Fraction(p, q)))
+        return homogeneous(ints, p, q)
+
+    monkeypatch.setattr(polyroots, "_rational_root", spied_rational_root)
+    monkeypatch.setattr(polyroots, "_homogeneous", spied_homogeneous)
+    # the unscaled system has no admissible root: realize solves 18 scales
+    res = realize(FamilyParams(5, 2), CoeffVector((-4.0, 3.0, -2.0, 1.0, 2.0)))
+    assert res.scaling_c < 1.0
+    polys = {cs for cs, _, _ in handed}
+    assert len(handed) >= 10 and any(cs in polys for cs, _ in evaluated)
+    ends = {(cs, x) for cs, lo, hi in handed for x in (lo, hi)}
+    assert not ends & evaluated
 
 
 def test_newton_solve_scalar_one_step():
