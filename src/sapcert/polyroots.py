@@ -413,12 +413,17 @@ def root_bound(p: IntPolynomial) -> Fraction:
     """
     if p.degree < 1:
         raise InvalidInput("bound requires degree >= 1")
-    lead = p.coeffs[-1].bit_length()
+    return Fraction(2) ** _bound_exponent(p.coeffs)
+
+
+def _bound_exponent(cs: tuple[int, ...]) -> int:
+    """The exponent of :func:`root_bound` for the coefficients ``cs``, of degree >= 1."""
+    lead = cs[-1].bit_length()
     e = max(
-        (-((lead - c.bit_length() - 1) // i) for i, c in enumerate(reversed(p.coeffs[:-1]), 1) if c),
+        (-((lead - c.bit_length() - 1) // i) for i, c in enumerate(reversed(cs[:-1]), 1) if c),
         default=-1,
     )
-    return Fraction(2) ** (e + 1)
+    return e + 1
 
 
 def _divisors(n: int) -> list[int]:
@@ -686,8 +691,9 @@ def _isolated(p: IntPolynomial, width: Fraction) -> Iterator[_Root]:
     poly = _square_free(work)
     cs = poly.coeffs
     candidates = None  # sorted divisors of poly(0) and lead, on the first search
-    bound = root_bound(p)
-    b, d = bound.as_integer_ratio()
+    # the tree's root is (0, 2^e], root_bound(p) in integers
+    e = _bound_exponent(p.coeffs)
+    b, d = (1 << e, 1) if e >= 0 else (1, 1 << -e)
     # (a, b, d, hit, P, right) for the interval (a/d, b/d]; hit: b/d is a
     # root; P: its interval polynomial up to a positive factor, or with
     # right the left sibling's, which is shifted by 1 once the node is taken

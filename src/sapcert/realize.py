@@ -11,9 +11,15 @@ positive roots of g and proves the sign of every a_j at a root.  Either
 an admissible positive root is found or there is none at the current
 scale; values at the root are exact rationals.  A scale is judged on
 the one-root intervals as isolation finds them and on sign proofs, which
-walk each interval down its bisection tree only as far as they need;
-the one walk narrowed to full width is that of the delivered scale, in
-:func:`_deliver`, once per call.
+walk each interval down its bisection tree only as far as they need.
+The column values a_r..a_{min(2r,n)-1} are linear in b and decreasing,
+so the least of their roots bounds every admissible b: it rejects a
+scale before isolation, ends the scale at the first root past it, and
+one proof against it stands for all of them (:func:`_solve_scaled`).
+The one walk narrowed to full width is that of the delivered scale, in
+:func:`_deliver`, once per call, which evaluates the a_j there in
+integers and turns each into a double by one correctly rounded integer
+division.
 
 Targets with no admissible root are handled by the scaling fallback: the
 coefficients c^j * v_j of the scaled matrix c*A are realized instead and
@@ -21,6 +27,8 @@ the result is divided by c.  The returned matrix then realizes the
 original target exactly in exact arithmetic; in doubles the entry
 rounding is amplified by c^{-j}, so after the power-of-two descent the
 scale is refined upward by dyadic bisection to the largest admissible c.
+Every scale is kept as m / 2^E in integers, and the target's numerators
+and denominators are read once per call.
 """
 
 from __future__ import annotations
@@ -43,7 +51,7 @@ from .family import (
 )
 from .nilpotent import nilpotent_realization
 from .patterns import Sign, member_of_class
-from .polyroots import IntPolynomial, _isolated, _Root, positive_roots
+from .polyroots import IntPolynomial, _homogeneous, _isolated, _Root, positive_roots
 
 RESIDUAL_RTOL = 1e-8
 _LADDER_MAX_HALVINGS = 40
@@ -93,35 +101,63 @@ class _ScaledSolution:
 
 
 def _solve_scaled(
-    n: int, r: int, alpha: Sequence[Fraction], c: Fraction
+    n: int, r: int, alpha: Sequence[tuple[int, int]], m: int, q: int
 ) -> _ScaledSolution | None:
-    """Admissible root of the coefficient equations at scale ``c``, or None.
+    """Admissible root of the coefficient equations at scale c = m/q, or None.
 
+    ``alpha`` holds the target as (numerator, denominator) pairs.
     Eliminates a_1..a_{n-1} as integer polynomials in b
     (:func:`eliminate_integers` on :func:`_scaled_target`), isolates the
     positive roots of the closing polynomial by Descartes subdivision in
     increasing order, and stops at the first at which a_r..a_{n-1} are
-    certifiably positive; no root past it is isolated.  Each root's walk
-    (:class:`sapcert.polyroots._Root`) goes to the sign proofs as the
-    subdivision hands it over, not narrowed
-    (:func:`sapcert.polyroots._isolated`): each a_j's proof steps on from
-    the integer ends where the one before it held, so the walk returned
-    lies inside every proof: a_r..a_{n-1} are positive on all of it, and
-    the constants a_1..a_{r-1} are positive or the elimination would have
+    certifiably positive; no root past it is isolated.
+
+    Once the constants a'_1..a'_{r-1} are positive, the column values
+    a'_r..a'_{min(2r,n)-1} are linear, k0 + k1 b with
+    k1 = -(D + a'_1 + ... + a'_{j-r}) < 0, so each is positive exactly
+    below its root -k0/k1.  The least of those roots, B, bounds every
+    admissible b: B <= 0 rejects the scale before any isolation, and a
+    root whose walk starts at or past B ends the scale, as every later
+    root lies further right.  One sign proof of the linear column value
+    whose root is B stands for all of them: on a linear q the proof holds
+    exactly once the walk's hi is below q's root, so it stops where the
+    proofs of a_r..a_{min(2r,n)-1} in turn would.  At r = n no column
+    value is linear and no bound applies.
+
+    Each root's walk (:class:`sapcert.polyroots._Root`) goes to the sign
+    proofs as the subdivision hands it over, not narrowed
+    (:func:`sapcert.polyroots._isolated`): each proof steps on from the
+    integer ends where the one before it held, so the walk returned lies
+    inside every proof: a_r..a_{n-1} are positive on all of it, and the
+    constants a_1..a_{r-1} are positive or the elimination would have
     stopped.  Nothing is narrowed here; :func:`_deliver` narrows the walk
     of the delivered scale only, so b ends where isolating at
     ``_ROOT_WIDTH`` would put it unless a sign proof went narrower.
     """
-    scale, steps = _scaled_target(alpha, c)
+    scale, steps = _scaled_target(alpha, m, q)
     a, g_coeffs = eliminate_integers(n, r, scale, steps)
     if g_coeffs is None:
         return None
+    proofs = a[2 * r :]
+    linear = a[r : 2 * r]
+    if linear:
+        # B = bn / bd, the least root of the linear column values; the
+        # one proof of bn - bd b stands for all of them
+        bn, bd = linear[0][0], -linear[0][1]
+        for k0, k1 in linear:
+            if k0 <= 0:
+                return None
+            if k0 * bd < bn * -k1:
+                bn, bd = k0, -k1
+        proofs = [(bn, -bd), *proofs]
 
     g = IntPolynomial(g_coeffs)
     # every b solves a zero closing equation; probe b = 1 in (1/2, 2]
     roots = [_Root(g, 1, 4, 2, Fraction(1))] if g.is_zero else _isolated(g, _ROOT_WIDTH)
     for root in roots:
-        if all(root.sign(q) == 1 for q in a[r:]):
+        if linear and root.a * bd >= bn * root.d:
+            return None
+        if all(root.sign(cs) == 1 for cs in proofs):
             return _ScaledSolution(scale=scale, a=a, root=root)
     return None
 
@@ -129,81 +165,108 @@ def _solve_scaled(
 def _deliver(
     p: FamilyParams,
     target: CoeffVector,
-    c: Fraction,
+    c: tuple[int, int],
     sol: _ScaledSolution,
 ) -> RealizationResult:
+    """The matrix of ``sol`` divided by the scale c = m/q, given as (m, q), checked.
+
+    The one narrowing of realize; it steps on along the sign proofs' walk,
+    so b lies in every proof bracket and b and every a_j are positive
+    exactly.  With b = u/v, a_j = C_j / (v^deg D) for
+    C_j = v^deg a'_j(u/v), accumulated in integers, and each double is one
+    int/int true division, which rounds correctly as ``float(Fraction)``
+    does: the first column is C_j q / (v^deg D m).  A value beyond the
+    double range raises RealizationFailed, as do one that underflows to
+    zero, a matrix that leaves the sign class and a round trip that
+    misses the target.
+    """
     n, r = p.n, p.r
-    # the one narrowing of realize; it steps on along the sign proofs'
-    # walk, so b lies in every proof bracket and b and every a_j are
-    # positive exactly
-    b = sol.root.narrow(_ROOT_WIDTH).bracket().midpoint
-    a_values = tuple(IntPolynomial(sol.a[j])(b) / sol.scale for j in range(1, n))
-    a_float = tuple(float(v) for v in a_values)
-    b_float = float(b)
-    if any(v <= 0.0 for v in a_float) or b_float <= 0.0:
-        # the exact values are positive, but can underflow to zero as
-        # doubles; a double is positive only when its exact value is
-        raise RealizationFailed(
-            f"solution parameter underflowed at scaling {float(c):.3e}"
-        )
-    params = FamilyRealization(params=p, a=a_float, b=b_float)
+    m, q = c
+    fc = m / q
+    root = sol.root.narrow(_ROOT_WIDTH)
+    if root.exact is None:
+        u, v = root.a + root.b, 2 * root.d
+    else:
+        u, v = root.exact.numerator, root.exact.denominator
+    D = sol.scale
+    # a_1..a_{n-1} at b = u/v, as integer numerators and denominators
+    cols = [(_homogeneous(cs, u, v), v ** (len(cs) - 1) * D) for cs in sol.a[1:]]
     M = np.zeros((n, n))
-    inv = 1 / c
-    for i in range(n - 1):
-        M[i, 0] = float(a_values[i] * inv)
-        M[i, i + 1] = float(-inv)
-    M[n - 1, n - r] = float(b * inv)
-    M[n - 1, n - 1] = float(-inv)
+    try:
+        a_float = tuple(num / den for num, den in cols)
+        b_float = u / v
+        if any(x <= 0.0 for x in a_float) or b_float <= 0.0:
+            # the exact values are positive, but can underflow to zero as
+            # doubles; a double is positive only when its exact value is
+            raise RealizationFailed(f"solution parameter underflowed at scaling {fc:.3e}")
+        inv = q / m
+        for i, (num, den) in enumerate(cols):
+            M[i, 0] = num * q / (den * m)
+            M[i, i + 1] = -inv
+        M[n - 1, n - r] = u * q / (v * m)
+        M[n - 1, n - 1] = -inv
+    except OverflowError:
+        raise RealizationFailed(
+            f"solution parameter overflows a double at scaling {fc:.3e}"
+        ) from None
+    params = FamilyRealization(params=p, a=a_float, b=b_float)
     if not member_of_class(M, build_pattern(p)):
         raise RealizationFailed(
-            f"delivered matrix left the sign class at scaling {float(c):.3e}"
+            f"delivered matrix left the sign class at scaling {fc:.3e}"
         )
     with np.errstate(over="ignore", invalid="ignore"):
         got = char_coeffs(M)
     if not all(math.isfinite(v) for v in got.values):
         raise RealizationFailed(
             "non-finite round trip: the characteristic coefficients of the "
-            f"delivered matrix overflow at scaling {float(c):.3e}"
+            f"delivered matrix overflow at scaling {fc:.3e}"
         )
     residual = max(abs(g - t) for g, t in zip(got.values, target.values))
     limit = RESIDUAL_RTOL * max(1.0, max(abs(t) for t in target.values))
     if residual > limit:
         raise RealizationFailed(
             f"round-trip residual {residual:.3e} exceeds {limit:.3e} "
-            f"at scaling {float(c):.3e}"
+            f"at scaling {fc:.3e}"
         )
     return RealizationResult(
         matrix=M,
         params=params,
-        scaling_c=float(c),
+        scaling_c=fc,
         residual=residual,
         newton_iters=0,
     )
 
 
-def _scaled_target(alpha: Sequence[Fraction], c: Fraction) -> tuple[int, list[int]]:
-    """(D, [D alpha_j c^j]) in integers: the target at scale c over one denominator.
+def _scaled_target(
+    alpha: Sequence[tuple[int, int]], m: int, q: int
+) -> tuple[int, list[int]]:
+    """(D, [D alpha_j c^j]) in integers: the target at scale c = m/q over one denominator.
 
-    For alpha_j = N_j / d_j and c = m/q, D is the lcm of the products
-    d_j q^j and D alpha_j c^j = N_j m^j (D / (d_j q^j)); no Fraction is
-    normalised.  Floats and ladder scales are dyadic, so for d_j = 2^e_j
-    and q = 2^E, D = 2^max_j(e_j + E j).  As N_j m^j / (d_j q^j) is not
-    reduced, D can exceed the least common denominator; any positive
-    common multiple gives a_j(b) = a'_j(b) / D exactly and changes no sign
-    and no primitive part.
+    For alpha_j = N_j / d_j, given as the pairs (N_j, d_j), D is the lcm
+    of the products d_j q^j and D alpha_j c^j = N_j m^j (D / (d_j q^j)),
+    with q^j and m^j as running products; no Fraction is built.  Floats
+    and ladder scales are dyadic, so for d_j = 2^e_j and q = 2^E,
+    D = 2^max_j(e_j + E j).  As N_j m^j / (d_j q^j) is not reduced, D can
+    exceed the least common denominator; any positive common multiple
+    gives a_j(b) = a'_j(b) / D exactly and changes no sign and no
+    primitive part.
     """
-    m, q = c.numerator, c.denominator
-    dens = [v.denominator * q**j for j, v in enumerate(alpha, start=1)]
+    dens, qpow = [], 1
+    for _, d in alpha:
+        qpow *= q
+        dens.append(d * qpow)
     scale = math.lcm(*dens)
-    return scale, [
-        v.numerator * m**j * (scale // den)
-        for j, (v, den) in enumerate(zip(alpha, dens), start=1)
-    ]
+    steps, mpow = [], 1
+    for (num, _), den in zip(alpha, dens):
+        mpow *= m
+        steps.append(num * mpow * (scale // den))
+    return scale, steps
 
 
 def _diagnose_scaled(n: int, r: int, alpha: Sequence[Fraction], c: Fraction) -> str:
     """Failure diagnostics for one scale: closing-poly signs, root verdicts."""
-    scale, steps = _scaled_target(alpha, c)
+    ratios = [v.as_integer_ratio() for v in alpha]
+    scale, steps = _scaled_target(ratios, c.numerator, c.denominator)
     a, g_coeffs = eliminate_integers(n, r, scale, steps)
     a_polys = [IntPolynomial(cs) for cs in a]
     if g_coeffs is None:
@@ -241,43 +304,43 @@ def realize(p: FamilyParams, target: CoeffVector) -> RealizationResult:
     Tries the unscaled system first, then descends the scaling ladder by
     halving; the first admissible scale is refined upward because the
     delivered accuracy degrades with c^{-n}.  Every scale is solved once,
-    in integers (:func:`_solve_scaled`: Descartes tests isolate the roots
-    of the closing polynomial and prove the a_j positive), and
-    the last admissible one is delivered.  Raises RealizationFailed
-    with the attained diagnostics if the ladder bottoms out, and
-    InvalidInput for a target of the wrong length or with a non-finite
-    coefficient.
+    in integers (:func:`_solve_scaled`: a linear bound and Descartes tests
+    isolate the roots of the closing polynomial and prove the a_j
+    positive), and the last admissible one is delivered.  The target's
+    numerators and denominators are read once, and each scale is kept as
+    m / 2^E in integers.  Raises RealizationFailed with the attained
+    diagnostics if the ladder bottoms out, and InvalidInput for a target
+    of the wrong length or with a non-finite coefficient.
     """
     n, r = p.n, p.r
     _check_target(n, target)
-    alpha = [Fraction(v) for v in target.values]
+    fractions = [Fraction(v) for v in target.values]
+    alpha = [v.as_integer_ratio() for v in fractions]
 
-    c = Fraction(1)
-    sol = _solve_scaled(n, r, alpha, c)
+    sol = _solve_scaled(n, r, alpha, 1, 1)
     if sol is not None:
-        return _deliver(p, target, c, sol)
+        return _deliver(p, target, (1, 1), sol)
 
-    for _ in range(_LADDER_MAX_HALVINGS):
-        c = c / 2
-        sol = _solve_scaled(n, r, alpha, c)
+    for e in range(1, _LADDER_MAX_HALVINGS + 1):
+        sol = _solve_scaled(n, r, alpha, 1, 1 << e)
         if sol is not None:
             break
     else:
+        c = Fraction(1, 1 << _LADDER_MAX_HALVINGS)
         raise RealizationFailed(
             f"no admissible solution for any scale down to 2^-{_LADDER_MAX_HALVINGS}; "
-            f"at the last scale: {_diagnose_scaled(n, r, alpha, c)}"
+            f"at the last scale: {_diagnose_scaled(n, r, fractions, c)}"
         )
 
-    # refine the scale upward: largest admissible c in (c, 2c), dyadically
-    lo, hi = c, 2 * c
+    # refine the scale upward: the largest admissible c in (c, 2c),
+    # dyadically; lo = m/2^e and hi = (m + 1)/2^e
+    m = 1
     for _ in range(_LADDER_REFINE_STEPS):
-        mid = (lo + hi) / 2
-        trial = _solve_scaled(n, r, alpha, mid)
+        m, e = 2 * m, e + 1
+        trial = _solve_scaled(n, r, alpha, m + 1, 1 << e)
         if trial is not None:
-            lo, sol = mid, trial
-        else:
-            hi = mid
-    return _deliver(p, target, lo, sol)
+            m, sol = m + 1, trial
+    return _deliver(p, target, (m, 1 << e), sol)
 
 
 @dataclass(frozen=True)

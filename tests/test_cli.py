@@ -116,6 +116,22 @@ def test_realize_overflowing_round_trip_fails_without_warnings(argv):
     assert "RuntimeWarning" not in proc.stderr
 
 
+def test_realize_solution_beyond_the_double_range_fails_without_traceback():
+    # the exact solution has a_2 near 3.4e308: its double would overflow,
+    # which must end in the typed failure, naming the scale
+    src = os.path.dirname(os.path.dirname(sapcert.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    proc = subprocess.run(
+        [sys.executable, "-m", "sapcert.cli", "realize", "--n", "3", "--r", "3",
+         "--monic=-1.7e308,1.7e308,-1.7e308"],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert "overflows a double at scaling 1.000e+00" in proc.stderr
+    assert "Traceback" not in proc.stderr
+
+
 @pytest.mark.parametrize(
     "argv",
     [

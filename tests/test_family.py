@@ -206,7 +206,7 @@ def _closed_form_target(n, r, a, b):
 
 def _eliminate(n, r, alpha):
     # the pair realize runs at the unscaled target: (D, [a'_j], g') as polynomials
-    scale, steps = _scaled_target(alpha, Fraction(1))
+    scale, steps = _scaled_target([Fraction(v).as_integer_ratio() for v in alpha], 1, 1)
     a, g = eliminate_integers(n, r, scale, steps)
     return scale, [IntPolynomial(cs) for cs in a], None if g is None else IntPolynomial(g)
 

@@ -1,6 +1,7 @@
 import hashlib
 import importlib
 import json
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -454,7 +455,7 @@ def test_diagnostics_share_the_elimination_of_the_solver():
     from sapcert.family import eliminate_integers
     from sapcert.realize import _diagnose_scaled, _scaled_target
 
-    scale, steps = _scaled_target([F(-2), F(1), F(1), F(1)], F(1))
+    scale, steps = _scaled_target([(-2, 1), (1, 1), (1, 1), (1, 1)], 1, 1)
     a, g = eliminate_integers(4, 3, scale, steps)
     assert g is None and scale == 1 and a[-1] == (-1,)
     assert _diagnose_scaled(4, 3, [F(-2), F(1), F(1), F(1)], F(1)) == (
@@ -467,3 +468,123 @@ def test_diagnostics_share_the_elimination_of_the_solver():
         "closing-poly coefficient signs -+-; 2 positive roots "
         "(b~1.438: min a_3=-4.192e+00; b~5.562: min a_3=-2.481e+01)"
     )
+
+
+def _parent_solve_scaled(n, r, alpha, m, q):
+    # the loop realize ran before the linear bound: every positive root of
+    # g isolated in turn, and each of a_r..a_{n-1} proved on its walk;
+    # (a, b, d, exact) of the first admissible walk, or None
+    from sapcert.family import eliminate_integers
+    from sapcert.polyroots import IntPolynomial, _isolated, _Root
+
+    scale, steps = realize_module._scaled_target(alpha, m, q)
+    a, g_coeffs = eliminate_integers(n, r, scale, steps)
+    if g_coeffs is None:
+        return None
+    g = IntPolynomial(g_coeffs)
+    roots = [_Root(g, 1, 4, 2, Fraction(1))] if g.is_zero else _isolated(g, realize_module._ROOT_WIDTH)
+    for root in roots:
+        if all(root.sign(cs) == 1 for cs in a[r:]):
+            return root.a, root.b, root.d, root.exact
+    return None
+
+
+@st.composite
+def _scaled_system(draw):
+    # (n, r, alpha as (numerator, denominator) pairs, m, q): integer,
+    # small-rational or float targets at a dyadic scale m / 2^e in (0, 1]
+    n = draw(st.integers(3, 12))
+    r = draw(st.integers(2, n))
+    kind = draw(st.sampled_from(["integer", "rational", "float"]))
+    if kind == "integer":
+        alpha = [(v, 1) for v in draw(st.lists(st.integers(-6, 6), min_size=n, max_size=n))]
+    elif kind == "rational":
+        nums = draw(st.lists(st.integers(-40, 40), min_size=n, max_size=n))
+        dens = draw(st.lists(st.integers(1, 12), min_size=n, max_size=n))
+        alpha = [Fraction(v, d).as_integer_ratio() for v, d in zip(nums, dens)]
+    else:
+        alpha = [v.as_integer_ratio() for v in draw(st.lists(st.floats(-5.0, 5.0), min_size=n, max_size=n))]
+    e = draw(st.integers(0, 8))
+    m = draw(st.integers(1, 1 << e))
+    return n, r, alpha, m, 1 << e
+
+
+@settings(max_examples=400, deadline=None, derandomize=True, database=None)
+@given(_scaled_system())
+def test_linear_bound_keeps_every_verdict_and_walk_end(system):
+    # the bound B of the linear column values only skips roots and proofs
+    # that cannot change the verdict, and its one proof stops the walk
+    # where the proofs of a_r..a_{min(2r,n)-1} in turn would
+    want = _parent_solve_scaled(*system)
+    sol = realize_module._solve_scaled(*system)
+    got = None if sol is None else (sol.root.a, sol.root.b, sol.root.d, sol.root.exact)
+    assert got == want
+
+
+def test_linear_bound_prunes_roots_and_proofs_on_the_ladder(monkeypatch):
+    # a_r..a_{min(2r,n)-1} are linear in b and share one sign proof per
+    # walk, so at r > n/2 each walk gets one proof; no proof starts on a
+    # walk at or past their least root B, and a scale with B <= 0 is
+    # rejected before isolation
+    from sapcert import polyroots
+
+    events = []
+    eliminate, isolated, sign = (
+        realize_module.eliminate_integers,
+        realize_module._isolated,
+        polyroots._Root.sign,
+    )
+
+    def spied_eliminate(n, r, scale, steps):
+        a, g = eliminate(n, r, scale, steps)
+        events.append(("scale", n, r, a, g))
+        return a, g
+
+    def spied_isolated(p, width):
+        events.append(("isolate",))
+        for root in isolated(p, width):
+            events.append(("walk", root, Fraction(root.a, root.d)))
+            yield root
+
+    def spied_sign(root, q):
+        events.append(("sign", root))
+        return sign(root, q)
+
+    monkeypatch.setattr(realize_module, "eliminate_integers", spied_eliminate)
+    monkeypatch.setattr(realize_module, "_isolated", spied_isolated)
+    monkeypatch.setattr(polyroots._Root, "sign", spied_sign)
+    rng = np.random.default_rng(23)
+    pairs = [(5, 3), (6, 4), (7, 4), (8, 5), (9, 6), (10, 6), (6, 2), (8, 3), (10, 4)]
+    for n, r in pairs:
+        for _ in range(6):
+            try:
+                realize(FamilyParams(n, r), CoeffVector(tuple(rng.uniform(-5.0, 5.0, n))))
+            except RealizationFailed:
+                pass
+    scales = []  # (B or None, proofs per walk, the events of the scale)
+    for event in events:
+        if event[0] == "scale":
+            _, n, r, a, g = event
+            bound = None if g is None else min(Fraction(k0, -k1) for k0, k1 in a[r : 2 * r])
+            scales.append((bound, 1 + max(0, n - 2 * r), []))
+        else:
+            scales[-1][2].append(event)
+    rejected = pruned = proved = 0
+    for bound, most, seen in scales:
+        if bound is None or bound <= 0:
+            rejected += bound is not None
+            assert not seen
+            continue
+        walks = [e[1:] for e in seen if e[0] == "walk"]
+        signed = [id(e[1]) for e in seen if e[0] == "sign"]
+        assert all(signed.count(i) <= most for i in set(signed))
+        for i, (root, lo) in enumerate(walks):
+            if lo >= bound:
+                # the scale ends at the first walk at or past B, unproved
+                assert id(root) not in signed and i == len(walks) - 1
+                pruned += 1
+        if most == 1:
+            proved += len(signed)
+    # the ladder ran, and the rejection, the pruning and the proofs were
+    # all exercised
+    assert len(scales) > 100 and rejected > 10 and pruned > 10 and proved > 10
