@@ -11,6 +11,7 @@ the structure of the characteristic coefficients.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -64,8 +65,15 @@ class FamilyRealization:
             raise InvalidInput("realization parameters must be strictly positive")
 
 
+# a pattern at n = MAX_N holds n^2 Signs, about 1 MB with its cached sign
+# grid, so the memo is bounded
+@functools.lru_cache(maxsize=64)
 def build_pattern(p: FamilyParams) -> SignPattern:
-    """The n-by-n family pattern for the given parameters."""
+    """The n-by-n family pattern for the given parameters, memoized.
+
+    Patterns are immutable, so callers share one per (n, r), and with it
+    the sign grid that class membership caches on it.
+    """
     n, r = p.n, p.r
     grid = [[Sign.ZERO] * n for _ in range(n)]
     for i in range(n - 1):

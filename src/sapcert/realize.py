@@ -5,21 +5,30 @@ forward (:func:`sapcert.family.eliminate_integers`): once the target's
 denominators are cleared (floats and ladder scales are dyadic, so one
 power of two clears them), each first-column value becomes an integer
 polynomial in the feedback entry b, and the last equation closes the
-system as a scalar integer polynomial g(b).  Each scale is solved on
-integers by one Descartes kernel: Descartes' rule of signs isolates the
-positive roots of g and proves the sign of every a_j at a root.  Either
-an admissible positive root is found or there is none at the current
-scale; values at the root are exact rationals.  A scale is judged on
-the one-root intervals as isolation finds them and on sign proofs, which
-walk each interval down its bisection tree only as far as they need.
-The column values a_r..a_{min(2r,n)-1} are linear in b and decreasing,
-so the least of their roots bounds every admissible b: it rejects a
+system as a scalar integer polynomial g(b).  Either an admissible
+positive root is found or there is none at the current scale; values at
+the root are exact rationals.  The column values a_r..a_{min(2r,n)-1}
+are linear in b and decreasing, so the least of their roots, B, bounds
+every admissible b (:func:`_solve_scaled`).
+
+For r > n/2 every column value is linear and so is g, with a positive
+slope: its one root is admissible exactly when it lies in (0, B), which
+a sign test and one cross-multiplication of integers decide, and the
+delivered b is computed from the same integers (:class:`_LinearRoot`);
+nothing is isolated.
+
+For r <= n/2 each scale is solved on integers by one Descartes kernel:
+Descartes' rule of signs isolates the positive roots of g and proves the
+sign of every a_j at a root.  A scale is judged on the one-root
+intervals as isolation finds them and on sign proofs, which walk each
+interval down its bisection tree only as far as they need; B rejects a
 scale before isolation, ends the scale at the first root past it, and
-one proof against it stands for all of them (:func:`_solve_scaled`).
-The one walk narrowed to full width is that of the delivered scale, in
-:func:`_deliver`, once per call, which evaluates the a_j there in
-integers and turns each into a double by one correctly rounded integer
-division.
+one proof against it stands for all the linear column values.  The one
+walk narrowed to full width is that of the delivered scale.
+
+:func:`_deliver` runs once per call: it evaluates the a_j at the
+delivered b in integers and turns each into a double by one correctly
+rounded integer division.
 
 Targets with no admissible root are handled by the scaling fallback: the
 coefficients c^j * v_j of the scaled matrix c*A are realized instead and
@@ -51,12 +60,22 @@ from .family import (
 )
 from .nilpotent import nilpotent_realization
 from .patterns import Sign, member_of_class
-from .polyroots import IntPolynomial, _homogeneous, _isolated, _Root, positive_roots
+from .polyroots import (
+    _RATROOT_COEFF_LIMIT,
+    IntPolynomial,
+    _bound_exponent,
+    _homogeneous,
+    _isolated,
+    _Root,
+    positive_roots,
+)
 
 RESIDUAL_RTOL = 1e-8
 _LADDER_MAX_HALVINGS = 40
 _LADDER_REFINE_STEPS = 14
-_ROOT_WIDTH = Fraction(1, 2**60)
+# b is delivered from a bracket at most 2^-_ROOT_BITS wide, or exact
+_ROOT_BITS = 60
+_ROOT_WIDTH = Fraction(1, 1 << _ROOT_BITS)
 
 
 @dataclass(frozen=True)
@@ -86,10 +105,53 @@ class RealizationResult:
 
 
 @dataclass(frozen=True)
+class _LinearRoot:
+    """The root -g0/g1 of a linear closing polynomial g'(b) = g0 + g1 b, in (0, B).
+
+    At 2r > n every scale's g' is linear with g1 > 0 (see
+    :func:`_solve_scaled`); ``bound`` is B = bn/bd as (bn, bd), the least
+    root of the linear column values, and None at r = n, where there are
+    none.  No walk is kept: :meth:`delivered` computes where one would end.
+    """
+
+    g0: int
+    g1: int
+    bound: tuple[int, int] | None
+
+    def delivered(self) -> tuple[int, int]:
+        """b = u/v as (u, v): where the Descartes walk of g' would deliver it.
+
+        The walk isolates g' on (0, 2^e], e = ``_bound_exponent`` of g' as
+        eliminated, and halves towards the root rho = -g0/g1 by sign: its
+        node of width 2^-k is (j/2^k, (j + 1)/2^k] with j = floor(rho 2^k),
+        unless a midpoint hits rho first, which happens exactly when
+        rho 2^k is an integer.  It steps on while the node is wider than
+        2^-_ROOT_BITS or its hi is not below B, so k starts at
+        max(-e, _ROOT_BITS) and grows only while (j + 1)/2^k >= B; b is
+        that node's midpoint, or rho when a midpoint hit it.  Isolation
+        finds rho itself, in lowest terms, when neither content-free
+        coefficient exceeds ``_RATROOT_COEFF_LIMIT``.
+        """
+        num, den = -self.g0, self.g1
+        c = math.gcd(num, den)
+        if max(num, den) // c <= _RATROOT_COEFF_LIMIT:
+            return num // c, den // c
+        k = max(-_bound_exponent((self.g0, self.g1)), _ROOT_BITS)
+        while True:
+            j, rem = divmod(num << k, den)
+            if not rem:
+                return num // c, den // c
+            if self.bound is None or (j + 1) * self.bound[1] < self.bound[0] << k:
+                return 2 * j + 1, 1 << (k + 1)
+            k += 1
+
+
+@dataclass(frozen=True)
 class _ScaledSolution:
     """An admissible root of one scale's closing polynomial, not yet narrowed.
 
-    ``root`` is b's walk where the last sign proof left it (see
+    ``root`` is b's walk where the last sign proof left it, or at 2r > n
+    the one root of the linear closing polynomial (see
     :func:`_solve_scaled`); ``scale`` and ``a`` are the elimination's D and
     a'_j, the latter as ascending integer coefficient tuples, so that
     a_j(b) = a'_j(b) / D.
@@ -97,7 +159,7 @@ class _ScaledSolution:
 
     scale: int
     a: list[tuple[int, ...]]
-    root: _Root
+    root: _Root | _LinearRoot
 
 
 def _solve_scaled(
@@ -107,22 +169,33 @@ def _solve_scaled(
 
     ``alpha`` holds the target as (numerator, denominator) pairs.
     Eliminates a_1..a_{n-1} as integer polynomials in b
-    (:func:`eliminate_integers` on :func:`_scaled_target`), isolates the
-    positive roots of the closing polynomial by Descartes subdivision in
-    increasing order, and stops at the first at which a_r..a_{n-1} are
-    certifiably positive; no root past it is isolated.
+    (:func:`eliminate_integers` on :func:`_scaled_target`) and finds the
+    least root of the closing polynomial at which a_r..a_{n-1} are
+    positive.
 
     Once the constants a'_1..a'_{r-1} are positive, the column values
     a'_r..a'_{min(2r,n)-1} are linear, k0 + k1 b with
     k1 = -(D + a'_1 + ... + a'_{j-r}) < 0, so each is positive exactly
     below its root -k0/k1.  The least of those roots, B, bounds every
-    admissible b: B <= 0 rejects the scale before any isolation, and a
-    root whose walk starts at or past B ends the scale, as every later
-    root lies further right.  One sign proof of the linear column value
-    whose root is B stands for all of them: on a linear q the proof holds
-    exactly once the walk's hi is below q's root, so it stops where the
-    proofs of a_r..a_{min(2r,n)-1} in turn would.  At r = n no column
-    value is linear and no bound applies.
+    admissible b, and B <= 0 rejects the scale at once.  At r = n no
+    column value is linear and no bound applies.
+
+    At 2r > n every column value is linear, and so is the closing
+    polynomial g' = b a'_{n-r} - a'_{n-1} - D alpha_n = g0 + g1 b: a'_{n-r}
+    is a positive constant (D at r = n) and a'_{n-1} has slope k1 <= 0, so
+    g1 >= a'_{n-r} > 0 and g' is never constant.  Its one root -g0/g1 is
+    admissible exactly when it lies in (0, B), or is positive at r = n,
+    which a sign test and one cross-multiplication decide; nothing is
+    isolated and no sign is proved (:class:`_LinearRoot`).
+
+    At 2r <= n the positive roots of g' are isolated by Descartes
+    subdivision in increasing order, and the scale stops at the first at
+    which a_r..a_{n-1} are certifiably positive; no root past it is
+    isolated.  A root whose walk starts at or past B ends the scale, as
+    every later root lies further right.  One sign proof of the linear
+    column value whose root is B stands for all of them: on a linear q
+    the proof holds exactly once the walk's hi is below q's root, so it
+    stops where the proofs of a_r..a_{2r-1} in turn would.
 
     Each root's walk (:class:`sapcert.polyroots._Root`) goes to the sign
     proofs as the subdivision hands it over, not narrowed
@@ -138,24 +211,30 @@ def _solve_scaled(
     a, g_coeffs = eliminate_integers(n, r, scale, steps)
     if g_coeffs is None:
         return None
-    proofs = a[2 * r :]
     linear = a[r : 2 * r]
     if linear:
-        # B = bn / bd, the least root of the linear column values; the
-        # one proof of bn - bd b stands for all of them
+        # B = bn / bd, the least root of the linear column values
         bn, bd = linear[0][0], -linear[0][1]
         for k0, k1 in linear:
             if k0 <= 0:
                 return None
             if k0 * bd < bn * -k1:
                 bn, bd = k0, -k1
-        proofs = [(bn, -bd), *proofs]
 
+    if 2 * r > n:
+        g0, g1 = g_coeffs
+        # 0 < -g0/g1 < bn/bd, for g1 > 0 and bd > 0
+        if g0 >= 0 or (linear and -g0 * bd >= bn * g1):
+            return None
+        return _ScaledSolution(scale, a, _LinearRoot(g0, g1, (bn, bd) if linear else None))
+
+    # the one proof of bn - bd b stands for all the linear column values
+    proofs = [(bn, -bd), *a[2 * r :]]
     g = IntPolynomial(g_coeffs)
     # every b solves a zero closing equation; probe b = 1 in (1/2, 2]
     roots = [_Root(g, 1, 4, 2, Fraction(1))] if g.is_zero else _isolated(g, _ROOT_WIDTH)
     for root in roots:
-        if linear and root.a * bd >= bn * root.d:
+        if root.a * bd >= bn * root.d:
             return None
         if all(root.sign(cs) == 1 for cs in proofs):
             return _ScaledSolution(scale=scale, a=a, root=root)
@@ -172,22 +251,26 @@ def _deliver(
 
     The one narrowing of realize; it steps on along the sign proofs' walk,
     so b lies in every proof bracket and b and every a_j are positive
-    exactly.  With b = u/v, a_j = C_j / (v^deg D) for
-    C_j = v^deg a'_j(u/v), accumulated in integers, and each double is one
-    int/int true division, which rounds correctly as ``float(Fraction)``
-    does: the first column is C_j q / (v^deg D m).  A value beyond the
-    double range raises RealizationFailed, as do one that underflows to
-    zero, a matrix that leaves the sign class and a round trip that
-    misses the target.
+    exactly.  At 2r > n there is no walk, and b = u/v is where one would
+    end (:meth:`_LinearRoot.delivered`), in (0, B).  With b = u/v,
+    a_j = C_j / (v^deg D) for C_j = v^deg a'_j(u/v), accumulated in
+    integers, and each double is one int/int true division, which rounds
+    correctly as ``float(Fraction)`` does: the first column is
+    C_j q / (v^deg D m).  A value beyond the double range raises
+    RealizationFailed, as do one that underflows to zero, a matrix that
+    leaves the sign class and a round trip that misses the target.
     """
     n, r = p.n, p.r
     m, q = c
     fc = m / q
-    root = sol.root.narrow(_ROOT_WIDTH)
-    if root.exact is None:
-        u, v = root.a + root.b, 2 * root.d
+    if isinstance(sol.root, _LinearRoot):
+        u, v = sol.root.delivered()
     else:
-        u, v = root.exact.numerator, root.exact.denominator
+        root = sol.root.narrow(_ROOT_WIDTH)
+        if root.exact is None:
+            u, v = root.a + root.b, 2 * root.d
+        else:
+            u, v = root.exact.numerator, root.exact.denominator
     D = sol.scale
     # a_1..a_{n-1} at b = u/v, as integer numerators and denominators
     cols = [(_homogeneous(cs, u, v), v ** (len(cs) - 1) * D) for cs in sol.a[1:]]
@@ -304,8 +387,9 @@ def realize(p: FamilyParams, target: CoeffVector) -> RealizationResult:
     Tries the unscaled system first, then descends the scaling ladder by
     halving; the first admissible scale is refined upward because the
     delivered accuracy degrades with c^{-n}.  Every scale is solved once,
-    in integers (:func:`_solve_scaled`: a linear bound and Descartes tests
-    isolate the roots of the closing polynomial and prove the a_j
+    in integers (:func:`_solve_scaled`: at r > n/2 by comparing the one
+    root of the linear closing polynomial with a linear bound, otherwise
+    by Descartes tests that isolate its roots and prove the a_j
     positive), and the last admissible one is delivered.  The target's
     numerators and denominators are read once, and each scale is kept as
     m / 2^E in integers.  Raises RealizationFailed with the attained

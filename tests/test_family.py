@@ -58,6 +58,15 @@ def test_pattern_structure_generic():
             assert pat[n - 1, n - 1] is Sign.MINUS
 
 
+def test_pattern_is_memoized_and_bounded():
+    # one shared pattern per (n, r), so its cached sign grid is built once;
+    # the memo is bounded because a pattern at MAX_N is about 1 MB
+    p = FamilyParams(7, 3)
+    assert build_pattern(p) is build_pattern(FamilyParams(7, 3))
+    assert build_pattern(p) is not build_pattern(FamilyParams(7, 4))
+    assert build_pattern.cache_info().maxsize == 64
+
+
 def test_pattern_r_equals_n_feedback_in_first_column():
     pat = build_pattern(FamilyParams(4, 4))
     assert pat[3, 0] is Sign.PLUS

@@ -1,11 +1,12 @@
 import hashlib
 import importlib
 import json
+import math
 from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from sapcert.charpoly import CoeffVector, char_coeffs, char_coeffs_oracle, spectrum
@@ -194,6 +195,8 @@ def _count_narrowings(monkeypatch):
 
 
 def test_realize_refines_once_per_target(monkeypatch):
+    # the walk of the delivered scale is narrowed once at 2r <= n; at
+    # 2r > n no scale keeps a walk and nothing is narrowed
     calls = _count_narrowings(monkeypatch)
     rng = np.random.default_rng(46)
     ladder = 0
@@ -202,8 +205,8 @@ def test_realize_refines_once_per_target(monkeypatch):
             for _ in range(3):
                 before = len(calls)
                 res = realize(FamilyParams(n, r), CoeffVector(tuple(rng.uniform(-5.0, 5.0, n))))
-                ladder += res.scaling_c < 1.0
-                assert len(calls) == before + 1
+                ladder += 2 * r <= n and res.scaling_c < 1.0
+                assert len(calls) == before + (2 * r <= n)
     assert ladder > 0
 
 
@@ -221,7 +224,8 @@ def test_realize_proof_bracket_narrower_than_root_width(monkeypatch):
     # root width of 32 no proof's bracket is wider, so narrowing leaves the
     # walk as it is.
     # At every delivered scale b and all a_j must still be exactly
-    # positive, and realize must return them or fail with a typed error
+    # positive, and realize must return them or fail with a typed error.
+    # Only 2r <= n keeps walks: at 2r > n no root is isolated
     from fractions import Fraction
 
     from sapcert.polyroots import IntPolynomial
@@ -239,8 +243,8 @@ def test_realize_proof_bracket_narrower_than_root_width(monkeypatch):
     monkeypatch.setattr(realize_module, "_deliver", spy)
     rng = np.random.default_rng(47)
     targets = 0
-    for n in (3, 4, 5, 6):
-        for r in range(2, n + 1):
+    for n in (4, 5, 6, 7, 8):
+        for r in range(2, n // 2 + 1):
             for _ in range(2):
                 targets += 1
                 try:
@@ -472,8 +476,8 @@ def test_diagnostics_share_the_elimination_of_the_solver():
 
 def _parent_solve_scaled(n, r, alpha, m, q):
     # the loop realize ran before the linear bound: every positive root of
-    # g isolated in turn, and each of a_r..a_{n-1} proved on its walk;
-    # (a, b, d, exact) of the first admissible walk, or None
+    # g isolated in turn, and each of a_r..a_{n-1} proved on its walk; the
+    # first admissible walk, or None
     from sapcert.family import eliminate_integers
     from sapcert.polyroots import IntPolynomial, _isolated, _Root
 
@@ -485,8 +489,18 @@ def _parent_solve_scaled(n, r, alpha, m, q):
     roots = [_Root(g, 1, 4, 2, Fraction(1))] if g.is_zero else _isolated(g, realize_module._ROOT_WIDTH)
     for root in roots:
         if all(root.sign(cs) == 1 for cs in a[r:]):
-            return root.a, root.b, root.d, root.exact
+            return root
     return None
+
+
+def _walk_end(root):
+    return root.a, root.b, root.d, root.exact
+
+
+def _narrowed_b(root):
+    # b as _deliver takes it from a walk: narrowed to _ROOT_WIDTH
+    root.narrow(realize_module._ROOT_WIDTH)
+    return root.exact if root.exact is not None else Fraction(root.a + root.b, 2 * root.d)
 
 
 @st.composite
@@ -514,18 +528,26 @@ def _scaled_system(draw):
 def test_linear_bound_keeps_every_verdict_and_walk_end(system):
     # the bound B of the linear column values only skips roots and proofs
     # that cannot change the verdict, and its one proof stops the walk
-    # where the proofs of a_r..a_{min(2r,n)-1} in turn would
+    # where the proofs of a_r..a_{min(2r,n)-1} in turn would; at 2r > n,
+    # where no walk is kept, the closed form delivers the b that narrowing
+    # the walk would
     want = _parent_solve_scaled(*system)
     sol = realize_module._solve_scaled(*system)
-    got = None if sol is None else (sol.root.a, sol.root.b, sol.root.d, sol.root.exact)
-    assert got == want
+    assert (sol is None) == (want is None)
+    if sol is None:
+        return
+    n, r = system[:2]
+    if 2 * r > n:
+        assert Fraction(*sol.root.delivered()) == _narrowed_b(want)
+    else:
+        assert _walk_end(sol.root) == _walk_end(want)
 
 
 def test_linear_bound_prunes_roots_and_proofs_on_the_ladder(monkeypatch):
     # a_r..a_{min(2r,n)-1} are linear in b and share one sign proof per
-    # walk, so at r > n/2 each walk gets one proof; no proof starts on a
+    # walk, so at r = n/2 each walk gets one proof; no proof starts on a
     # walk at or past their least root B, and a scale with B <= 0 is
-    # rejected before isolation
+    # rejected before isolation.  Only 2r <= n isolates roots at all
     from sapcert import polyroots
 
     events = []
@@ -554,7 +576,7 @@ def test_linear_bound_prunes_roots_and_proofs_on_the_ladder(monkeypatch):
     monkeypatch.setattr(realize_module, "_isolated", spied_isolated)
     monkeypatch.setattr(polyroots._Root, "sign", spied_sign)
     rng = np.random.default_rng(23)
-    pairs = [(5, 3), (6, 4), (7, 4), (8, 5), (9, 6), (10, 6), (6, 2), (8, 3), (10, 4)]
+    pairs = [(4, 2), (6, 3), (8, 4), (10, 5), (12, 6), (6, 2), (8, 3), (10, 4)]
     for n, r in pairs:
         for _ in range(6):
             try:
@@ -588,3 +610,176 @@ def test_linear_bound_prunes_roots_and_proofs_on_the_ladder(monkeypatch):
     # the ladder ran, and the rejection, the pruning and the proofs were
     # all exercised
     assert len(scales) > 100 and rejected > 10 and pruned > 10 and proved > 10
+
+
+def test_realize_isolates_and_proves_nothing_at_2r_above_n(monkeypatch):
+    # at 2r > n each scale is decided by comparing the root of the linear
+    # closing polynomial with B, and b is delivered from the same two
+    # integers: realize builds no walk on any scale of the ladder
+    from sapcert import polyroots
+
+    called = []
+
+    def spy(name, f):
+        def spied(*args, **kwargs):
+            called.append(name)
+            return f(*args, **kwargs)
+
+        return spied
+
+    monkeypatch.setattr(realize_module, "_isolated", spy("_isolated", realize_module._isolated))
+    monkeypatch.setattr(polyroots, "_isolated", spy("_isolated", polyroots._isolated))
+    monkeypatch.setattr(polyroots, "_square_free", spy("_square_free", polyroots._square_free))
+    monkeypatch.setattr(polyroots._Root, "sign", spy("sign", polyroots._Root.sign))
+    monkeypatch.setattr(polyroots._Root, "narrow", spy("narrow", polyroots._Root.narrow))
+    rng = np.random.default_rng(48)
+    ladder = 0
+    for n in range(3, 11):
+        for r in range(n // 2 + 1, n + 1):
+            for _ in range(4):
+                res = realize(FamilyParams(n, r), CoeffVector(tuple(rng.uniform(-5.0, 5.0, n))))
+                ladder += res.scaling_c < 1.0
+    assert ladder > 20
+    assert called == []
+
+
+def _walk_delivered_b(n, r, alpha, m, q):
+    # _solve_scaled and _deliver as they ran at 2r > n with a Descartes
+    # walk: g' isolated, the one sign proof against B, then the delivered
+    # scale's walk narrowed to _ROOT_WIDTH; b, or None for no admissible root
+    from sapcert.family import eliminate_integers
+    from sapcert.polyroots import IntPolynomial, _isolated
+
+    scale, steps = realize_module._scaled_target(alpha, m, q)
+    a, g_coeffs = eliminate_integers(n, r, scale, steps)
+    if g_coeffs is None:
+        return None
+    linear = a[r:]
+    if any(k0 <= 0 for k0, _ in linear):
+        return None
+    bound = min((Fraction(k0, -k1) for k0, k1 in linear), default=None)
+    for root in _isolated(IntPolynomial(g_coeffs), realize_module._ROOT_WIDTH):
+        if bound is not None and Fraction(root.a, root.d) >= bound:
+            return None
+        if bound is None or root.sign((bound.numerator, -bound.denominator)) == 1:
+            return _narrowed_b(root)
+    return None
+
+
+_CORNERS = ("free", "integer", "hit", "near_bound", "tiny", "nonpositive", "bound_nonpositive")
+
+
+@st.composite
+def _steered_system(draw, corner):
+    # (n, r, alpha, m, q) at 2r > n and a dyadic scale m / 2^e, with
+    # alpha_n (alpha_r for bound_nonpositive) solved for so that the root
+    # rho of g' falls where ``corner`` says; the values a_j(b) = a'_j / D
+    # do not depend on the common denominator D, so neither does rho.
+    # Also returns the root steered for, or None
+    from sapcert.family import eliminate_integers
+
+    n = draw(st.integers(3, 12))
+    r = draw(st.integers(n // 2 + 1, n))
+    e = draw(st.integers(0, 8))
+    m, q = draw(st.integers(1, 1 << e)), 1 << e
+    c = Fraction(m, q)
+    if corner == "integer":
+        alpha = [(v, 1) for v in draw(st.lists(st.integers(-6, 6), min_size=n, max_size=n))]
+    elif draw(st.booleans()):
+        alpha = [v.as_integer_ratio() for v in draw(st.lists(st.floats(-5.0, 5.0), min_size=n, max_size=n))]
+    else:
+        nums = draw(st.lists(st.integers(-40, 40), min_size=n, max_size=n))
+        dens = draw(st.lists(st.integers(1, 12), min_size=n, max_size=n))
+        alpha = [Fraction(v, d).as_integer_ratio() for v, d in zip(nums, dens)]
+    if corner in ("free", "integer"):
+        return n, r, alpha, m, q, None
+    if corner == "bound_nonpositive":
+        assume(r < n)
+        scale, steps = realize_module._scaled_target(alpha, m, q)
+        a, g = eliminate_integers(n, r, scale, steps)
+        assume(g is not None)
+        # a_r's constant a_{r-1} + alpha_r c^r, made -delta <= 0
+        delta = draw(st.sampled_from([Fraction(0), Fraction(1, 3), Fraction(5)]))
+        alpha[r - 1] = ((-delta - Fraction(a[r - 1][0], scale)) / c**r).as_integer_ratio()
+        return n, r, alpha, m, q, None
+    alpha[n - 1] = (0, 1)
+    scale, steps = realize_module._scaled_target(alpha, m, q)
+    a, g = eliminate_integers(n, r, scale, steps)
+    assume(g is not None and all(k0 > 0 for k0, _ in a[r:]))
+    # B, or at r = n, where there is none, the end of the range drawn from
+    bound = min((Fraction(k0, -k1) for k0, k1 in a[r:]), default=Fraction(8))
+    if corner == "hit":
+        # a dyadic rho whose denominator 2^k exceeds the rational search's
+        # limit and lies on the walk's path, so a midpoint hits it
+        k = draw(st.integers(31, realize_module._ROOT_BITS))
+        top = (math.ceil(bound * 2**k) - 2) // 2
+        assume(top >= 0)
+        rho = Fraction(2 * draw(st.integers(0, min(top, 1 << 62))) + 1, 2**k)
+    elif corner == "near_bound":
+        # the walk goes past _ROOT_WIDTH before its hi is below B
+        assume(r < n)
+        t = draw(st.integers(realize_module._ROOT_BITS + 1, 150))
+        rho = bound - draw(st.sampled_from([Fraction(1), Fraction(1, 3)])) / 2**t
+        width = realize_module._ROOT_WIDTH
+        assume(rho > 0 and (rho // width + 1) * width >= bound)
+    elif corner == "tiny":
+        # the tree starts at (0, 2^e] with e < -_ROOT_BITS
+        t = draw(st.integers(realize_module._ROOT_BITS + 3, 120))
+        rho = Fraction(draw(st.integers(1, 1 << 20)), 2**t * draw(st.integers(1 << 20, 1 << 21)))
+        assume(rho < bound)
+    else:
+        rho = -draw(st.sampled_from([Fraction(0), Fraction(1, 7), Fraction(3)]))
+    # rho = (k0 + D alpha_n c^n) / g1 with k0 the constant of a'_{n-1}
+    alpha[n - 1] = ((rho * g[1] - a[n - 1][0]) / (scale * c**n)).as_integer_ratio()
+    return n, r, alpha, m, q, rho
+
+
+@pytest.mark.parametrize("corner", _CORNERS)
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(data=st.data())
+def test_closed_form_matches_the_walk_at_2r_above_n(corner, data):
+    # the verdict and the delivered b of the closed form are those of the
+    # Descartes walk, in every corner of it
+    from sapcert.family import eliminate_integers
+    from sapcert.polyroots import _bound_exponent
+
+    n, r, alpha, m, q, rho = data.draw(_steered_system(corner))
+    scale, steps = realize_module._scaled_target(alpha, m, q)
+    _, g = eliminate_integers(n, r, scale, steps)
+    # g' = g0 + g1 b with g1 >= a'_{n-r} > 0: never zero, never constant
+    assert g is None or (len(g) == 2 and g[1] > 0)
+    want = _walk_delivered_b(n, r, alpha, m, q)
+    sol = realize_module._solve_scaled(n, r, alpha, m, q)
+    got = None if sol is None else Fraction(*sol.root.delivered())
+    assert got == want
+    if rho is not None:
+        assert Fraction(-g[0], g[1]) == rho
+    if corner in ("nonpositive", "bound_nonpositive"):
+        assert got is None
+    elif corner == "hit":
+        assert got == rho
+    elif corner == "near_bound":
+        assert got == rho or got.denominator > 2 ** (realize_module._ROOT_BITS + 1)
+    elif corner == "tiny":
+        assert got is not None and _bound_exponent(g) < -realize_module._ROOT_BITS
+
+
+def test_closed_form_admits_a_root_just_below_the_bound():
+    # n = 3, r = 2, alpha = (0, 0, alpha_3): a_1 = 1, a_2 = 1 - b and
+    # g = 2b - 1 - alpha_3, so B = 1 and rho = (1 + alpha_3) / 2, here
+    # 1 - 2^-300 / 3.  The walk's sign proof of a_2 gives up after
+    # _MAX_SIGN_REFINE steps past width 2^-8, near 2^-208, and rejected
+    # the scale; the exact comparison admits it, and b is the midpoint
+    # of the first node of the path with hi below B
+    from sapcert import polyroots
+
+    alpha3 = 1 - Fraction(1, 3 * 2**299)
+    alpha = [(0, 1), (0, 1), alpha3.as_integer_ratio()]
+    assert polyroots._MAX_SIGN_REFINE < 300
+    assert _walk_delivered_b(3, 2, alpha, 1, 1) is None
+    sol = realize_module._solve_scaled(3, 2, alpha, 1, 1)
+    u, v = sol.root.delivered()
+    rho = 1 - Fraction(1, 3 * 2**300)
+    assert v == 2**303 and rho - Fraction(1, v) < Fraction(u, v) < 1 and u % 2
+    res = realize_module._deliver(FamilyParams(3, 2), CoeffVector((0.0, 0.0, 1.0)), (1, 1), sol)
+    assert res.scaling_c == 1.0 and res.params.b == 1.0 and res.params.a == (1.0, 3 * 2.0**-303)
