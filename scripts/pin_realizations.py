@@ -25,7 +25,7 @@ from sapcert.errors import SapcertError
 from sapcert.family import FamilyParams
 from sapcert.realize import realize
 
-PINNED = "b66689cb63b5990ef23583f8285f6dc708907a112f17b971c9504dcf58226145"
+PINNED = "509a404d0f54e8ce8bcce5a187d7dbb9916e1b7576ff2e73368548af913300e2"
 
 # (n, r, number of targets): every r up to n = 10, then a few r at n = 20, 30
 CASES = [(n, r, 6) for n in range(3, 11) for r in range(2, n + 1)] + [

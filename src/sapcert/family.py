@@ -161,7 +161,10 @@ def eliminate_integers(
     realize the target.  Returns ([a'_0, a'_1, ...], g') as ascending
     coefficient tuples, without trailing zeros.  The constants
     a'_1..a'_{r-1} come first; when one of them is not positive the
-    elimination stops there and g' is None.  At alpha = 0 and D = 1 this
+    elimination stops there and g' is None.  Otherwise the leading
+    coefficients of the a'_j alternate in sign with j // r and never
+    cancel, so a'_j has degree exactly j // r and g' degree n // r: at
+    2r > n g' = g0 + g1 b with g1 > 0.  At alpha = 0 and D = 1 this
     is the nilpotent recurrence, closed by h = -g'.
     """
     a = [(scale,)]

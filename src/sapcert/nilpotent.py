@@ -226,8 +226,10 @@ def _h_bracket(h: IntPolynomial, s: Fraction) -> RootBracket:
     return bracket
 
 
-# the one memo of the module: one pass per (n, r)
-@functools.lru_cache(maxsize=None)
+# the one memo of the module: one pass per (n, r).  Bounded, as a process
+# that certifies every (n, r) up to MAX_N would otherwise keep 51,040
+# certificates and most of a GB; 256 holds every pair up to n = 23
+@functools.lru_cache(maxsize=256)
 def _certify(p: FamilyParams) -> NilpotentCertificate:
     """The double-mode certificate of ``p``, its residual not yet checked.
 

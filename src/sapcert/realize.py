@@ -13,9 +13,8 @@ every admissible b (:func:`_solve_scaled`).
 
 For r > n/2 every column value is linear and so is g, with a positive
 slope: its one root is admissible exactly when it lies in (0, B), which
-a sign test and one cross-multiplication of integers decide, and the
-delivered b is computed from the same integers (:class:`_LinearRoot`);
-nothing is isolated.
+a sign test and one cross-multiplication of integers decide, and b is
+that root, exactly; nothing is isolated.
 
 For r <= n/2 each scale is solved on integers by one Descartes kernel:
 Descartes' rule of signs isolates the positive roots of g and proves the
@@ -28,7 +27,8 @@ walk narrowed to full width is that of the delivered scale.
 
 :func:`_deliver` runs once per call: it evaluates the a_j at the
 delivered b in integers and turns each into a double by one correctly
-rounded integer division.
+rounded integer division, so at r > n/2 every delivered double is the
+correctly rounded value of the exact solution.
 
 Targets with no admissible root are handled by the scaling fallback: the
 coefficients c^j * v_j of the scaled matrix c*A are realized instead and
@@ -60,22 +60,12 @@ from .family import (
 )
 from .nilpotent import nilpotent_realization
 from .patterns import Sign, member_of_class
-from .polyroots import (
-    _RATROOT_COEFF_LIMIT,
-    IntPolynomial,
-    _bound_exponent,
-    _homogeneous,
-    _isolated,
-    _Root,
-    positive_roots,
-)
+from .polyroots import IntPolynomial, _homogeneous, _isolated, _Root, positive_roots
 
 RESIDUAL_RTOL = 1e-8
 _LADDER_MAX_HALVINGS = 40
 _LADDER_REFINE_STEPS = 14
-# b is delivered from a bracket at most 2^-_ROOT_BITS wide, or exact
-_ROOT_BITS = 60
-_ROOT_WIDTH = Fraction(1, 1 << _ROOT_BITS)
+_ROOT_WIDTH = Fraction(1, 2**60)
 
 
 @dataclass(frozen=True)
@@ -105,53 +95,11 @@ class RealizationResult:
 
 
 @dataclass(frozen=True)
-class _LinearRoot:
-    """The root -g0/g1 of a linear closing polynomial g'(b) = g0 + g1 b, in (0, B).
-
-    At 2r > n every scale's g' is linear with g1 > 0 (see
-    :func:`_solve_scaled`); ``bound`` is B = bn/bd as (bn, bd), the least
-    root of the linear column values, and None at r = n, where there are
-    none.  No walk is kept: :meth:`delivered` computes where one would end.
-    """
-
-    g0: int
-    g1: int
-    bound: tuple[int, int] | None
-
-    def delivered(self) -> tuple[int, int]:
-        """b = u/v as (u, v): where the Descartes walk of g' would deliver it.
-
-        The walk isolates g' on (0, 2^e], e = ``_bound_exponent`` of g' as
-        eliminated, and halves towards the root rho = -g0/g1 by sign: its
-        node of width 2^-k is (j/2^k, (j + 1)/2^k] with j = floor(rho 2^k),
-        unless a midpoint hits rho first, which happens exactly when
-        rho 2^k is an integer.  It steps on while the node is wider than
-        2^-_ROOT_BITS or its hi is not below B, so k starts at
-        max(-e, _ROOT_BITS) and grows only while (j + 1)/2^k >= B; b is
-        that node's midpoint, or rho when a midpoint hit it.  Isolation
-        finds rho itself, in lowest terms, when neither content-free
-        coefficient exceeds ``_RATROOT_COEFF_LIMIT``.
-        """
-        num, den = -self.g0, self.g1
-        c = math.gcd(num, den)
-        if max(num, den) // c <= _RATROOT_COEFF_LIMIT:
-            return num // c, den // c
-        k = max(-_bound_exponent((self.g0, self.g1)), _ROOT_BITS)
-        while True:
-            j, rem = divmod(num << k, den)
-            if not rem:
-                return num // c, den // c
-            if self.bound is None or (j + 1) * self.bound[1] < self.bound[0] << k:
-                return 2 * j + 1, 1 << (k + 1)
-            k += 1
-
-
-@dataclass(frozen=True)
 class _ScaledSolution:
     """An admissible root of one scale's closing polynomial, not yet narrowed.
 
     ``root`` is b's walk where the last sign proof left it, or at 2r > n
-    the one root of the linear closing polynomial (see
+    the exact root of the linear closing polynomial (see
     :func:`_solve_scaled`); ``scale`` and ``a`` are the elimination's D and
     a'_j, the latter as ascending integer coefficient tuples, so that
     a_j(b) = a'_j(b) / D.
@@ -159,7 +107,7 @@ class _ScaledSolution:
 
     scale: int
     a: list[tuple[int, ...]]
-    root: _Root | _LinearRoot
+    root: _Root
 
 
 def _solve_scaled(
@@ -186,13 +134,14 @@ def _solve_scaled(
     g1 >= a'_{n-r} > 0 and g' is never constant.  Its one root -g0/g1 is
     admissible exactly when it lies in (0, B), or is positive at r = n,
     which a sign test and one cross-multiplication decide; nothing is
-    isolated and no sign is proved (:class:`_LinearRoot`).
+    isolated and no sign is proved, and the root is returned exact.
 
-    At 2r <= n the positive roots of g' are isolated by Descartes
-    subdivision in increasing order, and the scale stops at the first at
-    which a_r..a_{n-1} are certifiably positive; no root past it is
-    isolated.  A root whose walk starts at or past B ends the scale, as
-    every later root lies further right.  One sign proof of the linear
+    At 2r <= n g' has degree floor(n/r) >= 2, so it is never zero.  Its
+    positive roots are isolated by Descartes subdivision in increasing
+    order, and the scale stops at the first at which a_r..a_{n-1} are
+    certifiably positive; no root past it is isolated.  A root whose
+    walk starts at or past B ends the scale, as every later root lies
+    further right.  One sign proof of the linear
     column value whose root is B stands for all of them: on a linear q
     the proof holds exactly once the walk's hi is below q's root, so it
     stops where the proofs of a_r..a_{2r-1} in turn would.
@@ -226,14 +175,12 @@ def _solve_scaled(
         # 0 < -g0/g1 < bn/bd, for g1 > 0 and bd > 0
         if g0 >= 0 or (linear and -g0 * bd >= bn * g1):
             return None
-        return _ScaledSolution(scale, a, _LinearRoot(g0, g1, (bn, bd) if linear else None))
+        root = _Root(IntPolynomial(g_coeffs), 0, -g0, g1, Fraction(-g0, g1))
+        return _ScaledSolution(scale, a, root)
 
     # the one proof of bn - bd b stands for all the linear column values
     proofs = [(bn, -bd), *a[2 * r :]]
-    g = IntPolynomial(g_coeffs)
-    # every b solves a zero closing equation; probe b = 1 in (1/2, 2]
-    roots = [_Root(g, 1, 4, 2, Fraction(1))] if g.is_zero else _isolated(g, _ROOT_WIDTH)
-    for root in roots:
+    for root in _isolated(IntPolynomial(g_coeffs), _ROOT_WIDTH):
         if root.a * bd >= bn * root.d:
             return None
         if all(root.sign(cs) == 1 for cs in proofs):
@@ -251,26 +198,23 @@ def _deliver(
 
     The one narrowing of realize; it steps on along the sign proofs' walk,
     so b lies in every proof bracket and b and every a_j are positive
-    exactly.  At 2r > n there is no walk, and b = u/v is where one would
-    end (:meth:`_LinearRoot.delivered`), in (0, B).  With b = u/v,
-    a_j = C_j / (v^deg D) for C_j = v^deg a'_j(u/v), accumulated in
-    integers, and each double is one int/int true division, which rounds
-    correctly as ``float(Fraction)`` does: the first column is
-    C_j q / (v^deg D m).  A value beyond the double range raises
-    RealizationFailed, as do one that underflows to zero, a matrix that
-    leaves the sign class and a round trip that misses the target.
+    exactly.  b is the exact root when it is known, as it always is at
+    2r > n, else the midpoint of the walk narrowed to ``_ROOT_WIDTH``.
+    With b = u/v, a_j = C_j / (v^deg D) for C_j = v^deg a'_j(u/v),
+    accumulated in integers, and each double is one int/int true
+    division, which rounds correctly as ``float(Fraction)`` does: the
+    first column is C_j q / (v^deg D m).  A value beyond the double range
+    raises RealizationFailed, as do one that underflows to zero, a matrix
+    that leaves the sign class and a round trip that misses the target.
     """
     n, r = p.n, p.r
     m, q = c
     fc = m / q
-    if isinstance(sol.root, _LinearRoot):
-        u, v = sol.root.delivered()
+    root = sol.root.narrow(_ROOT_WIDTH)
+    if root.exact is None:
+        u, v = root.a + root.b, 2 * root.d
     else:
-        root = sol.root.narrow(_ROOT_WIDTH)
-        if root.exact is None:
-            u, v = root.a + root.b, 2 * root.d
-        else:
-            u, v = root.exact.numerator, root.exact.denominator
+        u, v = root.exact.numerator, root.exact.denominator
     D = sol.scale
     # a_1..a_{n-1} at b = u/v, as integer numerators and denominators
     cols = [(_homogeneous(cs, u, v), v ** (len(cs) - 1) * D) for cs in sol.a[1:]]
@@ -357,8 +301,6 @@ def _diagnose_scaled(n: int, r: int, alpha: Sequence[Fraction], c: Fraction) -> 
         return f"column value {j} is {a_polys[j](0) / scale:.3e} <= 0 before any root"
     g = IntPolynomial(g_coeffs)
     g_signs = "".join("+" if v > 0 else "-" if v < 0 else "0" for v in g.coeffs)
-    if g.is_zero or g.degree < 1:
-        return f"closing polynomial degenerate (coefficient signs {g_signs})"
     roots = list(positive_roots(g))
     verdicts = []
     for br in roots:

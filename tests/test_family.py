@@ -3,6 +3,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sapcert.charpoly import char_coeffs, char_coeffs_oracle
 from sapcert.errors import InvalidInput
@@ -232,6 +234,28 @@ def test_eliminate_round_trips_exact_realizations():
             assert len(a_polys) == n and a_polys[0].coeffs == (scale,)
             assert [q(b) / scale for q in a_polys[1:]] == a
             assert g is not None and g(b) == 0
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(st.data())
+def test_eliminated_degrees_are_exact(data):
+    # once a'_1..a'_{r-1} are positive the leading coefficient of a'_j has
+    # the sign (-1)^(j // r), so none cancels: a'_j has degree j // r and
+    # g' degree n // r, and at 2r > n g' is linear with a positive slope
+    n = data.draw(st.integers(2, 16))
+    r = data.draw(st.integers(2, n))
+    scale = data.draw(st.integers(1, 64))
+    steps = data.draw(st.lists(st.integers(-2 * scale, 4 * scale), min_size=n, max_size=n))
+    a, g = eliminate_integers(n, r, scale, steps)
+    if g is None:
+        # the elimination stopped at the first constant that is not positive
+        assert len(a) <= r and not (a[-1] and a[-1][0] > 0)
+        return
+    assert len(a) == n
+    assert [len(cs) - 1 for cs in a] == [j // r for j in range(n)]
+    assert len(g) - 1 == n // r
+    if 2 * r > n:
+        assert len(g) == 2 and g[1] > 0
 
 
 def test_eliminate_at_zero_is_the_nilpotent_recurrence():

@@ -2,9 +2,10 @@
 
 The digests pin the deterministic stdout of ``nilpotent``, ``jacobian``,
 ``msap``, ``sweep`` and ``realize --monic`` (one unscaled target, one that
-takes the scaling ladder, and one whose closing polynomial has the
+takes the scaling ladder, one whose closing polynomial has the
 positive rational roots 1 and 7, so that it goes through rational-root
-recognition), with r = n cases for ``nilpotent``,
+recognition, and a non-integer target at r > n/2 whose exact root is
+delivered on the ladder), with r = n cases for ``nilpotent``,
 ``jacobian`` and ``realize``.  A refactor must leave every one of them
 byte-identical; an intended output change updates the digest here and is
 logged with its reason in CHANGES.md.
@@ -62,6 +63,9 @@ GOLDEN = [
     ('realize --n 4 --r 2 --monic -3,-1,-3,1 --format json', 0, 'e146e5667b9dcf8f3a6ccb711e99757ad117855fcaf719a41866b42986c11e49'),
     ('realize --n 4 --r 2 --monic -3,-1,-3,1 --format csv', 0, 'f26d686d0bdaf1d8d4c2250909a326ad1daf7318be63d3f08ce9d092e05be4a3'),
     ('realize --n 4 --r 2 --monic -3,-1,-3,1 --format text', 0, 'bcf01b85a9a046a6ae1af88b64dd86eed5d2f20de4fc05d4a853dffb335a4ccd'),
+    ('realize --n 5 --r 3 --monic 0.3,-1.7,2.2,0.9,-0.4 --format json', 0, 'ef378d029ad9b0a6ec92f928fdf2626cf78f56659c1013ba9ae2986a5ad15272'),
+    ('realize --n 5 --r 3 --monic 0.3,-1.7,2.2,0.9,-0.4 --format csv', 0, '90a74677fe9bd06bf40df5be44646acf88b5e484e8faa8fbb887cbd401253a7b'),
+    ('realize --n 5 --r 3 --monic 0.3,-1.7,2.2,0.9,-0.4 --format text', 0, 'd905730a258d1e3c16ef67a34b3562ea50049479536dbc84e97f943aa4625ca1'),
 ]
 
 

@@ -208,6 +208,27 @@ def test_certificate_walks_every_link_and_then_h_below_a_bound(isolations, monke
     assert not isolations
 
 
+def test_certificate_is_memoized_and_bounded():
+    # one certificate per (n, r) while it is cached; the memo is bounded
+    # because a process that certifies every pair up to MAX_N would keep
+    # all 51,040 of them
+    maxsize = nilpotent._certify.cache_info().maxsize
+    assert maxsize == 256
+    nilpotent._certify.cache_clear()
+    p = FamilyParams(7, 3)
+    cert = nilpotent_realization(p)
+    assert nilpotent_realization(FamilyParams(7, 3)) is cert
+    assert nilpotent_realization(FamilyParams(7, 4)) is not cert
+    others = [FamilyParams(n, r) for n in range(8, 30) for r in range(2, n + 1)][:maxsize]
+    for q in others:
+        nilpotent._certify(q)
+    assert nilpotent._certify.cache_info().currsize == maxsize
+    # p was the least recently used, so it is certified again
+    rebuilt = nilpotent_realization(p)
+    assert rebuilt is not cert and rebuilt == cert
+    nilpotent._certify.cache_clear()
+
+
 _TWO_ROOTS = _poly(1, -5, 5)  # roots (5 -+ sqrt 5)/10, about 0.2764 and 0.7236
 
 

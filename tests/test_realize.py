@@ -155,8 +155,7 @@ def test_realize_spectrum_fidelity():
 def test_realize_layer_digest_is_pinned():
     # matrix bytes, scaling_c, residual, params and newton_iters of seeded
     # targets for every 2 <= r <= n, 3 <= n <= 8, most of them realized on
-    # the scaling ladder, as recorded when the Descartes tree started at the
-    # dyadic root bound
+    # the scaling ladder, as recorded when b at 2r > n became the exact root
     rng = np.random.default_rng(2000)
     digest = hashlib.sha256()
     ladder = total = 0
@@ -172,7 +171,7 @@ def test_realize_layer_digest_is_pinned():
                 digest.update(json.dumps(fields).encode())
     assert 2 * ladder > total
     assert digest.hexdigest() == (
-        "46f6107724d8abc4df9b3d354246322e4c6fdd14dc28b0d80b6f5aa164e6c154"
+        "54cf9e0902f94584de3faeca4722950b2d207c6235c5717b8278fdddd559704a"
     )
 
 
@@ -195,8 +194,8 @@ def _count_narrowings(monkeypatch):
 
 
 def test_realize_refines_once_per_target(monkeypatch):
-    # the walk of the delivered scale is narrowed once at 2r <= n; at
-    # 2r > n no scale keeps a walk and nothing is narrowed
+    # the root of the delivered scale is narrowed once per target; at
+    # 2r > n it is exact, and narrowing it takes no step
     calls = _count_narrowings(monkeypatch)
     rng = np.random.default_rng(46)
     ladder = 0
@@ -206,7 +205,10 @@ def test_realize_refines_once_per_target(monkeypatch):
                 before = len(calls)
                 res = realize(FamilyParams(n, r), CoeffVector(tuple(rng.uniform(-5.0, 5.0, n))))
                 ladder += 2 * r <= n and res.scaling_c < 1.0
-                assert len(calls) == before + (2 * r <= n)
+                assert len(calls) == before + 1
+                _, bracket_before, bracket_after = calls[-1]
+                if 2 * r > n:
+                    assert bracket_before.exact is not None and bracket_after == bracket_before
     assert ladder > 0
 
 
@@ -479,15 +481,13 @@ def _parent_solve_scaled(n, r, alpha, m, q):
     # g isolated in turn, and each of a_r..a_{n-1} proved on its walk; the
     # first admissible walk, or None
     from sapcert.family import eliminate_integers
-    from sapcert.polyroots import IntPolynomial, _isolated, _Root
+    from sapcert.polyroots import IntPolynomial, _isolated
 
     scale, steps = realize_module._scaled_target(alpha, m, q)
     a, g_coeffs = eliminate_integers(n, r, scale, steps)
     if g_coeffs is None:
         return None
-    g = IntPolynomial(g_coeffs)
-    roots = [_Root(g, 1, 4, 2, Fraction(1))] if g.is_zero else _isolated(g, realize_module._ROOT_WIDTH)
-    for root in roots:
+    for root in _isolated(IntPolynomial(g_coeffs), realize_module._ROOT_WIDTH):
         if all(root.sign(cs) == 1 for cs in a[r:]):
             return root
     return None
@@ -529,8 +529,8 @@ def test_linear_bound_keeps_every_verdict_and_walk_end(system):
     # the bound B of the linear column values only skips roots and proofs
     # that cannot change the verdict, and its one proof stops the walk
     # where the proofs of a_r..a_{min(2r,n)-1} in turn would; at 2r > n,
-    # where no walk is kept, the closed form delivers the b that narrowing
-    # the walk would
+    # where no walk is kept, the exact root lies in the bracket that
+    # narrowing the walk ends in, or is the walk's exact root
     want = _parent_solve_scaled(*system)
     sol = realize_module._solve_scaled(*system)
     assert (sol is None) == (want is None)
@@ -538,7 +538,13 @@ def test_linear_bound_keeps_every_verdict_and_walk_end(system):
         return
     n, r = system[:2]
     if 2 * r > n:
-        assert Fraction(*sol.root.delivered()) == _narrowed_b(want)
+        rho = sol.root.exact
+        assert rho is not None and sol.root.poly(rho) == 0
+        want.narrow(realize_module._ROOT_WIDTH)
+        if want.exact is None:
+            assert Fraction(want.a, want.d) < rho < Fraction(want.b, want.d)
+        else:
+            assert rho == want.exact
     else:
         assert _walk_end(sol.root) == _walk_end(want)
 
@@ -614,8 +620,9 @@ def test_linear_bound_prunes_roots_and_proofs_on_the_ladder(monkeypatch):
 
 def test_realize_isolates_and_proves_nothing_at_2r_above_n(monkeypatch):
     # at 2r > n each scale is decided by comparing the root of the linear
-    # closing polynomial with B, and b is delivered from the same two
-    # integers: realize builds no walk on any scale of the ladder
+    # closing polynomial with B, and b is that root, exact: on no scale of
+    # the ladder is a root isolated, a sign proved or a bisection stepped,
+    # and the one narrowing per target takes no step
     from sapcert import polyroots
 
     called = []
@@ -630,17 +637,22 @@ def test_realize_isolates_and_proves_nothing_at_2r_above_n(monkeypatch):
     monkeypatch.setattr(realize_module, "_isolated", spy("_isolated", realize_module._isolated))
     monkeypatch.setattr(polyroots, "_isolated", spy("_isolated", polyroots._isolated))
     monkeypatch.setattr(polyroots, "_square_free", spy("_square_free", polyroots._square_free))
+    monkeypatch.setattr(polyroots, "_bisections", spy("_bisections", polyroots._bisections))
+    monkeypatch.setattr(polyroots, "bisections", spy("bisections", polyroots.bisections))
     monkeypatch.setattr(polyroots._Root, "sign", spy("sign", polyroots._Root.sign))
-    monkeypatch.setattr(polyroots._Root, "narrow", spy("narrow", polyroots._Root.narrow))
+    narrowed = _count_narrowings(monkeypatch)
     rng = np.random.default_rng(48)
-    ladder = 0
+    ladder = targets = 0
     for n in range(3, 11):
         for r in range(n // 2 + 1, n + 1):
             for _ in range(4):
                 res = realize(FamilyParams(n, r), CoeffVector(tuple(rng.uniform(-5.0, 5.0, n))))
                 ladder += res.scaling_c < 1.0
+                targets += 1
     assert ladder > 20
     assert called == []
+    assert len(narrowed) == targets
+    assert all(before.exact is not None and after == before for _, before, after in narrowed)
 
 
 def _walk_delivered_b(n, r, alpha, m, q):
@@ -667,6 +679,8 @@ def _walk_delivered_b(n, r, alpha, m, q):
 
 
 _CORNERS = ("free", "integer", "hit", "near_bound", "tiny", "nonpositive", "bound_nonpositive")
+# the walk narrows a root to 2^-_ROOT_BITS
+_ROOT_BITS = realize_module._ROOT_WIDTH.denominator.bit_length() - 1
 
 
 @st.composite
@@ -711,20 +725,20 @@ def _steered_system(draw, corner):
     if corner == "hit":
         # a dyadic rho whose denominator 2^k exceeds the rational search's
         # limit and lies on the walk's path, so a midpoint hits it
-        k = draw(st.integers(31, realize_module._ROOT_BITS))
+        k = draw(st.integers(31, _ROOT_BITS))
         top = (math.ceil(bound * 2**k) - 2) // 2
         assume(top >= 0)
         rho = Fraction(2 * draw(st.integers(0, min(top, 1 << 62))) + 1, 2**k)
     elif corner == "near_bound":
         # the walk goes past _ROOT_WIDTH before its hi is below B
         assume(r < n)
-        t = draw(st.integers(realize_module._ROOT_BITS + 1, 150))
+        t = draw(st.integers(_ROOT_BITS + 1, 150))
         rho = bound - draw(st.sampled_from([Fraction(1), Fraction(1, 3)])) / 2**t
         width = realize_module._ROOT_WIDTH
         assume(rho > 0 and (rho // width + 1) * width >= bound)
     elif corner == "tiny":
         # the tree starts at (0, 2^e] with e < -_ROOT_BITS
-        t = draw(st.integers(realize_module._ROOT_BITS + 3, 120))
+        t = draw(st.integers(_ROOT_BITS + 3, 120))
         rho = Fraction(draw(st.integers(1, 1 << 20)), 2**t * draw(st.integers(1 << 20, 1 << 21)))
         assume(rho < bound)
     else:
@@ -738,8 +752,8 @@ def _steered_system(draw, corner):
 @settings(max_examples=60, deadline=None, derandomize=True, database=None)
 @given(data=st.data())
 def test_closed_form_matches_the_walk_at_2r_above_n(corner, data):
-    # the verdict and the delivered b of the closed form are those of the
-    # Descartes walk, in every corner of it
+    # the verdict of the closed form is that of the Descartes walk, in
+    # every corner of it, and an admitted scale delivers the exact root
     from sapcert.family import eliminate_integers
     from sapcert.polyroots import _bound_exponent
 
@@ -750,18 +764,18 @@ def test_closed_form_matches_the_walk_at_2r_above_n(corner, data):
     assert g is None or (len(g) == 2 and g[1] > 0)
     want = _walk_delivered_b(n, r, alpha, m, q)
     sol = realize_module._solve_scaled(n, r, alpha, m, q)
-    got = None if sol is None else Fraction(*sol.root.delivered())
-    assert got == want
+    got = None if sol is None else _narrowed_b(sol.root)
+    assert (got is None) == (want is None)
+    if got is not None:
+        assert got == Fraction(-g[0], g[1])
     if rho is not None:
         assert Fraction(-g[0], g[1]) == rho
     if corner in ("nonpositive", "bound_nonpositive"):
         assert got is None
-    elif corner == "hit":
+    elif corner in ("hit", "near_bound"):
         assert got == rho
-    elif corner == "near_bound":
-        assert got == rho or got.denominator > 2 ** (realize_module._ROOT_BITS + 1)
     elif corner == "tiny":
-        assert got is not None and _bound_exponent(g) < -realize_module._ROOT_BITS
+        assert got is not None and _bound_exponent(g) < -_ROOT_BITS
 
 
 def test_closed_form_admits_a_root_just_below_the_bound():
@@ -769,8 +783,7 @@ def test_closed_form_admits_a_root_just_below_the_bound():
     # g = 2b - 1 - alpha_3, so B = 1 and rho = (1 + alpha_3) / 2, here
     # 1 - 2^-300 / 3.  The walk's sign proof of a_2 gives up after
     # _MAX_SIGN_REFINE steps past width 2^-8, near 2^-208, and rejected
-    # the scale; the exact comparison admits it, and b is the midpoint
-    # of the first node of the path with hi below B
+    # the scale; the exact comparison admits it, and b is rho itself
     from sapcert import polyroots
 
     alpha3 = 1 - Fraction(1, 3 * 2**299)
@@ -778,8 +791,42 @@ def test_closed_form_admits_a_root_just_below_the_bound():
     assert polyroots._MAX_SIGN_REFINE < 300
     assert _walk_delivered_b(3, 2, alpha, 1, 1) is None
     sol = realize_module._solve_scaled(3, 2, alpha, 1, 1)
-    u, v = sol.root.delivered()
     rho = 1 - Fraction(1, 3 * 2**300)
-    assert v == 2**303 and rho - Fraction(1, v) < Fraction(u, v) < 1 and u % 2
+    assert _narrowed_b(sol.root) == rho
     res = realize_module._deliver(FamilyParams(3, 2), CoeffVector((0.0, 0.0, 1.0)), (1, 1), sol)
-    assert res.scaling_c == 1.0 and res.params.b == 1.0 and res.params.a == (1.0, 3 * 2.0**-303)
+    assert res.scaling_c == 1.0 and res.params.b == 1.0
+    assert res.params.a == (1.0, float(Fraction(1, 3 * 2**300)))
+
+
+def _exact_solution_above_half(n, r, alpha, c):
+    # (b, [a_1..a_{n-1}]) solving the coefficient equations at scale c, for
+    # 2r > n, in Fractions: a_j = a_{j-1} - b a_{j-r} + alpha_j c^j with
+    # a_0 = 1, so each a_j is k0 + k1 b and a_{j-r} (j - r < r) a constant,
+    # and b a_{n-r} - a_{n-1} - alpha_n c^n = 0 is linear in b
+    cols = [(Fraction(1), Fraction(0))]
+    for j in range(1, n):
+        k0, k1 = cols[j - 1]
+        low = cols[j - r][0] if j >= r else 0
+        cols.append((k0 + alpha[j - 1] * c**j, k1 - low))
+    k0, k1 = cols[n - 1]
+    b = (k0 + alpha[n - 1] * c**n) / (cols[n - r][0] - k1)
+    return b, [k0 + k1 * b for k0, k1 in cols[1:]]
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(st.data())
+def test_delivery_at_2r_above_n_is_the_correctly_rounded_exact_solution(data):
+    # every double realize delivers at 2r > n, b and each a_j, is the
+    # exact solution at the delivered scale, correctly rounded
+    n = data.draw(st.integers(2, 12))
+    r = data.draw(st.integers(n // 2 + 1, n))
+    values = data.draw(st.lists(st.floats(-5.0, 5.0), min_size=n, max_size=n))
+    try:
+        res = realize(FamilyParams(n, r), CoeffVector(tuple(values)))
+    except RealizationFailed:
+        assume(False)
+    alpha = [Fraction(v) for v in values]
+    b, a = _exact_solution_above_half(n, r, alpha, Fraction(res.scaling_c))
+    assert b > 0 and all(v > 0 for v in a)
+    assert res.params.b == float(b)
+    assert res.params.a == tuple(float(v) for v in a)
