@@ -11,19 +11,30 @@ the root are exact rationals.  The column values a_r..a_{min(2r,n)-1}
 are linear in b and decreasing, so the least of their roots, B, bounds
 every admissible b (:func:`_solve_scaled`).
 
-For r > n/2 every column value is linear and so is g, with a positive
-slope: its one root is admissible exactly when it lies in (0, B), which
-a sign test and one cross-multiplication of integers decide, and b is
-that root, exactly; nothing is isolated.
+The closing polynomial has degree floor(n/r), and each scale is decided
+in one of three regimes:
 
-For r <= n/2 each scale is solved on integers by one Descartes kernel:
-Descartes' rule of signs isolates the positive roots of g and proves the
-sign of every a_j at a root.  A scale is judged on the one-root
-intervals as isolation finds them and on sign proofs, which walk each
-interval down its bisection tree only as far as they need; B rejects a
-scale before isolation, ends the scale at the first root past it, and
-one proof against it stands for all the linear column values.  The one
-walk narrowed to full width is that of the delivered scale.
+- Linear, r > n/2: every column value is linear and so is g, with a
+  positive slope; its one root is admissible exactly when it lies in
+  (0, B), which a sign test and one cross-multiplication of integers
+  decide, and b is that root, exactly.
+- Quadratic, floor(n/r) = 2: g's roots are (-g1 +- sqrt(disc)) / (2 g2),
+  and the sign of any linear form at either one, after each quadratic
+  column value is reduced modulo g, is decided on integers by signs and
+  one comparison with the integer square root of disc (of squares, when
+  that is too close to tell): 0 < root < B and every a_j > 0 at it.
+- Descartes, floor(n/r) >= 3: Descartes' rule of signs isolates the
+  positive roots of g and proves the sign of every a_j at a root.  A
+  scale is judged on the one-root intervals as isolation finds them and
+  on sign proofs, which walk each interval down its bisection tree only
+  as far as they need; B rejects a scale before isolation, ends the
+  scale at the first root past it, and one proof against it stands for
+  all the linear column values.
+
+Neither closed form builds a root for the scales it judges: only the
+delivered scale gets one, the exact root when linear, and when quadratic
+the one walk of the Descartes regime's isolation and proofs, run once.
+The one walk narrowed to full width is that of the delivered scale.
 
 :func:`_deliver` runs once per call: it evaluates the a_j at the
 delivered b in integers and turns each into a double by one correctly
@@ -44,6 +55,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property, partial
 from fractions import Fraction
 from typing import Callable, Sequence
 
@@ -60,7 +72,7 @@ from .family import (
 )
 from .nilpotent import nilpotent_realization
 from .patterns import Sign, member_of_class
-from .polyroots import IntPolynomial, _homogeneous, _isolated, _Root, positive_roots
+from .polyroots import IntPolynomial, _homogeneous, _isolated, _Root, _sign, positive_roots
 
 RESIDUAL_RTOL = 1e-8
 _LADDER_MAX_HALVINGS = 40
@@ -96,18 +108,124 @@ class RealizationResult:
 
 @dataclass(frozen=True)
 class _ScaledSolution:
-    """An admissible root of one scale's closing polynomial, not yet narrowed.
+    """An admissible scale of the coefficient equations and, once asked for, b's root.
 
-    ``root`` is b's walk where the last sign proof left it, or at 2r > n
-    the exact root of the linear closing polynomial (see
-    :func:`_solve_scaled`); ``scale`` and ``a`` are the elimination's D and
-    a'_j, the latter as ascending integer coefficient tuples, so that
-    a_j(b) = a'_j(b) / D.
+    ``scale`` and ``a`` are the elimination's D and a'_j, the latter as
+    ascending integer coefficient tuples, so that a_j(b) = a'_j(b) / D;
+    ``g`` is the closing polynomial g'.  ``proofs`` are the forms proved
+    positive on a walk of b: first bn - bd b, whose root is the bound B,
+    then a'_{2r}..a'_{n-1}; none at 2r > n.
+
+    The regime of floor(n/r) says how the scale was decided
+    (:func:`_solve_scaled`): at 2r > n (linear) and at floor(n/r) = 2
+    (quadratic) in closed form, with no root built, and at
+    floor(n/r) >= 3 (Descartes) by the walk kept as ``walk``.  ``branch``
+    is the s of the admitted quadratic root rho_s.  :attr:`root` builds
+    b's root on first use, which is delivery, so only the delivered scale
+    of a call ever has one.
     """
 
     scale: int
     a: list[tuple[int, ...]]
-    root: _Root
+    g: tuple[int, ...]
+    proofs: list[tuple[int, ...]]
+    walk: _Root | None = None
+    branch: int = 0
+
+    @cached_property
+    def root(self) -> _Root | None:
+        """b's root: exact when linear, else a walk where its last sign proof left it.
+
+        Linear: the exact root -g0/g1 of g' = g0 + g1 b.  Descartes: the
+        walk that decided the scale.  Quadratic: the one walk of
+        :func:`_walk`, which steps and proves exactly as the Descartes
+        regime's trials do; None when it does not end at rho_s with every
+        sign proved, which only the ``_MAX_SIGN_REFINE`` cap of
+        :meth:`sapcert.polyroots._Root.sign` can cause.
+        """
+        if self.walk is not None:
+            return self.walk
+        if len(self.g) == 2:
+            g0, g1 = self.g
+            return _Root(IntPolynomial(self.g), 0, -g0, g1, Fraction(-g0, g1))
+        root = _walk(self.g, self.proofs)
+        if root is None:
+            return None
+        sign = partial(_QuadraticRoots(self.g).sign, self.branch)
+        if root.exact is not None:
+            at = sign((-root.exact.numerator, root.exact.denominator)) == 0
+        else:
+            # a/d < rho_s <= b/d
+            at = sign((-root.a, root.d)) > 0 and sign((root.b, -root.d)) >= 0
+        return root if at else None
+
+
+def _walk(g: tuple[int, ...], proofs: list[tuple[int, ...]]) -> _Root | None:
+    """The walk of the least root of g' below B at which every proof holds, or None.
+
+    ``proofs[0]`` is bn - bd b, the form whose root is B.  The positive
+    roots are isolated by Descartes subdivision in increasing order, and
+    the walk stops at the first at which every form in ``proofs`` is
+    certifiably positive; no root past it is isolated.  A root whose walk
+    starts at or past B ends the search, as every later root lies further
+    right.  One sign proof of bn - bd b stands for all the linear column
+    values a'_r..a'_{2r-1}: on a linear q the proof holds exactly once the
+    walk's hi is below q's root, so it stops where their proofs in turn
+    would.
+
+    Each root's walk (:class:`sapcert.polyroots._Root`) goes to the sign
+    proofs as the subdivision hands it over, not narrowed
+    (:func:`sapcert.polyroots._isolated`): each proof steps on from the
+    integer ends where the one before it held, so the walk returned lies
+    inside every proof.
+    """
+    bn, bd = proofs[0][0], -proofs[0][1]
+    for root in _isolated(IntPolynomial(g), _ROOT_WIDTH):
+        if root.a * bd >= bn * root.d:
+            return None
+        if all(root.sign(cs) == 1 for cs in proofs):
+            return root
+    return None
+
+
+class _QuadraticRoots:
+    """The real roots of g = g0 + g1 b + g2 b^2, and exact signs at them.
+
+    rho_s = (-g1 + s sqrt(disc)) / (2 g2) for s = 1 and -1, with
+    disc = g1^2 - 4 g0 g2; there are none for disc < 0, where
+    :meth:`sign` must not be asked.
+    """
+
+    def __init__(self, g: tuple[int, ...]):
+        g0, g1, g2 = g
+        self.g, self.disc = g, g1 * g1 - 4 * g0 * g2
+        self.low = math.isqrt(self.disc) if self.disc > 0 else 0
+
+    def sign(self, s: int, q: tuple[int, ...]) -> int:
+        """The sign of q, of degree at most 2, at rho_s.
+
+        Reduced by g, g2 q - q2 g = u + w b, which is g2 q(rho_s) at the
+        root, and 2 g2 (u + w rho_s) = (2 g2 u - w g1) + s w sqrt(disc)
+        = P + Q sqrt(disc) is 2 g2^2 q(rho_s), of q's sign.  Decided on
+        integers: by the sign of P when Q is zero or of the same sign, else
+        by comparing |P| with |Q| sqrt(disc), first against the bounds
+        that the integer square root of disc gives and, when |P| falls
+        between them, by comparing P^2 with Q^2 disc.
+        """
+        (g0, g1, g2), disc = self.g, self.disc
+        q0, q1, q2 = q if len(q) == 3 else (*q, 0)
+        u, w = g2 * q0 - q2 * g0, g2 * q1 - q2 * g1
+        p, t = 2 * g2 * u - w * g1, s * w
+        sp, st = _sign(p), _sign(t)
+        if sp == st or not st or not disc:
+            return sp
+        ap, at = abs(p), abs(t)
+        bound = at * self.low  # <= |Q| sqrt(disc) < bound + |Q|
+        if ap < bound:
+            return st
+        if ap >= bound + at:
+            return sp
+        return _sign(p * p - t * t * disc) * sp
 
 
 def _solve_scaled(
@@ -117,48 +235,41 @@ def _solve_scaled(
 
     ``alpha`` holds the target as (numerator, denominator) pairs.
     Eliminates a_1..a_{n-1} as integer polynomials in b
-    (:func:`eliminate_integers` on :func:`_scaled_target`) and finds the
-    least root of the closing polynomial at which a_r..a_{n-1} are
-    positive.
+    (:func:`eliminate_integers` on :func:`_scaled_target`) and admits the
+    scale when the closing polynomial g' has a positive root at which
+    a_r..a_{n-1} are positive; b is the least such root.
 
     Once the constants a'_1..a'_{r-1} are positive, the column values
     a'_r..a'_{min(2r,n)-1} are linear, k0 + k1 b with
     k1 = -(D + a'_1 + ... + a'_{j-r}) < 0, so each is positive exactly
     below its root -k0/k1.  The least of those roots, B, bounds every
     admissible b, and B <= 0 rejects the scale at once.  At r = n no
-    column value is linear and no bound applies.
+    column value is linear and no bound applies.  g' has degree
+    floor(n/r), which picks one of three regimes:
 
-    At 2r > n every column value is linear, and so is the closing
-    polynomial g' = b a'_{n-r} - a'_{n-1} - D alpha_n = g0 + g1 b: a'_{n-r}
-    is a positive constant (D at r = n) and a'_{n-1} has slope k1 <= 0, so
-    g1 >= a'_{n-r} > 0 and g' is never constant.  Its one root -g0/g1 is
-    admissible exactly when it lies in (0, B), or is positive at r = n,
-    which a sign test and one cross-multiplication decide; nothing is
-    isolated and no sign is proved, and the root is returned exact.
+    - Linear, 2r > n: g' = b a'_{n-r} - a'_{n-1} - D alpha_n = g0 + g1 b,
+      with a'_{n-r} a positive constant (D at r = n) and a'_{n-1} of
+      slope k1 <= 0, so g1 >= a'_{n-r} > 0.  Its one root -g0/g1 is
+      admissible exactly when it lies in (0, B), or is positive at r = n,
+      which a sign test and one cross-multiplication decide.
+    - Quadratic, floor(n/r) = 2: g' = g0 + g1 b + g2 b^2 with g2 < 0 and
+      disc = g1^2 - 4 g0 g2.  For disc < 0 there is no real root;
+      otherwise the roots rho_s = (-g1 + s sqrt(disc)) / (2 g2), s = 1
+      and -1 (one when disc = 0), are taken in increasing order, which is
+      s = 1 first as g2 < 0.  The first root in (0, B) at which every
+      quadratic a'_{2r}..a'_{n-1} is positive is admitted, the walk's
+      rule; each sign is decided exactly on integers
+      (:meth:`_QuadraticRoots.sign`).
+    - Descartes, floor(n/r) >= 3: the walk of :func:`_walk` isolates the
+      roots of g' and proves the signs, and is kept for delivery.
 
-    At 2r <= n g' has degree floor(n/r) >= 2, so it is never zero.  Its
-    positive roots are isolated by Descartes subdivision in increasing
-    order, and the scale stops at the first at which a_r..a_{n-1} are
-    certifiably positive; no root past it is isolated.  A root whose
-    walk starts at or past B ends the scale, as every later root lies
-    further right.  One sign proof of the linear
-    column value whose root is B stands for all of them: on a linear q
-    the proof holds exactly once the walk's hi is below q's root, so it
-    stops where the proofs of a_r..a_{2r-1} in turn would.
-
-    Each root's walk (:class:`sapcert.polyroots._Root`) goes to the sign
-    proofs as the subdivision hands it over, not narrowed
-    (:func:`sapcert.polyroots._isolated`): each proof steps on from the
-    integer ends where the one before it held, so the walk returned lies
-    inside every proof: a_r..a_{n-1} are positive on all of it, and the
-    constants a_1..a_{r-1} are positive or the elimination would have
-    stopped.  Nothing is narrowed here; :func:`_deliver` narrows the walk
-    of the delivered scale only, so b ends where isolating at
-    ``_ROOT_WIDTH`` would put it unless a sign proof went narrower.
+    Only the Descartes regime builds a root here; the closed forms leave
+    it to :attr:`_ScaledSolution.root`, so a trial of the ladder that is
+    not delivered never has one.
     """
     scale, steps = _scaled_target(alpha, m, q)
-    a, g_coeffs = eliminate_integers(n, r, scale, steps)
-    if g_coeffs is None:
+    a, g = eliminate_integers(n, r, scale, steps)
+    if g is None:
         return None
     linear = a[r : 2 * r]
     if linear:
@@ -171,20 +282,30 @@ def _solve_scaled(
                 bn, bd = k0, -k1
 
     if 2 * r > n:
-        g0, g1 = g_coeffs
+        g0, g1 = g
         # 0 < -g0/g1 < bn/bd, for g1 > 0 and bd > 0
         if g0 >= 0 or (linear and -g0 * bd >= bn * g1):
             return None
-        root = _Root(IntPolynomial(g_coeffs), 0, -g0, g1, Fraction(-g0, g1))
-        return _ScaledSolution(scale, a, root)
+        return _ScaledSolution(scale, a, g, [])
 
     # the one proof of bn - bd b stands for all the linear column values
     proofs = [(bn, -bd), *a[2 * r :]]
-    for root in _isolated(IntPolynomial(g_coeffs), _ROOT_WIDTH):
-        if root.a * bd >= bn * root.d:
+    if 3 * r <= n:
+        walk = _walk(g, proofs)
+        return None if walk is None else _ScaledSolution(scale, a, g, proofs, walk)
+
+    roots = _QuadraticRoots(g)
+    if roots.disc < 0:
+        return None
+    # g2 < 0, as the leading coefficients of the a'_j alternate in sign,
+    # so rho_1 < rho_-1
+    for s in (1, -1) if roots.disc else (1,):
+        if roots.sign(s, (0, 1)) <= 0:
+            continue
+        if roots.sign(s, proofs[0]) <= 0:
             return None
-        if all(root.sign(cs) == 1 for cs in proofs):
-            return _ScaledSolution(scale=scale, a=a, root=root)
+        if all(roots.sign(s, cs) > 0 for cs in proofs[1:]):
+            return _ScaledSolution(scale, a, g, proofs, branch=s)
     return None
 
 
@@ -196,6 +317,12 @@ def _deliver(
 ) -> RealizationResult:
     """The matrix of ``sol`` divided by the scale c = m/q, given as (m, q), checked.
 
+    b's root is built here, for the delivered scale only
+    (:attr:`_ScaledSolution.root`): in the linear regime the exact root
+    of g', in the quadratic one the walk of isolation and sign proofs run
+    once, and in the Descartes regime the walk that decided the scale.  A
+    quadratic walk that cannot prove a sign the closed form decided, which
+    only the ``_MAX_SIGN_REFINE`` cap can cause, raises RealizationFailed.
     The one narrowing of realize; it steps on along the sign proofs' walk,
     so b lies in every proof bracket and b and every a_j are positive
     exactly.  b is the exact root when it is known, as it always is at
@@ -210,6 +337,10 @@ def _deliver(
     n, r = p.n, p.r
     m, q = c
     fc = m / q
+    if sol.root is None:
+        raise RealizationFailed(
+            f"the sign proofs at the admitted root did not converge at scaling {fc:.3e}"
+        )
     root = sol.root.narrow(_ROOT_WIDTH)
     if root.exact is None:
         u, v = root.a + root.b, 2 * root.d
@@ -330,7 +461,8 @@ def realize(p: FamilyParams, target: CoeffVector) -> RealizationResult:
     halving; the first admissible scale is refined upward because the
     delivered accuracy degrades with c^{-n}.  Every scale is solved once,
     in integers (:func:`_solve_scaled`: at r > n/2 by comparing the one
-    root of the linear closing polynomial with a linear bound, otherwise
+    root of the linear closing polynomial with a linear bound, at
+    floor(n/r) = 2 by exact sign tests at the quadratic's roots, otherwise
     by Descartes tests that isolate its roots and prove the a_j
     positive), and the last admissible one is delivered.  The target's
     numerators and denominators are read once, and each scale is kept as

@@ -286,8 +286,9 @@ def test_realize_evaluates_g_at_no_end_of_an_isolated_interval(monkeypatch):
 
     monkeypatch.setattr(polyroots, "_rational_root", spied_rational_root)
     monkeypatch.setattr(polyroots, "_homogeneous", spied_homogeneous)
-    # the unscaled system has no admissible root: realize solves 18 scales
-    res = realize(FamilyParams(5, 2), CoeffVector((-4.0, 3.0, -2.0, 1.0, 2.0)))
+    # the unscaled system has no admissible root: realize walks the roots
+    # of every scale it solves, as g has degree floor(7/2) = 3
+    res = realize(FamilyParams(7, 2), CoeffVector((-4.0, 3.0, -2.0, 1.0, 2.0, -1.0, 3.0)))
     assert res.scaling_c < 1.0
     polys = {cs for cs, _, _ in handed}
     assert len(handed) >= 10 and any(cs in polys for cs, _ in evaluated)
@@ -553,14 +554,17 @@ def test_linear_bound_prunes_roots_and_proofs_on_the_ladder(monkeypatch):
     # a_r..a_{min(2r,n)-1} are linear in b and share one sign proof per
     # walk, so at r = n/2 each walk gets one proof; no proof starts on a
     # walk at or past their least root B, and a scale with B <= 0 is
-    # rejected before isolation.  Only 2r <= n isolates roots at all
+    # rejected before isolation.  Only 2r <= n isolates roots at all: at
+    # floor(n/r) >= 3 on every scale, at floor(n/r) = 2 only on the
+    # delivered one, whose walk runs in _deliver
     from sapcert import polyroots
 
     events = []
-    eliminate, isolated, sign = (
+    eliminate, isolated, sign, deliver = (
         realize_module.eliminate_integers,
         realize_module._isolated,
         polyroots._Root.sign,
+        realize_module._deliver,
     )
 
     def spied_eliminate(n, r, scale, steps):
@@ -578,11 +582,16 @@ def test_linear_bound_prunes_roots_and_proofs_on_the_ladder(monkeypatch):
         events.append(("sign", root))
         return sign(root, q)
 
+    def spied_deliver(p, target, c, sol):
+        events.append(("deliver", p.n, p.r, sol))
+        return deliver(p, target, c, sol)
+
     monkeypatch.setattr(realize_module, "eliminate_integers", spied_eliminate)
     monkeypatch.setattr(realize_module, "_isolated", spied_isolated)
     monkeypatch.setattr(polyroots._Root, "sign", spied_sign)
+    monkeypatch.setattr(realize_module, "_deliver", spied_deliver)
     rng = np.random.default_rng(23)
-    pairs = [(4, 2), (6, 3), (8, 4), (10, 5), (12, 6), (6, 2), (8, 3), (10, 4)]
+    pairs = [(4, 2), (6, 3), (8, 4), (10, 5), (12, 6), (6, 2), (8, 3), (10, 4), (7, 2), (9, 3)]
     for n, r in pairs:
         for _ in range(6):
             try:
@@ -595,6 +604,11 @@ def test_linear_bound_prunes_roots_and_proofs_on_the_ladder(monkeypatch):
             _, n, r, a, g = event
             bound = None if g is None else min(Fraction(k0, -k1) for k0, k1 in a[r : 2 * r])
             scales.append((bound, 1 + max(0, n - 2 * r), []))
+        elif event[0] == "deliver":
+            # the delivered scale again: its walk, if not yet built
+            _, n, r, sol = event
+            bn, bd = sol.proofs[0][0], -sol.proofs[0][1]
+            scales.append((Fraction(bn, bd), 1 + n - 2 * r, []))
         else:
             scales[-1][2].append(event)
     rejected = pruned = proved = 0
@@ -830,3 +844,180 @@ def test_delivery_at_2r_above_n_is_the_correctly_rounded_exact_solution(data):
     assert b > 0 and all(v > 0 for v in a)
     assert res.params.b == float(b)
     assert res.params.a == tuple(float(v) for v in a)
+
+
+_QUADRATIC_CORNERS = ("free", "integer", "double", "complex", "rational", "at_bound")
+
+
+@st.composite
+def _quadratic_system(draw, corner):
+    # (n, r, alpha, m, q) at floor(n/r) = 2 and a dyadic scale m / 2^e;
+    # with "double", "rational" and "at_bound" alpha_n is solved for so
+    # that g' has a root rho that is rational: the vertex -g1 / (2 g2)
+    # (disc = 0), a multiple of B (disc a perfect square), or B itself;
+    # "complex" takes the double root's alpha_n and lowers g' by a
+    # positive constant, which leaves no real root as g2 < 0.
+    # a_j(b) = a'_j / D and g'(b) / D do not depend on the common
+    # denominator D, and alpha_n moves only g0, so neither does rho
+    from sapcert.family import eliminate_integers
+    from sapcert.polyroots import IntPolynomial
+
+    n = draw(st.integers(4, 14))
+    r = draw(st.integers(n // 3 + 1, n // 2))
+    e = draw(st.integers(0, 8))
+    m, q = draw(st.integers(1, 1 << e)), 1 << e
+    if corner == "integer":
+        alpha = [(v, 1) for v in draw(st.lists(st.integers(-6, 6), min_size=n, max_size=n))]
+    else:
+        alpha = [v.as_integer_ratio() for v in draw(st.lists(st.floats(-5.0, 5.0), min_size=n, max_size=n))]
+    if corner in ("free", "integer"):
+        return n, r, alpha, m, q
+    alpha[n - 1] = (0, 1)
+    scale, steps = realize_module._scaled_target(alpha, m, q)
+    a, g = eliminate_integers(n, r, scale, steps)
+    assume(g is not None and all(k0 > 0 for k0, _ in a[r : 2 * r]))
+    bound = min(Fraction(k0, -k1) for k0, k1 in a[r : 2 * r])
+    if corner in ("double", "complex"):
+        rho = Fraction(-g[1], 2 * g[2])
+    elif corner == "rational":
+        rho = bound * Fraction(draw(st.integers(1, 15)), 8)
+    else:
+        rho = bound
+    c = Fraction(m, q)
+    lower = 0
+    if corner == "complex":
+        lower = draw(st.sampled_from([Fraction(1, 2**40), Fraction(1, 3), Fraction(7)]))
+    alpha[n - 1] = (IntPolynomial(g)(rho) / (scale * c**n) + lower).as_integer_ratio()
+    return n, r, alpha, m, q
+
+
+@pytest.mark.parametrize("corner", _QUADRATIC_CORNERS)
+@settings(max_examples=80, deadline=None, derandomize=True, database=None)
+@given(data=st.data())
+def test_quadratic_closed_form_matches_the_walk(corner, data):
+    # at floor(n/r) = 2 the closed form admits a scale exactly when the
+    # Descartes walk does, and the one walk built for delivery ends where
+    # that walk ends, at the root rho_s the closed form chose; at a
+    # rational root each exact sign test equals the sign of the form there
+    from dataclasses import replace
+
+    from sapcert.family import eliminate_integers
+
+    n, r, alpha, m, q = data.draw(_quadratic_system(corner))
+    scale, steps = realize_module._scaled_target(alpha, m, q)
+    a, g = eliminate_integers(n, r, scale, steps)
+    sol = realize_module._solve_scaled(n, r, alpha, m, q)
+    if g is None or any(k0 <= 0 for k0, _ in a[r : 2 * r]):
+        assert sol is None
+        return
+    assert len(g) == 3 and g[2] < 0 and all(len(cs) == 3 for cs in a[2 * r :])
+    bn, bd = min(((k0, -k1) for k0, k1 in a[r : 2 * r]), key=lambda t: Fraction(*t))
+    proofs = [(bn, -bd), *a[2 * r :]]
+    walk = realize_module._walk(g, proofs)
+    assert (sol is None) == (walk is None)
+    disc = g[1] ** 2 - 4 * g[0] * g[2]
+    if corner == "double":
+        assert disc == 0
+    elif corner == "complex":
+        assert disc < 0 and sol is None
+    elif corner in ("rational", "at_bound"):
+        assert math.isqrt(disc) ** 2 == disc
+    if disc >= 0 and math.isqrt(disc) ** 2 == disc:
+        for s in (-1, 1):
+            rho = Fraction(-g[1] + s * math.isqrt(disc), 2 * g[2])
+            for cs in [(0, 1), *proofs]:
+                value = sum(c * rho**i for i, c in enumerate(cs))
+                want = (value > 0) - (value < 0)
+                assert realize_module._QuadraticRoots(g).sign(s, cs) == want
+    if sol is None:
+        return
+    assert sol.root is not None and _walk_end(sol.root) == _walk_end(walk)
+    if disc:
+        # the walk ends at rho_s, not at the other root
+        assert replace(sol, branch=-sol.branch).root is None
+
+
+@settings(max_examples=400, deadline=None, derandomize=True, database=None)
+@given(
+    st.tuples(st.integers(-6, 6), st.integers(-6, 6), st.integers(-6, 6).filter(bool)),
+    st.lists(st.integers(-6, 6), min_size=2, max_size=3),
+    st.sampled_from([1, -1]),
+)
+def test_quadratic_sign_is_the_sign_at_the_root(g, q, s):
+    # the exact sign test against sympy's sign of q at the root
+    # (-g1 + s sqrt(disc)) / (2 g2), zeros and both signs of g2 included
+    sympy = pytest.importorskip("sympy")
+    g0, g1, g2 = g
+    disc = g1 * g1 - 4 * g0 * g2
+    assume(disc >= 0)
+    rho = (-g1 + s * sympy.sqrt(disc)) / (2 * g2)
+    value = sympy.expand(sum(c * rho**i for i, c in enumerate(q)))
+    assert realize_module._QuadraticRoots(g).sign(s, tuple(q)) == int(sympy.sign(value))
+
+
+def test_quadratic_closed_form_ends_in_a_typed_failure_past_the_sign_cap():
+    # n = 4, r = 2, alpha = (0, 0, 0, alpha_4): a_1 = 1, a_2 = 1 - b,
+    # a_3 = 1 - 2b and g = -b^2 + 3b - 1 - alpha_4, so B = 1/2.  alpha_4
+    # puts the least root at rho = 1/2 - 2^-300 / 3; the other is
+    # 3 - rho > B.  The closed form admits the scale; the delivery walk's
+    # proof of 1 - 2b gives up after _MAX_SIGN_REFINE steps past width
+    # 2^-8, so delivery ends in RealizationFailed
+    from sapcert import polyroots
+
+    rho = Fraction(1, 2) - Fraction(1, 3 * 2**300)
+    alpha4 = -rho * rho + 3 * rho - 1
+    alpha = [(0, 1), (0, 1), (0, 1), alpha4.as_integer_ratio()]
+    assert polyroots._MAX_SIGN_REFINE < 300
+    sol = realize_module._solve_scaled(4, 2, alpha, 1, 1)
+    assert sol is not None and sol.walk is None
+    assert realize_module._walk(sol.g, sol.proofs) is None
+    target = CoeffVector((0.0, 0.0, 0.0, float(alpha4)))
+    with pytest.raises(RealizationFailed, match="did not converge"):
+        realize_module._deliver(FamilyParams(4, 2), target, (1, 1), sol)
+
+
+def test_realize_isolates_once_per_call_at_floor_n_over_r_two(monkeypatch):
+    # at floor(n/r) = 2 every scale is decided in closed form and only the
+    # delivered one is walked: one isolation per successful call, none for
+    # a ladder with no admissible scale, and none at all at 2r > n
+    calls = []
+    isolated = realize_module._isolated
+
+    def spied(p, width):
+        calls.append(p)
+        return isolated(p, width)
+
+    monkeypatch.setattr(realize_module, "_isolated", spied)
+    rng = np.random.default_rng(49)
+    ladder = 0
+    for n in range(4, 13):
+        for r in range(n // 3 + 1, n // 2 + 1):
+            for _ in range(3):
+                calls.clear()
+                res = realize(FamilyParams(n, r), CoeffVector(tuple(rng.uniform(-5.0, 5.0, n))))
+                ladder += res.scaling_c < 1.0
+                assert len(calls) == 1
+    assert ladder > 10
+    calls.clear()
+    # the exact solution needs a scale below the ladder's floor of 2^-40
+    with pytest.raises(RealizationFailed, match="no admissible solution"):
+        realize(FamilyParams(4, 2), CoeffVector((-1e15, 1.0, -1.0, 1.0)))
+    for n, r in ((3, 2), (5, 3), (7, 4), (8, 8)):
+        realize(FamilyParams(n, r), CoeffVector(tuple(rng.uniform(-5.0, 5.0, n))))
+    assert calls == []
+
+
+def test_quadratic_closed_form_admits_a_double_root():
+    # n = 4, r = 2, alpha = (0, 3, 5, 0): a_1 = 1, a_2 = 4 - b, a_3 = 9 - 2b,
+    # so B = 4, and g = -b^2 + 6b - 9 = -(b - 3)^2 has disc = 0; its double
+    # root 3 lies in (0, B) and is delivered exactly, at scale 1
+    alpha = [(0, 1), (3, 1), (5, 1), (0, 1)]
+    sol = realize_module._solve_scaled(4, 2, alpha, 1, 1)
+    assert sol.g == (-9, 6, -1) and sol.walk is None
+    assert sol.root.exact == 3
+    res = realize(FamilyParams(4, 2), CoeffVector((0.0, 3.0, 5.0, 0.0)))
+    assert res.scaling_c == 1.0 and res.params.b == 3.0
+    assert res.params.a == (1.0, 1.0, 3.0)
+    # alpha_4 = 2^-40 lowers g to -(b - 3)^2 - 2^-40: disc < 0 and no
+    # real root, though the vertex still lies in (0, B)
+    assert realize_module._solve_scaled(4, 2, [*alpha[:3], (1, 2**40)], 1, 1) is None
