@@ -22,7 +22,10 @@ tree node has it built from the polynomial (:func:`_shifted_variations`,
 also the proof of a centred bracket).  The square-free part is proved
 by gcd(p, p') modulo the prime 2^61 - 1 when that gcd is constant, and
 taken by the exact remainder sequence only otherwise
-(:func:`_square_free`).
+(:func:`_square_free`).  A tree can also start lower, at a node of that
+one, and run on the polynomial itself, letting its one-variation nodes
+prove each root simple until a repeated root shows (:func:`_isolated`,
+as realize's walks run it).
 :func:`bisections` is the one loop that halves an interval by a
 polynomial's sign: across the one root of an interval the sign at each
 midpoint picks the half that holds the root, at one evaluation per step.
@@ -70,6 +73,11 @@ _LOCATED_WIDTH = Fraction(1, 2**8)
 _RATROOT_COEFF_LIMIT = 10**9
 # a Mersenne prime; gcd(p, p') modulo it proves p square-free when constant
 _PRIME = 2**61 - 1
+# levels below its top at which a lazy tree checks a node of two or more
+# variations for a repeated root, if half Mahler's separation has not come
+# first: that bound alone is 13,000 levels down at degree 64 with 200-bit
+# coefficients, and each level costs more than the check
+_SEPARATION_DEPTH = 64
 
 
 @dataclass(frozen=True)
@@ -475,23 +483,31 @@ def _gcd_degree_mod(f, g) -> int:
     return len(f) - 1
 
 
+def _proved_square_free(ints: tuple[int, ...]) -> bool:
+    """True when gcd(p, p') modulo :data:`_PRIME` proves the primitive ``ints`` square-free.
+
+    When the prime divides neither leading coefficient, a gcd G of p and
+    p' over the rationals can be taken primitive, its leading coefficient
+    divides p's, so G modulo the prime keeps its degree and divides both,
+    and a constant modular gcd proves p square-free.  False (a prime
+    dividing a leading coefficient, or roots that coincide modulo it)
+    proves nothing.
+    """
+    return bool(ints[-1] * (len(ints) - 1) % _PRIME) and not _gcd_degree_mod(
+        ints, [i * c for i, c in enumerate(ints) if i]
+    )
+
+
 def _square_free(ints: tuple[int, ...]) -> IntPolynomial:
     """The primitive ``ints`` divided by gcd(p, p').
 
     A repeated root counts more than once in Descartes' rule, so no
     interval around it shows one variation; the square-free part has the
-    same distinct roots, each simple.  When :data:`_PRIME` divides neither
-    leading coefficient, gcd(p, p') is first taken modulo it: a gcd G over
-    the rationals can be taken primitive, its leading coefficient divides
-    p's, so G modulo the prime keeps its degree and divides both, and a
-    constant modular gcd proves p square-free.  Otherwise (a prime
-    dividing a leading coefficient, or roots that coincide modulo it)
-    :func:`_exact_square_free` decides.
+    same distinct roots, each simple.  The modular gcd
+    (:func:`_proved_square_free`) proves most polynomials square-free;
+    where it does not, :func:`_exact_square_free` decides.
     """
-    if ints[-1] * (len(ints) - 1) % _PRIME:
-        if _gcd_degree_mod(ints, [i * c for i, c in enumerate(ints) if i]) == 0:
-            return IntPolynomial(ints)
-    return _exact_square_free(ints)
+    return IntPolynomial(ints) if _proved_square_free(ints) else _exact_square_free(ints)
 
 
 def _exact_square_free(ints: tuple[int, ...]) -> IntPolynomial:
@@ -673,7 +689,25 @@ def positive_roots(p: IntPolynomial, width: Fraction = DEFAULT_WIDTH) -> Iterato
         yield root.bracket()
 
 
-def _isolated(p: IntPolynomial, width: Fraction) -> Iterator[_Root]:
+class _RepeatedRoot(Exception):
+    """A lazy :func:`_isolated` tree met a repeated root, or could not rule one out."""
+
+
+def _separation_exponent(cs: tuple[int, ...]) -> int:
+    """A t with 2^-t below the distance between any two distinct roots of square-free ``cs``.
+
+    Mahler's bound for a square-free integer polynomial of degree k,
+    sqrt(3 |disc|) k^(-(k+2)/2) ||p||_2^(1-k) with |disc| >= 1, read from
+    bit lengths: log2 k < L(k), and ||p||_2 < sqrt(k + 1) 2^L for L the
+    largest coefficient bit length.
+    """
+    k, L = len(cs) - 1, max(c.bit_length() for c in cs)
+    return ((k + 2) * k.bit_length() + (k - 1) * (2 * L + (k + 1).bit_length())) // 2 + 1
+
+
+def _isolated(
+    p: IntPolynomial, width: Fraction, top: int | None = None, lazy: bool = False
+) -> Iterator[_Root]:
     """The walks of :func:`positive_roots`, one per root, before narrowing.
 
     Each is the one-root interval as the subdivision found it, a node of
@@ -681,6 +715,24 @@ def _isolated(p: IntPolynomial, width: Fraction) -> Iterator[_Root]:
     the node's interval polynomial; an exact root is centred to ``width``
     first.  The consumer may step a walk on before it asks for the next,
     which then lies right of where this one ends.
+
+    The tree's root is (0, 2^top], by default (0, root_bound(p)]; a lower
+    top is a node of that tree, so every node below it keeps its interval
+    and only the roots above 2^top go unseen.  Its hit flag, like every
+    node's, is read from its interval polynomial.
+
+    With ``lazy`` the tree runs on p's primitive part itself, not its
+    square-free part, and the subdivision proves what it yields: one
+    variation proves a simple root, and a rational root is looked for only
+    on such a node.  It raises :class:`_RepeatedRoot` at a midpoint hit
+    at which p' vanishes too, and at the first node of two or more
+    variations narrower than half Mahler's root separation
+    (:func:`_separation_exponent`), or than 2^-_SEPARATION_DEPTH of the
+    top, unless the modular gcd (:func:`_proved_square_free`) proves p
+    square-free there; then the subdivision goes on unchecked.  The
+    separation only decides when to check: for a square-free p no such
+    node exists, as the two-circle figure of an interval narrower than
+    half the separation holds at most one root.
     """
     if p.is_zero:
         raise InvalidInput("cannot isolate roots of the zero polynomial")
@@ -688,16 +740,21 @@ def _isolated(p: IntPolynomial, width: Fraction) -> Iterator[_Root]:
     work = _content_free(p.coeffs[lowest:])
     if len(work) < 2:
         return
-    poly = _square_free(work)
+    poly = IntPolynomial._of(work) if lazy else _square_free(work)
     cs = poly.coeffs
     candidates = None  # sorted divisors of poly(0) and lead, on the first search
-    # the tree's root is (0, 2^e], root_bound(p) in integers
-    e = _bound_exponent(p.coeffs)
+    # the tree's root is (0, 2^e], by default root_bound(p), in integers
+    e = _bound_exponent(p.coeffs) if top is None else top
     b, d = (1 << e, 1) if e >= 0 else (1, 1 << -e)
+    if lazy:
+        derivative = [i * c for i, c in enumerate(cs) if i]
+        # a node (a/d, b/d] is narrow enough to check once d reaches this
+        deep = min(b << (_separation_exponent(cs) + 1), d << _SEPARATION_DEPTH)
     # (a, b, d, hit, P, right) for the interval (a/d, b/d]; hit: b/d is a
     # root; P: its interval polynomial up to a positive factor, or with
     # right the left sibling's, which is shifted by 1 once the node is taken
-    pending = [(0, b, d, False, _interval_poly(cs, 0, b, d), False)]
+    P = _interval_poly(cs, 0, b, d)
+    pending = [(0, b, d, sum(P) == 0, P, False)]
     fn, fd = 0, 1  # floor, the hi of the last walk; a centred one can reach past its node
     for _ in range(_MAX_BISECTIONS * len(work)):
         if not pending:
@@ -709,6 +766,8 @@ def _isolated(p: IntPolynomial, width: Fraction) -> Iterator[_Root]:
         v = _variations(P, 1, hit)
         if v + hit == 1 and a * fd >= fn * d:
             exact, signs = Fraction(b, d) if hit else None, None
+            if hit and lazy and not _homogeneous(derivative, b, d):
+                raise _RepeatedRoot
             if exact is None:
                 # P(0) and P(1) are positive multiples of poly at a/d and b/d
                 signs = _sign(P[0]), _sign(sum(P))
@@ -721,6 +780,10 @@ def _isolated(p: IntPolynomial, width: Fraction) -> Iterator[_Root]:
             yield root
             fn, fd = root.b, root.d
         elif v + hit:
+            if lazy and v + hit > 1 and d >= deep:
+                if not _proved_square_free(work):
+                    raise _RepeatedRoot
+                lazy = False  # p is square-free, so the subdivision terminates
             m, d = a + b, 2 * d
             left = _halved(P)
             # left(1) is P at the midpoint, up to a positive factor

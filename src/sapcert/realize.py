@@ -29,7 +29,11 @@ in one of three regimes:
   on sign proofs, which walk each interval down its bisection tree only
   as far as they need; B rejects a scale before isolation, ends the
   scale at the first root past it, and one proof against it stands for
-  all the linear column values.
+  all the linear column values.  The subdivision starts at the least
+  power of two at or above B, or at g's root bound if that is lower, and
+  runs on g itself: its one-variation nodes prove each root simple, and
+  only a repeated root sends the search back to g's square-free part
+  (:func:`_walk`).
 
 Neither closed form builds a root for the scales it judges: only the
 delivered scale gets one, the exact root when linear, and when quadratic
@@ -72,7 +76,16 @@ from .family import (
 )
 from .nilpotent import nilpotent_realization
 from .patterns import Sign, member_of_class
-from .polyroots import IntPolynomial, _homogeneous, _isolated, _Root, _sign, positive_roots
+from .polyroots import (
+    IntPolynomial,
+    _bound_exponent,
+    _homogeneous,
+    _isolated,
+    _RepeatedRoot,
+    _Root,
+    _sign,
+    positive_roots,
+)
 
 RESIDUAL_RTOL = 1e-8
 _LADDER_MAX_HALVINGS = 40
@@ -173,19 +186,39 @@ def _walk(g: tuple[int, ...], proofs: list[tuple[int, ...]]) -> _Root | None:
     walk's hi is below q's root, so it stops where their proofs in turn
     would.
 
+    The tree starts at (0, 2^k], for 2^k the least of root_bound(g') and
+    the least power of two at or above B, with k read from bit lengths and
+    one comparison of shifted integers.  It is a node of the tree from
+    root_bound(g') and cuts off only roots past B, so the verdict and the
+    walk returned are those of that tree.  It runs on g' itself,
+    whose square-free part is not taken: a one-variation node proves its
+    root simple.  Where the tree meets a repeated root
+    (:func:`sapcert.polyroots._isolated` with ``lazy``) the search starts
+    over from the same top, on the square-free part of g'.
+
     Each root's walk (:class:`sapcert.polyroots._Root`) goes to the sign
-    proofs as the subdivision hands it over, not narrowed
-    (:func:`sapcert.polyroots._isolated`): each proof steps on from the
-    integer ends where the one before it held, so the walk returned lies
-    inside every proof.
+    proofs as the subdivision hands it over, not narrowed: each proof
+    steps on from the integer ends where the one before it held, so the
+    walk returned lies inside every proof.
     """
     bn, bd = proofs[0][0], -proofs[0][1]
-    for root in _isolated(IntPolynomial(g), _ROOT_WIDTH):
-        if root.a * bd >= bn * root.d:
-            return None
-        if all(root.sign(cs) == 1 for cs in proofs):
-            return root
-    return None
+    # the least k with B <= 2^k is L(bn) - L(bd) or one more
+    k = bn.bit_length() - bd.bit_length()
+    k += bn << max(-k, 0) > bd << max(k, 0)
+    p, top = IntPolynomial(g), min(_bound_exponent(g), k)
+
+    def first(roots):
+        for root in roots:
+            if root.a * bd >= bn * root.d:
+                return None
+            if all(root.sign(cs) == 1 for cs in proofs):
+                return root
+        return None
+
+    try:
+        return first(_isolated(p, _ROOT_WIDTH, top, lazy=True))
+    except _RepeatedRoot:
+        return first(_isolated(p, _ROOT_WIDTH, top))
 
 
 class _QuadraticRoots:

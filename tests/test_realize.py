@@ -495,7 +495,9 @@ def _parent_solve_scaled(n, r, alpha, m, q):
 
 
 def _walk_end(root):
-    return root.a, root.b, root.d, root.exact
+    # the walk's node as a reduced interval: a tree cut at a lower top keeps
+    # every node, over a smaller denominator, so (6, 7, 16) is (48, 56, 128)
+    return Fraction(root.a, root.d), Fraction(root.b, root.d), root.exact
 
 
 def _narrowed_b(root):
@@ -556,15 +558,18 @@ def test_linear_bound_prunes_roots_and_proofs_on_the_ladder(monkeypatch):
     # walk at or past their least root B, and a scale with B <= 0 is
     # rejected before isolation.  Only 2r <= n isolates roots at all: at
     # floor(n/r) >= 3 on every scale, at floor(n/r) = 2 only on the
-    # delivered one, whose walk runs in _deliver
+    # delivered one, whose walk runs in _deliver.  A scale is pruned at B
+    # by a walk at or past B, or by the tree's top, 2^top >= B, when the
+    # search finds nothing and g has a root at or past 2^top
     from sapcert import polyroots
 
     events = []
-    eliminate, isolated, sign, deliver = (
+    eliminate, isolated, sign, deliver, walk = (
         realize_module.eliminate_integers,
         realize_module._isolated,
         polyroots._Root.sign,
         realize_module._deliver,
+        realize_module._walk,
     )
 
     def spied_eliminate(n, r, scale, steps):
@@ -572,9 +577,9 @@ def test_linear_bound_prunes_roots_and_proofs_on_the_ladder(monkeypatch):
         events.append(("scale", n, r, a, g))
         return a, g
 
-    def spied_isolated(p, width):
-        events.append(("isolate",))
-        for root in isolated(p, width):
+    def spied_isolated(p, width, top=None, **kwargs):
+        events.append(("isolate", top))
+        for root in isolated(p, width, top, **kwargs):
             events.append(("walk", root, Fraction(root.a, root.d)))
             yield root
 
@@ -586,10 +591,16 @@ def test_linear_bound_prunes_roots_and_proofs_on_the_ladder(monkeypatch):
         events.append(("deliver", p.n, p.r, sol))
         return deliver(p, target, c, sol)
 
+    def spied_walk(g, proofs):
+        out = walk(g, proofs)
+        events.append(("walked", out))
+        return out
+
     monkeypatch.setattr(realize_module, "eliminate_integers", spied_eliminate)
     monkeypatch.setattr(realize_module, "_isolated", spied_isolated)
     monkeypatch.setattr(polyroots._Root, "sign", spied_sign)
     monkeypatch.setattr(realize_module, "_deliver", spied_deliver)
+    monkeypatch.setattr(realize_module, "_walk", spied_walk)
     rng = np.random.default_rng(23)
     pairs = [(4, 2), (6, 3), (8, 4), (10, 5), (12, 6), (6, 2), (8, 3), (10, 4), (7, 2), (9, 3)]
     for n, r in pairs:
@@ -598,21 +609,21 @@ def test_linear_bound_prunes_roots_and_proofs_on_the_ladder(monkeypatch):
                 realize(FamilyParams(n, r), CoeffVector(tuple(rng.uniform(-5.0, 5.0, n))))
             except RealizationFailed:
                 pass
-    scales = []  # (B or None, proofs per walk, the events of the scale)
+    scales = []  # (B or None, proofs per walk, g, the events of the scale)
     for event in events:
         if event[0] == "scale":
             _, n, r, a, g = event
             bound = None if g is None else min(Fraction(k0, -k1) for k0, k1 in a[r : 2 * r])
-            scales.append((bound, 1 + max(0, n - 2 * r), []))
+            scales.append((bound, 1 + max(0, n - 2 * r), g, []))
         elif event[0] == "deliver":
             # the delivered scale again: its walk, if not yet built
             _, n, r, sol = event
             bn, bd = sol.proofs[0][0], -sol.proofs[0][1]
-            scales.append((Fraction(bn, bd), 1 + n - 2 * r, []))
+            scales.append((Fraction(bn, bd), 1 + n - 2 * r, sol.g, []))
         else:
-            scales[-1][2].append(event)
+            scales[-1][3].append(event)
     rejected = pruned = proved = 0
-    for bound, most, seen in scales:
+    for bound, most, g, seen in scales:
         if bound is None or bound <= 0:
             rejected += bound is not None
             assert not seen
@@ -624,6 +635,14 @@ def test_linear_bound_prunes_roots_and_proofs_on_the_ladder(monkeypatch):
             if lo >= bound:
                 # the scale ends at the first walk at or past B, unproved
                 assert id(root) not in signed and i == len(walks) - 1
+                pruned += 1
+        tops = [e[1] for e in seen if e[0] == "isolate"]
+        if tops and [e[1] for e in seen if e[0] == "walked"] == [None]:
+            top = Fraction(2) ** tops[-1]
+            roots = polyroots.positive_roots(polyroots.IntPolynomial(g))
+            if all(lo < bound for _, lo in walks) and any(
+                br.lo >= top or br.exact == top for br in roots
+            ):
                 pruned += 1
         if most == 1:
             proved += len(signed)
@@ -983,9 +1002,9 @@ def test_realize_isolates_once_per_call_at_floor_n_over_r_two(monkeypatch):
     calls = []
     isolated = realize_module._isolated
 
-    def spied(p, width):
+    def spied(p, width, *args, **kwargs):
         calls.append(p)
-        return isolated(p, width)
+        return isolated(p, width, *args, **kwargs)
 
     monkeypatch.setattr(realize_module, "_isolated", spied)
     rng = np.random.default_rng(49)
@@ -1021,3 +1040,194 @@ def test_quadratic_closed_form_admits_a_double_root():
     # alpha_4 = 2^-40 lowers g to -(b - 3)^2 - 2^-40: disc < 0 and no
     # real root, though the vertex still lies in (0, B)
     assert realize_module._solve_scaled(4, 2, [*alpha[:3], (1, 2**40)], 1, 1) is None
+
+
+def _parent_walk(g, proofs):
+    # the walk realize ran before its tree was cut at B: (0, root_bound(g)]
+    # on the square-free part of g, taken before isolation
+    from sapcert.polyroots import IntPolynomial, _isolated
+
+    bn, bd = proofs[0][0], -proofs[0][1]
+    for root in _isolated(IntPolynomial(g), realize_module._ROOT_WIDTH):
+        if root.a * bd >= bn * root.d:
+            return None
+        if all(root.sign(cs) == 1 for cs in proofs):
+            return root
+    return None
+
+
+def _times(*factors):
+    # the product of integer polynomials, ascending coefficient tuples
+    out = (1,)
+    for f in factors:
+        prod = [0] * (len(out) + len(f) - 1)
+        for i, x in enumerate(out):
+            for j, y in enumerate(f):
+                prod[i + j] += x * y
+        out = tuple(prod)
+    return out
+
+
+def _ceil_log2(x):
+    # the least k with x <= 2^k, for a positive Fraction x
+    k = x.numerator.bit_length() - x.denominator.bit_length() + 1
+    while Fraction(2) ** (k - 1) >= x:
+        k -= 1
+    return k
+
+
+_WALK_CORNERS = (
+    "free",
+    "root_at_top",
+    "bound_power_of_two",
+    "bound_above_root_bound",
+    "double_rational",
+    "double_irrational",
+    "close_pair",
+)
+
+
+@st.composite
+def _walk_system(draw, corner):
+    # (g, proofs) as _walk takes them: proofs[0] = bn - bd b, whose root is
+    # B, then up to two forms of degree <= 3; g steered into ``corner``.
+    # A root of g at 2^k for the least 2^k >= B, a power of two B, a B above
+    # root_bound(g), a double rational root below B (as in (b - 1)^2 (b - 3)),
+    # a double irrational one below B (as in (b^2 - 2)^2 (b - 3)) and two
+    # simple roots 2^-80 apart; each times a small cofactor
+    from sapcert.polyroots import IntPolynomial, root_bound
+
+    small = st.integers(-6, 6)
+    cofactor = tuple(draw(st.lists(small, min_size=1, max_size=3)))
+    assume(cofactor[-1])
+    if corner == "free":
+        g = tuple(draw(st.lists(st.integers(-(2**40), 2**40), min_size=4, max_size=7)))
+        assume(g[-1] and any(g[:-1]))
+    elif corner in ("root_at_top", "bound_power_of_two", "bound_above_root_bound"):
+        k = draw(st.integers(-6, 6))
+        top = (1 << k, 1) if k >= 0 else (1, 1 << -k)
+        g = _times((-top[0], top[1]), (draw(small), draw(small), 1), cofactor)
+    elif corner == "double_rational":
+        u, v = draw(st.integers(1, 40)), draw(st.integers(1, 12))
+        g = _times((-u, v), (-u, v), (-3 * u - draw(st.integers(1, 9)), v), cofactor)
+        double = Fraction(u, v)
+    elif corner == "double_irrational":
+        m = draw(st.sampled_from([2, 3, 5, 7, 11]))
+        s = draw(st.integers(1, 8))
+        g = _times((-m, 0, s * s), (-m, 0, s * s), (-3 * m, s), cofactor)
+        double = Fraction(math.isqrt(m) + 1, s)  # above sqrt(m) / s
+    else:
+        x = draw(st.integers(1, 1 << 82))
+        g = _times((-x, 1 << 80), (-x - 1, 1 << 80), (-draw(st.integers(1, 9)), 1), cofactor)
+    if corner == "bound_power_of_two":
+        e = draw(st.integers(-8, 8))
+        bn, bd = (1 << e, 1) if e >= 0 else (1, 1 << -e)
+    elif corner == "root_at_top":
+        # B in (2^(k-1), 2^k], so that the tree's top is 2^k, a root
+        j = draw(st.integers(1, 64))
+        bn, bd = top[0] * (64 + j), top[1] * 128
+    elif corner == "bound_above_root_bound":
+        bound = root_bound(IntPolynomial(g)) * Fraction(draw(st.integers(8, 40)), 8)
+        bn, bd = bound.numerator, bound.denominator
+    elif corner.startswith("double"):
+        bound = double * Fraction(draw(st.integers(9, 40)), 8)
+        bn, bd = bound.numerator, bound.denominator
+    else:
+        bn, bd = draw(st.integers(1, 200)), draw(st.integers(1, 40))
+    extra = draw(st.lists(st.lists(small, min_size=2, max_size=4), max_size=2))
+    return g, [(bn, -bd), *(tuple(q) for q in extra)]
+
+
+@pytest.mark.parametrize("corner", _WALK_CORNERS)
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(data=st.data())
+def test_capped_lazy_walk_matches_the_parent_walk(corner, data):
+    # the walk from 2^k >= B on g itself, with no square-free part taken
+    # up front, gives the verdict of the walk from root_bound(g) on g's
+    # square-free part, and ends on the same node, before and after
+    # narrowing to _ROOT_WIDTH
+    g, proofs = data.draw(_walk_system(corner))
+    got, want = realize_module._walk(g, proofs), _parent_walk(g, proofs)
+    assert (got is None) == (want is None)
+    if got is None:
+        return
+    assert _walk_end(got) == _walk_end(want)
+    got.narrow(realize_module._ROOT_WIDTH)
+    want.narrow(realize_module._ROOT_WIDTH)
+    assert _walk_end(got) == _walk_end(want)
+
+
+def _spy_isolated(monkeypatch):
+    # (g, top, lazy) per tree that realize's walks build
+    from sapcert.polyroots import _isolated
+
+    trees = []
+
+    def spied(p, width, top=None, lazy=False):
+        trees.append((p.coeffs, top, lazy))
+        return _isolated(p, width, top, lazy)
+
+    monkeypatch.setattr(realize_module, "_isolated", spied)
+    return trees
+
+
+def test_realize_walks_from_the_bound_and_takes_no_square_free_part(monkeypatch):
+    # floor(n/r) >= 3 walks on every scale: each tree starts at the least
+    # of root_bound(g) and the least power of two at or above B, and the
+    # one-variation nodes prove every root simple, so no square-free part
+    # is taken or proved
+    from sapcert import polyroots
+
+    called = []
+
+    def spy(name, f):
+        def spied(*args):
+            called.append(name)
+            return f(*args)
+
+        return spied
+
+    for name in ("_square_free", "_gcd_degree_mod"):
+        monkeypatch.setattr(polyroots, name, spy(name, getattr(polyroots, name)))
+    trees = _spy_isolated(monkeypatch)
+    bounds = []
+    walk = realize_module._walk
+
+    def spied_walk(g, proofs):
+        bounds.append(Fraction(proofs[0][0], -proofs[0][1]))
+        return walk(g, proofs)
+
+    monkeypatch.setattr(realize_module, "_walk", spied_walk)
+    rng = np.random.default_rng(50)
+    for n in range(6, 11):
+        for _ in range(6):
+            try:
+                realize(FamilyParams(n, 2), CoeffVector(tuple(rng.uniform(-5.0, 5.0, n))))
+            except RealizationFailed:
+                pass
+    assert called == []
+    assert len(trees) == len(bounds) > 200
+    for (g, top, lazy), bound in zip(trees, bounds):
+        assert lazy and top == min(polyroots._bound_exponent(g), _ceil_log2(bound))
+
+
+@pytest.mark.parametrize(
+    "g",
+    [
+        # a midpoint hits the double root 1, where g' vanishes too
+        _times((-1, 1), (-1, 1), (-3, 1)),
+        # sqrt(2) is met by nodes of two variations down to the separation
+        # check, which finds gcd(g, g') not constant
+        _times((-2, 0, 1), (-2, 0, 1), (-3, 1)),
+    ],
+)
+def test_walk_on_a_repeated_root_starts_over_once(monkeypatch, g):
+    # B = 5/2: the lazy tree gives up at the repeated root and the walk
+    # runs once more, on the square-free part, to the parent's end
+    trees = _spy_isolated(monkeypatch)
+    proofs = [(5, -2)]
+    got = realize_module._walk(g, proofs)
+    assert [lazy for _, _, lazy in trees] == [True, False]
+    assert trees[0][1] == trees[1][1] == 2
+    want = _parent_walk(g, proofs)
+    assert got is not None and _walk_end(got) == _walk_end(want)
