@@ -22,6 +22,8 @@ from .errors import ConvergenceError, InvalidInput, SizeLimitExceeded
 from .patterns import as_matrix
 
 _ORACLE_MAX_N = 14
+# slots of N_k kept between two gathers of the Jacobian entries
+_RING = 32
 
 
 @dataclass(frozen=True)
@@ -71,28 +73,56 @@ def _faddeev_leverrier(M: np.ndarray, positions=()) -> tuple[np.ndarray, Optiona
     those positions, shape (..., n, len(positions)).  The N_k of the
     recursion are the coefficients of adj(xI - M), so Jacobi's formula
     gives dv_k/dM_ij = (-1)^(k+1) (N_{k-1})_ji at no extra matrix product.
-    Every matrix of a stack goes through the same floating-point
+
+    Each step costs one matrix product into a reused ``AN`` buffer and one
+    ``AN + c_k I`` (through a reused ``c_k I`` buffer) written straight into
+    the slot of N_k.  With no positions there is one slot; with positions
+    there is a ring of min(n, _RING) slots, and the (N_{k-1})_ji of a full
+    ring are gathered in one indexing pass, so the extra memory per matrix
+    is O(_RING n^2 + n p).  The signs are applied once at the end by
+    multiplying by -1.0 (negation would flip the sign bit of a NaN), so
+    every float, signed zeros included, is what a step-by-step recursion
+    gives.  Every matrix of a stack goes through the same floating-point
     operations as it would alone, so each row equals the single-matrix
     result bit for bit.
     """
     n = M.shape[-1]
+    batch = M.shape[:-2]
     eye = np.eye(n)
     # a single matrix keeps a scalar c_k, so it costs what the unbatched loop
     # did; a stack needs one c_k per matrix
-    per_matrix = (Ellipsis, None, None) if M.ndim == 3 else ()
-    rows = [i for i, _ in positions]
-    cols = [j for _, j in positions]
-    vals, jac = [], []
-    N = eye
+    per_matrix = (Ellipsis, None, None) if batch else ()
+    slots = min(n, _RING) if positions else 1
+    ring = np.empty((slots,) + M.shape)
+    ring[0] = eye
+    ring_slots = list(ring)
+    AN = np.empty(M.shape)
+    cI = np.empty(M.shape)
+    cks = np.empty((n,) + batch)
+    if positions:
+        rows = np.array([i for i, _ in positions], dtype=np.intp)
+        cols = np.array([j for _, j in positions], dtype=np.intp)
+        jac = np.empty((n,) + batch + (len(positions),))
     for k in range(1, n + 1):
-        if positions:
-            jac.append((-1.0) ** (k + 1) * np.broadcast_to(N, M.shape)[..., cols, rows])
-        AN = M @ N
-        ck = -np.trace(AN, 0, -2, -1) / k
-        vals.append((-1.0) ** k * ck)
-        N = AN + ck[per_matrix] * eye
-    jac = np.moveaxis(np.array(jac), 0, -2) if positions else None
-    return np.array(vals).T, jac
+        slot = (k - 1) % slots
+        np.matmul(M, ring_slots[slot], out=AN)
+        ck = -AN.trace(0, -2, -1) / k
+        cks[k - 1] = ck
+        if k == n:
+            break
+        if positions and slot == slots - 1:  # the ring holds N_{k-slots}..N_{k-1}
+            jac[k - slots : k] = ring[..., cols, rows]
+        np.multiply(ck[per_matrix], eye, out=cI)
+        np.add(AN, cI, out=ring_slots[k % slots])
+    # v_k = (-1)^k c_k; the +1.0 factors leave every float as it is
+    np.multiply(-1.0, cks[0::2], out=cks[0::2])
+    if not positions:
+        return cks.T, None
+    filled = (n - 1) % slots + 1
+    jac[n - filled :] = ring[:filled, ..., cols, rows]
+    # dv_k/dM_ij = (-1)^(k+1) (N_{k-1})_ji
+    np.multiply(-1.0, jac[1::2], out=jac[1::2])
+    return cks.T, np.moveaxis(jac, 0, -2)
 
 
 def char_coeffs(A) -> CoeffVector:
@@ -108,7 +138,9 @@ def char_coeffs(A) -> CoeffVector:
 def char_coeffs_batch(A) -> np.ndarray:
     """Coefficients of every matrix of an (m, n, n) stack, as an (m, n) array.
 
-    Row k equals ``char_coeffs(A[k]).values`` bit for bit.
+    Row k equals ``char_coeffs(A[k]).values`` bit for bit.  The pass keeps
+    three (m, n, n) buffers, for N_k, ``AN`` and ``c_k I``, reused by every
+    step, and gathers no Jacobian.
     """
     vals, _ = _faddeev_leverrier(_square_stack(A))
     return vals
@@ -120,7 +152,10 @@ def coeff_jacobian(A, positions) -> tuple[CoeffVector, np.ndarray]:
     ``positions`` are 0-based (i, j) pairs; column k of the returned
     n-by-len(positions) matrix holds the derivatives of (v_1..v_n) with
     respect to the entry at ``positions[k]``.  The coefficients are those
-    of :func:`char_coeffs`, bit for bit.
+    of :func:`char_coeffs`, bit for bit.  The derivatives are entries of the
+    recursion's N_{k-1}, kept in a ring of at most _RING n-by-n slots and
+    gathered once per ring fill, so the pass needs O(_RING n^2 + n p)
+    extra memory, not the n^3 of keeping every N_k.
     """
     M = _square(A)
     n = M.shape[0]

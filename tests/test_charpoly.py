@@ -1,9 +1,14 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from sapcert.charpoly import (
+    _RING,
+    _faddeev_leverrier,
     CoeffVector,
     char_coeffs,
     char_coeffs_batch,
@@ -171,3 +176,92 @@ def test_coeff_jacobian_matches_central_differences():
 def test_coeff_jacobian_rejects_positions_out_of_range():
     with pytest.raises(InvalidInput):
         coeff_jacobian(np.eye(3), [(0, 0), (3, 1)])
+
+
+def _step_by_step_recursion(M, positions=()):
+    """The recursion one step at a time, gathering each N_{k-1} as it is formed.
+
+    The reference for the ring-buffered kernel: a new array per operation,
+    and the Jacobian entries read from every N_{k-1} before the next product.
+    """
+    n = M.shape[-1]
+    eye = np.eye(n)
+    per_matrix = (Ellipsis, None, None) if M.ndim == 3 else ()
+    rows = [i for i, _ in positions]
+    cols = [j for _, j in positions]
+    vals, jac = [], []
+    N = eye
+    for k in range(1, n + 1):
+        if positions:
+            jac.append((-1.0) ** (k + 1) * np.broadcast_to(N, M.shape)[..., cols, rows])
+        AN = M @ N
+        ck = -np.trace(AN, 0, -2, -1) / k
+        vals.append((-1.0) ** k * ck)
+        N = AN + ck[per_matrix] * eye
+    jac = np.moveaxis(np.array(jac), 0, -2) if positions else None
+    return np.array(vals).T, jac
+
+
+def _kernel_case(n, m, seed, scale, zeros, positions):
+    """An (n, n) matrix (m None) or an (m, n, n) stack with signed zeros mixed in."""
+    rng = np.random.default_rng(seed)
+    shape = (n, n) if m is None else (m, n, n)
+    M = rng.uniform(-2.0, 2.0, shape) * scale
+    M[rng.random(shape) < zeros] = 0.0
+    M[rng.random(shape) < zeros] = -0.0
+    return M, positions
+
+
+@st.composite
+def kernel_cases(draw):
+    # small orders, and orders past the ring so that it wraps once or twice
+    n = draw(st.one_of(st.integers(1, 8), st.integers(_RING + 1, 2 * _RING + 3)))
+    index = st.integers(0, n - 1)
+    positions = draw(st.lists(st.tuples(index, index), max_size=n + 2))
+    if positions and draw(st.booleans()):
+        d = draw(index)
+        positions += [(d, d), positions[0]]  # a diagonal entry and a repeat
+    return _kernel_case(
+        n,
+        draw(st.sampled_from([None, 1, 3])),
+        draw(st.integers(0, 2**32 - 1)),
+        draw(st.sampled_from([1.0, 1e300])),
+        draw(st.sampled_from([0.0, 0.3, 0.6])),
+        positions,
+    )
+
+
+@settings(max_examples=120, deadline=None, derandomize=True, database=None)
+@given(kernel_cases())
+@example(_kernel_case(1, None, 0, 1.0, 0.0, [(0, 0)]))
+@example(_kernel_case(1, 3, 1, 1.0, 0.5, [(0, 0), (0, 0)]))
+@example(_kernel_case(_RING + 1, None, 2, 1.0, 0.3, [(i, 0) for i in range(_RING)] + [(_RING, 1)]))
+@example(_kernel_case(2 * _RING + 1, 2, 3, 1.0, 0.3, [(0, 0), (5, 5), (0, 0), (2 * _RING, 3)]))
+@example(_kernel_case(_RING + 2, 3, 4, 1e300, 0.3, [(1, 1), (4, 0), (1, 1)]))
+def test_kernel_equals_step_by_step_recursion_bitwise(case):
+    # tobytes compares every bit, so a -0.0 for a 0.0 or a NaN of another
+    # sign fails; entries near 1e300 overflow to inf and NaN on purpose
+    M, positions = case
+    with np.errstate(all="ignore"):
+        want_vals, want_jac = _step_by_step_recursion(M, positions)
+        vals, jac = _faddeev_leverrier(M, positions)
+    assert vals.shape == want_vals.shape and vals.tobytes() == want_vals.tobytes()
+    if positions:
+        assert jac.shape == want_jac.shape and jac.tobytes() == want_jac.tobytes()
+    else:
+        assert jac is None
+
+
+def test_coeff_jacobian_peak_memory_stays_below_every_n_k():
+    # keeping every N_k would take n^3 * 8 bytes (13.8 MB at n = 120); the
+    # ring keeps at most _RING of them between two gathers
+    n = 120
+    A = np.random.default_rng(5).uniform(-1.0, 1.0, (n, n))
+    positions = [(i, 0) for i in range(n - 1)] + [(n - 1, n - 2)]
+    tracemalloc.start()
+    try:
+        coeff_jacobian(A, positions)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < n**3 * 8 / 2

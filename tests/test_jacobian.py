@@ -1,3 +1,6 @@
+import hashlib
+import json
+
 import numpy as np
 import pytest
 
@@ -256,6 +259,23 @@ def test_nj_verify_exact_jacobian_matches_block_route(n):
         nj = nj_verify(build_pattern(cert.params), M, positions)
         blocks = jacobian_det(cert.realization()).det_blocks
         assert abs(nj.jacobian_det - blocks) <= 1e-12 * abs(blocks), (n, r)
+
+
+def test_nj_verify_layer_digest_is_pinned():
+    # nj_verify at every family nilpotent point with 3 <= n <= 40, 2 <= r <= n,
+    # on the first column and (n-1, n-r); recorded with the step-by-step
+    # Faddeev-LeVerrier recursion that gathered each N_k as it was formed
+    digest = hashlib.sha256()
+    for n in range(3, 41):
+        for r in range(2, n + 1):
+            cert = nilpotent_realization(FamilyParams(n, r))
+            M = build_matrix(cert.realization())
+            positions = [(i, 0) for i in range(n - 1)] + [(n - 1, n - r)]
+            nj = nj_verify(build_pattern(cert.params), M, positions)
+            digest.update(json.dumps(nj.as_json_dict()).encode())
+    assert digest.hexdigest() == (
+        "ef2dc66c0c32ef57c0880e5a35688da5f18f90dd110f0de67b35baf5167bfc67"
+    )
 
 
 def test_nj_verify_preconditions():
