@@ -19,9 +19,8 @@ each node's interval polynomial is derived from its parent's in the
 manner of Collins and Akritas, by bit shifts and additions
 (:func:`_halved`, :func:`_shifted_by_one`); an interval that is not a
 tree node has it built from the polynomial (:func:`_shifted_variations`,
-also the proof of a centred bracket).  The square-free part is proved
-by gcd(p, p') modulo the prime 2^61 - 1 when that gcd is constant, and
-taken by the exact remainder sequence only otherwise
+also the proof of a centred bracket).  The square-free part comes from
+gcd(p, p') modulo Mersenne primes, each lift checked by exact division
 (:func:`_square_free`).  A tree can also start lower, at a node of that
 one, and run on the polynomial itself, letting its one-variation nodes
 prove each root simple until a repeated root shows (:func:`_isolated`,
@@ -60,7 +59,7 @@ from math import ceil, gcd, isqrt, lcm
 from numbers import Rational
 from typing import Iterator
 
-from .errors import InvalidInput, PreconditionViolated
+from .errors import InvalidInput, PreconditionViolated, SizeLimitExceeded
 
 DEFAULT_WIDTH = Fraction(1, 10**14)
 
@@ -71,8 +70,12 @@ _MAX_BISECTIONS = 4000
 _MAX_SIGN_REFINE = 200
 _LOCATED_WIDTH = Fraction(1, 2**8)
 _RATROOT_COEFF_LIMIT = 10**9
-# a Mersenne prime; gcd(p, p') modulo it proves p square-free when constant
-_PRIME = 2**61 - 1
+# the exponents e of the Mersenne primes 2^e - 1 modulo which _square_free
+# takes gcd(p, p'), in turn
+_MERSENNE_EXPONENTS = (
+    61, 89, 107, 127, 521, 607, 1279, 2203, 2281, 3217, 4253, 4423, 9689, 9941, 11213, 19937,
+    21701, 23209,
+)
 # levels below its top at which a lazy tree checks a node of two or more
 # variations for a repeated root, if half Mahler's separation has not come
 # first: that bound alone is 13,000 levels down at degree 64 with 200-bit
@@ -209,29 +212,6 @@ def _content_free(ints: list[int]) -> tuple[int, ...]:
         g = gcd(g, c)
     g = g or 1
     return tuple(c // g for c in ints)
-
-
-def _positive_remainder(num: list[int], den: tuple[int, ...]) -> list[int]:
-    """A positive multiple of the remainder of ``num`` by ``den``.
-
-    Each elimination step scales the running remainder by a positive
-    integer before subtracting, so signs are those of the exact remainder.
-    """
-    rem = list(num)
-    lead = den[-1]
-    lead_abs, lead_sign = abs(lead), (lead > 0) - (lead < 0)
-    while len(rem) >= len(den):
-        g = gcd(lead_abs, rem[-1])
-        scale, k = lead_abs // g, lead_sign * (rem[-1] // g)
-        off = len(rem) - len(den)
-        if scale != 1:
-            rem = [c * scale for c in rem]
-        for i, c in enumerate(den):
-            rem[i + off] -= k * c
-        rem.pop()
-        while rem and rem[-1] == 0:
-            rem.pop()
-    return rem
 
 
 def _over_common(lo: Fraction, hi: Fraction) -> tuple[int, int, int]:
@@ -444,83 +424,74 @@ def _divisors(n: int) -> list[int]:
     return sorted(out)
 
 
-def _exact_quotient(num: tuple[int, ...], den: tuple[int, ...]) -> tuple[int, ...]:
-    # num / den for a primitive factor den of num: by Gauss's lemma every
-    # quotient coefficient is an integer, so the long division is exact
+def _divided(num, den: tuple[int, ...]) -> tuple[int, ...] | None:
+    """num / den when den divides num over the integers, else None.
+
+    For a primitive den, None proves by Gauss's lemma that den does not divide num over Q.
+    """
     rem = list(num)
     out = [0] * (len(num) - len(den) + 1)
     for k in range(len(out) - 1, -1, -1):
-        c = rem[k + len(den) - 1] // den[-1]
+        c, r = divmod(rem[k + len(den) - 1], den[-1])
+        if r:
+            return None
         out[k] = c
         for i, d in enumerate(den):
             rem[k + i] -= c * d
-    return tuple(out)
+    return None if any(rem[: len(den) - 1]) else tuple(out)
 
 
-def _reduced(ints) -> list[int]:
-    # the coefficients modulo _PRIME, with no trailing zeros
-    out = [c % _PRIME for c in ints]
-    while out and not out[-1]:
-        out.pop()
-    return out
-
-
-def _gcd_degree_mod(f, g) -> int:
-    """The degree of gcd(f, g) modulo :data:`_PRIME`, for g nonzero modulo it."""
-    f, g = _reduced(f), _reduced(g)
+def _gcd_mod(f, g, prime: int) -> list[int]:
+    """The monic gcd of f and g modulo ``prime``, for leading coefficients nonzero modulo it."""
+    f, g = [c % prime for c in f], [c % prime for c in g]
     while g:
-        inv = pow(g[-1], -1, _PRIME)
-        g = [c * inv % _PRIME for c in g]  # monic
+        inv = pow(g[-1], -1, prime)
+        g = [c * inv % prime for c in g]  # monic
         # f becomes its remainder by g
         while len(f) >= len(g):
             q, off = f[-1], len(f) - len(g)
             for i in range(len(g) - 1):
-                f[off + i] = (f[off + i] - q * g[i]) % _PRIME
+                f[off + i] = (f[off + i] - q * g[i]) % prime
             f.pop()
             while f and not f[-1]:
                 f.pop()
         f, g = g, f
-    return len(f) - 1
-
-
-def _proved_square_free(ints: tuple[int, ...]) -> bool:
-    """True when gcd(p, p') modulo :data:`_PRIME` proves the primitive ``ints`` square-free.
-
-    When the prime divides neither leading coefficient, a gcd G of p and
-    p' over the rationals can be taken primitive, its leading coefficient
-    divides p's, so G modulo the prime keeps its degree and divides both,
-    and a constant modular gcd proves p square-free.  False (a prime
-    dividing a leading coefficient, or roots that coincide modulo it)
-    proves nothing.
-    """
-    return bool(ints[-1] * (len(ints) - 1) % _PRIME) and not _gcd_degree_mod(
-        ints, [i * c for i, c in enumerate(ints) if i]
-    )
+    return f
 
 
 def _square_free(ints: tuple[int, ...]) -> IntPolynomial:
-    """The primitive ``ints`` divided by gcd(p, p').
+    """The primitive ``ints`` divided by gcd(p, p'): primitive, with p's leading sign.
 
     A repeated root counts more than once in Descartes' rule, so no
     interval around it shows one variation; the square-free part has the
-    same distinct roots, each simple.  The modular gcd
-    (:func:`_proved_square_free`) proves most polynomials square-free;
-    where it does not, :func:`_exact_square_free` decides.
+    same distinct roots, each simple.  The gcd is taken modulo each prime
+    of ``_MERSENNE_EXPONENTS`` in turn that does not divide lc(p) deg p.
+    There the image of the primitive gcd G divides p and p', so the
+    modular gcd has degree at least deg G, and a constant one proves p
+    square-free.  Else |lc(p)| times it, lifted to symmetric residues and
+    made primitive with a positive lead, is H; when H divides p and p'
+    exactly (:func:`_divided`) it divides G and so is G, and p / H is
+    returned.  A lift that fails (too small a prime, or roots that
+    coincide modulo it) moves on to the next prime; past the last,
+    :class:`SizeLimitExceeded`.
     """
-    return IntPolynomial(ints) if _proved_square_free(ints) else _exact_square_free(ints)
-
-
-def _exact_square_free(ints: tuple[int, ...]) -> IntPolynomial:
-    """The primitive ``ints`` divided by gcd(p, p'), exactly.
-
-    The gcd is the last member of the remainder sequence of p and p'
-    (:func:`_positive_remainder`), each remainder made primitive.
-    """
-    num, den = ints, tuple(i * c for i, c in enumerate(ints) if i)
-    while rem := _positive_remainder(num, den):
-        num, den = den, _content_free(rem)
-    g = _content_free(den)
-    return IntPolynomial(ints if len(g) == 1 else _exact_quotient(ints, g))
+    k, lead = len(ints) - 1, abs(ints[-1])
+    derivative = [i * c for i, c in enumerate(ints) if i]
+    for e in _MERSENNE_EXPONENTS:
+        prime = (1 << e) - 1
+        if not lead * k % prime:
+            continue
+        monic = _gcd_mod(ints, derivative, prime)
+        if len(monic) == 1:
+            return IntPolynomial(ints)
+        lifted = [c - prime if 2 * c > prime else c for c in (lead * c % prime for c in monic)]
+        content = gcd(*lifted) if lifted[-1] > 0 else -gcd(*lifted)
+        H = tuple(c // content for c in lifted)
+        quotient = _divided(ints, H)
+        if quotient is not None and _divided(derivative, H) is not None:
+            return IntPolynomial(quotient)
+    bits = max(c.bit_length() for c in ints)
+    raise SizeLimitExceeded(f"no prime lifts gcd(p, p') at degree {k}, {bits}-bit coefficients")
 
 
 def _rational_root(ints, a: int, b: int, d: int, s_hi: int, nums: list[int], dens: list[int]):
@@ -665,12 +636,11 @@ class _Root:
 def positive_roots(p: IntPolynomial, width: Fraction = DEFAULT_WIDTH) -> Iterator[RootBracket]:
     """Brackets for the distinct positive roots of ``p``, lazily, in increasing order.
 
-    Works on the primitive part of ``p`` with its roots at zero divided
-    out, and on the square-free part of that when gcd(p, p') is not
-    constant.  A leftmost-first subdivision of (0, root_bound(p)] judges
-    each interval by its sign variations (:func:`_variations` of the
-    interval polynomial, derived from the parent's):
-    none drops it, more than one halves it, and one proves one simple
+    Works on the square-free part (:func:`_square_free`) of the primitive
+    part of ``p`` with its roots at zero divided out.  A leftmost-first
+    subdivision of (0, root_bound(p)] judges each interval by its sign
+    variations (:func:`_variations` of the interval polynomial, derived
+    from the parent's): none drops it, more than one halves it, and one proves one simple
     root in it, whose walk (:func:`_isolated`) :func:`bisections` narrows
     on the same tree until the bracket is at most ``width`` wide; isolate
     coarsely and :func:`refine` only the brackets that are used.  A
@@ -682,6 +652,11 @@ def positive_roots(p: IntPolynomial, width: Fraction = DEFAULT_WIDTH) -> Iterato
     there, or a midpoint that hits a root, is reported as ``exact`` and
     centred at once in a bracket that holds no other root.  Each bracket
     lies right of the one before.
+
+    Raises :class:`SizeLimitExceeded` when no prime of :func:`_square_free`
+    lifts gcd(p, p'), which needs Mignotte's bound 2^k ||p||_2 past 2^23207
+    at degree k; realize's closing polynomials at n <= 320 stay under
+    2^19800, even for extreme double targets at the ladder's last scale.
     """
     for root in _isolated(p, width):
         if root.exact is None:
@@ -690,7 +665,7 @@ def positive_roots(p: IntPolynomial, width: Fraction = DEFAULT_WIDTH) -> Iterato
 
 
 class _RepeatedRoot(Exception):
-    """A lazy :func:`_isolated` tree met a repeated root, or could not rule one out."""
+    """A lazy :func:`_isolated` tree met a repeated root."""
 
 
 def _separation_exponent(cs: tuple[int, ...]) -> int:
@@ -728,11 +703,11 @@ def _isolated(
     at which p' vanishes too, and at the first node of two or more
     variations narrower than half Mahler's root separation
     (:func:`_separation_exponent`), or than 2^-_SEPARATION_DEPTH of the
-    top, unless the modular gcd (:func:`_proved_square_free`) proves p
-    square-free there; then the subdivision goes on unchecked.  The
-    separation only decides when to check: for a square-free p no such
-    node exists, as the two-circle figure of an interval narrower than
-    half the separation holds at most one root.
+    top, unless p's square-free part (:func:`_square_free`) is p itself;
+    then the subdivision goes on unchecked.  The separation only decides
+    when to check: for a square-free p no such node exists, as the
+    two-circle figure of an interval narrower than half the separation
+    holds at most one root.
     """
     if p.is_zero:
         raise InvalidInput("cannot isolate roots of the zero polynomial")
@@ -781,7 +756,7 @@ def _isolated(
             fn, fd = root.b, root.d
         elif v + hit:
             if lazy and v + hit > 1 and d >= deep:
-                if not _proved_square_free(work):
+                if len(_square_free(work).coeffs) < len(work):
                     raise _RepeatedRoot
                 lazy = False  # p is square-free, so the subdivision terminates
             m, d = a + b, 2 * d

@@ -1,13 +1,14 @@
 import hashlib
 import math
 import random
+import time
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
 from sapcert import polyroots
-from sapcert.errors import InvalidInput, PreconditionViolated
+from sapcert.errors import InvalidInput, PreconditionViolated, SizeLimitExceeded
 from sapcert.family import FamilyParams
 from sapcert.nilpotent import recurrence_polys
 from sapcert.polyroots import (
@@ -529,16 +530,23 @@ def test_positive_roots_brackets_are_pinned():
     )
 
 
-def _spy_exact_square_free(monkeypatch):
-    exact = polyroots._exact_square_free
+def _spy(monkeypatch, name):
+    # the arguments and result of every call to polyroots.<name>
+    f = getattr(polyroots, name)
     calls = []
 
-    def spy(ints):
-        calls.append(ints)
-        return exact(ints)
+    def spy(*args):
+        out = f(*args)
+        calls.append((args, out))
+        return out
 
-    monkeypatch.setattr(polyroots, "_exact_square_free", spy)
+    monkeypatch.setattr(polyroots, name, spy)
     return calls
+
+
+def _primes(calls):
+    # the prime of each _gcd_mod call
+    return [args[2] for args, _ in calls]
 
 
 def _brackets_hold(p: tuple[int, ...], roots) -> bool:
@@ -547,29 +555,78 @@ def _brackets_hold(p: tuple[int, ...], roots) -> bool:
 
 
 def test_square_free_falls_back_when_the_prime_divides_the_leading_coefficient(monkeypatch):
-    prime = polyroots._PRIME
-    calls = _spy_exact_square_free(monkeypatch)
+    prime = 2**61 - 1
+    gcds = _spy(monkeypatch, "_gcd_mod")
     simple = tuple(_mul([-1, prime], [-2, 1]))  # (P x - 1)(x - 2)
     assert polyroots._square_free(simple) == IntPolynomial(simple)
+    assert _primes(gcds) == [2**89 - 1]
+    # the gcd P x - 1 times lc(p) = P^2 needs a prime above 2^123 to lift
+    gcds.clear()
     double = tuple(_mul([-1, prime], [-1, prime]))  # (P x - 1)^2
-    assert polyroots._square_free(double).coeffs in ((-1, prime), (1, -prime))
-    assert calls == [simple, double]
+    assert polyroots._square_free(double).coeffs == (-1, prime)
+    assert _primes(gcds) == [2**89 - 1, 2**107 - 1, 2**127 - 1]
     assert _brackets_hold(simple, (Fraction(1, prime), 2))
 
 
 def test_square_free_falls_back_when_roots_coincide_modulo_the_prime(monkeypatch):
-    # 1 and 1 + P are distinct, so p is square-free, but p = (x - 1)^2 modulo P
-    prime = polyroots._PRIME
+    # 1 and 1 + P are distinct, so p is square-free, but p = (x - 1)^2
+    # modulo P: the lift x - 1 divides p, not p', and 2^89 - 1 proves p
+    # square-free
+    prime = 2**61 - 1
     p = tuple(_mul([-1, 1], [-1 - prime, 1]))
-    assert polyroots._gcd_degree_mod(p, [i * c for i, c in enumerate(p) if i]) == 1
-    calls = _spy_exact_square_free(monkeypatch)
+    gcds = _spy(monkeypatch, "_gcd_mod")
+    divisions = _spy(monkeypatch, "_divided")
     assert polyroots._square_free(p) == IntPolynomial(p)
-    assert calls == [p]
+    assert _primes(gcds) == [prime, 2**89 - 1]
+    assert gcds[0][1] == [-1 % prime, 1]
+    assert divisions == [((p, (-1, 1)), (-1 - prime, 1)), (([-2 - prime, 2], (-1, 1)), None)]
     assert _brackets_hold(p, (1, 1 + prime))
 
 
 def test_square_free_takes_the_modular_proof_for_a_square_free_polynomial(monkeypatch):
-    calls = _spy_exact_square_free(monkeypatch)
+    gcds = _spy(monkeypatch, "_gcd_mod")
+    divisions = _spy(monkeypatch, "_divided")
     p = tuple(_mul(_mul([-1, 2], [-3, 1]), [-2, 0, 1]))  # (2x - 1)(x - 3)(x^2 - 2)
     assert polyroots._square_free(p) == IntPolynomial(p)
-    assert calls == []
+    assert _primes(gcds) == [2**61 - 1]
+    assert divisions == []
+
+
+def test_square_free_rejects_the_lift_at_an_unlucky_prime(monkeypatch):
+    # x^2 + x + 8 is square-free, but its discriminant -31 vanishes modulo
+    # 31, where it is (x - 15)^2: the lift x - 15 does not divide p, and
+    # the next prime, 127, proves p square-free
+    monkeypatch.setattr(polyroots, "_MERSENNE_EXPONENTS", (5, 7, 61))
+    gcds = _spy(monkeypatch, "_gcd_mod")
+    divisions = _spy(monkeypatch, "_divided")
+    p = (8, 1, 1)
+    assert polyroots._square_free(p) == IntPolynomial(p)
+    assert _primes(gcds) == [31, 127]
+    assert [out for _, out in gcds] == [[16, 1], [1]]
+    assert divisions == [((p, (-15, 1)), None)]
+
+
+def test_square_free_raises_past_the_last_prime(monkeypatch):
+    # (c x - 1)^2 for c = 3^50: its gcd c x - 1 times lc(p) = c^2 has
+    # 159-bit coefficients, which no 61-bit prime lifts
+    c = 3**50
+    p = tuple(_mul([-1, c], [-1, c]))
+    assert polyroots._square_free(p).coeffs == (-1, c)
+    monkeypatch.setattr(polyroots, "_MERSENNE_EXPONENTS", (61,))
+    with pytest.raises(SizeLimitExceeded):
+        polyroots._square_free(p)
+    with pytest.raises(SizeLimitExceeded):
+        list(positive_roots(IntPolynomial(p)))
+
+
+def test_positive_roots_of_a_large_repeated_factor_end_quickly():
+    # (x^2 - 2)^2 q for q of degree 96 with 300-bit coefficients: the
+    # square-free part of degree 98 was 30 s by a primitive remainder sequence
+    rng = random.Random(98)
+    q = [rng.randint(-(2**300), 2**300) for _ in range(97)]
+    p = IntPolynomial.from_coeffs(_mul(_mul([-2, 0, 1], [-2, 0, 1]), q))
+    start = time.process_time()
+    brackets = list(positive_roots(p))
+    assert time.process_time() - start < 1.0
+    assert all(b.poly.degree == 98 for b in brackets)
+    assert sum(b.lo**2 < 2 < b.hi**2 for b in brackets) == 1

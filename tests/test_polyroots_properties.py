@@ -15,7 +15,7 @@ every node's transform from p.
 
 from collections import Counter
 from fractions import Fraction
-from math import ceil, isqrt, lcm
+from math import ceil, gcd, isqrt, lcm
 
 import pytest
 
@@ -30,7 +30,6 @@ from sapcert.polyroots import (  # noqa: E402
     IntPolynomial,
     RootBracket,
     _content_free,
-    _exact_square_free,
     _halved,
     _homogeneous,
     _interval_poly,
@@ -441,6 +440,42 @@ def test_bisections_below_a_bound_step_as_the_inline_walk(p, a, width, d, data):
         assert next(steps) == next(ref)
 
 
+def _positive_remainder(num, den):
+    # a positive multiple of the remainder of num by den: each elimination
+    # step scales the running remainder by a positive integer
+    rem = list(num)
+    lead_abs, lead_sign = abs(den[-1]), (den[-1] > 0) - (den[-1] < 0)
+    while len(rem) >= len(den):
+        g = gcd(lead_abs, rem[-1])
+        scale, k = lead_abs // g, lead_sign * (rem[-1] // g)
+        off = len(rem) - len(den)
+        rem = [c * scale for c in rem]
+        for i, c in enumerate(den):
+            rem[i + off] -= k * c
+        rem.pop()
+        while rem and rem[-1] == 0:
+            rem.pop()
+    return rem
+
+
+def _ref_square_free(ints):
+    """The primitive ints over gcd(p, p') by the primitive remainder sequence, of p's leading sign."""
+    num, den = ints, tuple(i * c for i, c in enumerate(ints) if i)
+    while rem := _positive_remainder(num, den):
+        num, den = den, _content_free(rem)
+    g = _content_free(den)
+    if len(g) > 1:
+        # exact long division by the primitive factor g (Gauss's lemma)
+        rem, out = list(ints), [0] * (len(ints) - len(g) + 1)
+        for k in range(len(out) - 1, -1, -1):
+            out[k] = rem[k + len(g) - 1] // g[-1]
+            for i, c in enumerate(g):
+                rem[k + i] -= out[k] * c
+        assert not any(rem)
+        ints = out if (out[-1] > 0) == (ints[-1] > 0) else [-c for c in out]
+    return IntPolynomial(tuple(ints))
+
+
 @_SETTINGS
 @hypothesis.given(
     st.one_of(
@@ -449,11 +484,12 @@ def test_bisections_below_a_bound_step_as_the_inline_walk(p, a, width, d, data):
     ).filter(lambda coeffs: len(coeffs) > 1)
 )
 def test_square_free_equals_the_remainder_sequence(coeffs):
-    # the modular proof, when it applies, agrees with the exact path, and
-    # both with sympy's square-free part
+    # the modular gcd, checked by exact division, gives the primitive
+    # remainder sequence's square-free part with p's leading sign, and
+    # agrees with sympy's
     ints = _content_free(coeffs)
     got = _square_free(ints)
-    assert got == _exact_square_free(ints)
+    assert got == _ref_square_free(ints)
     want = sympy.Poly(ints[::-1], _X).sqf_part()
     assert sympy.Poly(got.coeffs[::-1], _X) in (want, -want)
     repeated = len(got.coeffs) < len(ints)

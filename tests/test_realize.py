@@ -2,6 +2,8 @@ import hashlib
 import importlib
 import json
 import math
+import random
+import time
 from fractions import Fraction
 
 import numpy as np
@@ -1187,7 +1189,7 @@ def test_realize_walks_from_the_bound_and_takes_no_square_free_part(monkeypatch)
 
         return spied
 
-    for name in ("_square_free", "_gcd_degree_mod"):
+    for name in ("_square_free", "_gcd_mod"):
         monkeypatch.setattr(polyroots, name, spy(name, getattr(polyroots, name)))
     trees = _spy_isolated(monkeypatch)
     bounds = []
@@ -1231,3 +1233,19 @@ def test_walk_on_a_repeated_root_starts_over_once(monkeypatch, g):
     assert trees[0][1] == trees[1][1] == 2
     want = _parent_walk(g, proofs)
     assert got is not None and _walk_end(got) == _walk_end(want)
+
+
+def test_walk_on_a_large_repeated_root_starts_over_once_and_ends_quickly(monkeypatch):
+    # g = (b^2 - 2)^2 q of degree 60, q with positive 200-bit coefficients
+    # and so no positive root: the lazy tree meets the double root sqrt(2)
+    # below B = 5/2, and the rerun on the square-free part admits it
+    rng = random.Random(60)
+    q = tuple(rng.randint(1, 2**200) for _ in range(57))
+    g = _times((-2, 0, 1), (-2, 0, 1), q)
+    trees = _spy_isolated(monkeypatch)
+    start = time.process_time()
+    got = realize_module._walk(g, [(5, -2)])
+    assert time.process_time() - start < 1.0
+    assert [lazy for _, _, lazy in trees] == [True, False]
+    assert got is not None and got.poly.degree == 58
+    assert Fraction(got.a, got.d) ** 2 < 2 < Fraction(got.b, got.d) ** 2
