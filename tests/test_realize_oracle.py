@@ -145,6 +145,11 @@ _DOUBLE_ROOTS = st.one_of(
 )
 
 
+def _poly(cs):
+    # ascending integer coefficients as a Poly in b
+    return sympy.Poly(list(reversed(cs)), _B, domain="QQ")
+
+
 def _times(*factors):
     out = (1,)
     for f in factors:
@@ -183,8 +188,7 @@ def test_walk_on_a_double_root_agrees_with_the_oracle(data):
             lambda p, width, top=None, lazy=False: trees.append(lazy) or isolated(p, width, top, lazy),
         )
         got = realize_module._walk(g, forms)
-    poly = lambda cs: sympy.Poly(list(reversed(cs)), _B, domain="QQ")  # noqa: E731
-    want = _least_admissible([poly(q) for q in forms], poly(g))
+    want = _least_admissible([_poly(q) for q in forms], _poly(g))
     # f's root below B: num / den < bn / bd, or sqrt(k) < bn / bd
     below = -f[0] * bd < bn * f[1] if len(f) == 2 else -f[0] * bd * bd < bn * bn
     hypothesis.event("admitted" if want else "rejected")
@@ -192,4 +196,4 @@ def test_walk_on_a_double_root_agrees_with_the_oracle(data):
         assert trees == [True, False]
     assert (got is not None) == (want is not None)
     if got is not None:
-        assert _holds(poly(g), *want, got)
+        assert _holds(_poly(g), *want, got)
